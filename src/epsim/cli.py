@@ -4,13 +4,15 @@ Subcommands::
 
     epsim ep STATEFILE                 sector table and particle entanglement
     epsim transfer STATEFILE           register state via the exact protocol
-                                       (--path quadrature for the grid route)
+                                       (sector dephasing of the input;
+                                       --path quadrature adds the grid route)
     epsim measure --ntr N              phase-difference measurement analysis
     epsim sweep --ntr-list 25,50,100   visibility / formation-entanglement table
     epsim bounds --seeds N --s S       Robertson / visibility-bound sweep
 
-Exit codes: 0 success, 2 state-file parse error, 3 capacity overflow,
-4 unwritable output, 5 uncertainty-inequality violation.  Every run prints a
+Exit codes: 0 success, 2 state-file parse error or invalid option value,
+3 capacity overflow, 4 unwritable output, 5 uncertainty-inequality
+violation, each with a one-line ``error:`` on stderr.  Every run prints a
 JSON report to stdout; ``--out`` additionally writes a deterministic result
 file (the stdout report carries wall time, the file does not, so identical
 inputs and seed give byte-identical files).
@@ -44,7 +46,6 @@ from .protocol import (
     equal_different_measurement,
     phase_grid_register_state,
     run_transfer,
-    transfer_entanglement,
 )
 from .sectors import (
     particle_entanglement,
@@ -124,15 +125,21 @@ def cmd_ep(args) -> int:
 
 def cmd_transfer(args) -> int:
     started = time.perf_counter()
+    if args.M < 1:
+        raise StateFileError(f"--M must be >= 1, got {args.M}")
+    if args.nbar is not None and not (math.isfinite(args.nbar) and args.nbar >= 0.0):
+        raise StateFileError(f"--nbar must be finite and >= 0, got {args.nbar}")
     state = load_state(args.statefile)
     spec = _transfer_ancilla(args.M, args.nbar)
     config = ProtocolConfig(state, spec, spec, sink_headroom=args.headroom)
     rho = run_transfer(config)
+    sector_table = register_sector_table(rho)
     results = {
         "register_state": density_to_dict(rho),
         "sector_weights": register_sector_weights(rho),
-        "sector_entanglements": register_sector_table(rho),
-        "transfer_entanglement": transfer_entanglement(rho),
+        "sector_entanglements": sector_table,
+        "transfer_entanglement": sum(row["weight"] * row["entanglement"]
+                                     for row in sector_table),
         "input_particle_entanglement": particle_entanglement(state),
     }
     n_regs = len(rho.layout.modes)

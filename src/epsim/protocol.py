@@ -10,13 +10,26 @@ sector-pure states whose weights are the local-number sector probabilities of
 the input: the registers inherit exactly the sector-averaged entanglement,
 never the full entropy of entanglement.
 
-Two routes to the register state are provided.  ``run_transfer`` simulates
-the finite Fock space exactly.  ``phase_grid_register_state`` reconstructs
-the same object from a uniform grid over the two local phase angles, keeping
-the sink's truncation-boundary component of each branch as a separate
-statistical history (the continuous-phase analysis route); the overcounted
-boundary weight makes its output deviate from the exact route by
-O(1/(M+1)), which is the quantity the grid diagnostic exposes.
+Two routes to the register state are provided.  ``run_transfer`` ships the
+exact output in closed form: the input amplitudes relabelled onto the
+registers and dephased onto the local-number sectors (n_A, n_B), every
+coherence between two different sectors zeroed.  This is exact for any
+unit-norm ancillas, M_A != M_B included: in each branch the reference mode at
+site Z pins its occupation m and the sink ends in |M - m + n_Z>, so branches
+in different sectors leave orthogonal field states behind, while branches in
+the same sector share one unit-norm field state.  It costs O(L^2) in the L
+input terms and builds no ancilla or sink Fock space.
+``phase_grid_register_state`` reconstructs the same object from a uniform
+grid over the two local phase angles, keeping the sink's truncation-boundary
+component of each branch as a separate statistical history (the
+continuous-phase analysis route); the overcounted boundary weight makes its
+output deviate from the exact route by O(1/(M+1)), which is the quantity the
+grid diagnostic exposes.
+
+The gate-level simulation of the protocol stays in ``transfer_final_state``
+(ancillas tensored in, occupation CNOT and hiding gate on every field mode).
+The phase-difference POVM needs that full final state, and its partial trace
+over the field modes is the test oracle for ``run_transfer``.
 """
 
 from __future__ import annotations
@@ -37,7 +50,6 @@ from .fock import (
     PureState,
     StateValidationError,
     layout_of,
-    partial_trace,
     tensor_many,
 )
 from .sectors import local_particle_number, register_sector_entanglement
@@ -56,6 +68,8 @@ class AncillaSpec:
         coeffs = np.asarray(coefficients, dtype=complex)
         if coeffs.shape != (M + 1,):
             raise ValueError(f"expected {M + 1} coefficients, got {coeffs.shape}")
+        if not np.all(np.isfinite(coeffs)):
+            raise StateValidationError("ancilla coefficients must be finite")
         norm = float(np.linalg.norm(coeffs))
         if abs(norm - 1.0) > 1e-10:
             raise StateValidationError(f"ancilla coefficients have norm {norm}, not 1")
@@ -99,8 +113,8 @@ def coherent_coefficients(nbar: float, M: int) -> AncillaSpec:
     nbar^n e^{-nbar} / n!, renormalized after truncation at M.  Computed in
     log space so large nbar stays finite.
     """
-    if nbar < 0:
-        raise ValueError("nbar must be >= 0")
+    if not (math.isfinite(nbar) and nbar >= 0):
+        raise ValueError(f"nbar must be finite and >= 0, got {nbar}")
     if M < nbar + 10.0 * math.sqrt(nbar):
         warnings.warn(
             f"truncation M={M} below nbar + 10*sqrt(nbar) = "
@@ -249,6 +263,15 @@ class ProtocolConfig:
             raise LayoutError("transfer input must involve both sites")
         if any(m.kind != "field" for m in layout.modes):
             raise LayoutError("transfer input must use field modes only")
+        # The gate route (transfer_final_state) puts the input next to these
+        # modes in one layout, so their ids must stay free.
+        protocol_ids = ({self.sink_id(s) for s in ("A", "B")}
+                        | {self.ref_id(s) for s in ("A", "B")}
+                        | {m.id for m in self.register_modes()})
+        clash = protocol_ids & set(layout.ids())
+        if clash:
+            raise LayoutError(f"input mode ids {sorted(clash)} are reserved for the "
+                              f"protocol's ancilla and register modes")
         if self.sink_headroom is not None and self.sink_headroom < self.total_particles:
             raise CapacityError(
                 f"sink headroom {self.sink_headroom} below particle number "
@@ -318,16 +341,39 @@ def transfer_final_state(config: ProtocolConfig) -> PureState:
     return state
 
 
+def _register_terms(config: ProtocolConfig):
+    """Input terms relabelled onto the register modes, in register-label order.
+
+    Returns the register layout, the sorted register labels, and aligned
+    arrays of the input amplitudes and of the local particle numbers n_A, n_B.
+    """
+    layout = config.input_state.layout
+    reg_layout = ModeLayout(tuple(config.register_modes()))
+    positions = [layout.index(f.id) for site in ("A", "B") for f in config.field_modes(site)]
+    terms = sorted(
+        ((tuple(label[p] for p in positions), amp,
+          local_particle_number(layout, label, "A"),
+          local_particle_number(layout, label, "B"))
+         for label, amp in config.input_state.amplitudes.items()),
+        key=lambda t: t[0])
+    basis, amps, n_a, n_b = zip(*terms)
+    return (reg_layout, list(basis), np.array(amps, dtype=complex),
+            np.array(n_a), np.array(n_b))
+
+
 def run_transfer(config: ProtocolConfig) -> DensityOperator:
-    """Exact register state: runs the protocol, traces out all field modes."""
-    final = transfer_final_state(config)
-    reg_ids = [m.id for m in config.register_modes()]
-    return partial_trace(final, reg_ids)
+    """Exact register state after the protocol: the input dephased onto its
+    local-number sectors.
 
-
-def transfer_entanglement(rho: DensityOperator) -> float:
-    """Sector-projected entanglement of a register output (bits)."""
-    return register_sector_entanglement(rho)
+    Entry (r, r') is amp_r conj(amp_r') when both labels carry the same
+    (n_A, n_B) and zero otherwise, over the register modes in
+    ``config.register_modes()`` order.  See the module docstring for why this
+    equals tracing the field modes out of ``transfer_final_state(config)``.
+    """
+    reg_layout, basis, amps, n_a, n_b = _register_terms(config)
+    same_sector = (n_a[:, None] == n_a[None, :]) & (n_b[:, None] == n_b[None, :])
+    mat = np.where(same_sector, np.outer(amps, amps.conj()), 0.0)
+    return DensityOperator(reg_layout, basis, mat)
 
 
 def mode_overlap_integral(k: int, spec: AncillaSpec, theta: float) -> complex:
@@ -396,30 +442,17 @@ def phase_grid_register_state(config: ProtocolConfig, K: int) -> DensityOperator
     if K < K_min:
         raise GridError(f"grid size {K} below the exactness bound {K_min}")
 
-    layout = config.input_state.layout
-    reg_modes = config.register_modes()
-    reg_layout = ModeLayout(tuple(reg_modes))
-    field_order = [f.id for site in ("A", "B") for f in config.field_modes(site)]
-    positions = [layout.index(fid) for fid in field_order]
-
-    entries = []
-    for label, amp in config.input_state.amplitudes.items():
-        reg_label = tuple(label[p] for p in positions)
-        n_a = local_particle_number(layout, label, "A")
-        n_b = local_particle_number(layout, label, "B")
-        entries.append((reg_label, amp, n_a, n_b))
-    entries.sort(key=lambda e: e[0])
-
-    kernels_a = _grid_sink_kernels(M_a, sorted({e[2] for e in entries}), K)
-    kernels_b = _grid_sink_kernels(M_b, sorted({e[3] for e in entries}), K)
+    reg_layout, basis, amps, n_a, n_b = _register_terms(config)
+    kernels_a = _grid_sink_kernels(M_a, sorted(set(n_a.tolist())), K)
+    kernels_b = _grid_sink_kernels(M_b, sorted(set(n_b.tolist())), K)
+    entries = list(zip(amps, n_a.tolist(), n_b.tolist()))
 
     dim = len(entries)
     mat = np.zeros((dim, dim), dtype=complex)
-    for i, (_, amp_i, na_i, nb_i) in enumerate(entries):
-        for j, (_, amp_j, na_j, nb_j) in enumerate(entries):
+    for i, (amp_i, na_i, nb_i) in enumerate(entries):
+        for j, (amp_j, na_j, nb_j) in enumerate(entries):
             mat[i, j] = (amp_i * np.conj(amp_j)
                          * kernels_a[(na_i, na_j)] * kernels_b[(nb_i, nb_j)])
-    basis = [e[0] for e in entries]
     return DensityOperator(reg_layout, basis, mat, check_trace=False)
 
 

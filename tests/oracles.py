@@ -113,6 +113,18 @@ def phase_grid_oracle(config, K):
     return [e[0] for e in entries], mat / K ** 2
 
 
+def gate_register_state(config):
+    """Register state by the gate route: the field modes traced out of the
+    full post-protocol state (ancillas tensored in, occupation CNOT and
+    hiding gate on every field mode), the brute-force reference for
+    run_transfer's sector dephasing."""
+    from epsim.fock import partial_trace
+    from epsim.protocol import transfer_final_state
+
+    return partial_trace(transfer_final_state(config),
+                         [m.id for m in config.register_modes()])
+
+
 def povm_identity_residual(dim_a, dim_b, varphi_grid):
     """Max deviation of the varphi-integrated phase-difference POVM from the
     identity on the truncated pair space."""

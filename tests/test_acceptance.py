@@ -25,12 +25,12 @@ from epsim import (
     particle_entanglement,
     phase_grid_register_state,
     post_measurement_register_state,
+    register_sector_entanglement,
     register_sector_weights,
     robertson_checks,
     run_transfer,
     sector_decompose,
     trace_distance,
-    transfer_entanglement,
     transfer_final_state,
     visibility,
     visibility_bound_check,
@@ -111,7 +111,7 @@ def test_criterion_3_general_transfer_agreement():
             config = ProtocolConfig(state, AncillaSpec.uniform(8),
                                     AncillaSpec.uniform(8))
             rho = run_transfer(config)
-            assert abs(transfer_entanglement(rho)
+            assert abs(register_sector_entanglement(rho)
                        - particle_entanglement(state)) <= 1e-9
             weights = register_sector_weights(rho)
             probs = sector_decompose(state).probabilities()

@@ -94,6 +94,15 @@ class TestTransferCommand:
                      "--M", "8", "--path", "quadrature", "--grid", "5"])
         assert code == 2
 
+    @pytest.mark.parametrize("options", [["--M", "0"], ["--M", "-3"],
+                                         ["--nbar", "-1"], ["--nbar", "nan"],
+                                         ["--nbar", "inf"]])
+    def test_bad_ancilla_options_exit_2(self, capsys, options):
+        code = main(["transfer", data_path("shared_single.json"), *options])
+        assert code == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error:") and "\n" not in err
+
     def test_emitted_matrix_revalidates(self, capsys, tmp_path):
         out = tmp_path / "t.json"
         run_cli(capsys, "transfer", data_path("shared_double.json"),

@@ -1,11 +1,17 @@
+import itertools
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from epsim import (
     AncillaSpec,
     CapacityError,
     DensityOperator,
     GridError,
+    LayoutError,
     ModeDescriptor,
     ModeLayout,
     ProtocolConfig,
@@ -21,16 +27,17 @@ from epsim import (
     phase_grid_register_state,
     phase_rotated_ancilla,
     reference_phase_shift,
+    register_sector_entanglement,
     register_sector_weights,
     run_transfer,
     sector_decompose,
     tensor_product,
     trace_distance,
-    transfer_entanglement,
     truncated_phase_state,
     two_mode_ancilla_state,
 )
 from conftest import random_two_site_state, shared_double, shared_single
+from oracles import gate_register_state
 
 
 def register_layout_single():
@@ -143,6 +150,18 @@ class TestCoherentCoefficients:
     def test_small_truncation_warns(self):
         with pytest.warns(UserWarning):
             coherent_coefficients(25.0, 30)
+
+    @pytest.mark.parametrize("nbar", [float("nan"), float("inf")])
+    def test_non_finite_nbar_rejected(self, nbar):
+        with pytest.raises(ValueError):
+            coherent_coefficients(nbar, 10)
+
+
+class TestAncillaSpec:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0.0, float("nan"))])
+    def test_non_finite_coefficients_rejected(self, bad):
+        with pytest.raises(StateValidationError):
+            AncillaSpec(2, [bad, 0.0, 0.0])
 
 
 class TestTwoModeAncilla:
@@ -281,13 +300,22 @@ class TestRunTransfer:
             state = random_two_site_state(rng, 2)
             config = ProtocolConfig(state, AncillaSpec.uniform(8),
                                     AncillaSpec.uniform(8))
-            assert transfer_entanglement(run_transfer(config)) == pytest.approx(
+            assert register_sector_entanglement(run_transfer(config)) == pytest.approx(
                 particle_entanglement(state), abs=1e-9)
 
     def test_headroom_too_small(self):
         with pytest.raises(CapacityError):
             ProtocolConfig(shared_double(), AncillaSpec.uniform(8),
                            AncillaSpec.uniform(8), sink_headroom=1)
+
+    @pytest.mark.parametrize("ids", [("a", "reg_a"), ("sink_A", "b"), ("ref_B", "b")])
+    def test_reserved_mode_ids_rejected(self, ids):
+        layout = layout_of(ModeDescriptor(ids[0], "A", "field", 1),
+                           ModeDescriptor(ids[1], "B", "field", 1))
+        state = PureState(layout, {(1, 0): 2 ** -0.5, (0, 1): 2 ** -0.5})
+        with pytest.raises(LayoutError):
+            run_transfer(ProtocolConfig(state, AncillaSpec.uniform(2),
+                                        AncillaSpec.uniform(2)))
 
     def test_protocol_empties_field_modes(self):
         from epsim import transfer_final_state
@@ -298,6 +326,58 @@ class TestRunTransfer:
         field_idx = [final.layout.index(mid) for mid in ("a1", "b1", "a2", "b2")]
         for label in final.amplitudes:
             assert all(label[i] == 0 for i in field_idx)
+
+
+AMPLITUDES = st.builds(lambda r, phi: r * np.exp(1j * phi),
+                       st.floats(0.1, 1.0), st.floats(0.0, 2.0 * np.pi))
+
+
+@st.composite
+def ancilla_specs(draw):
+    """Uniform, coherent or random complex ancilla with M <= 12."""
+    m = draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(("uniform", "coherent", "random")))
+    if kind == "uniform":
+        return AncillaSpec.uniform(m)
+    if kind == "coherent":
+        nbar = draw(st.floats(0.0, 6.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            return coherent_coefficients(nbar, m)
+    coeffs = np.array(draw(st.lists(AMPLITUDES, min_size=m + 1, max_size=m + 1)))
+    return AncillaSpec(m, coeffs / np.linalg.norm(coeffs))
+
+
+@st.composite
+def transfer_inputs(draw):
+    """Random two-site state: 1-3 particles, 1-2 modes per site, either a
+    fixed total particle number or any total up to the maximum."""
+    particles = draw(st.integers(1, 3))
+    fixed = draw(st.booleans())
+    modes = []
+    for site in ("A", "B"):
+        for k in range(draw(st.integers(1, 2))):
+            modes.append(ModeDescriptor(f"{site.lower()}{k}", site, "field",
+                                        draw(st.integers(1, particles))))
+    labels = [label for label in itertools.product(*(range(m.capacity + 1) for m in modes))
+              if (sum(label) == particles if fixed else sum(label) <= particles)]
+    assume(labels)
+    support = draw(st.lists(st.sampled_from(labels), min_size=1,
+                            max_size=len(labels), unique=True))
+    amps = {label: draw(AMPLITUDES) for label in support}
+    return PureState(ModeLayout(tuple(modes)), amps, normalize=True)
+
+
+class TestClosedRouteMatchesGateOracle:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(state=transfer_inputs(), ancilla_a=ancilla_specs(), ancilla_b=ancilla_specs())
+    def test_sector_dephasing_equals_gate_route(self, state, ancilla_a, ancilla_b):
+        config = ProtocolConfig(state, ancilla_a, ancilla_b)
+        closed = run_transfer(config)
+        gate = gate_register_state(config)
+        assert closed.layout == gate.layout
+        assert closed.basis == gate.basis
+        np.testing.assert_allclose(closed.matrix, gate.matrix, rtol=0.0, atol=1e-12)
 
 
 class TestModeOverlapIntegral:
