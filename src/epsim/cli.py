@@ -11,11 +11,12 @@ Subcommands::
     epsim bounds --seeds N --s S       Robertson / visibility-bound sweep
 
 Exit codes: 0 success, 2 state-file parse error or invalid option value,
-3 capacity overflow, 4 unwritable output, 5 uncertainty-inequality
-violation, each with a one-line ``error:`` on stderr.  Every run prints a
-JSON report to stdout; ``--out`` additionally writes a deterministic result
-file (the stdout report carries wall time, the file does not, so identical
-inputs and seed give byte-identical files).
+3 capacity overflow, 4 unwritable output, 5 a numerical cross-check or an
+uncertainty inequality failed, each with a one-line ``error:`` on stderr.
+Every run prints a JSON report to stdout; ``--out`` additionally writes a
+deterministic result file (the stdout report carries wall time, the file
+does not, so identical inputs and seed give byte-identical files).
+``--format csv`` (sweep only) writes that file as CSV.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import numpy as np
 
 from .fock import CapacityError, entropy_of_entanglement, trace_distance
 from .phase import (
+    CrossCheckError,
     VisibilityReport,
     coherent_visibility_model,
     concurrence_ef_oracle,
@@ -104,6 +106,19 @@ def _transfer_ancilla(m: int, nbar: float | None) -> AncillaSpec:
     return coherent_coefficients(nbar, m)
 
 
+def _check_option(name: str, value: float, ok: bool, requirement: str) -> None:
+    """Reject a non-finite option value or one failing ``ok`` (exit 2)."""
+    if not (math.isfinite(value) and ok):
+        raise StateFileError(f"{name} must be finite and {requirement}, got {value}")
+
+
+def _float_list(name: str, text: str) -> list[float]:
+    try:
+        return [float(x) for x in text.split(",") if x.strip()]
+    except ValueError:
+        raise StateFileError(f"{name} must be comma-separated numbers, got {text!r}") from None
+
+
 def cmd_ep(args) -> int:
     started = time.perf_counter()
     state = load_state(args.statefile)
@@ -127,8 +142,8 @@ def cmd_transfer(args) -> int:
     started = time.perf_counter()
     if args.M < 1:
         raise StateFileError(f"--M must be >= 1, got {args.M}")
-    if args.nbar is not None and not (math.isfinite(args.nbar) and args.nbar >= 0.0):
-        raise StateFileError(f"--nbar must be finite and >= 0, got {args.nbar}")
+    if args.nbar is not None:
+        _check_option("--nbar", args.nbar, args.nbar >= 0.0, ">= 0")
     state = load_state(args.statefile)
     spec = _transfer_ancilla(args.M, args.nbar)
     config = ProtocolConfig(state, spec, spec, sink_headroom=args.headroom)
@@ -192,8 +207,8 @@ def _measurement_report(ntr: float, local_scale: float,
 
 def cmd_measure(args) -> int:
     started = time.perf_counter()
-    if args.ntr < 1.0:
-        raise StateFileError(f"--ntr must be >= 1, got {args.ntr}")
+    _check_option("--ntr", args.ntr, args.ntr >= 1.0, ">= 1")
+    _check_option("--local-scale", args.local_scale, args.local_scale > 0.0, "> 0")
     rep = _measurement_report(args.ntr, args.local_scale, args.grid)
     ef_oracle = concurrence_ef_oracle(post_measurement_register_state(rep.c))
     results = {
@@ -236,11 +251,12 @@ def sweep_csv(rows: list[dict]) -> str:
 
 def cmd_sweep(args) -> int:
     started = time.perf_counter()
-    ntr_values = [float(x) for x in args.ntr_list.split(",") if x.strip()]
+    ntr_values = _float_list("--ntr-list", args.ntr_list)
     if not ntr_values:
         raise StateFileError("empty --ntr-list")
-    if any(v < 1.0 for v in ntr_values):
-        raise StateFileError("all --ntr-list values must be >= 1")
+    for value in ntr_values:
+        _check_option("every --ntr-list value", value, value >= 1.0, ">= 1")
+    _check_option("--local-scale", args.local_scale, args.local_scale > 0.0, "> 0")
     rows = sweep_rows(ntr_values, args.local_scale)
     efs = [r["ef"] for r in rows]
     monotone = all(b > a for a, b in zip(efs, efs[1:]))
@@ -275,6 +291,15 @@ def cmd_bounds(args) -> int:
     started = time.perf_counter()
     if args.s < 16:
         raise StateFileError(f"--s must be >= 16, got {args.s}")
+    if args.seeds < 1:
+        raise StateFileError(f"--seeds must be >= 1, got {args.seeds}")
+    nbar_pair = None
+    if args.nbar:
+        nbar_pair = _float_list("--nbar", args.nbar)
+        if len(nbar_pair) != 2:
+            raise StateFileError(f"--nbar takes two values, got {args.nbar!r}")
+        for value in nbar_pair:
+            _check_option("every --nbar value", value, value >= 0.0, ">= 0")
     space = PhaseOperatorSpace(args.s)
     rng = np.random.RandomState(args.seed)
     reports = []
@@ -301,8 +326,8 @@ def cmd_bounds(args) -> int:
     }
     if offenders:
         results["violating_states"] = offenders
-    if args.nbar:
-        nbar_a, nbar_b = (float(x) for x in args.nbar.split(","))
+    if nbar_pair:
+        nbar_a, nbar_b = nbar_pair
         # Grow the truncation if needed so the coherent pair stays physical.
         s_pair = max(args.s, math.ceil(max(nbar_a, nbar_b)
                                        + 12.0 * math.sqrt(max(nbar_a, nbar_b))))
@@ -334,7 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--out", default=None, help="write a deterministic result file")
         p.add_argument("--seed", type=int, default=42)
 
@@ -368,6 +392,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw = sub.add_parser("sweep", help="visibility / formation entanglement table")
     p_sw.add_argument("--ntr-list", required=True, help="comma-separated ntr values")
     p_sw.add_argument("--local-scale", type=float, default=10.0)
+    p_sw.add_argument("--format", choices=("json", "csv"), default="json",
+                      help="--out file format")
     common(p_sw)
     p_sw.set_defaults(func=cmd_sweep)
 
@@ -394,7 +420,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except InequalityViolation as exc:
+    except (InequalityViolation, CrossCheckError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
 

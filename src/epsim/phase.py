@@ -7,10 +7,19 @@ the two reference modes restores coherence proportional to the fringe
 visibility C, the averaged phasor of the measurement's resolution kernel.
 The post-measurement register state is an X-shaped two-qubit mixture whose
 entanglement of formation depends on |C| alone.
+
+The grid work is O(K log K) for a K-point grid: a canonical distribution's
+values and all of its moments come from one FFT of the amplitudes and one
+real FFT of the power, and the resolution kernel from two real FFTs and one
+inverse.  The phase-difference POVM groups the state's terms with integer
+keys and forms the register matrix as one matrix product.  The per-lag
+moment sums and the per-term dict grouping they replace are the test
+oracles in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -33,6 +42,10 @@ TWO_PI = 2.0 * math.pi
 # closed-form moment product (the two are identical for band-limited grids;
 # the cap only avoids gratuitous FFTs for huge coherent truncations).
 QUADRATURE_GRID_CAP = 1 << 20
+
+
+class CrossCheckError(ArithmeticError):
+    """Two independent routes to one quantity disagree beyond tolerance."""
 
 
 @dataclass(frozen=True)
@@ -72,15 +85,19 @@ class PhaseDistribution:
 
 
 def canonical_phase_distribution(spec: AncillaSpec, K: int) -> PhaseDistribution:
-    """P(theta) = |sum_n c_n e^{-i n theta}|^2 / 2pi on a K-point grid."""
+    """P(theta) = |sum_n c_n e^{-i n theta}|^2 / 2pi on a K-point grid.
+
+    The moments come from the same transform: the inverse FFT of the power
+    |fft(c, K)|^2 is the circular autocorrelation sum_n conj(c_n) c_{n+k},
+    free of wrap-around because K >= 2M + 3 exceeds the 2M + 1 lags present.
+    The power is real, so a half-length real FFT gives the M + 1 moments in
+    O(K log K).
+    """
     if K < 2 * spec.M + 3:
         raise GridError(f"grid size {K} below exactness bound {2 * spec.M + 3}")
-    f = np.fft.fft(spec.coefficients, n=K)
-    values = np.abs(f) ** 2 / TWO_PI
-    c = spec.coefficients
-    moments = np.array([np.sum(np.conj(c[: len(c) - k]) * c[k:])
-                        for k in range(len(c))])
-    return PhaseDistribution(values, moments)
+    power = np.abs(np.fft.fft(spec.coefficients, n=K)) ** 2
+    moments = np.conj(np.fft.rfft(power)[: spec.M + 1]) / K
+    return PhaseDistribution(power / TWO_PI, moments)
 
 
 def circular_mean(dist: PhaseDistribution) -> float:
@@ -100,21 +117,21 @@ def resolution_kernel(pa: PhaseDistribution, pb: PhaseDistribution,
     effective variable u = theta - phi.
 
     Circular cross-correlation of the two single-mode distributions shifted
-    by the measured difference ``varphi``; Fourier coefficients multiply,
+    by the measured difference ``varphi``: the grid values are one inverse
+    real FFT of fft(P_A) conj(fft(P_B)) times the shift ramp e^{i k varphi},
+    computed from the grid values alone.  Fourier coefficients multiply,
     which the moment field records exactly.
     """
     if pa.grid_size != pb.grid_size:
         raise GridError(f"grid mismatch: {pa.grid_size} vs {pb.grid_size}")
     K = pa.grid_size
-    fa = np.fft.fft(pa.values)
-    fb = np.fft.fft(pb.values)
-    base = np.real(np.fft.ifft(fa * np.conj(fb))) / K * TWO_PI
-    freqs = np.rint(np.fft.fftfreq(K, d=1.0 / K)).astype(int)
-    shifted = np.real(np.fft.ifft(np.fft.fft(base) * np.exp(1j * freqs * varphi)))
+    ramp = np.exp(1j * varphi * np.arange(K // 2 + 1))
+    spectrum = np.fft.rfft(pa.values) * np.conj(np.fft.rfft(pb.values)) * ramp
+    values = np.fft.irfft(spectrum, n=K) * (TWO_PI / K)
     n = min(len(pa.moments), len(pb.moments))
     ks = np.arange(n)
     moments = pa.moments[:n] * np.conj(pb.moments[:n]) * np.exp(-1j * ks * varphi)
-    return PhaseDistribution(shifted, moments)
+    return PhaseDistribution(values, moments)
 
 
 def visibility(spec_a: AncillaSpec, spec_b: AncillaSpec, varphi: float = 0.0,
@@ -125,19 +142,26 @@ def visibility(spec_a: AncillaSpec, spec_b: AncillaSpec, varphi: float = 0.0,
     kernel.  Closed route: e^{i varphi} conj(m_A) m_B with m_Z the first
     circular moment of each reference.  Both are computed and must agree to
     1e-9 (the grid integrates the band-limited kernel exactly); the
-    quadrature value is returned.
+    quadrature value is returned.  Without ``grid`` the quadrature uses the
+    smallest power of two >= max(2M + 3, 257), M the larger truncation, and
+    past ``QUADRATURE_GRID_CAP`` only the closed route is evaluated; an
+    explicit ``grid`` is used as given.
     """
     closed = np.exp(1j * varphi) * np.conj(spec_a.first_moment()) * spec_b.first_moment()
-    K = grid if grid is not None else max(2 * max(spec_a.M, spec_b.M) + 3, 257)
-    if grid is None and K > QUADRATURE_GRID_CAP:
-        return complex(closed)
+    K = grid
+    if K is None:
+        bound = max(2 * max(spec_a.M, spec_b.M) + 3, 257)
+        if bound > QUADRATURE_GRID_CAP:
+            return complex(closed)
+        # A power of two is the fastest FFT length; any K >= 2M + 3 is exact.
+        K = 1 << (bound - 1).bit_length()
     pa = canonical_phase_distribution(spec_a, K)
     pb = canonical_phase_distribution(spec_b, K)
     kernel = resolution_kernel(pa, pb, varphi)
     # C = integral of r(u) e^{-iu} du: the varphi shift lives inside the kernel.
     quad = complex(np.conj(kernel.grid_moment(1)))
     if abs(quad - closed) > 1e-9:
-        raise ArithmeticError(
+        raise CrossCheckError(
             f"visibility routes disagree: quadrature {quad} vs closed {closed}"
         )
     return quad
@@ -165,6 +189,27 @@ def post_measurement_register_state(c: complex) -> DensityOperator:
     return DensityOperator(register_pair_layout(), basis, mat)
 
 
+# Mixed-radix keys are re-ranked before they could pass this bound, so no
+# int64 key overflows however many modes or how large their capacities are.
+_KEY_LIMIT = 1 << 62
+
+
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """Integer key per row of a non-negative int array, in mixed radix with
+    each column's largest value plus one as its radix: equal rows get equal
+    keys and key order is lexicographic row order."""
+    key = np.zeros(len(rows), dtype=np.int64)
+    span = 1
+    for column in rows.T:
+        radix = int(column.max()) + 1
+        if span * radix > _KEY_LIMIT:
+            _, key = np.unique(key, return_inverse=True)
+            span = int(key.max()) + 1
+        key = key * radix + column
+        span *= radix
+    return key
+
+
 def apply_phase_difference_povm(state: PureState, mode_a: str, mode_b: str,
                                 varphi: float) -> tuple[float, DensityOperator]:
     """Ideal phase-difference measurement of two reference modes.
@@ -174,6 +219,11 @@ def apply_phase_difference_povm(state: PureState, mode_a: str, mode_b: str,
     out every field mode.  Returns the outcome probability density at
     ``varphi`` (densities integrate to 1 over a full turn) and the
     conditional register state.
+
+    The state is read once into label and amplitude arrays; groups (fixed
+    spectator occupations and pair total) and register labels become integer
+    keys, and the register matrix is one product of the groups x registers
+    amplitude matrix with its conjugate.
     """
     layout = state.layout
     ia, ib = layout.index(mode_a), layout.index(mode_b)
@@ -184,24 +234,23 @@ def apply_phase_difference_povm(state: PureState, mode_a: str, mode_b: str,
         raise LayoutError("state carries no register modes")
     rest_idx = [i for i in range(len(layout)) if i not in (ia, ib) and i not in reg_idx]
 
+    count = len(state.amplitudes)
+    labels = np.fromiter(itertools.chain.from_iterable(state.amplitudes), dtype=np.int64,
+                         count=count * len(layout)).reshape(count, len(layout))
+    amps = np.fromiter(state.amplitudes.values(), dtype=complex, count=count)
+
     # T[r, r'] = (1/2pi) sum_groups v_g[r] conj(v_g[r']) where groups fix the
     # spectator field occupations and the total occupation of the pair.
-    groups: dict[tuple, dict[tuple[int, ...], complex]] = {}
-    for label, amp in state.amplitudes.items():
-        key = (tuple(label[i] for i in rest_idx), label[ia] + label[ib])
-        reg = tuple(label[i] for i in reg_idx)
-        bucket = groups.setdefault(key, {})
-        bucket[reg] = bucket.get(reg, 0.0) + amp * np.exp(-1j * label[ib] * varphi)
+    group_rows = np.column_stack([labels[:, rest_idx], labels[:, ia] + labels[:, ib]])
+    group_key = _row_keys(group_rows)
+    reg_key = _row_keys(labels[:, reg_idx])
+    group_ids, group = np.unique(group_key, return_inverse=True)
+    reg_ids, first, reg = np.unique(reg_key, return_index=True, return_inverse=True)
+    vecs = np.zeros((len(group_ids), len(reg_ids)), dtype=complex)
+    np.add.at(vecs, (group, reg), amps * np.exp(-1j * varphi * labels[:, ib]))
+    mat = vecs.T @ vecs.conj() / TWO_PI
 
-    basis = sorted({reg for bucket in groups.values() for reg in bucket})
-    index = {r: i for i, r in enumerate(basis)}
-    mat = np.zeros((len(basis), len(basis)), dtype=complex)
-    for bucket in groups.values():
-        vec = np.zeros(len(basis), dtype=complex)
-        for reg, val in bucket.items():
-            vec[index[reg]] += val
-        mat += np.outer(vec, vec.conj())
-    mat /= TWO_PI
+    basis = [tuple(row) for row in labels[np.ix_(first, reg_idx)].tolist()]
     density = float(np.real(np.trace(mat)))
     reg_layout = layout.sublayout(reg_idx)
     post = DensityOperator(reg_layout, basis, mat / density)

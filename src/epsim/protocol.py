@@ -125,7 +125,10 @@ def coherent_coefficients(nbar: float, M: int) -> AncillaSpec:
     if nbar == 0.0:
         log_w = np.where(ns == 0, 0.0, -np.inf)
     else:
-        log_w = ns * math.log(nbar) - nbar - np.array([math.lgamma(n + 1) for n in ns])
+        # The factor e^{-nbar} is constant in n and cancels in the
+        # renormalization; kept in the log weights it would swamp the
+        # n-dependent terms once nbar passes about 1e17.
+        log_w = ns * math.log(nbar) - np.array([math.lgamma(n + 1) for n in ns])
     log_w -= log_w.max()
     amps = np.exp(0.5 * log_w)
     amps /= np.linalg.norm(amps)

@@ -141,3 +141,40 @@ def povm_identity_residual(dim_a, dim_b, varphi_grid):
                             np.exp(1j * (nb - mb) * varphi) / (2 * np.pi))
         total += elem * (2 * np.pi / len(varphi_grid))
     return float(np.max(np.abs(total - np.eye(dim_a * dim_b))))
+
+
+def moment_list(spec):
+    """Circular moments sum_n conj(c_n) c_{n+k}, k = 0..M, one explicit sum
+    per lag: the O(M^2) reference for the FFT autocorrelation in
+    canonical_phase_distribution."""
+    c = spec.coefficients
+    return np.array([np.sum(np.conj(c[: len(c) - k]) * c[k:]) for k in range(len(c))])
+
+
+def phase_difference_povm_oracle(state, mode_a, mode_b, varphi):
+    """apply_phase_difference_povm by per-term dict grouping: each group
+    (spectator field occupations, pair total) collects its register vector
+    term by term, and the outer products are summed one group at a time."""
+    from epsim.fock import DensityOperator
+
+    layout = state.layout
+    ia, ib = layout.index(mode_a), layout.index(mode_b)
+    reg_idx = layout.indices(kind="register")
+    rest_idx = [i for i in range(len(layout)) if i not in (ia, ib) and i not in reg_idx]
+    groups = {}
+    for label, amp in state.amplitudes.items():
+        key = (tuple(label[i] for i in rest_idx), label[ia] + label[ib])
+        reg = tuple(label[i] for i in reg_idx)
+        bucket = groups.setdefault(key, {})
+        bucket[reg] = bucket.get(reg, 0.0) + amp * np.exp(-1j * label[ib] * varphi)
+    basis = sorted({reg for bucket in groups.values() for reg in bucket})
+    index = {r: i for i, r in enumerate(basis)}
+    mat = np.zeros((len(basis), len(basis)), dtype=complex)
+    for bucket in groups.values():
+        vec = np.zeros(len(basis), dtype=complex)
+        for reg, val in bucket.items():
+            vec[index[reg]] += val
+        mat += np.outer(vec, vec.conj())
+    mat /= 2 * np.pi
+    density = float(np.real(np.trace(mat)))
+    return density, DensityOperator(layout.sublayout(reg_idx), basis, mat / density)

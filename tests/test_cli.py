@@ -122,6 +122,18 @@ class TestMeasureCommand:
         assert results["ef_formula"] == pytest.approx(results["ef_oracle"], abs=1e-10)
         assert results["visibility_sq"] <= 1.0
 
+    def test_cross_check_failure_exit_5(self, capsys, monkeypatch):
+        # The two visibility routes agree for every valid input, so the
+        # failure path is driven with a kernel shifted off the measured angle.
+        import epsim.phase as phase_module
+
+        real = phase_module.resolution_kernel
+        monkeypatch.setattr(phase_module, "resolution_kernel",
+                            lambda pa, pb, varphi=0.0: real(pa, pb, varphi + 0.5))
+        assert main(["measure", "--ntr", "25", "--local-scale", "2"]) == 5
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error:") and "\n" not in err
+
     def test_unwritable_out_exit_4(self, capsys, tmp_path):
         target = tmp_path / "missing_dir" / "x.json"
         code = main(["measure", "--ntr", "25", "--local-scale", "2",
@@ -169,6 +181,31 @@ class TestSweepCommand:
         assert main(["sweep", "--ntr-list", "0.5,25"]) == 2
         assert main(["measure", "--ntr", "0.2"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["measure", "--ntr", "nan"], ["measure", "--ntr", "inf"],
+        ["measure", "--local-scale", "-1"], ["measure", "--local-scale", "0"],
+        ["measure", "--local-scale", "nan"],
+        ["sweep", "--ntr-list", "5,nan"], ["sweep", "--ntr-list", "5,inf"],
+        ["sweep", "--ntr-list", "5,abc"],
+        ["sweep", "--ntr-list", "5", "--local-scale", "nan"],
+        ["sweep", "--ntr-list", "5", "--local-scale", "0"],
+    ])
+    def test_bad_values_exit_2(self, capsys, argv):
+        assert main(argv) == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error:") and "\n" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["ep", data_path("shared_single.json")],
+        ["transfer", data_path("shared_single.json")],
+        ["measure"],
+        ["bounds", "--seeds", "1", "--s", "16"],
+    ])
+    def test_format_only_on_sweep(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--format", "json"])
+        assert exc.value.code == 2
+
 
 class TestBoundsCommand:
     def test_random_sweep_clean(self, capsys):
@@ -191,6 +228,16 @@ class TestBoundsCommand:
 
     def test_small_s_exit_2(self, capsys):
         assert main(["bounds", "--seeds", "1", "--s", "8"]) == 2
+
+    @pytest.mark.parametrize("options", [
+        ["--seeds", "0"], ["--seeds", "-1"],
+        ["--nbar", "25"], ["--nbar", "25,250,2500"], ["--nbar", "25,x"],
+        ["--nbar", "25,-1"], ["--nbar", "nan,250"], ["--nbar", "25,inf"],
+    ])
+    def test_bad_values_exit_2(self, capsys, options):
+        assert main(["bounds", "--seeds", "1", "--s", "16", *options]) == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error:") and "\n" not in err
 
     def test_violation_exit_5(self, capsys, monkeypatch):
         # The inequalities are theorems for the generated states, so the

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epsim import (
     AncillaSpec,
@@ -24,9 +26,11 @@ from epsim import (
     two_qubit_concurrence,
     visibility,
 )
-from epsim.phase import register_pair_layout
-from conftest import shared_single
-from oracles import povm_identity_residual
+from epsim.phase import _row_keys, register_pair_layout
+from epsim.statefile import load_state
+from conftest import data_path, shared_single
+from oracles import moment_list, phase_difference_povm_oracle, povm_identity_residual
+from strategies import ancilla_specs, random_ancillas, transfer_inputs
 
 # h(0.9), 40-digit arithmetic: EF at |C| = 0.6 where p = 0.9.
 EF_AT_06 = 0.46899559358928122125
@@ -65,6 +69,15 @@ class TestCanonicalPhaseDistribution:
         spec = coherent_coefficients(9.0, 40)
         with pytest.raises(Exception):
             canonical_phase_distribution(spec, 50)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(spec=random_ancillas(64), power_of_two=st.booleans(),
+           doublings=st.integers(0, 2), pad=st.integers(0, 40))
+    def test_fft_moments_equal_moment_list(self, spec, power_of_two, doublings, pad):
+        bound = 2 * spec.M + 3
+        K = (1 << (bound - 1).bit_length() + doublings) if power_of_two else bound + 2 * pad
+        dist = canonical_phase_distribution(spec, K)
+        np.testing.assert_allclose(dist.moments, moment_list(spec), rtol=0.0, atol=1e-12)
 
 
 class TestResolutionKernel:
@@ -124,6 +137,14 @@ class TestVisibility:
                       * spec_b.first_moment())
             assert c == pytest.approx(closed, abs=1e-9)
 
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(spec_a=ancilla_specs(64), spec_b=ancilla_specs(64),
+           varphi=st.floats(0.0, 2.0 * np.pi))
+    def test_default_grid_matches_exactness_bound(self, spec_a, spec_b, varphi):
+        bound = 2 * max(spec_a.M, spec_b.M) + 3
+        assert visibility(spec_a, spec_b, varphi) == pytest.approx(
+            visibility(spec_a, spec_b, varphi, grid=bound), abs=1e-12)
+
     def test_magnitude_bounded(self, rng):
         for _ in range(5):
             coeffs = rng.randn(9) + 1j * rng.randn(9)
@@ -171,6 +192,11 @@ class TestPostMeasurementState:
         assert shifted.matrix[i10, i01] == pytest.approx(expected, abs=1e-12)
 
 
+# One- and two-register inputs from the shipped state files.
+DATA_STATES = [load_state(data_path(name))
+               for name in ("shared_single.json", "shared_double.json")]
+
+
 @pytest.fixture(scope="module")
 def protocol_run():
     spec = coherent_coefficients(9.0, 40)
@@ -204,6 +230,29 @@ class TestPhaseDifferencePovm:
             apply_phase_difference_povm(final, "ref_A", "ref_B", 2 * np.pi * k / K)[0]
             for k in range(K)) * (2 * np.pi / K)
         assert total == pytest.approx(1.0, abs=1e-9)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(state=st.one_of(st.sampled_from(DATA_STATES), transfer_inputs(max_particles=2)),
+           ancilla_a=ancilla_specs(8), ancilla_b=ancilla_specs(8),
+           varphi=st.floats(0.0, 2.0 * np.pi))
+    def test_vectorized_povm_equals_dict_oracle(self, state, ancilla_a, ancilla_b, varphi):
+        final = transfer_final_state(ProtocolConfig(state, ancilla_a, ancilla_b))
+        density, post = apply_phase_difference_povm(final, "ref_A", "ref_B", varphi)
+        density_ref, post_ref = phase_difference_povm_oracle(final, "ref_A", "ref_B", varphi)
+        assert post.layout == post_ref.layout
+        assert post.basis == post_ref.basis
+        assert density == pytest.approx(density_ref, abs=1e-12)
+        np.testing.assert_allclose(post.matrix, post_ref.matrix, rtol=0.0, atol=1e-12)
+
+    def test_row_keys_past_int64_range(self, rng):
+        # Column values near 2^40 push the mixed-radix span far past int64;
+        # the keys must still separate distinct rows in lexicographic order.
+        rows = rng.randint(0, 4, size=(200, 5)).astype(np.int64) << 38
+        keys = _row_keys(rows)
+        order = np.lexsort(rows.T[::-1])
+        assert np.all(np.diff(keys[order]) >= 0)
+        distinct = np.any(np.diff(rows[order], axis=0) != 0, axis=1)
+        assert np.array_equal(np.diff(keys[order]) > 0, distinct)
 
     def test_povm_completeness_on_truncated_space(self):
         grid = 2 * np.pi * np.arange(21) / 21

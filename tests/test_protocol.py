@@ -1,10 +1,6 @@
-import itertools
-import warnings
-
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
-from hypothesis import strategies as st
+from hypothesis import given, settings
 
 from epsim import (
     AncillaSpec,
@@ -38,6 +34,7 @@ from epsim import (
 )
 from conftest import random_two_site_state, shared_double, shared_single
 from oracles import gate_register_state
+from strategies import ancilla_specs, transfer_inputs
 
 
 def register_layout_single():
@@ -150,6 +147,13 @@ class TestCoherentCoefficients:
     def test_small_truncation_warns(self):
         with pytest.warns(UserWarning):
             coherent_coefficients(25.0, 30)
+
+    def test_huge_nbar_concentrates_at_truncation(self):
+        # Far above the truncation the weights grow with n up to M; the
+        # constant e^{-nbar} must not swamp them into a uniform profile.
+        with pytest.warns(UserWarning):
+            spec = coherent_coefficients(1e20, 4)
+        assert abs(spec.coefficients[4]) > 0.999
 
     @pytest.mark.parametrize("nbar", [float("nan"), float("inf")])
     def test_non_finite_nbar_rejected(self, nbar):
@@ -326,46 +330,6 @@ class TestRunTransfer:
         field_idx = [final.layout.index(mid) for mid in ("a1", "b1", "a2", "b2")]
         for label in final.amplitudes:
             assert all(label[i] == 0 for i in field_idx)
-
-
-AMPLITUDES = st.builds(lambda r, phi: r * np.exp(1j * phi),
-                       st.floats(0.1, 1.0), st.floats(0.0, 2.0 * np.pi))
-
-
-@st.composite
-def ancilla_specs(draw):
-    """Uniform, coherent or random complex ancilla with M <= 12."""
-    m = draw(st.integers(1, 12))
-    kind = draw(st.sampled_from(("uniform", "coherent", "random")))
-    if kind == "uniform":
-        return AncillaSpec.uniform(m)
-    if kind == "coherent":
-        nbar = draw(st.floats(0.0, 6.0))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            return coherent_coefficients(nbar, m)
-    coeffs = np.array(draw(st.lists(AMPLITUDES, min_size=m + 1, max_size=m + 1)))
-    return AncillaSpec(m, coeffs / np.linalg.norm(coeffs))
-
-
-@st.composite
-def transfer_inputs(draw):
-    """Random two-site state: 1-3 particles, 1-2 modes per site, either a
-    fixed total particle number or any total up to the maximum."""
-    particles = draw(st.integers(1, 3))
-    fixed = draw(st.booleans())
-    modes = []
-    for site in ("A", "B"):
-        for k in range(draw(st.integers(1, 2))):
-            modes.append(ModeDescriptor(f"{site.lower()}{k}", site, "field",
-                                        draw(st.integers(1, particles))))
-    labels = [label for label in itertools.product(*(range(m.capacity + 1) for m in modes))
-              if (sum(label) == particles if fixed else sum(label) <= particles)]
-    assume(labels)
-    support = draw(st.lists(st.sampled_from(labels), min_size=1,
-                            max_size=len(labels), unique=True))
-    amps = {label: draw(AMPLITUDES) for label in support}
-    return PureState(ModeLayout(tuple(modes)), amps, normalize=True)
 
 
 class TestClosedRouteMatchesGateOracle:
