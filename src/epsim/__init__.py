@@ -71,8 +71,6 @@ from .uncertainty import (
     PhysicalityError,
     UncertaintyReport,
     optimum_condition,
-    pegg_barnett_exponential,
-    phase_difference_trig,
     random_uncorrelated_pair,
     robertson_checks,
     visibility_bound_check,

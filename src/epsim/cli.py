@@ -10,7 +10,9 @@ Subcommands::
     epsim sweep --ntr-list 25,50,100   visibility / formation-entanglement table
     epsim bounds --seeds N --s S       Robertson / visibility-bound sweep
 
-Exit codes: 0 success, 2 state-file parse error or invalid option value,
+Exit codes: 0 success, 2 state-file parse error or invalid option value
+(also a value that would size arrays past 2^24 coherent levels in measure/sweep
+or past s = 2048 in bounds),
 3 capacity overflow, 4 unwritable output, 5 a numerical cross-check or an
 uncertainty inequality failed, each with a one-line ``error:`` on stderr.
 Every run prints a JSON report to stdout; ``--out`` additionally writes a
@@ -67,6 +69,7 @@ from .uncertainty import (
     PhaseOperatorSpace,
     PhysicalityError,
     coherent_pair_state,
+    pair_state,
     random_uncorrelated_pair,
     robertson_checks,
     visibility_bound_check,
@@ -79,6 +82,12 @@ EXIT_IO = 4
 EXIT_VIOLATION = 5
 
 SWEEP_COLUMNS = ("ntr", "vis2_full", "vis2_model", "ef", "ef_bound")
+
+# Size limits derived from option values, checked before anything is
+# allocated: levels of one coherent reference in measure/sweep, and the
+# bounds truncation s (also after growing it for --nbar).
+MAX_COHERENT_LEVELS = 2 ** 24
+MAX_BOUNDS_S = 2048
 
 
 class InequalityViolation(RuntimeError):
@@ -184,14 +193,32 @@ def cmd_transfer(args) -> int:
     return EXIT_OK
 
 
+def _coherent_truncation(nbar: float) -> int:
+    """Truncation nbar + 10 sqrt(nbar) of a coherent reference (exit 2 when
+    it exceeds MAX_COHERENT_LEVELS levels)."""
+    top = nbar + 10.0 * math.sqrt(nbar)
+    if not top <= MAX_COHERENT_LEVELS - 1:
+        raise StateFileError(f"coherent reference of mean {nbar:g} needs more than "
+                             f"{MAX_COHERENT_LEVELS} levels")
+    return max(1, math.ceil(top))
+
+
+def _reference_truncations(ntr: float, local_scale: float) -> tuple[int, float, int]:
+    """(M_tr, local mean, M_local) for a transported reference of mean ntr and
+    a local one whose amplitude is ``local_scale`` times larger."""
+    try:
+        nbar_local = local_scale ** 2 * ntr
+    except OverflowError:
+        nbar_local = math.inf
+    return _coherent_truncation(ntr), nbar_local, _coherent_truncation(nbar_local)
+
+
 def _measurement_report(ntr: float, local_scale: float,
                         grid: int | None) -> VisibilityReport:
     """Visibility analysis for a transported coherent reference of mean ntr
     against a local one whose amplitude is ``local_scale`` times larger
     (mean occupation local_scale^2 * ntr)."""
-    m_tr = max(1, math.ceil(ntr + 10.0 * math.sqrt(ntr)))
-    nbar_local = local_scale ** 2 * ntr
-    m_local = max(1, math.ceil(nbar_local + 10.0 * math.sqrt(nbar_local)))
+    m_tr, nbar_local, m_local = _reference_truncations(ntr, local_scale)
     transported = coherent_coefficients(ntr, m_tr)
     local = coherent_coefficients(nbar_local, m_local)
     c = visibility(transported, local, grid=grid)
@@ -254,9 +281,10 @@ def cmd_sweep(args) -> int:
     ntr_values = _float_list("--ntr-list", args.ntr_list)
     if not ntr_values:
         raise StateFileError("empty --ntr-list")
+    _check_option("--local-scale", args.local_scale, args.local_scale > 0.0, "> 0")
     for value in ntr_values:
         _check_option("every --ntr-list value", value, value >= 1.0, ">= 1")
-    _check_option("--local-scale", args.local_scale, args.local_scale > 0.0, "> 0")
+        _reference_truncations(value, args.local_scale)
     rows = sweep_rows(ntr_values, args.local_scale)
     efs = [r["ef"] for r in rows]
     monotone = all(b > a for a, b in zip(efs, efs[1:]))
@@ -289,8 +317,8 @@ def _check_summary(reports) -> dict:
 
 def cmd_bounds(args) -> int:
     started = time.perf_counter()
-    if args.s < 16:
-        raise StateFileError(f"--s must be >= 16, got {args.s}")
+    if not 16 <= args.s <= MAX_BOUNDS_S:
+        raise StateFileError(f"--s must be in [16, {MAX_BOUNDS_S}], got {args.s}")
     if args.seeds < 1:
         raise StateFileError(f"--seeds must be >= 1, got {args.seeds}")
     nbar_pair = None
@@ -300,6 +328,13 @@ def cmd_bounds(args) -> int:
             raise StateFileError(f"--nbar takes two values, got {args.nbar!r}")
         for value in nbar_pair:
             _check_option("every --nbar value", value, value >= 0.0, ">= 0")
+        # Grow the truncation if needed so the coherent pair stays physical.
+        nbar_max = max(nbar_pair)
+        top = nbar_max + 12.0 * math.sqrt(nbar_max)
+        if not top <= MAX_BOUNDS_S:
+            raise StateFileError(f"--nbar {nbar_max:g} needs a truncation above "
+                                 f"{MAX_BOUNDS_S}")
+        s_pair = max(args.s, math.ceil(top))
     space = PhaseOperatorSpace(args.s)
     rng = np.random.RandomState(args.seed)
     reports = []
@@ -307,16 +342,16 @@ def cmd_bounds(args) -> int:
     resampled = 0
     produced = 0
     while produced < args.seeds:
-        state = random_uncorrelated_pair(space, rng)
+        psi = random_uncorrelated_pair(space, rng)
         try:
-            pair = (robertson_checks(state, space),
-                    visibility_bound_check(state, space))
+            pair = (robertson_checks(psi, space),
+                    visibility_bound_check(psi, space))
         except PhysicalityError:
             resampled += 1
             continue
         reports.extend(pair)
         if not all(rep.all_hold for rep in pair):
-            offenders.append(state_to_dict(state))
+            offenders.append(state_to_dict(pair_state(psi)))
         produced += 1
     results = {
         "states": produced,
@@ -328,9 +363,6 @@ def cmd_bounds(args) -> int:
         results["violating_states"] = offenders
     if nbar_pair:
         nbar_a, nbar_b = nbar_pair
-        # Grow the truncation if needed so the coherent pair stays physical.
-        s_pair = max(args.s, math.ceil(max(nbar_a, nbar_b)
-                                       + 12.0 * math.sqrt(max(nbar_a, nbar_b))))
         pair_space = space if s_pair == args.s else PhaseOperatorSpace(s_pair)
         pair = coherent_pair_state(nbar_a, nbar_b, pair_space)
         rep = visibility_bound_check(pair, pair_space)

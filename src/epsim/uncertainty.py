@@ -1,17 +1,17 @@
-"""Truncated-space phase operators and number-phase uncertainty bounds.
+"""Number-phase uncertainty bounds on a truncated two-mode space.
 
-The exponential phase operator on a (s+1)-dimensional mode is the unitary
-sum_m e^{i theta_m} |theta_m><theta_m| over the orthonormal phase states
-theta_m = theta0 + 2 pi m / (s+1).  For a pair of modes the trigonometric
-phase-difference operators obey Robertson uncertainty relations against the
-local and relative number operators; for states supported away from the
-truncation boundary ("physical" states) these bound the achievable squared
-fringe visibility |C|^2 = |<e^{i(phi_A - phi_B)}>|^2 by the number variances.
-
-Two-mode states are handled as amplitude matrices Psi[n_A, n_B], so all pair
-expectations reduce to (s+1)-dimensional matrix products; the full pair space
-is never materialized except by the explicit dense constructors used in
-small-dimension tests.
+A two-mode state is its amplitude matrix Psi[n_A, n_B] over occupations
+0..s of each mode.  On s+1 levels the Pegg-Barnett unitary
+E = e^{i phi} = sum_m e^{i theta_m} |theta_m><theta_m|, theta_m = 2 pi m/(s+1),
+is exactly the cyclic lowering shift |n> -> |n-1>, |0> -> |s>, so the pair
+expectations <E_A^k E_B^{dagger k}> behind the phase-difference cos D and
+sin D are overlaps of Psi with a rolled copy of itself; no operator on the
+pair space or on one mode is built.  For states supported away from the
+truncation boundary ("physical" states) the Robertson relations of cos D and
+sin D against the local and relative number operators bound the achievable
+squared fringe visibility |C|^2 = |<e^{i(phi_A - phi_B)}>|^2 by the number
+variances.  The dense phase-state constructions are the test oracles
+(tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -32,44 +32,14 @@ class PhysicalityError(ValueError):
 
 
 class PhaseOperatorSpace:
-    """Phase and number operators for one truncated mode (dimension s+1)."""
+    """One mode truncated to occupations 0..s (dimension s+1)."""
 
-    def __init__(self, s: int, theta0: float = 0.0):
+    def __init__(self, s: int):
         if s < 1:
             raise ValueError("truncation s must be >= 1")
         self.s = s
-        self.theta0 = theta0
-        dim = s + 1
-        self.phase_angles = theta0 + 2.0 * np.pi * np.arange(dim) / dim
-        # Columns of V are the phase states |theta_m>.
-        self.phase_states = (np.exp(1j * np.outer(np.arange(dim), self.phase_angles))
-                             / math.sqrt(dim))
-        self.exponential = (self.phase_states
-                            @ np.diag(np.exp(1j * self.phase_angles))
-                            @ self.phase_states.conj().T)
-        self.number = np.arange(dim, dtype=float)
-
-    @property
-    def dim(self) -> int:
-        return self.s + 1
-
-
-def pegg_barnett_exponential(s: int, theta0: float = 0.0) -> np.ndarray:
-    """Unitary e^{i phase-operator} built from the phase-state projectors."""
-    return PhaseOperatorSpace(s, theta0).exponential
-
-
-def phase_difference_trig(space: PhaseOperatorSpace) -> tuple[np.ndarray, np.ndarray]:
-    """Dense cos / sin of the phase difference on the two-mode pair space.
-
-    Materializes (s+1)^2-dimensional matrices; intended for small s.  The
-    sweep expectation helpers below avoid this entirely.
-    """
-    e = space.exponential
-    x = np.kron(e, e.conj().T)
-    cos = (x + x.conj().T) / 2.0
-    sin = (x - x.conj().T) / 2.0j
-    return cos, sin
+        self.dim = s + 1
+        self.number = np.arange(self.dim, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -119,33 +89,19 @@ class UncertaintyReport:
         return min(active) if active else math.inf
 
 
-def state_matrix(state: PureState, dim: int) -> np.ndarray:
-    """Amplitudes of a two-mode (one per site) state as Psi[n_A, n_B]."""
-    layout = state.layout
-    idx_a = layout.indices(site="A")
-    idx_b = layout.indices(site="B")
-    if len(layout) != 2 or len(idx_a) != 1 or len(idx_b) != 1:
-        raise LayoutError("expected exactly one mode per site")
-    psi = np.zeros((dim, dim), dtype=complex)
-    for label, amp in state.amplitudes.items():
-        na, nb = label[idx_a[0]], label[idx_b[0]]
-        if na >= dim or nb >= dim:
-            raise PhysicalityError(f"occupation {max(na, nb)} outside dimension {dim}")
-        psi[na, nb] = amp
-    return psi
+def _shift_expectation(psi: np.ndarray, k: int) -> complex:
+    """<E_A^k E_B^{dagger k}> on the amplitude matrix psi.
 
-
-def _pair_expectation(u: np.ndarray, v: np.ndarray, psi: np.ndarray) -> complex:
-    """<U_A tensor V_B> on the amplitude matrix psi."""
-    return complex(np.vdot(psi, u @ psi @ v.T))
+    E lowers the occupation cyclically, so E_A^k E_B^{dagger k} maps
+    Psi[n_A, n_B] to Psi[n_A + k, n_B - k] (indices mod s+1).
+    """
+    return complex(np.vdot(psi, np.roll(psi, (-k, k), axis=(0, 1))))
 
 
 class _Moments:
     def __init__(self, psi: np.ndarray, space: PhaseOperatorSpace):
-        e = space.exponential
-        edag = e.conj().T
-        x1 = _pair_expectation(e, edag, psi)
-        x2 = _pair_expectation(e @ e, edag @ edag, psi)
+        x1 = _shift_expectation(psi, 1)
+        x2 = _shift_expectation(psi, 2)
         self.cos_mean = float(np.real(x1))
         self.sin_mean = float(np.imag(x1))
         cos2 = (float(np.real(x2)) + 1.0) / 2.0
@@ -181,41 +137,19 @@ def check_physical(psi: np.ndarray, space: PhaseOperatorSpace) -> None:
         )
 
 
-def _as_matrix(state, space: PhaseOperatorSpace) -> np.ndarray:
-    if isinstance(state, PureState):
-        psi = state_matrix(state, space.dim)
-    else:
-        psi = np.asarray(state, dtype=complex)
-        if psi.shape != (space.dim, space.dim):
-            raise LayoutError(f"amplitude matrix must be {space.dim}x{space.dim}")
+def _physical_moments(psi, space: PhaseOperatorSpace) -> tuple[np.ndarray, _Moments]:
+    """Validate a unit-norm physical amplitude matrix and take its moments."""
+    psi = np.asarray(psi, dtype=complex)
+    if psi.shape != (space.dim, space.dim):
+        raise LayoutError(f"amplitude matrix must be {space.dim}x{space.dim}")
     norm = np.linalg.norm(psi)
     if abs(norm - 1.0) > 1e-10:
         raise ValueError(f"state norm {norm} deviates from 1")
-    return psi
-
-
-def robertson_checks(state, space: PhaseOperatorSpace) -> UncertaintyReport:
-    """Number-phase Robertson inequalities for a physical two-mode state.
-
-    Difference-operator forms:
-        Var(N_A - N_B) Var(cos D) >= <sin D>^2       (dcos)
-        Var(N_A - N_B) Var(sin D) >= <cos D>^2       (dsin)
-    Single-site forms (factor 1/4 from the one-sided commutator):
-        Var(N_Z) Var(cos D) >= <sin D>^2 / 4         (dcos2_Z)
-        Var(N_Z) Var(sin D) >= <cos D>^2 / 4         (dsin2_Z)
-    """
-    psi = _as_matrix(state, space)
     check_physical(psi, space)
-    m = _Moments(psi, space)
-    s2, c2 = m.sin_mean ** 2, m.cos_mean ** 2
-    checks = (
-        InequalityCheck("dcos", m.var_n_diff * m.var_cos, s2),
-        InequalityCheck("dsin", m.var_n_diff * m.var_sin, c2),
-        InequalityCheck("dcos2_A", m.var_n_a * m.var_cos, s2 / 4.0),
-        InequalityCheck("dcos2_B", m.var_n_b * m.var_cos, s2 / 4.0),
-        InequalityCheck("dsin2_A", m.var_n_a * m.var_sin, c2 / 4.0),
-        InequalityCheck("dsin2_B", m.var_n_b * m.var_sin, c2 / 4.0),
-    )
+    return psi, _Moments(psi, space)
+
+
+def _report(m: _Moments, checks: tuple[InequalityCheck, ...]) -> UncertaintyReport:
     return UncertaintyReport(
         var_n_a=m.var_n_a, var_n_b=m.var_n_b, var_n_diff=m.var_n_diff,
         cos_mean=m.cos_mean, sin_mean=m.sin_mean,
@@ -226,12 +160,35 @@ def robertson_checks(state, space: PhaseOperatorSpace) -> UncertaintyReport:
     )
 
 
+def robertson_checks(psi, space: PhaseOperatorSpace) -> UncertaintyReport:
+    """Number-phase Robertson inequalities for a physical amplitude matrix.
+
+    Difference-operator forms:
+        Var(N_A - N_B) Var(cos D) >= <sin D>^2       (dcos)
+        Var(N_A - N_B) Var(sin D) >= <cos D>^2       (dsin)
+    Single-site forms (factor 1/4 from the one-sided commutator):
+        Var(N_Z) Var(cos D) >= <sin D>^2 / 4         (dcos2_Z)
+        Var(N_Z) Var(sin D) >= <cos D>^2 / 4         (dsin2_Z)
+    """
+    _, m = _physical_moments(psi, space)
+    s2, c2 = m.sin_mean ** 2, m.cos_mean ** 2
+    checks = (
+        InequalityCheck("dcos", m.var_n_diff * m.var_cos, s2),
+        InequalityCheck("dsin", m.var_n_diff * m.var_sin, c2),
+        InequalityCheck("dcos2_A", m.var_n_a * m.var_cos, s2 / 4.0),
+        InequalityCheck("dcos2_B", m.var_n_b * m.var_cos, s2 / 4.0),
+        InequalityCheck("dsin2_A", m.var_n_a * m.var_sin, c2 / 4.0),
+        InequalityCheck("dsin2_B", m.var_n_b * m.var_sin, c2 / 4.0),
+    )
+    return _report(m, checks)
+
+
 def is_product_state(psi: np.ndarray, tol: float = 1e-8) -> bool:
     svals = np.linalg.svd(psi, compute_uv=False)
     return bool(svals[1] <= tol * svals[0])
 
 
-def visibility_bound_check(state, space: PhaseOperatorSpace) -> UncertaintyReport:
+def visibility_bound_check(psi, space: PhaseOperatorSpace) -> UncertaintyReport:
     """Visibility caps from the summed Robertson relations.
 
         |C|^2 <= (Var N_A + Var N_B) / (1 + Var N_A + Var N_B)   (C1)
@@ -240,9 +197,7 @@ def visibility_bound_check(state, space: PhaseOperatorSpace) -> UncertaintyRepor
     C1 uses variance additivity and is only meaningful for uncorrelated
     (product) inputs; for correlated states it is reported as skipped.
     """
-    psi = _as_matrix(state, space)
-    check_physical(psi, space)
-    m = _Moments(psi, space)
+    psi, m = _physical_moments(psi, space)
     c2 = m.visibility_sq
     vsum = m.var_n_a + m.var_n_b
     product = is_product_state(psi)
@@ -251,14 +206,7 @@ def visibility_bound_check(state, space: PhaseOperatorSpace) -> UncertaintyRepor
         InequalityCheck("C2_A", 4.0 * m.var_n_a / (1.0 + 4.0 * m.var_n_a), c2),
         InequalityCheck("C2_B", 4.0 * m.var_n_b / (1.0 + 4.0 * m.var_n_b), c2),
     )
-    return UncertaintyReport(
-        var_n_a=m.var_n_a, var_n_b=m.var_n_b, var_n_diff=m.var_n_diff,
-        cos_mean=m.cos_mean, sin_mean=m.sin_mean,
-        var_cos=m.var_cos, var_sin=m.var_sin,
-        visibility_sq=c2,
-        trig_identity_residual=m.trig_identity_residual,
-        checks=checks,
-    )
+    return _report(m, checks)
 
 
 def optimum_condition(var_a: float, var_b: float) -> bool:
@@ -276,36 +224,30 @@ def pair_layout(s: int) -> ModeLayout:
     ))
 
 
+def pair_state(psi: np.ndarray) -> PureState:
+    """The amplitude matrix as a sparse state on ``pair_layout(s)``."""
+    amps = {(int(na), int(nb)): psi[na, nb] for na, nb in zip(*np.nonzero(psi))}
+    return PureState(pair_layout(psi.shape[0] - 1), amps, normalize=True)
+
+
 def coherent_pair_state(nbar_a: float, nbar_b: float,
-                        space: PhaseOperatorSpace) -> PureState:
-    """Product of two truncated coherent states on the pair layout."""
+                        space: PhaseOperatorSpace) -> np.ndarray:
+    """Amplitude matrix of two truncated coherent states."""
     from .protocol import coherent_coefficients
 
-    layout = pair_layout(space.s)
     ca = coherent_coefficients(nbar_a, space.s).coefficients
     cb = coherent_coefficients(nbar_b, space.s).coefficients
-    amps = {}
-    for na in np.nonzero(np.abs(ca) > 1e-15)[0]:
-        for nb in np.nonzero(np.abs(cb) > 1e-15)[0]:
-            amps[(int(na), int(nb))] = ca[na] * cb[nb]
-    return PureState(layout, amps, normalize=True)
+    return np.outer(ca, cb)
 
 
-def random_uncorrelated_pair(space: PhaseOperatorSpace, rng: np.random.RandomState,
-                             max_occ: int | None = None) -> PureState:
-    """Random product state of the two modes, supported on [0, max_occ].
-
-    The default window s // 2 keeps the state comfortably physical; callers
-    that widen it should expect (and handle) physicality rejections.
-    """
-    w = max_occ if max_occ is not None else space.s // 2
-    layout = pair_layout(space.s)
-    amps: dict[tuple[int, ...], complex] = {}
+def random_uncorrelated_pair(space: PhaseOperatorSpace,
+                             rng: np.random.RandomState) -> np.ndarray:
+    """Amplitude matrix of a random product state supported on [0, s // 2]
+    in each mode, a window that keeps the state comfortably physical."""
+    w = space.s // 2
     vec_a = rng.randn(w + 1) + 1j * rng.randn(w + 1)
     vec_b = rng.randn(w + 1) + 1j * rng.randn(w + 1)
-    vec_a /= np.linalg.norm(vec_a)
-    vec_b /= np.linalg.norm(vec_b)
-    for na in range(w + 1):
-        for nb in range(w + 1):
-            amps[(na, nb)] = vec_a[na] * vec_b[nb]
-    return PureState(layout, amps, normalize=True)
+    psi = np.zeros((space.dim, space.dim), dtype=complex)
+    psi[:w + 1, :w + 1] = np.outer(vec_a / np.linalg.norm(vec_a),
+                                   vec_b / np.linalg.norm(vec_b))
+    return psi

@@ -178,3 +178,30 @@ def phase_difference_povm_oracle(state, mode_a, mode_b, varphi):
     mat /= 2 * np.pi
     density = float(np.real(np.trace(mat)))
     return density, DensityOperator(layout.sublayout(reg_idx), basis, mat / density)
+
+
+def phase_angles(s, theta0=0.0):
+    """Pegg-Barnett phase angles theta_m = theta0 + 2 pi m / (s+1)."""
+    return theta0 + 2.0 * np.pi * np.arange(s + 1) / (s + 1)
+
+
+def phase_states(s, theta0=0.0):
+    """Columns are the orthonormal phase states |theta_m> on s+1 levels."""
+    return np.exp(1j * np.outer(np.arange(s + 1), phase_angles(s, theta0))) / np.sqrt(s + 1)
+
+
+def pegg_barnett_exponential(s, theta0=0.0):
+    """Dense e^{i phase-operator} = V diag(e^{i theta_m}) V^dagger from the
+    phase-state projectors (the library uses the cyclic shift it equals)."""
+    v = phase_states(s, theta0)
+    return v @ np.diag(np.exp(1j * phase_angles(s, theta0))) @ v.conj().T
+
+
+def phase_difference_trig(s, theta0=0.0):
+    """Dense cos / sin of the phase difference on the (s+1)^2 pair space,
+    acting on the row-major flattened amplitude matrix Psi[n_A, n_B]."""
+    e = pegg_barnett_exponential(s, theta0)
+    x = np.kron(e, e.conj().T)
+    cos = (x + x.conj().T) / 2.0
+    sin = (x - x.conj().T) / 2.0j
+    return cos, sin

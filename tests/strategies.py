@@ -58,3 +58,15 @@ def transfer_inputs(draw, max_particles=3):
                             max_size=len(labels), unique=True))
     amps = {label: draw(AMPLITUDES) for label in support}
     return PureState(ModeLayout(tuple(modes)), amps, normalize=True)
+
+
+@st.composite
+def amplitude_matrices(draw, max_s=40):
+    """Unit-norm complex (s+1)x(s+1) amplitude matrix with 1 <= s <= max_s and
+    every entry's modulus in [0.1, 1] before normalization, so the rows and
+    columns at the truncation boundary carry weight."""
+    s = draw(st.integers(1, max_s))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    shape = (s + 1, s + 1)
+    psi = rng.uniform(0.1, 1.0, shape) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, shape))
+    return psi / np.linalg.norm(psi)

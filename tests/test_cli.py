@@ -1,10 +1,12 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
 from epsim.cli import main
-from epsim.statefile import density_from_dict, load_state
+from epsim.statefile import StateFileError, density_from_dict, load_state
+from epsim.uncertainty import pair_layout
 from conftest import data_path
 
 
@@ -189,11 +191,28 @@ class TestSweepCommand:
         ["sweep", "--ntr-list", "5,abc"],
         ["sweep", "--ntr-list", "5", "--local-scale", "nan"],
         ["sweep", "--ntr-list", "5", "--local-scale", "0"],
+        # finite but past MAX_COHERENT_LEVELS, rejected before any allocation
+        ["measure", "--ntr", "1e15"], ["measure", "--ntr", "1.7e7"],
+        ["measure", "--ntr", "1e6", "--local-scale", "5"],
+        ["measure", "--local-scale", "1e200"],
+        ["sweep", "--ntr-list", "5,1e15"],
+        ["sweep", "--ntr-list", "5,25", "--local-scale", "1e4"],
     ])
     def test_bad_values_exit_2(self, capsys, argv):
         assert main(argv) == 2
         err = capsys.readouterr().err.strip()
         assert err.startswith("error:") and "\n" not in err
+
+    def test_coherent_level_limit(self):
+        from epsim.cli import MAX_COHERENT_LEVELS, _coherent_truncation, _reference_truncations
+
+        m_tr, nbar_local, m_local = _reference_truncations(1e6, 1.5)
+        assert (m_tr, nbar_local) == (1010000, 2.25e6)
+        assert m_local + 1 <= MAX_COHERENT_LEVELS
+        assert _coherent_truncation(MAX_COHERENT_LEVELS - 1.0 - 10.0 * math.sqrt(
+            MAX_COHERENT_LEVELS)) <= MAX_COHERENT_LEVELS - 1
+        with pytest.raises(StateFileError):
+            _coherent_truncation(float(MAX_COHERENT_LEVELS))
 
     @pytest.mark.parametrize("argv", [
         ["ep", data_path("shared_single.json")],
@@ -233,6 +252,9 @@ class TestBoundsCommand:
         ["--seeds", "0"], ["--seeds", "-1"],
         ["--nbar", "25"], ["--nbar", "25,250,2500"], ["--nbar", "25,x"],
         ["--nbar", "25,-1"], ["--nbar", "nan,250"], ["--nbar", "25,inf"],
+        # finite but past MAX_BOUNDS_S, rejected before any allocation
+        ["--s", "2049"], ["--s", "100000"],
+        ["--nbar", "1e15,1"], ["--nbar", "1,2000"], ["--nbar", "1.7e308,1"],
     ])
     def test_bad_values_exit_2(self, capsys, options):
         assert main(["bounds", "--seeds", "1", "--s", "16", *options]) == 2
@@ -253,7 +275,16 @@ class TestBoundsCommand:
             return type(report)(**{**report.__dict__, "checks": (bad,)})
 
         monkeypatch.setattr(cli_module, "robertson_checks", doctored)
-        assert main(["bounds", "--seeds", "1", "--s", "32"]) == 5
+        code, report = run_cli(capsys, "bounds", "--seeds", "1", "--s", "32")
+        assert code == 5
+        (entry,) = report["results"]["violating_states"]
+        assert set(entry) == {"modes", "terms"}
+        assert entry["modes"] == [
+            {"id": m.id, "site": m.site, "kind": m.kind, "capacity": m.capacity}
+            for m in pair_layout(32).modes]
+        assert all(set(t) == {"occ", "amp"} and len(t["occ"]) == 2 for t in entry["terms"])
+        norm_sq = sum(t["amp"][0] ** 2 + t["amp"][1] ** 2 for t in entry["terms"])
+        assert norm_sq == pytest.approx(1.0, abs=1e-12)
 
 
 class TestStateFileRoundTrip:

@@ -2,29 +2,31 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from epsim import (
     PhaseOperatorSpace,
     PhysicalityError,
-    PureState,
     coherent_coefficients,
     optimum_condition,
-    pegg_barnett_exponential,
-    phase_difference_trig,
     robertson_checks,
     visibility,
     visibility_bound_check,
 )
 from epsim.uncertainty import (
+    _Moments,
+    _shift_expectation,
     coherent_pair_state,
-    pair_layout,
     random_uncorrelated_pair,
-    state_matrix,
 )
+from oracles import pegg_barnett_exponential, phase_angles, phase_difference_trig, phase_states
+from strategies import amplitude_matrices
 
 
 def number_pair_state(na, nb, s):
-    return PureState(pair_layout(s), {(na, nb): 1.0})
+    psi = np.zeros((s + 1, s + 1), dtype=complex)
+    psi[na, nb] = 1.0
+    return psi
 
 
 class TestPeggBarnettExponential:
@@ -49,39 +51,36 @@ class TestPeggBarnettExponential:
         np.testing.assert_allclose(u, shift, atol=1e-12)
 
     def test_phase_states_orthonormal(self):
-        space = PhaseOperatorSpace(20, 0.4)
-        v = space.phase_states
+        v = phase_states(20, 0.4)
         np.testing.assert_allclose(v.conj().T @ v, np.eye(21), atol=1e-12)
 
 
 class TestPhaseDifferenceTrig:
     def test_hermitian(self):
-        space = PhaseOperatorSpace(8)
-        cos, sin = phase_difference_trig(space)
+        cos, sin = phase_difference_trig(8)
         np.testing.assert_allclose(cos, cos.conj().T, atol=1e-12)
         np.testing.assert_allclose(sin, sin.conj().T, atol=1e-12)
 
     def test_diagonal_on_phase_state_products(self):
-        space = PhaseOperatorSpace(6, 0.2)
-        cos, _ = phase_difference_trig(space)
-        v = space.phase_states
+        s, theta0 = 6, 0.2
+        cos, _ = phase_difference_trig(s, theta0)
+        v = phase_states(s, theta0)
+        angles = phase_angles(s, theta0)
         for m in (0, 2, 5):
             for k in (1, 3):
                 vec = np.kron(v[:, m], v[:, k])
                 out = cos @ vec
-                expected = math.cos(space.phase_angles[m] - space.phase_angles[k])
+                expected = math.cos(angles[m] - angles[k])
                 np.testing.assert_allclose(out, expected * vec, atol=1e-12)
 
     def test_cos2_plus_sin2_bounded(self):
-        space = PhaseOperatorSpace(7)
-        cos, sin = phase_difference_trig(space)
+        cos, sin = phase_difference_trig(7)
         evals = np.linalg.eigvalsh(cos @ cos + sin @ sin)
         assert evals.max() <= 1.0 + 1e-10
 
     def test_number_commutator_on_physical_state(self):
         s = 24
-        space = PhaseOperatorSpace(s)
-        cos, sin = phase_difference_trig(space)
+        cos, sin = phase_difference_trig(s)
         n_a = np.kron(np.diag(np.arange(s + 1.0)), np.eye(s + 1))
         spec = coherent_coefficients(3.0, s)
         vec = np.kron(spec.coefficients, spec.coefficients)
@@ -89,6 +88,37 @@ class TestPhaseDifferenceTrig:
         lhs = np.vdot(vec, comm @ vec)
         rhs = -1j * np.vdot(vec, np.kron(np.eye(s + 1), np.eye(s + 1)) @ (sin @ vec))
         assert lhs == pytest.approx(rhs, abs=1e-8)
+
+
+class TestShiftRoute:
+    """The library's np.roll moments against the dense Pegg-Barnett operators.
+
+    Full-support matrices put weight on the truncation boundary, where the
+    shift wraps around, so the moments run on unchecked (non-physical)
+    inputs through ``_Moments`` directly.
+    """
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(psi=amplitude_matrices(max_s=40))
+    def test_shift_moments_equal_dense_oracle(self, psi):
+        s = psi.shape[0] - 1
+        vec = psi.ravel()
+        e = pegg_barnett_exponential(s)
+        for k in (1, 2):
+            ek = np.linalg.matrix_power(e, k)
+            dense = np.vdot(vec, np.kron(ek, ek.conj().T) @ vec)
+            assert abs(_shift_expectation(psi, k) - dense) <= 1e-12
+        cos, sin = phase_difference_trig(s)
+        cos_vec, sin_vec = cos @ vec, sin @ vec
+        cos_mean = np.vdot(vec, cos_vec).real
+        sin_mean = np.vdot(vec, sin_vec).real
+        m = _Moments(psi, PhaseOperatorSpace(s))
+        assert m.cos_mean == pytest.approx(cos_mean, abs=1e-12)
+        assert m.sin_mean == pytest.approx(sin_mean, abs=1e-12)
+        assert m.var_cos == pytest.approx(
+            np.vdot(cos_vec, cos_vec).real - cos_mean ** 2, abs=1e-12)
+        assert m.var_sin == pytest.approx(
+            np.vdot(sin_vec, sin_vec).real - sin_mean ** 2, abs=1e-12)
 
 
 class TestRobertsonChecks:
@@ -149,7 +179,8 @@ class TestVisibilityBoundCheck:
 
     def test_correlated_input_skips_c1(self):
         s = 32
-        state = PureState(pair_layout(s), {(0, 1): 2 ** -0.5, (1, 0): 2 ** -0.5})
+        state = np.zeros((s + 1, s + 1))
+        state[0, 1] = state[1, 0] = 2 ** -0.5
         report = visibility_bound_check(state, PhaseOperatorSpace(s))
         assert report.check("C1").skipped
         assert report.check("C2_A").slack >= -1e-9
@@ -191,12 +222,3 @@ class TestCrossModuleVisibility:
         c_dist = visibility(spec_a, spec_b)
         assert report.visibility_sq == pytest.approx(abs(c_dist) ** 2, abs=1e-8)
 
-
-class TestStateMatrix:
-    def test_round_trip(self):
-        s = 8
-        state = PureState(pair_layout(s), {(1, 2): 0.6, (3, 0): 0.8})
-        psi = state_matrix(state, s + 1)
-        assert psi[1, 2] == pytest.approx(0.6)
-        assert psi[3, 0] == pytest.approx(0.8)
-        assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-12)
