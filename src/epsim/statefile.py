@@ -97,10 +97,14 @@ def load_state(path: str) -> PureState:
     return parse_state(data)
 
 
+def _modes_to_list(layout: ModeLayout) -> list[dict]:
+    return [{"id": m.id, "site": m.site, "kind": m.kind, "capacity": m.capacity}
+            for m in layout.modes]
+
+
 def state_to_dict(state: PureState) -> dict:
     return {
-        "modes": [{"id": m.id, "site": m.site, "kind": m.kind, "capacity": m.capacity}
-                  for m in state.layout.modes],
+        "modes": _modes_to_list(state.layout),
         "terms": [{"occ": list(label), "amp": [a.real, a.imag]}
                   for label, a in sorted(state.amplitudes.items())],
     }
@@ -108,8 +112,7 @@ def state_to_dict(state: PureState) -> dict:
 
 def density_to_dict(rho: DensityOperator) -> dict:
     return {
-        "modes": [{"id": m.id, "site": m.site, "kind": m.kind, "capacity": m.capacity}
-                  for m in rho.layout.modes],
+        "modes": _modes_to_list(rho.layout),
         "basis": [list(label) for label in rho.basis],
         "matrix": [[[z.real, z.imag] for z in row] for row in rho.matrix],
     }

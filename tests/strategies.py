@@ -70,3 +70,25 @@ def amplitude_matrices(draw, max_s=40):
     shape = (s + 1, s + 1)
     psi = rng.uniform(0.1, 1.0, shape) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, shape))
     return psi / np.linalg.norm(psi)
+
+
+@st.composite
+def perturbed_products(draw, max_s=40):
+    """Unit-norm (s+1)x(s+1) matrix a (x) b + eps E with complex Gaussian a, b
+    and E, 1 <= s <= max_s, eps in {0} u [1e-14, 1e-12] u [1e-5, 1]: exact,
+    rounding-level and clearly correlated inputs on either side of the 1e-8
+    product tolerance.  About half of the entries of a and of b are zeroed, as
+    in number states and windowed supports, so Psi[0, 0] is often zero."""
+    s = draw(st.integers(1, max_s))
+    eps = draw(st.one_of(st.just(0.0), st.floats(1e-14, 1e-12), st.floats(1e-5, 1.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def gaussian(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    a, b = gaussian(s + 1), gaussian(s + 1)
+    for vec in (a, b):
+        vec[rng.random(s + 1) < 0.5] = 0.0
+        vec[rng.integers(s + 1)] = 1.0
+    psi = np.outer(a, b) + eps * gaussian(s + 1, s + 1)
+    return psi / np.linalg.norm(psi)

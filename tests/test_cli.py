@@ -245,6 +245,18 @@ class TestBoundsCommand:
         assert pair["checks"]["C2_A"]["slack"] >= -1e-9
         assert pair["checks"]["C2_A"]["lhs"] == pytest.approx(100.0 / 101.0, rel=1e-9)
 
+    def test_product_detected_at_size_cap(self, capsys):
+        # d = 2049: the rank-one test must stay O(d^2) for C1 to be affordable.
+        code, report = run_cli(capsys, "bounds", "--seeds", "1", "--s", "2048")
+        assert code == 0
+        assert "C1" in report["results"]["inequalities"]
+
+    def test_coherent_pair_reports_c1(self, capsys):
+        code, report = run_cli(capsys, "bounds", "--seeds", "1", "--s", "64",
+                               "--nbar", "5,40")
+        assert code == 0
+        assert "C1" in report["results"]["coherent_pair"]["checks"]
+
     def test_small_s_exit_2(self, capsys):
         assert main(["bounds", "--seeds", "1", "--s", "8"]) == 2
 

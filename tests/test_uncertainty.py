@@ -17,10 +17,17 @@ from epsim.uncertainty import (
     _Moments,
     _shift_expectation,
     coherent_pair_state,
+    is_product_state,
     random_uncorrelated_pair,
 )
-from oracles import pegg_barnett_exponential, phase_angles, phase_difference_trig, phase_states
-from strategies import amplitude_matrices
+from oracles import (
+    pegg_barnett_exponential,
+    phase_angles,
+    phase_difference_trig,
+    phase_states,
+    product_state_svd,
+)
+from strategies import amplitude_matrices, perturbed_products
 
 
 def number_pair_state(na, nb, s):
@@ -119,6 +126,15 @@ class TestShiftRoute:
             np.vdot(cos_vec, cos_vec).real - cos_mean ** 2, abs=1e-12)
         assert m.var_sin == pytest.approx(
             np.vdot(sin_vec, sin_vec).real - sin_mean ** 2, abs=1e-12)
+
+
+class TestProductState:
+    """The cross-residual rank test against the singular-value oracle."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(psi=perturbed_products(max_s=40))
+    def test_rank_one_test_equals_svd_oracle(self, psi):
+        assert is_product_state(psi) == product_state_svd(psi)
 
 
 class TestRobertsonChecks:
