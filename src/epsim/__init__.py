@@ -33,7 +33,6 @@ from .protocol import (
     GridError,
     MeasurementOutcome,
     ProtocolConfig,
-    coherent_ancilla,
     coherent_coefficients,
     equal_different_measurement,
     hiding_operation,

@@ -314,13 +314,14 @@ def partial_trace(state: PureState, keep: set[str] | list[str]) -> DensityOperat
 
 def von_neumann_entropy(rho: DensityOperator) -> float:
     """S(rho) = -sum_i lam_i log2 lam_i in bits; eigenvalues below the clip
-    threshold count as exact zeros."""
+    threshold count as exact zeros.  Clamped at 0: a pure operator would
+    otherwise give -0.0, and one within rounding of pure a tiny negative."""
     herm_err = np.max(np.abs(rho.matrix - rho.matrix.conj().T))
     if herm_err > HERM_TOL:
         raise StateValidationError(f"operator not Hermitian: deviation {herm_err}")
     evals = np.linalg.eigvalsh(rho.matrix)
     evals = evals[evals > EIG_CLIP]
-    return float(-np.sum(evals * np.log2(evals)))
+    return max(0.0, float(-np.sum(evals * np.log2(evals))))
 
 
 def entropy_of_entanglement(state: PureState) -> float:

@@ -288,17 +288,22 @@ def ef_large_visibility(c: complex) -> float:
 
 
 def two_qubit_concurrence(rho: DensityOperator) -> float:
-    """Wootters concurrence of a two-qubit density operator."""
+    """Wootters concurrence of a two-qubit density operator.
+
+    The lambda_i are the singular values of sqrt(rho) (sy x sy) sqrt(rho)*,
+    the square roots of the eigenvalues of rho (sy x sy) rho* (sy x sy),
+    taken without forming that non-Hermitian product: its small eigenvalues
+    near |C| = 1 would lose half their digits to the square root.
+    """
     if len(rho.basis) != 4 or any(m.capacity != 1 for m in rho.layout.modes):
         raise StateValidationError("concurrence needs a full two-qubit operator")
-    evals = np.linalg.eigvalsh(rho.matrix)
+    evals, vecs = np.linalg.eigh(rho.matrix)
     if evals.min() < -1e-10:
         raise StateValidationError(f"operator not PSD: min eigenvalue {evals.min()}")
+    sqrt_rho = (vecs * np.sqrt(np.clip(evals, 0.0, None))) @ vecs.conj().T
     sy = np.array([[0.0, -1.0j], [1.0j, 0.0]])
-    yy = np.kron(sy, sy)
-    r = rho.matrix @ yy @ rho.matrix.conj() @ yy
-    lams = np.sqrt(np.clip(np.real(np.linalg.eigvals(r)), 0.0, None))
-    lams = np.sort(lams)[::-1]
+    yy = np.real(np.kron(sy, sy))
+    lams = np.linalg.svd(sqrt_rho @ yy @ sqrt_rho.conj(), compute_uv=False)
     return float(max(0.0, lams[0] - lams[1] - lams[2] - lams[3]))
 
 

@@ -20,11 +20,16 @@ in different sectors leave orthogonal field states behind, while branches in
 the same sector share one unit-norm field state.  It costs O(L^2) in the L
 input terms and builds no ancilla or sink Fock space.
 ``phase_grid_register_state`` reconstructs the same object from a uniform
-grid over the two local phase angles, keeping the sink's truncation-boundary
-component of each branch as a separate statistical history (the
-continuous-phase analysis route); the overcounted boundary weight makes its
-output deviate from the exact route by O(1/(M+1)), which is the quantity the
-grid diagnostic exposes.
+grid of K points over each local phase angle, keeping the sink's
+truncation-boundary component of each branch as a separate statistical
+history (the continuous-phase analysis route).  Averaging over the grid
+multiplies each coherence by (1/K) sum_j e^{-i(n - n')theta_j} = [K divides
+n - n'], a projector onto the reference-phase invariant subspaces (the U(1)
+twirl of Bartlett, Rudolph & Spekkens, RMP 79, 555 (2007)), so the grid
+route is the same product of input amplitudes as ``run_transfer`` with a
+closed-form sink kernel in place of the sector delta, also O(L^2).  The
+overcounted boundary weight makes its output deviate from the exact route by
+O(1/(M+1)), which is the quantity the grid diagnostic exposes.
 
 The gate-level simulation of the protocol stays in ``transfer_final_state``
 (ancillas tensored in, occupation CNOT and hiding gate on every field mode).
@@ -133,12 +138,6 @@ def coherent_coefficients(nbar: float, M: int) -> AncillaSpec:
     amps = np.exp(0.5 * log_w)
     amps /= np.linalg.norm(amps)
     return AncillaSpec(M, amps)
-
-
-def coherent_ancilla(nbar: float) -> AncillaSpec:
-    """Coherent ancilla with the default safe truncation M = nbar + 10*sqrt(nbar)."""
-    M = max(1, math.ceil(nbar + 10.0 * math.sqrt(nbar)))
-    return coherent_coefficients(nbar, M)
 
 
 def truncated_phase_state(M: int, theta: float,
@@ -396,36 +395,25 @@ def mode_overlap_integral(k: int, spec: AncillaSpec, theta: float) -> complex:
     return weight / (spec.M + 1) * np.exp(1j * k * theta)
 
 
-def _grid_sink_kernels(M: int, shifts: list[int], K: int) -> dict:
-    """Grid-averaged sink overlaps per shift pair, kept-line and boundary
+def _grid_sink_kernel(n: np.ndarray, M: int, K: int) -> np.ndarray:
+    """Grid-averaged sink overlaps G[r, r'] of the branches with local particle
+    numbers n[r], n[r'] at a site of truncation M, kept-line and boundary
     histories counted separately.
 
-    For shift n the exact post-hiding sink at angle theta is
-    S_n(theta) = sum_{k=n}^{M+n} e^{-i(M+n-k)theta} |k> / sqrt(M+1); its
-    kept line is the unshifted phase state carrying the accumulated phase,
+    For shift n the post-hiding sink at angle theta is
+    S_n(theta) = sum_{k=n}^{M+n} e^{-i(M+n-k)theta} |k> / sqrt(M+1); its kept
+    line is the unshifted phase state carrying the accumulated phase,
     I_n(theta) = e^{-i n theta} psi(theta), and the boundary remainder is
-    S_n - I_n.  Returns G[(n, n')] = (1/K) sum_j [<I_n'|I_n> + <B_n'|B_n>].
+    S_n - I_n.  Every overlap among these is e^{-i(n-n')theta} times a count of
+    shared levels over M+1, and the grid average of e^{-i(n-n')theta_j} is
+    [K divides n - n'], so <I_n'|I_n> + <B_n'|B_n> averages to
+    [K | n-n'] (2 + (c(|n-n'|) - c(n) - c(n')) / (M+1)), c(x) = max(0, M+1-x).
     """
-    thetas = 2.0 * np.pi * np.arange(K) / K
-    dim = M + max(shifts) + 1
-    norm = math.sqrt(M + 1)
-    ideal = {}
-    boundary = {}
-    for n in shifts:
-        vec_i = np.zeros((K, dim), dtype=complex)
-        ks = np.arange(0, M + 1)
-        vec_i[:, 0:M + 1] = np.exp(-1j * np.outer(thetas, (M + n) - ks)) / norm
-        vec_s = np.zeros((K, dim), dtype=complex)
-        ks = np.arange(n, M + n + 1)
-        vec_s[:, n:M + n + 1] = np.exp(-1j * np.outer(thetas, (M + n) - ks)) / norm
-        ideal[n] = vec_i
-        boundary[n] = vec_s - vec_i
-    kernels = {}
-    for n, n2 in itertools.product(shifts, repeat=2):
-        g = np.einsum("jk,jk->", np.conj(ideal[n2]), ideal[n])
-        g += np.einsum("jk,jk->", np.conj(boundary[n2]), boundary[n])
-        kernels[(n, n2)] = complex(g) / K
-    return kernels
+    diff = n[:, None] - n[None, :]
+    shared = np.maximum(0, M + 1 - np.abs(diff))
+    kept = np.maximum(0, M + 1 - n)
+    overlap = 2.0 + (shared - kept[:, None] - kept[None, :]) / (M + 1)
+    return np.where(diff % K == 0, overlap, 0.0)
 
 
 def phase_grid_register_state(config: ProtocolConfig, K: int) -> DensityOperator:
@@ -435,10 +423,15 @@ def phase_grid_register_state(config: ProtocolConfig, K: int) -> DensityOperator
     phase states, runs the exact protocol, and contributes its register
     reduction; the kept-line and truncation-boundary components of each sink
     enter as distinct statistical branches rather than coherent parts of one
-    vector.  Retaining the boundary branches this way overcounts their
-    weight, so the result has trace 1 + O(N/(M+1)) and sits at trace
-    distance <= 3/(M+1) from the exact ``run_transfer`` output (N <= 2),
-    shrinking as the truncation grows.
+    vector.  The grid average is closed-form: entry (r, r') is
+    amp_r conj(amp_r') G_A(n_A,r, n_A,r') G_B(n_B,r, n_B,r') with the sink
+    kernels of ``_grid_sink_kernel``, so, like ``run_transfer``, the result
+    is confined to coherences between labels whose local numbers agree modulo
+    K.  Retaining the boundary branches overcounts their weight,
+    G_Z(n, n) = 1 + 2n/(M_Z+1) for n <= M_Z+1, so the trace is
+    sum_r |amp_r|^2 G_A(n_A,r, n_A,r) G_B(n_B,r, n_B,r) = 1 + O(N/(M+1)) and
+    the result sits at trace distance <= 3/(M+1) from the exact
+    ``run_transfer`` output (N <= 2), shrinking as the truncation grows.
     """
     M_a, M_b = config.ancilla_a.M, config.ancilla_b.M
     K_min = 2 * max(M_a, M_b) + 3
@@ -446,16 +439,8 @@ def phase_grid_register_state(config: ProtocolConfig, K: int) -> DensityOperator
         raise GridError(f"grid size {K} below the exactness bound {K_min}")
 
     reg_layout, basis, amps, n_a, n_b = _register_terms(config)
-    kernels_a = _grid_sink_kernels(M_a, sorted(set(n_a.tolist())), K)
-    kernels_b = _grid_sink_kernels(M_b, sorted(set(n_b.tolist())), K)
-    entries = list(zip(amps, n_a.tolist(), n_b.tolist()))
-
-    dim = len(entries)
-    mat = np.zeros((dim, dim), dtype=complex)
-    for i, (amp_i, na_i, nb_i) in enumerate(entries):
-        for j, (amp_j, na_j, nb_j) in enumerate(entries):
-            mat[i, j] = (amp_i * np.conj(amp_j)
-                         * kernels_a[(na_i, na_j)] * kernels_b[(nb_i, nb_j)])
+    kernel = _grid_sink_kernel(n_a, M_a, K) * _grid_sink_kernel(n_b, M_b, K)
+    mat = np.outer(amps, amps.conj()) * kernel
     return DensityOperator(reg_layout, basis, mat, check_trace=False)
 
 

@@ -30,6 +30,12 @@ class TestEpCommand:
         assert code == 0
         assert report["results"]["particle_entanglement"] == pytest.approx(0.5, abs=1e-12)
 
+    def test_pure_sector_entropy_not_negative_zero(self, capsys):
+        code, report = run_cli(capsys, "ep", data_path("shared_single.json"))
+        assert code == 0
+        for sector in report["results"]["sectors"]:
+            assert math.copysign(1.0, sector["entanglement"]) == 1.0
+
     def test_vacuum(self, capsys):
         code, report = run_cli(capsys, "ep", data_path("vacuum.json"))
         assert code == 0
@@ -297,6 +303,26 @@ class TestBoundsCommand:
         assert all(set(t) == {"occ", "amp"} and len(t["occ"]) == 2 for t in entry["terms"])
         norm_sq = sum(t["amp"][0] ** 2 + t["amp"][1] ** 2 for t in entry["terms"])
         assert norm_sq == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("argv", [
+    ["ep", data_path("shared_double.json")],
+    ["transfer", data_path("shared_double.json"), "--M", "8", "--path", "exact"],
+    ["transfer", data_path("shared_double.json"), "--M", "8", "--path", "quadrature"],
+    ["measure", "--ntr", "25", "--local-scale", "4"],
+    ["sweep", "--ntr-list", "25,50", "--format", "json"],
+    ["sweep", "--ntr-list", "25,50", "--format", "csv"],
+    ["bounds", "--seeds", "3", "--s", "32", "--nbar", "5,40"],
+], ids=["ep", "transfer-exact", "transfer-quadrature", "measure", "sweep-json",
+        "sweep-csv", "bounds"])
+def test_out_bytes_repeat(capsys, tmp_path, argv):
+    out = tmp_path / "out"
+    runs = []
+    for _ in range(2):
+        assert main([*argv, "--out", str(out)]) == 0
+        runs.append(out.read_bytes())
+    capsys.readouterr()
+    assert runs[0] == runs[1]
 
 
 class TestStateFileRoundTrip:

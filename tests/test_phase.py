@@ -301,6 +301,15 @@ class TestConcurrenceOracle:
             assert concurrence_ef_oracle(rho) == pytest.approx(
                 entanglement_of_formation_x(c), abs=1e-10)
 
+    @pytest.mark.parametrize("modulus", [1 - 1e-6, 1 - 1e-8, 1 - 1e-10])
+    def test_conditioned_near_unit_visibility(self, modulus):
+        # Near |C| = 1 the small eigenvalues of the Wootters product are at
+        # rounding level; taking their square roots moved E_F by up to 1e-8.
+        for phase in np.linspace(0.0, 2.0 * np.pi, 7, endpoint=False):
+            c = modulus * np.exp(1j * phase)
+            oracle = concurrence_ef_oracle(post_measurement_register_state(c))
+            assert oracle == pytest.approx(entanglement_of_formation_x(c), abs=1e-13)
+
 
 class TestCoherentVisibilityModel:
     def test_value_at_100(self):

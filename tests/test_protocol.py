@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epsim import (
     AncillaSpec,
@@ -34,7 +35,7 @@ from epsim import (
 )
 from conftest import random_two_site_state, shared_double, shared_single
 from oracles import gate_register_state
-from strategies import ancilla_specs, transfer_inputs
+from strategies import ancilla_specs, random_ancillas, transfer_inputs
 
 
 def register_layout_single():
@@ -428,6 +429,40 @@ class TestPhaseGridRegisterState:
             labels, mat = phase_grid_oracle(config, 2 * m + 3)
             assert labels == rho_grid.basis
             np.testing.assert_allclose(mat, rho_grid.matrix, atol=1e-12)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(state=transfer_inputs(), ancilla_a=random_ancillas(3),
+           ancilla_b=random_ancillas(3), extra=st.integers(0, 2))
+    def test_closed_kernel_matches_pointwise_oracle(self, state, ancilla_a, ancilla_b,
+                                                    extra):
+        from oracles import phase_grid_oracle
+
+        config = ProtocolConfig(state, ancilla_a, ancilla_b)
+        K = 2 * max(ancilla_a.M, ancilla_b.M) + 3 + extra
+        rho_grid = phase_grid_register_state(config, K)
+        labels, mat = phase_grid_oracle(config, K)
+        assert labels == rho_grid.basis
+        np.testing.assert_allclose(rho_grid.matrix, mat, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("particles", [5, 7, 11])
+    def test_aliased_sectors_match_pointwise_oracle(self, particles, m):
+        # N >= K: labels whose local numbers differ by K keep their coherence.
+        from oracles import phase_grid_oracle
+
+        layout = layout_of(ModeDescriptor("a", "A", "field", particles),
+                           ModeDescriptor("b", "B", "field", particles))
+        state = PureState(layout, {(k, particles - k): (1.0 + k) * np.exp(0.7j * k)
+                                   for k in range(particles + 1)}, normalize=True)
+        rng = np.random.default_rng(particles + 10 * m)
+        coeffs = rng.normal(size=m + 1) + 1j * rng.normal(size=m + 1)
+        spec = AncillaSpec(m, coeffs / np.linalg.norm(coeffs))
+        config = ProtocolConfig(state, spec, spec)
+        K = 2 * m + 3
+        rho_grid = phase_grid_register_state(config, K)
+        labels, mat = phase_grid_oracle(config, K)
+        assert labels == rho_grid.basis
+        np.testing.assert_allclose(rho_grid.matrix, mat, rtol=0.0, atol=1e-12)
 
 
 class TestEqualDifferentMeasurement:
