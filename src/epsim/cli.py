@@ -27,6 +27,7 @@ import argparse
 import math
 import sys
 import time
+import warnings
 
 import numpy as np
 
@@ -110,9 +111,16 @@ def _emit(report: dict, args, file_payload: dict | None = None,
 
 
 def _transfer_ancilla(m: int, nbar: float | None) -> AncillaSpec:
+    """Uniform or coherent ancilla; a clipped coherent tail is reported as
+    one ``warning:`` line on stderr."""
     if nbar is None:
         return AncillaSpec.uniform(m)
-    return coherent_coefficients(nbar, m)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        spec = coherent_coefficients(nbar, m)
+    for warning in caught:
+        print(f"warning: {warning.message}", file=sys.stderr)
+    return spec
 
 
 def _check_option(name: str, value: float, ok: bool, requirement: str) -> None:

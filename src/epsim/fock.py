@@ -11,6 +11,7 @@ permutation and preserves exact sparsity.  All entropies are base-2
 from __future__ import annotations
 
 import math
+import types
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,7 +125,12 @@ def layout_of(*modes: ModeDescriptor) -> ModeLayout:
 
 
 class PureState:
-    """Normalized sparse amplitude assignment over occupation labels."""
+    """Normalized sparse amplitude assignment over occupation labels.
+
+    ``amplitudes`` is a read-only mapping: a state never changes after
+    construction, so work planned on it (the phase-difference POVM's
+    grouping) stays valid for as long as the object lives.
+    """
 
     def __init__(self, layout: ModeLayout, amplitudes: dict[tuple[int, ...], complex],
                  normalize: bool = False):
@@ -144,7 +150,7 @@ class PureState:
         elif abs(norm - 1.0) > NORM_TOL:
             raise StateValidationError(f"state norm {norm} deviates from 1 beyond {NORM_TOL}")
         self.layout = layout
-        self.amplitudes = amps
+        self.amplitudes = types.MappingProxyType(amps)
 
     @classmethod
     def basis_state(cls, layout: ModeLayout, label: tuple[int, ...]) -> "PureState":

@@ -12,13 +12,16 @@ The grid work is O(K log K) for a K-point grid: a canonical distribution's
 values and all of its moments come from one FFT of the amplitudes and one
 real FFT of the power, and the resolution kernel from two real FFTs and one
 inverse.  The phase-difference POVM groups the state's terms with integer
-keys and forms the register matrix as one matrix product.  The per-lag
-moment sums and the per-term dict grouping they replace are the test
-oracles in ``tests/oracles.py``.
+keys and forms the register matrix as one matrix product; the grouping
+lives inside the reference-phase invariant subspaces (fixed pair total), so
+it is planned once per state and the angle enters only through a phase
+ramp on the amplitudes.  The per-lag moment sums and the per-term dict
+grouping they replace are the test oracles in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -210,20 +213,26 @@ def _row_keys(rows: np.ndarray) -> np.ndarray:
     return key
 
 
-def apply_phase_difference_povm(state: PureState, mode_a: str, mode_b: str,
-                                varphi: float) -> tuple[float, DensityOperator]:
-    """Ideal phase-difference measurement of two reference modes.
+@dataclass(frozen=True)
+class _PovmPlan:
+    """The phi-independent part of the phase-difference POVM on one state."""
 
-    Applies the POVM element whose matrix elements on the pair (a, b) are
-    (1/2pi) e^{i(n_b - m_b) varphi} delta_{n_a + n_b, m_a + m_b}, then traces
-    out every field mode.  Returns the outcome probability density at
-    ``varphi`` (densities integrate to 1 over a full turn) and the
-    conditional register state.
+    amps: np.ndarray          # term amplitudes
+    n_b: np.ndarray           # site-B reference occupation of each term
+    group: np.ndarray         # group row of each term
+    reg: np.ndarray           # register column of each term
+    shape: tuple[int, int]    # groups x register labels
+    basis: list[tuple[int, ...]]
+    reg_layout: ModeLayout
 
-    The state is read once into label and amplitude arrays; groups (fixed
-    spectator occupations and pair total) and register labels become integer
-    keys, and the register matrix is one product of the groups x registers
-    amplitude matrix with its conjugate.
+
+@functools.lru_cache(maxsize=1)
+def _povm_plan(state: PureState, mode_a: str, mode_b: str) -> _PovmPlan:
+    """Group and register indices of ``state``'s terms for the POVM on the
+    reference pair (mode_a, mode_b).
+
+    PureState compares by identity and its amplitudes are read-only, so the
+    cached plan cannot go stale; the cache keeps only the latest state.
     """
     layout = state.layout
     ia, ib = layout.index(mode_a), layout.index(mode_b)
@@ -239,21 +248,44 @@ def apply_phase_difference_povm(state: PureState, mode_a: str, mode_b: str,
                          count=count * len(layout)).reshape(count, len(layout))
     amps = np.fromiter(state.amplitudes.values(), dtype=complex, count=count)
 
-    # T[r, r'] = (1/2pi) sum_groups v_g[r] conj(v_g[r']) where groups fix the
-    # spectator field occupations and the total occupation of the pair.
+    # Groups fix the spectator field occupations and the total occupation of
+    # the pair; the POVM never couples terms of different groups.
     group_rows = np.column_stack([labels[:, rest_idx], labels[:, ia] + labels[:, ib]])
-    group_key = _row_keys(group_rows)
-    reg_key = _row_keys(labels[:, reg_idx])
-    group_ids, group = np.unique(group_key, return_inverse=True)
-    reg_ids, first, reg = np.unique(reg_key, return_index=True, return_inverse=True)
-    vecs = np.zeros((len(group_ids), len(reg_ids)), dtype=complex)
-    np.add.at(vecs, (group, reg), amps * np.exp(-1j * varphi * labels[:, ib]))
-    mat = vecs.T @ vecs.conj() / TWO_PI
-
+    group_ids, group = np.unique(_row_keys(group_rows), return_inverse=True)
+    reg_ids, first, reg = np.unique(_row_keys(labels[:, reg_idx]),
+                                    return_index=True, return_inverse=True)
+    n_b = np.ascontiguousarray(labels[:, ib])
+    for arr in (amps, n_b, group, reg):
+        arr.setflags(write=False)
     basis = [tuple(row) for row in labels[np.ix_(first, reg_idx)].tolist()]
+    return _PovmPlan(amps, n_b, group, reg, (len(group_ids), len(reg_ids)), basis,
+                     layout.sublayout(reg_idx))
+
+
+def apply_phase_difference_povm(state: PureState, mode_a: str, mode_b: str,
+                                varphi: float) -> tuple[float, DensityOperator]:
+    """Ideal phase-difference measurement of two reference modes.
+
+    Applies the POVM element whose matrix elements on the pair (a, b) are
+    (1/2pi) e^{i(n_b - m_b) varphi} delta_{n_a + n_b, m_a + m_b}, then traces
+    out every field mode.  Returns the outcome probability density at
+    ``varphi`` (densities integrate to 1 over a full turn) and the
+    conditional register state.
+
+    The grouping (fixed spectator occupations and pair total) and the
+    register labels do not depend on ``varphi``: they are planned once per
+    state as integer keys and reused for every angle measured on it.  The
+    angle enters only through the ramp e^{-i varphi n_b} on the amplitudes,
+    and the register matrix is one product of the groups x registers
+    amplitude matrix with its conjugate.
+    """
+    plan = _povm_plan(state, mode_a, mode_b)
+    # T[r, r'] = (1/2pi) sum_groups v_g[r] conj(v_g[r']).
+    vecs = np.zeros(plan.shape, dtype=complex)
+    np.add.at(vecs, (plan.group, plan.reg), plan.amps * np.exp(-1j * varphi * plan.n_b))
+    mat = vecs.T @ vecs.conj() / TWO_PI
     density = float(np.real(np.trace(mat)))
-    reg_layout = layout.sublayout(reg_idx)
-    post = DensityOperator(reg_layout, basis, mat / density)
+    post = DensityOperator(plan.reg_layout, plan.basis, mat / density)
     return density, post
 
 

@@ -44,12 +44,14 @@ def overlap_integral_quadrature(k, spec, theta, grid=None):
 def phase_grid_oracle(config, K):
     """Register matrix of the phase-ensemble route, rebuilt point by point.
 
-    For every grid pair (theta_j, phi_l) the post-hiding sink vector of each
-    register branch is produced by the actual hiding gate acting on a pure
+    For every grid angle the post-hiding sink vector of each distinct local
+    particle number is produced by the actual hiding gate acting on a pure
     truncated phase state; its kept line e^{-in theta} psi(theta) and the
-    boundary remainder enter the mixture as separate histories.  Plain
-    python loops, no kernel reuse: an independent route to the same object
-    as phase_grid_register_state.
+    boundary remainder enter the mixture as separate histories.  Each site's
+    sink overlaps at one angle are one Gram matrix of those histories, and
+    the K^2 grid points (theta_j, phi_l) are summed one by one with no
+    kernel formula: an independent route to the same object as
+    phase_grid_register_state.
     """
     from epsim.fock import ModeDescriptor, PureState, layout_of
     from epsim.protocol import hiding_operation, truncated_phase_state
@@ -90,26 +92,31 @@ def phase_grid_oracle(config, K):
                         * np.exp(-1j * (m - ns) * angle) / np.sqrt(m + 1))
         return vec
 
+    def site_overlaps(m, numbers, dim):
+        """Per grid angle, <I_n'|I_n> + <B_n'|B_n> for every entry pair."""
+        shifts, inverse = np.unique(numbers, return_inverse=True)
+        grams = []
+        for j in range(K):
+            angle = 2 * np.pi * j / K
+            rows = []
+            for shift in shifts:
+                kept = kept_line(m, angle, shift, dim)
+                rows.append(np.concatenate([kept, sunk_vector(m, angle, shift, dim) - kept]))
+            hist = np.array(rows)
+            gram = hist @ hist.conj().T
+            grams.append(gram[np.ix_(inverse, inverse)])
+        return grams
+
     m_a, m_b = config.ancilla_a.M, config.ancilla_b.M
     n_max = config.total_particles
-    dim_a, dim_b = m_a + n_max + 1, m_b + n_max + 1
+    amps = np.array([e[1] for e in entries], dtype=complex)
+    grams_a = site_overlaps(m_a, np.array([e[2] for e in entries]), m_a + n_max + 1)
+    grams_b = site_overlaps(m_b, np.array([e[3] for e in entries]), m_b + n_max + 1)
+    outer = np.outer(amps, amps.conj())
     mat = np.zeros((len(entries), len(entries)), dtype=complex)
-    for j in range(K):
-        theta = 2 * np.pi * j / K
-        for l in range(K):
-            phi = 2 * np.pi * l / K
-            comps = {}
-            for idx, (_, amp, na, nb) in enumerate(entries):
-                ia = kept_line(m_a, theta, na, dim_a)
-                ba = sunk_vector(m_a, theta, na, dim_a) - ia
-                ib = kept_line(m_b, phi, nb, dim_b)
-                bb = sunk_vector(m_b, phi, nb, dim_b) - ib
-                comps[idx] = (amp, (ia, ba), (ib, bb))
-            for r, (amp_r, a_r, b_r) in comps.items():
-                for r2, (amp_r2, a_r2, b_r2) in comps.items():
-                    ka = sum(np.vdot(a_r2[c], a_r[c]) for c in (0, 1))
-                    kb = sum(np.vdot(b_r2[c], b_r[c]) for c in (0, 1))
-                    mat[r, r2] += amp_r * np.conj(amp_r2) * ka * kb
+    for ka in grams_a:
+        for kb in grams_b:
+            mat += outer * ka * kb
     return [e[0] for e in entries], mat / K ** 2
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -110,6 +111,19 @@ class TestTransferCommand:
         assert code == 2
         err = capsys.readouterr().err.strip()
         assert err.startswith("error:") and "\n" not in err
+
+    def test_clipped_tail_one_line_warning(self, capsys, tmp_path):
+        out = tmp_path / "t.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["transfer", data_path("shared_single.json"), "--M", "4",
+                         "--nbar", "10", "--out", str(out)])
+        assert code == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["results"]["sector_weights"]
+        assert out.exists()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("warning: truncation M=4 below")
 
     def test_emitted_matrix_revalidates(self, capsys, tmp_path):
         out = tmp_path / "t.json"

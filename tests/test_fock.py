@@ -59,6 +59,15 @@ class TestTensorProduct:
             tensor_product(a, PureState.basis_state(one_mode("a", "B"), (0,)))
 
 
+class TestPureStateImmutable:
+    def test_amplitudes_read_only(self):
+        state = shared_single()
+        with pytest.raises(TypeError):
+            state.amplitudes[(1, 0)] = 0.0
+        with pytest.raises(TypeError):
+            del state.amplitudes[(1, 0)]
+
+
 class TestPartialTrace:
     def test_product_state_gives_pure_projector(self):
         state = PureState(layout_of(ModeDescriptor("a", "A", "field", 1),

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from epsim import (
     AncillaSpec,
     DensityOperator,
+    LayoutError,
     ProtocolConfig,
     PureState,
     StateValidationError,
@@ -28,7 +29,7 @@ from epsim import (
 )
 from epsim.phase import _row_keys, register_pair_layout
 from epsim.statefile import load_state
-from conftest import data_path, shared_single
+from conftest import data_path, shared_double, shared_single
 from oracles import moment_list, phase_difference_povm_oracle, povm_identity_residual
 from strategies import ancilla_specs, random_ancillas, transfer_inputs
 
@@ -152,6 +153,12 @@ class TestVisibility:
             spec = AncillaSpec(8, coeffs)
             assert abs(visibility(spec, spec)) <= 1.0 + 1e-10
 
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(spec_a=ancilla_specs(), spec_b=ancilla_specs(),
+           varphi=st.floats(0.0, 2.0 * np.pi))
+    def test_magnitude_bounded_for_any_references(self, spec_a, spec_b, varphi):
+        assert abs(visibility(spec_a, spec_b, varphi)) <= 1.0 + 1e-12
+
 
 class TestPostMeasurementState:
     def test_zero_visibility_is_incoherent_mixture(self):
@@ -232,6 +239,42 @@ class TestPhaseDifferencePovm:
         assert total == pytest.approx(1.0, abs=1e-9)
 
     @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(state=transfer_inputs(max_particles=2), ancilla_a=ancilla_specs(8),
+           ancilla_b=ancilla_specs(8))
+    def test_density_integrates_to_one_on_any_input(self, state, ancilla_a, ancilla_b):
+        # The density is a trigonometric polynomial of degree <= M_B in
+        # varphi, so K = 2 max(M_A, M_B) + 3 grid angles integrate it exactly.
+        final = transfer_final_state(ProtocolConfig(state, ancilla_a, ancilla_b))
+        K = 2 * max(ancilla_a.M, ancilla_b.M) + 3
+        total = sum(
+            apply_phase_difference_povm(final, "ref_A", "ref_B", 2 * np.pi * k / K)[0]
+            for k in range(K)) * (2 * np.pi / K)
+        assert total == pytest.approx(1.0, abs=1e-9)
+
+    def test_interleaved_states_use_their_own_plan(self):
+        # The per-state plan is cached: alternating two states must never
+        # measure one of them with the other's grouping.
+        finals = [transfer_final_state(ProtocolConfig(state, spec, spec))
+                  for state, spec in ((shared_single(), coherent_coefficients(1.0, 11)),
+                                      (shared_double(), AncillaSpec.uniform(3)))]
+        for final, varphi in zip(finals * 2, (0.3, 1.9, 4.2, 5.5)):
+            density, post = apply_phase_difference_povm(final, "ref_A", "ref_B", varphi)
+            density_ref, post_ref = phase_difference_povm_oracle(final, "ref_A", "ref_B",
+                                                                 varphi)
+            assert post.basis == post_ref.basis
+            assert density == pytest.approx(density_ref, abs=1e-12)
+            np.testing.assert_allclose(post.matrix, post_ref.matrix, rtol=0.0, atol=1e-12)
+
+    def test_wrong_reference_modes_rejected(self, protocol_run):
+        _, final = protocol_run
+        with pytest.raises(LayoutError):
+            apply_phase_difference_povm(final, "ref_B", "ref_A", 0.0)
+        with pytest.raises(LayoutError):
+            apply_phase_difference_povm(final, "ref_A", "nope", 0.0)
+        density, _ = apply_phase_difference_povm(final, "ref_A", "ref_B", 0.0)
+        assert density == pytest.approx(1.0 / (2 * np.pi), abs=1e-12)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
     @given(state=st.one_of(st.sampled_from(DATA_STATES), transfer_inputs(max_particles=2)),
            ancilla_a=ancilla_specs(8), ancilla_b=ancilla_specs(8),
            varphi=st.floats(0.0, 2.0 * np.pi))
@@ -270,6 +313,14 @@ class TestFormationEntanglement:
     def test_monotone_in_visibility(self):
         grid = np.linspace(0.0, 1.0, 100)
         values = [entanglement_of_formation_x(c) for c in grid]
+        assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(moduli=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=20))
+    def test_non_decreasing_in_modulus(self, moduli):
+        # Same slack as the grid test above: h(p) rounds, so adjacent floats
+        # can dip by an ulp of 1.
+        values = [entanglement_of_formation_x(c) for c in sorted(moduli)]
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
     def test_accepts_complex_argument(self):
