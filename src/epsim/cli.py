@@ -10,11 +10,13 @@ Subcommands::
     epsim sweep --ntr-list 25,50,100   visibility / formation-entanglement table
     epsim bounds --seeds N --s S       Robertson / visibility-bound sweep
 
-Exit codes: 0 success, 2 state-file parse error or invalid option value
-(also a value that would size arrays past 2^24 coherent levels in measure/sweep
-or past s = 2048 in bounds),
-3 capacity overflow, 4 unwritable output, 5 a numerical cross-check or an
-uncertainty inequality failed, each with a one-line ``error:`` on stderr.
+Exit codes: 0 success, 2 state-file parse error, mode-layout error (modes at
+one site only, or register-kind or reserved mode ids in a transfer input) or
+invalid option value (also a value that would size arrays past 2^24 coherent
+levels in measure/sweep, a measure grid past 2^20, or s past 2048 in bounds),
+3 capacity overflow (kept for library errors; no current CLI input reaches
+it), 4 unwritable output, 5 a numerical cross-check or an uncertainty
+inequality failed, each with a one-line ``error:`` on stderr.
 Every run prints a JSON report to stdout; ``--out`` additionally writes a
 deterministic result file (the stdout report carries wall time, the file
 does not, so identical inputs and seed give byte-identical files).
@@ -31,8 +33,9 @@ import warnings
 
 import numpy as np
 
-from .fock import CapacityError, entropy_of_entanglement, trace_distance
+from .fock import CapacityError, LayoutError, entropy_of_entanglement, trace_distance
 from .phase import (
+    QUADRATURE_GRID_CAP,
     CrossCheckError,
     VisibilityReport,
     coherent_visibility_model,
@@ -55,7 +58,6 @@ from .protocol import (
 from .sectors import (
     particle_entanglement,
     register_sector_table,
-    register_sector_weights,
     sector_decompose,
 )
 from .statefile import (
@@ -139,13 +141,13 @@ def _float_list(name: str, text: str) -> list[float]:
 def cmd_ep(args) -> int:
     started = time.perf_counter()
     state = load_state(args.statefile)
-    decomp = sector_decompose(state)
     sector_rows = [
         {"n": s.n, "p": s.probability, "entanglement": entropy_of_entanglement(s.state)}
-        for s in decomp.sectors
+        for s in sector_decompose(state).sectors
     ]
     results = {
-        "particle_entanglement": particle_entanglement(state),
+        # The same sum over the same rows as particle_entanglement(state).
+        "particle_entanglement": sum(row["p"] * row["entanglement"] for row in sector_rows),
         "entropy_of_entanglement": entropy_of_entanglement(state),
         "sectors": sector_rows,
     }
@@ -161,14 +163,16 @@ def cmd_transfer(args) -> int:
         raise StateFileError(f"--M must be >= 1, got {args.M}")
     if args.nbar is not None:
         _check_option("--nbar", args.nbar, args.nbar >= 0.0, ">= 0")
+    if args.grid is not None and args.path != "quadrature":
+        raise StateFileError("--grid needs --path quadrature")
     state = load_state(args.statefile)
     spec = _transfer_ancilla(args.M, args.nbar)
-    config = ProtocolConfig(state, spec, spec, sink_headroom=args.headroom)
+    config = ProtocolConfig(state, spec, spec)
     rho = run_transfer(config)
     sector_table = register_sector_table(rho)
     results = {
         "register_state": density_to_dict(rho),
-        "sector_weights": register_sector_weights(rho),
+        "sector_weights": {row["n"]: row["weight"] for row in sector_table},
         "sector_entanglements": sector_table,
         "transfer_entanglement": sum(row["weight"] * row["entanglement"]
                                      for row in sector_table),
@@ -186,7 +190,7 @@ def cmd_transfer(args) -> int:
         results["average_entanglement"] = sum(
             o.probability * o.entanglement for o in outcomes)
     if args.path == "quadrature":
-        grid = args.grid if args.grid else 2 * args.M + 3
+        grid = 2 * args.M + 3 if args.grid is None else args.grid
         approx = phase_grid_register_state(config, grid)
         results["quadrature"] = {
             "grid": grid,
@@ -244,6 +248,8 @@ def cmd_measure(args) -> int:
     started = time.perf_counter()
     _check_option("--ntr", args.ntr, args.ntr >= 1.0, ">= 1")
     _check_option("--local-scale", args.local_scale, args.local_scale > 0.0, "> 0")
+    if args.grid is not None and args.grid > QUADRATURE_GRID_CAP:
+        raise StateFileError(f"--grid must be at most {QUADRATURE_GRID_CAP}, got {args.grid}")
     rep = _measurement_report(args.ntr, args.local_scale, args.grid)
     ef_oracle = concurrence_ef_oracle(post_measurement_register_state(rep.c))
     results = {
@@ -410,12 +416,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_tr = sub.add_parser("transfer", help="run the register transfer protocol")
     p_tr.add_argument("statefile")
     p_tr.add_argument("--M", type=int, default=32, help="ancilla truncation")
-    p_tr.add_argument("--grid", type=int, default=None, help="phase grid size")
+    p_tr.add_argument("--grid", type=int, default=None, help="--path quadrature grid size")
     p_tr.add_argument("--path", choices=("exact", "quadrature"), default="exact")
     p_tr.add_argument("--nbar", type=float, default=None,
                       help="coherent ancilla mean (default: uniform amplitudes)")
-    p_tr.add_argument("--headroom", type=int, default=None,
-                      help="sink capacity margin above M (default: particle number)")
     common(p_tr)
     p_tr.set_defaults(func=cmd_transfer)
 
@@ -425,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_me.add_argument("--local-scale", type=float, default=10.0,
                       help="local/transported coherent amplitude ratio "
                            "(local mean occupation is scale^2 * ntr)")
-    p_me.add_argument("--grid", type=int, default=None)
+    p_me.add_argument("--grid", type=int, default=None, help="phase grid size, at most 2^20")
     common(p_me)
     p_me.set_defaults(func=cmd_measure)
 
@@ -451,7 +455,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (StateFileError, GridError) as exc:
+    except (StateFileError, GridError, LayoutError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except CapacityError as exc:

@@ -4,8 +4,10 @@ density operators, entropies and distances.
 States live on an ordered ``ModeLayout``; a basis label is a tuple of
 occupations aligned with the layout.  Amplitudes are stored sparsely
 (label -> complex) because every protocol map in this package is a basis
-permutation and preserves exact sparsity.  All entropies are base-2
-(bits / ebits).
+permutation and preserves exact sparsity.  A split pure state is one matrix
+Psi[kept label, other label]: its partial trace is Psi Psi^dagger, its
+entropy of entanglement that of Psi's squared singular values.  All entropies
+are base-2 (bits / ebits).
 """
 
 from __future__ import annotations
@@ -286,56 +288,62 @@ class DensityOperator:
         return f"DensityOperator(dim={len(self.basis)} over {self.layout.ids()})"
 
 
+def _amplitude_matrix(layout: ModeLayout, labels, amps, keep_idx: list[int]):
+    """(sorted kept labels, Psi[kept label, other label]) of pure amplitudes."""
+    drop_idx = [i for i in range(len(layout)) if i not in keep_idx]
+    rows, cols, other = [], [], {}
+    for label in labels:
+        rows.append(tuple(label[i] for i in keep_idx))
+        cols.append(other.setdefault(tuple(label[i] for i in drop_idx), len(other)))
+    basis = sorted(set(rows))
+    index = {l: i for i, l in enumerate(basis)}
+    psi = np.zeros((len(basis), len(other)), dtype=complex)
+    psi[[index[l] for l in rows], cols] = list(amps)
+    return basis, psi
+
+
+def _entropy_bits(probs: np.ndarray) -> float:
+    """-sum_i p_i log2 p_i in bits; entries below the clip threshold count as
+    exact zeros.  Clamped at 0: a pure operator would otherwise give -0.0, and
+    one within rounding of pure a tiny negative."""
+    probs = probs[probs > EIG_CLIP]
+    return max(0.0, float(-np.sum(probs * np.log2(probs))))
+
+
+def _schmidt_entropy(layout: ModeLayout, labels, amps) -> float:
+    """Entropy (bits) of the squared singular values of Psi split at site A."""
+    if layout.sites() != {"A", "B"}:
+        raise LayoutError("entropy of entanglement needs both sites in the layout")
+    _, psi = _amplitude_matrix(layout, labels, amps, layout.indices(site="A"))
+    probs = np.linalg.svd(psi, compute_uv=False) ** 2
+    # Over their sum, so a rank-one Psi gives exactly [1.0] and entropy 0.0.
+    return _entropy_bits(probs / probs.sum())
+
+
 def partial_trace(state: PureState, keep: set[str] | list[str]) -> DensityOperator:
-    """Reduce a pure state to the modes in ``keep`` (by id)."""
+    """Reduce a pure state to the modes in ``keep`` (by id): Psi Psi^dagger."""
     keep = set(keep)
     unknown = keep - set(state.layout.ids())
     if unknown:
         raise LayoutError(f"cannot keep unknown mode ids {sorted(unknown)}")
     keep_idx = [i for i, m in enumerate(state.layout.modes) if m.id in keep]
-    drop_idx = [i for i, m in enumerate(state.layout.modes) if m.id not in keep]
-    sub = state.layout.sublayout(keep_idx)
-
-    # Bucket amplitudes by the traced-out part; each bucket contributes a
-    # rank-1 outer product on the kept part.
-    buckets: dict[tuple[int, ...], dict[tuple[int, ...], complex]] = {}
-    kept_labels = set()
-    for label, amp in state.amplitudes.items():
-        kl = tuple(label[i] for i in keep_idx)
-        dl = tuple(label[i] for i in drop_idx)
-        bucket = buckets.setdefault(dl, {})
-        bucket[kl] = bucket.get(kl, 0.0) + amp
-        kept_labels.add(kl)
-    basis = sorted(kept_labels)
-    index = {l: i for i, l in enumerate(basis)}
-    mat = np.zeros((len(basis), len(basis)), dtype=complex)
-    for bucket in buckets.values():
-        items = list(bucket.items())
-        for l1, a1 in items:
-            i1 = index[l1]
-            for l2, a2 in items:
-                mat[i1, index[l2]] += a1 * a2.conjugate()
-    return DensityOperator(sub, basis, mat)
+    basis, psi = _amplitude_matrix(state.layout, state.amplitudes.keys(),
+                                   state.amplitudes.values(), keep_idx)
+    return DensityOperator(state.layout.sublayout(keep_idx), basis, psi @ psi.conj().T)
 
 
 def von_neumann_entropy(rho: DensityOperator) -> float:
-    """S(rho) = -sum_i lam_i log2 lam_i in bits; eigenvalues below the clip
-    threshold count as exact zeros.  Clamped at 0: a pure operator would
-    otherwise give -0.0, and one within rounding of pure a tiny negative."""
+    """S(rho) = -sum_i lam_i log2 lam_i in bits, by ``_entropy_bits``."""
     herm_err = np.max(np.abs(rho.matrix - rho.matrix.conj().T))
     if herm_err > HERM_TOL:
         raise StateValidationError(f"operator not Hermitian: deviation {herm_err}")
-    evals = np.linalg.eigvalsh(rho.matrix)
-    evals = evals[evals > EIG_CLIP]
-    return max(0.0, float(-np.sum(evals * np.log2(evals))))
+    return _entropy_bits(np.linalg.eigvalsh(rho.matrix))
 
 
 def entropy_of_entanglement(state: PureState) -> float:
     """Entropy (bits) of the reduction onto all site-A modes."""
-    if state.layout.sites() != {"A", "B"}:
-        raise LayoutError("entropy of entanglement needs both sites in the layout")
-    a_ids = [state.layout.modes[i].id for i in state.layout.indices(site="A")]
-    return von_neumann_entropy(partial_trace(state, a_ids))
+    return _schmidt_entropy(state.layout, state.amplitudes.keys(),
+                            state.amplitudes.values())
 
 
 def trace_distance(rho: DensityOperator, sigma: DensityOperator) -> float:

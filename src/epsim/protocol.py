@@ -247,17 +247,11 @@ def hiding_operation(state: PureState, control: str, source: str, sink: str) -> 
 
 @dataclass(frozen=True)
 class ProtocolConfig:
-    """Inputs of one transfer run: shared-particle state and both ancillas.
-
-    The sink at each site needs capacity M + N (truncation plus everything
-    it may absorb); ``sink_headroom`` is the margin above M and defaults to
-    the total particle number of the input.
-    """
+    """Inputs of one transfer run: shared-particle state and both ancillas."""
 
     input_state: PureState
     ancilla_a: AncillaSpec
     ancilla_b: AncillaSpec
-    sink_headroom: int | None = None
 
     def __post_init__(self):
         layout = self.input_state.layout
@@ -274,19 +268,10 @@ class ProtocolConfig:
         if clash:
             raise LayoutError(f"input mode ids {sorted(clash)} are reserved for the "
                               f"protocol's ancilla and register modes")
-        if self.sink_headroom is not None and self.sink_headroom < self.total_particles:
-            raise CapacityError(
-                f"sink headroom {self.sink_headroom} below particle number "
-                f"{self.total_particles}"
-            )
 
     @property
     def total_particles(self) -> int:
         return max(sum(label) for label in self.input_state.amplitudes)
-
-    @property
-    def headroom(self) -> int:
-        return self.total_particles if self.sink_headroom is None else self.sink_headroom
 
     def ancilla(self, site: str) -> AncillaSpec:
         return self.ancilla_a if site == "A" else self.ancilla_b
@@ -317,6 +302,7 @@ class ProtocolConfig:
 def transfer_final_state(config: ProtocolConfig) -> PureState:
     """Full pure state after both sites ran CNOT-then-hide on every field mode.
 
+    Each sink has capacity M + N, N the input's total particle number.
     Layout: [sink_A, ref_A, sink_B, ref_B, input field modes..., registers...].
     Field modes are all still present; trace them out to get the register
     state, or keep the reference modes to feed the phase-difference POVM.
@@ -325,7 +311,7 @@ def transfer_final_state(config: ProtocolConfig) -> PureState:
     for site in ("A", "B"):
         spec = config.ancilla(site)
         sink = ModeDescriptor(config.sink_id(site), site, "field",
-                              spec.M + config.headroom)
+                              spec.M + config.total_particles)
         ref = ModeDescriptor(config.ref_id(site), site, "field", spec.M)
         pieces.append(two_mode_ancilla_state(spec, sink=sink, ref=ref, site=site))
     pieces.append(config.input_state)

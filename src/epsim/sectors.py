@@ -3,7 +3,8 @@
 Local operations cannot create coherences between subspaces with different
 particle counts at one site, so the operationally accessible entanglement of
 a shared-particle state is the probability-weighted average of the per-sector
-entropies of entanglement, not the entropy of the state itself.  Register
+entropies of entanglement, not the entropy of the state itself.  Each sector
+entropy comes from one Schmidt decomposition of the sector's amplitudes.  Register
 modes never count toward the local particle number: they model ordinary
 distinguishable qubits, which the superselection rule does not constrain.
 """
@@ -20,6 +21,7 @@ from .fock import (
     ModeLayout,
     PureState,
     StateValidationError,
+    _schmidt_entropy,
     entropy_of_entanglement,
 )
 
@@ -75,8 +77,6 @@ def sector_decompose(state: PureState, site: str = "A") -> SectorDecomposition:
 
 def particle_entanglement(state: PureState) -> float:
     """Sector-probability-weighted entanglement, sum_n P_n E(state_n), in bits."""
-    if state.layout.sites() != {"A", "B"}:
-        raise LayoutError("particle entanglement needs both sites in the layout")
     total = 0.0
     for sector in sector_decompose(state).sectors:
         total += sector.probability * entropy_of_entanglement(sector.state)
@@ -94,10 +94,12 @@ def register_sector_weights(rho: DensityOperator, site: str = "A") -> dict[int, 
 
 
 def _register_sector_blocks(rho: DensityOperator, site: str):
-    """Yield (n, weight, pure sector state) for each register-number block.
+    """Yield (n, weight, entropy of entanglement) for each register-number
+    block kept by ``register_sector_weights``, with the same weight.
 
-    Each block must be pure up to PURITY_TOL; states produced by the
-    transfer protocol (and its conditional measurements) have this form.
+    Each block must be pure up to PURITY_TOL (as the transfer protocol and its
+    conditional measurements make it); its entropy is the Schmidt entropy of
+    its top eigenvector.
     """
     idx = rho.layout.indices(site=site, kind="register")
     if not idx:
@@ -107,30 +109,26 @@ def _register_sector_blocks(rho: DensityOperator, site: str):
         n = sum(label[j] for j in idx)
         groups.setdefault(n, []).append(i)
     for n, rows in sorted(groups.items()):
-        block = rho.matrix[np.ix_(rows, rows)]
-        weight = float(np.real(np.trace(block)))
-        if weight < SECTOR_DROP_TOL:
+        weight = sum(float(np.real(rho.matrix[i, i])) for i in rows)
+        if not weight > SECTOR_DROP_TOL:
             continue
-        evals, evecs = np.linalg.eigh(block)
+        evals, evecs = np.linalg.eigh(rho.matrix[np.ix_(rows, rows)])
         if evals[-1] < weight * (1.0 - PURITY_TOL):
             raise StateValidationError(
                 f"sector n={n} is not pure: top eigenvalue {evals[-1]} of weight {weight}"
             )
-        vec = evecs[:, -1]
-        amps = {rho.basis[rows[k]]: vec[k] for k in range(len(rows))}
-        yield n, weight, PureState(rho.layout, amps, normalize=True)
+        yield n, weight, _schmidt_entropy(rho.layout, [rho.basis[i] for i in rows],
+                                          evecs[:, -1])
 
 
 def register_sector_entanglement(rho: DensityOperator, site: str = "A") -> float:
     """Entanglement of a register mixture whose blocks are sector-pure:
     the weight-averaged per-sector entropy of entanglement."""
-    return sum(weight * entropy_of_entanglement(state)
-               for _, weight, state in _register_sector_blocks(rho, site))
+    return sum(weight * entropy for _, weight, entropy in _register_sector_blocks(rho, site))
 
 
 def register_sector_table(rho: DensityOperator, site: str = "A") -> list[dict]:
-    """Per-sector weights and entanglements of a register mixture."""
-    return [
-        {"n": n, "weight": weight, "entanglement": entropy_of_entanglement(state)}
-        for n, weight, state in _register_sector_blocks(rho, site)
-    ]
+    """Per-sector weights (``register_sector_weights`` bit for bit) and
+    entanglements of a register mixture."""
+    return [{"n": n, "weight": weight, "entanglement": entropy}
+            for n, weight, entropy in _register_sector_blocks(rho, site)]

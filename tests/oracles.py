@@ -120,16 +120,39 @@ def phase_grid_oracle(config, K):
     return [e[0] for e in entries], mat / K ** 2
 
 
+def partial_trace_oracle(state, keep):
+    """Reduction of a pure state onto the modes in ``keep`` (by id), summed
+    bucket by bucket: amplitudes grouped by their traced-out label, each
+    bucket adding its rank-one outer product on the kept labels.  The
+    reference for partial_trace's Psi Psi^dagger."""
+    from epsim.fock import DensityOperator
+
+    keep_idx = [i for i, m in enumerate(state.layout.modes) if m.id in set(keep)]
+    drop_idx = [i for i in range(len(state.layout)) if i not in keep_idx]
+    buckets = {}
+    for label, amp in state.amplitudes.items():
+        bucket = buckets.setdefault(tuple(label[i] for i in drop_idx), {})
+        kept = tuple(label[i] for i in keep_idx)
+        bucket[kept] = bucket.get(kept, 0.0) + amp
+    basis = sorted({kept for bucket in buckets.values() for kept in bucket})
+    index = {label: i for i, label in enumerate(basis)}
+    mat = np.zeros((len(basis), len(basis)), dtype=complex)
+    for bucket in buckets.values():
+        for l1, a1 in bucket.items():
+            for l2, a2 in bucket.items():
+                mat[index[l1], index[l2]] += a1 * a2.conjugate()
+    return DensityOperator(state.layout.sublayout(keep_idx), basis, mat)
+
+
 def gate_register_state(config):
     """Register state by the gate route: the field modes traced out of the
     full post-protocol state (ancillas tensored in, occupation CNOT and
     hiding gate on every field mode), the brute-force reference for
     run_transfer's sector dephasing."""
-    from epsim.fock import partial_trace
     from epsim.protocol import transfer_final_state
 
-    return partial_trace(transfer_final_state(config),
-                         [m.id for m in config.register_modes()])
+    return partial_trace_oracle(transfer_final_state(config),
+                                [m.id for m in config.register_modes()])
 
 
 def povm_identity_residual(dim_a, dim_b, varphi_grid):

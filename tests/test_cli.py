@@ -93,11 +93,6 @@ class TestTransferCommand:
         quad = report["results"]["quadrature"]
         assert quad["trace_distance_to_exact"] <= 3.0 / 9.0
 
-    def test_headroom_overflow_exit_3(self, capsys):
-        code = main(["transfer", data_path("shared_double.json"),
-                     "--M", "8", "--headroom", "1"])
-        assert code == 3
-
     def test_undersized_grid_exit_2(self, capsys):
         code = main(["transfer", data_path("shared_single.json"),
                      "--M", "8", "--path", "quadrature", "--grid", "5"])
@@ -105,10 +100,31 @@ class TestTransferCommand:
 
     @pytest.mark.parametrize("options", [["--M", "0"], ["--M", "-3"],
                                          ["--nbar", "-1"], ["--nbar", "nan"],
-                                         ["--nbar", "inf"]])
+                                         ["--nbar", "inf"],
+                                         ["--grid", "5"],
+                                         ["--path", "quadrature", "--grid", "0"]])
     def test_bad_ancilla_options_exit_2(self, capsys, options):
         code = main(["transfer", data_path("shared_single.json"), *options])
         assert code == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error:") and "\n" not in err
+
+    @pytest.mark.parametrize("command,modes", [
+        ("ep", [("a", "A", "field"), ("a2", "A", "field")]),
+        ("transfer", [("a", "A", "field"), ("a2", "A", "field")]),
+        ("transfer", [("a", "A", "field"), ("b", "B", "register")]),
+        ("transfer", [("a", "A", "field"), ("reg_a", "B", "field")]),
+    ], ids=["ep-one-site", "transfer-one-site", "transfer-register-mode",
+            "transfer-reserved-id"])
+    def test_layout_error_exit_2(self, capsys, tmp_path, command, modes):
+        path = tmp_path / "layout.json"
+        path.write_text(json.dumps({
+            "modes": [{"id": i, "site": site, "kind": kind, "capacity": 1}
+                      for i, site, kind in modes],
+            "terms": [{"occ": [1, 0], "amp": [2 ** -0.5, 0.0]},
+                      {"occ": [0, 1], "amp": [2 ** -0.5, 0.0]}],
+        }))
+        assert main([command, str(path)]) == 2
         err = capsys.readouterr().err.strip()
         assert err.startswith("error:") and "\n" not in err
 
@@ -215,6 +231,7 @@ class TestSweepCommand:
         ["measure", "--ntr", "1e15"], ["measure", "--ntr", "1.7e7"],
         ["measure", "--ntr", "1e6", "--local-scale", "5"],
         ["measure", "--local-scale", "1e200"],
+        ["measure", "--grid", "100000000000"],
         ["sweep", "--ntr-list", "5,1e15"],
         ["sweep", "--ntr-list", "5,25", "--local-scale", "1e4"],
     ])

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epsim import (
     DensityOperator,
@@ -15,6 +17,8 @@ from epsim import (
     von_neumann_entropy,
 )
 from conftest import random_two_site_state, shared_single
+from oracles import partial_trace_oracle
+from strategies import transfer_inputs
 
 # -sum(lam log2 lam) for eigenvalues (0.9, 0.1), 40-digit arithmetic.
 ENTROPY_09_01 = 0.46899559358928122125
@@ -91,6 +95,17 @@ class TestPartialTrace:
         with pytest.raises(LayoutError):
             partial_trace(shared_single(), {"nope"})
 
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_matches_bucket_oracle(self, data):
+        state = data.draw(transfer_inputs())
+        keep = data.draw(st.sets(st.sampled_from(state.layout.ids())))
+        rho = partial_trace(state, keep)
+        oracle = partial_trace_oracle(state, keep)
+        assert rho.basis == oracle.basis
+        assert rho.layout.ids() == oracle.layout.ids()
+        np.testing.assert_allclose(rho.matrix, oracle.matrix, rtol=0.0, atol=1e-12)
+
 
 class TestVonNeumannEntropy:
     def test_pure_projector_zero(self):
@@ -141,6 +156,13 @@ class TestEntropyOfEntanglement:
         state = PureState(layout_of(ModeDescriptor("a", "A", "field", 1)), {(1,): 1.0})
         with pytest.raises(LayoutError):
             entropy_of_entanglement(state)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(transfer_inputs())
+    def test_schmidt_route_matches_reduction(self, state):
+        a_ids = [m.id for m in state.layout.modes if m.site == "A"]
+        assert entropy_of_entanglement(state) == pytest.approx(
+            von_neumann_entropy(partial_trace_oracle(state, a_ids)), abs=1e-12)
 
     def test_additive_over_products(self, rng):
         for _ in range(5):

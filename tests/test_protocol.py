@@ -308,11 +308,6 @@ class TestRunTransfer:
             assert register_sector_entanglement(run_transfer(config)) == pytest.approx(
                 particle_entanglement(state), abs=1e-9)
 
-    def test_headroom_too_small(self):
-        with pytest.raises(CapacityError):
-            ProtocolConfig(shared_double(), AncillaSpec.uniform(8),
-                           AncillaSpec.uniform(8), sink_headroom=1)
-
     @pytest.mark.parametrize("ids", [("a", "reg_a"), ("sink_A", "b"), ("ref_B", "b")])
     def test_reserved_mode_ids_rejected(self, ids):
         layout = layout_of(ModeDescriptor(ids[0], "A", "field", 1),

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epsim import (
     LayoutError,
@@ -16,6 +18,7 @@ from epsim import (
     tensor_product,
 )
 from conftest import random_two_site_state, shared_double, shared_single
+from strategies import transfer_inputs
 
 
 class TestLocalParticleNumber:
@@ -172,14 +175,14 @@ class TestProperties:
             assert particle_entanglement(state) <= (
                 entropy_of_entanglement(state) + 1e-9)
 
-    def test_number_conserving_unitary_invariance(self, rng):
-        for seed in range(20):
-            local = np.random.RandomState(3000 + seed)
-            state = random_two_site_state(local, 2)
-            ep = particle_entanglement(state)
-            for site in ("A", "B"):
-                rotated = apply_blockdiag_unitary(state, site, local)
-                assert particle_entanglement(rotated) == pytest.approx(ep, abs=1e-9)
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(transfer_inputs(), st.integers(0, 2 ** 32 - 1))
+    def test_number_conserving_unitary_invariance(self, state, seed):
+        local = np.random.RandomState(seed)
+        ep = particle_entanglement(state)
+        for site in ("A", "B"):
+            rotated = apply_blockdiag_unitary(state, site, local)
+            assert particle_entanglement(rotated) == pytest.approx(ep, abs=1e-9)
 
     def test_local_phase_shift_invariance(self, rng):
         state = random_two_site_state(rng, 2)
