@@ -48,7 +48,6 @@ from .protocol import (
 )
 from .phase import (
     PhaseDistribution,
-    VisibilityReport,
     apply_phase_difference_povm,
     binary_entropy,
     canonical_phase_distribution,

@@ -9,35 +9,38 @@ Subcommands::
     epsim measure --ntr N              phase-difference measurement analysis
     epsim sweep --ntr-list 25,50,100   visibility / formation-entanglement table
     epsim bounds --seeds N --s S       Robertson / visibility-bound sweep
+                                       (--seed, default 42, seeds the draws)
 
-Exit codes: 0 success, 2 state-file parse error, mode-layout error (modes at
-one site only, or register-kind or reserved mode ids in a transfer input) or
-invalid option value (also a value that would size arrays past 2^24 coherent
-levels in measure/sweep, a measure grid past 2^20, or s past 2048 in bounds),
-3 capacity overflow (kept for library errors; no current CLI input reaches
-it), 4 unwritable output, 5 a numerical cross-check or an uncertainty
-inequality failed, each with a one-line ``error:`` on stderr.
+Exit codes: 0 success, 2 usage error (missing or unknown subcommand or
+option, or a malformed option value), state-file parse error, mode-layout
+error (modes at one site only, or register-kind or reserved mode ids in a
+transfer input) or invalid option value (also a value that would size
+arrays past 2^24 coherent levels in transfer/measure/sweep, or s past 2048
+in bounds), 3 capacity overflow (kept for library errors; no current CLI
+input reaches it), 4 unwritable output, 5 a numerical cross-check or an
+uncertainty inequality failed, each with a one-line ``error:`` on stderr.
 Every run prints a JSON report to stdout; ``--out`` additionally writes a
 deterministic result file (the stdout report carries wall time, the file
-does not, so identical inputs and seed give byte-identical files).
+does not, so identical inputs give byte-identical files; --seed is one of
+the inputs of bounds and the only seed any subcommand takes).
 ``--format csv`` (sweep only) writes that file as CSV.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 import time
 import warnings
+from typing import NamedTuple
 
 import numpy as np
 
 from .fock import CapacityError, LayoutError, entropy_of_entanglement, trace_distance
 from .phase import (
-    QUADRATURE_GRID_CAP,
     CrossCheckError,
-    VisibilityReport,
     coherent_visibility_model,
     concurrence_ef_oracle,
     ef_large_visibility,
@@ -87,8 +90,9 @@ EXIT_VIOLATION = 5
 SWEEP_COLUMNS = ("ntr", "vis2_full", "vis2_model", "ef", "ef_bound")
 
 # Size limits derived from option values, checked before anything is
-# allocated: levels of one coherent reference in measure/sweep, and the
-# bounds truncation s (also after growing it for --nbar).
+# allocated: levels of one ancilla or coherent reference in
+# transfer/measure/sweep, and the bounds truncation s (also after growing it
+# for --nbar).
 MAX_COHERENT_LEVELS = 2 ** 24
 MAX_BOUNDS_S = 2048
 
@@ -97,19 +101,25 @@ class InequalityViolation(RuntimeError):
     """An uncertainty inequality came out below the slack tolerance."""
 
 
-def _write_out(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+# The one-line error path: the first matching type gives the exit code.
+_EXIT_CODES = {
+    StateFileError: EXIT_PARSE,
+    GridError: EXIT_PARSE,
+    LayoutError: EXIT_PARSE,
+    CapacityError: EXIT_CAPACITY,
+    OSError: EXIT_IO,
+    InequalityViolation: EXIT_VIOLATION,
+    CrossCheckError: EXIT_VIOLATION,
+}
 
 
-def _emit(report: dict, args, file_payload: dict | None = None,
-          started: float | None = None) -> None:
-    if args.out and file_payload is not None:
-        _write_out(args.out, dump_json(file_payload) + "\n")
-    if started is not None:
-        report = dict(report)
-        report["wall_time_s"] = time.perf_counter() - started
-    print(dump_json(report))
+class _Run(NamedTuple):
+    """What a subcommand hands back to ``main``."""
+
+    inputs: dict
+    results: dict
+    out: dict | str | None = None           # --out payload; None: {"results": results}
+    failure: Exception | None = None        # raised once the report is out
 
 
 def _transfer_ancilla(m: int, nbar: float | None) -> AncillaSpec:
@@ -138,8 +148,7 @@ def _float_list(name: str, text: str) -> list[float]:
         raise StateFileError(f"{name} must be comma-separated numbers, got {text!r}") from None
 
 
-def cmd_ep(args) -> int:
-    started = time.perf_counter()
+def cmd_ep(args) -> _Run:
     state = load_state(args.statefile)
     sector_rows = [
         {"n": s.n, "p": s.probability, "entanglement": entropy_of_entanglement(s.state)}
@@ -151,16 +160,12 @@ def cmd_ep(args) -> int:
         "entropy_of_entanglement": entropy_of_entanglement(state),
         "sectors": sector_rows,
     }
-    report = {"command": "ep", "inputs": {"statefile": args.statefile},
-              "seed": args.seed, "results": results}
-    _emit(report, args, file_payload={"results": results}, started=started)
-    return EXIT_OK
+    return _Run({"statefile": args.statefile}, results)
 
 
-def cmd_transfer(args) -> int:
-    started = time.perf_counter()
-    if args.M < 1:
-        raise StateFileError(f"--M must be >= 1, got {args.M}")
+def cmd_transfer(args) -> _Run:
+    if not 1 <= args.M <= MAX_COHERENT_LEVELS - 1:
+        raise StateFileError(f"--M must be in [1, {MAX_COHERENT_LEVELS - 1}], got {args.M}")
     if args.nbar is not None:
         _check_option("--nbar", args.nbar, args.nbar >= 0.0, ">= 0")
     if args.grid is not None and args.path != "quadrature":
@@ -198,11 +203,8 @@ def cmd_transfer(args) -> int:
             "trace_distance_to_exact": trace_distance(approx, rho),
             "distance_bound": 3.0 / (args.M + 1),
         }
-    report = {"command": "transfer", "inputs": {"statefile": args.statefile,
-              "M": args.M, "path": args.path, "nbar": args.nbar},
-              "seed": args.seed, "results": results}
-    _emit(report, args, file_payload={"results": results}, started=started)
-    return EXIT_OK
+    inputs = {"statefile": args.statefile, "M": args.M, "path": args.path, "nbar": args.nbar}
+    return _Run(inputs, results)
 
 
 def _coherent_truncation(nbar: float) -> int:
@@ -225,59 +227,41 @@ def _reference_truncations(ntr: float, local_scale: float) -> tuple[int, float, 
     return _coherent_truncation(ntr), nbar_local, _coherent_truncation(nbar_local)
 
 
-def _measurement_report(ntr: float, local_scale: float,
-                        grid: int | None) -> VisibilityReport:
-    """Visibility analysis for a transported coherent reference of mean ntr
-    against a local one whose amplitude is ``local_scale`` times larger
-    (mean occupation local_scale^2 * ntr)."""
+def _coherent_references(ntr: float, local_scale: float) -> tuple[AncillaSpec, AncillaSpec]:
+    """A transported coherent reference of mean ntr and a local one whose
+    amplitude is ``local_scale`` times larger (mean occupation
+    local_scale^2 * ntr)."""
     m_tr, nbar_local, m_local = _reference_truncations(ntr, local_scale)
-    transported = coherent_coefficients(ntr, m_tr)
-    local = coherent_coefficients(nbar_local, m_local)
-    c = visibility(transported, local, grid=grid)
-    return VisibilityReport(
-        c=c,
-        visibility_sq=abs(c) ** 2,
-        ef=entanglement_of_formation_x(c),
-        bound=ef_upper_bound(transported.variance),
-        transported_mean=transported.mean,
-        transported_variance=transported.variance,
-    )
+    return coherent_coefficients(ntr, m_tr), coherent_coefficients(nbar_local, m_local)
 
 
-def cmd_measure(args) -> int:
-    started = time.perf_counter()
+def cmd_measure(args) -> _Run:
     _check_option("--ntr", args.ntr, args.ntr >= 1.0, ">= 1")
     _check_option("--local-scale", args.local_scale, args.local_scale > 0.0, "> 0")
-    if args.grid is not None and args.grid > QUADRATURE_GRID_CAP:
-        raise StateFileError(f"--grid must be at most {QUADRATURE_GRID_CAP}, got {args.grid}")
-    rep = _measurement_report(args.ntr, args.local_scale, args.grid)
-    ef_oracle = concurrence_ef_oracle(post_measurement_register_state(rep.c))
+    transported, local = _coherent_references(args.ntr, args.local_scale)
+    c = visibility(transported, local)
     results = {
-        "c": rep.c,
-        "visibility_sq": rep.visibility_sq,
-        "ef_formula": rep.ef,
-        "ef_oracle": ef_oracle,
+        "c": c,
+        "visibility_sq": abs(c) ** 2,
+        "ef_formula": entanglement_of_formation_x(c),
+        "ef_oracle": concurrence_ef_oracle(post_measurement_register_state(c)),
         "visibility_sq_model": coherent_visibility_model(args.ntr),
-        "ef_bound": rep.bound,
-        "transported_mean": rep.transported_mean,
-        "transported_variance": rep.transported_variance,
+        "ef_bound": ef_upper_bound(transported.variance),
+        "transported_mean": transported.mean,
+        "transported_variance": transported.variance,
     }
-    report = {"command": "measure",
-              "inputs": {"ntr": args.ntr, "local_scale": args.local_scale},
-              "seed": args.seed, "results": results}
-    _emit(report, args, file_payload={"results": results}, started=started)
-    return EXIT_OK
+    return _Run({"ntr": args.ntr, "local_scale": args.local_scale}, results)
 
 
 def sweep_rows(ntr_values: list[float], local_scale: float) -> list[dict]:
     rows = []
     for ntr in ntr_values:
-        rep = _measurement_report(ntr, local_scale, None)
+        c = visibility(*_coherent_references(ntr, local_scale))
         rows.append({
             "ntr": ntr,
-            "vis2_full": rep.visibility_sq,
+            "vis2_full": abs(c) ** 2,
             "vis2_model": coherent_visibility_model(ntr),
-            "ef": ef_large_visibility(rep.c),
+            "ef": ef_large_visibility(c),
             "ef_bound": ef_upper_bound(ntr),
         })
     return rows
@@ -290,8 +274,7 @@ def sweep_csv(rows: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_sweep(args) -> int:
-    started = time.perf_counter()
+def cmd_sweep(args) -> _Run:
     ntr_values = _float_list("--ntr-list", args.ntr_list)
     if not ntr_values:
         raise StateFileError("empty --ntr-list")
@@ -301,19 +284,9 @@ def cmd_sweep(args) -> int:
         _reference_truncations(value, args.local_scale)
     rows = sweep_rows(ntr_values, args.local_scale)
     efs = [r["ef"] for r in rows]
-    monotone = all(b > a for a, b in zip(efs, efs[1:]))
-    if args.out:
-        if args.format == "csv":
-            _write_out(args.out, sweep_csv(rows))
-        else:
-            _write_out(args.out, dump_json({"rows": rows, "monotone_ef": monotone}) + "\n")
-    report = {"command": "sweep",
-              "inputs": {"ntr_list": ntr_values, "local_scale": args.local_scale,
-                         "format": args.format},
-              "seed": args.seed,
-              "results": {"rows": rows, "monotone_ef": monotone}}
-    _emit(report, args, started=started)
-    return EXIT_OK
+    results = {"rows": rows, "monotone_ef": all(b > a for a, b in zip(efs, efs[1:]))}
+    inputs = {"ntr_list": ntr_values, "local_scale": args.local_scale, "format": args.format}
+    return _Run(inputs, results, out=sweep_csv(rows) if args.format == "csv" else results)
 
 
 def _check_summary(reports) -> dict:
@@ -329,14 +302,13 @@ def _check_summary(reports) -> dict:
     return summary
 
 
-def cmd_bounds(args) -> int:
-    started = time.perf_counter()
+def cmd_bounds(args) -> _Run:
     if not 16 <= args.s <= MAX_BOUNDS_S:
         raise StateFileError(f"--s must be in [16, {MAX_BOUNDS_S}], got {args.s}")
     if args.seeds < 1:
         raise StateFileError(f"--seeds must be >= 1, got {args.seeds}")
     nbar_pair = None
-    if args.nbar:
+    if args.nbar is not None:
         nbar_pair = _float_list("--nbar", args.nbar)
         if len(nbar_pair) != 2:
             raise StateFileError(f"--nbar takes two values, got {args.nbar!r}")
@@ -390,83 +362,89 @@ def cmd_bounds(args) -> int:
         reports.append(rep)
     violations = sum(entry["violations"] for entry in results["inequalities"].values())
     results["violations"] = violations
-    report = {"command": "bounds",
-              "inputs": {"seeds": args.seeds, "s": args.s, "nbar": args.nbar},
-              "seed": args.seed, "results": results}
-    _emit(report, args, file_payload={"results": results}, started=started)
+    failure = None
     if violations or any(not r.all_hold for r in reports):
-        raise InequalityViolation(f"{violations} inequality violations")
-    return EXIT_OK
+        failure = InequalityViolation(f"{violations} inequality violations")
+    return _Run({"seeds": args.seeds, "s": args.s, "nbar": args.nbar}, results,
+                failure=failure)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise instead of printing usage and exiting, so they take
+    main's one-line exit-2 path."""
+
+    def error(self, message):
+        raise StateFileError(f"{self.prog}: {message}")
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="epsim", description=__doc__,
-                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    """The argument parser; parsing leaves it unchanged, so it is built once."""
+    parser = _Parser(prog="epsim", description=__doc__,
+                     formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def add(name, func, summary):
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--out", default=None, help="write a deterministic result file")
-        p.add_argument("--seed", type=int, default=42)
+        p.set_defaults(func=func)
+        return p
 
-    p_ep = sub.add_parser("ep", help="particle entanglement of a state file")
+    p_ep = add("ep", cmd_ep, "particle entanglement of a state file")
     p_ep.add_argument("statefile")
-    common(p_ep)
-    p_ep.set_defaults(func=cmd_ep)
 
-    p_tr = sub.add_parser("transfer", help="run the register transfer protocol")
+    p_tr = add("transfer", cmd_transfer, "run the register transfer protocol")
     p_tr.add_argument("statefile")
     p_tr.add_argument("--M", type=int, default=32, help="ancilla truncation")
     p_tr.add_argument("--grid", type=int, default=None, help="--path quadrature grid size")
     p_tr.add_argument("--path", choices=("exact", "quadrature"), default="exact")
     p_tr.add_argument("--nbar", type=float, default=None,
                       help="coherent ancilla mean (default: uniform amplitudes)")
-    common(p_tr)
-    p_tr.set_defaults(func=cmd_transfer)
 
-    p_me = sub.add_parser("measure", help="phase-difference measurement analysis")
+    p_me = add("measure", cmd_measure, "phase-difference measurement analysis")
     p_me.add_argument("--ntr", type=float, default=100.0,
                       help="mean transported particle number")
     p_me.add_argument("--local-scale", type=float, default=10.0,
                       help="local/transported coherent amplitude ratio "
                            "(local mean occupation is scale^2 * ntr)")
-    p_me.add_argument("--grid", type=int, default=None, help="phase grid size, at most 2^20")
-    common(p_me)
-    p_me.set_defaults(func=cmd_measure)
 
-    p_sw = sub.add_parser("sweep", help="visibility / formation entanglement table")
+    p_sw = add("sweep", cmd_sweep, "visibility / formation entanglement table")
     p_sw.add_argument("--ntr-list", required=True, help="comma-separated ntr values")
     p_sw.add_argument("--local-scale", type=float, default=10.0)
     p_sw.add_argument("--format", choices=("json", "csv"), default="json",
                       help="--out file format")
-    common(p_sw)
-    p_sw.set_defaults(func=cmd_sweep)
 
-    p_bo = sub.add_parser("bounds", help="uncertainty inequality sweep")
+    p_bo = add("bounds", cmd_bounds, "uncertainty inequality sweep")
     p_bo.add_argument("--seeds", type=int, default=100, help="number of random states")
     p_bo.add_argument("--s", type=int, default=256, help="phase-space truncation")
     p_bo.add_argument("--nbar", default=None,
                       help="comma pair, e.g. 25,250: add a coherent-pair check")
-    common(p_bo)
-    p_bo.set_defaults(func=cmd_bounds)
+    p_bo.add_argument("--seed", type=int, default=42, help="seed of the random draws")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    """Parse, run one subcommand, write ``--out``, print the report and map
+    every expected failure to its exit code with a one-line ``error:``."""
     try:
-        return args.func(args)
-    except (StateFileError, GridError, LayoutError) as exc:
+        args = build_parser().parse_args(argv)
+        started = time.perf_counter()
+        run = args.func(args)
+        if args.out:
+            out = {"results": run.results} if run.out is None else run.out
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(out if isinstance(out, str) else dump_json(out) + "\n")
+        report = {"command": args.command, "inputs": run.inputs, "results": run.results}
+        if "seed" in args:
+            report["seed"] = args.seed
+        report["wall_time_s"] = time.perf_counter() - started
+        print(dump_json(report))
+        if run.failure is not None:
+            raise run.failure
+        return EXIT_OK
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except CapacityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAPACITY
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (InequalityViolation, CrossCheckError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VIOLATION
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

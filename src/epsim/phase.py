@@ -148,14 +148,15 @@ def visibility(spec_a: AncillaSpec, spec_b: AncillaSpec, varphi: float = 0.0,
     quadrature value is returned.  Without ``grid`` the quadrature uses the
     smallest power of two >= max(2M + 3, 257), M the larger truncation, and
     past ``QUADRATURE_GRID_CAP`` only the closed route is evaluated; an
-    explicit ``grid`` is used as given.
+    explicit ``grid`` is used as given.  Either way |C| above 1 + 1e-10
+    raises ``CrossCheckError``.
     """
     closed = np.exp(1j * varphi) * np.conj(spec_a.first_moment()) * spec_b.first_moment()
     K = grid
     if K is None:
         bound = max(2 * max(spec_a.M, spec_b.M) + 3, 257)
         if bound > QUADRATURE_GRID_CAP:
-            return complex(closed)
+            return _unit_bounded(complex(closed))
         # A power of two is the fastest FFT length; any K >= 2M + 3 is exact.
         K = 1 << (bound - 1).bit_length()
     pa = canonical_phase_distribution(spec_a, K)
@@ -167,7 +168,15 @@ def visibility(spec_a: AncillaSpec, spec_b: AncillaSpec, varphi: float = 0.0,
         raise CrossCheckError(
             f"visibility routes disagree: quadrature {quad} vs closed {closed}"
         )
-    return quad
+    return _unit_bounded(quad)
+
+
+def _unit_bounded(c: complex) -> complex:
+    """``c`` itself; |C| <= 1 for unit-norm references, so a larger value is
+    a numerical failure."""
+    if abs(c) > 1.0 + 1e-10:
+        raise CrossCheckError(f"visibility |C| = {abs(c)} exceeds 1")
+    return c
 
 
 def register_pair_layout() -> ModeLayout:
@@ -363,20 +372,3 @@ def ef_upper_bound(var_tr: float) -> float:
         raise ValueError("variance must be positive")
     return 1.0 - 1.0 / (4.0 * var_tr * LN2)
 
-
-@dataclass(frozen=True)
-class VisibilityReport:
-    """Summary of one phase-difference measurement analysis."""
-
-    c: complex
-    visibility_sq: float
-    ef: float
-    bound: float
-    transported_mean: float
-    transported_variance: float
-
-    def __post_init__(self):
-        if abs(self.c) > 1.0 + 1e-10:
-            raise StateValidationError(f"|C| = {abs(self.c)} exceeds 1")
-        if not (0.0 <= self.ef <= 1.0):
-            raise StateValidationError(f"ef = {self.ef} outside [0, 1]")

@@ -102,7 +102,10 @@ class TestTransferCommand:
                                          ["--nbar", "-1"], ["--nbar", "nan"],
                                          ["--nbar", "inf"],
                                          ["--grid", "5"],
-                                         ["--path", "quadrature", "--grid", "0"]])
+                                         ["--path", "quadrature", "--grid", "0"],
+                                         # past MAX_COHERENT_LEVELS - 1, before
+                                         # the ancilla is allocated
+                                         ["--M", "16777216"], ["--M", "1000000000"]])
     def test_bad_ancilla_options_exit_2(self, capsys, options):
         code = main(["transfer", data_path("shared_single.json"), *options])
         assert code == 2
@@ -258,9 +261,21 @@ class TestSweepCommand:
         ["bounds", "--seeds", "1", "--s", "16"],
     ])
     def test_format_only_on_sweep(self, capsys, argv):
-        with pytest.raises(SystemExit) as exc:
-            main(argv + ["--format", "json"])
-        assert exc.value.code == 2
+        assert main(argv + ["--format", "json"]) == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error:") and "\n" not in err
+
+    def test_visibility_above_one_exit_5(self, capsys, monkeypatch):
+        # |C| <= 1 for unit-norm references; the guard is driven with a
+        # doctored first moment on the closed-only route.
+        import epsim.phase as phase_module
+
+        monkeypatch.setattr(phase_module, "QUADRATURE_GRID_CAP", 1)
+        monkeypatch.setattr(phase_module.AncillaSpec, "first_moment",
+                            lambda self: 1.0 + 1e-9)
+        assert main(["sweep", "--ntr-list", "25"]) == 5
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error:") and "\n" not in err
 
 
 class TestBoundsCommand:
@@ -301,6 +316,7 @@ class TestBoundsCommand:
         ["--seeds", "0"], ["--seeds", "-1"],
         ["--nbar", "25"], ["--nbar", "25,250,2500"], ["--nbar", "25,x"],
         ["--nbar", "25,-1"], ["--nbar", "nan,250"], ["--nbar", "25,inf"],
+        ["--nbar", ""],
         # finite but past MAX_BOUNDS_S, rejected before any allocation
         ["--s", "2049"], ["--s", "100000"],
         ["--nbar", "1e15,1"], ["--nbar", "1,2000"], ["--nbar", "1.7e308,1"],
@@ -334,6 +350,44 @@ class TestBoundsCommand:
         assert all(set(t) == {"occ", "amp"} and len(t["occ"]) == 2 for t in entry["terms"])
         norm_sq = sum(t["amp"][0] ** 2 + t["amp"][1] ** 2 for t in entry["terms"])
         assert norm_sq == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["frobnicate"],
+    ["ep"],
+    ["transfer", data_path("shared_single.json"), "--M", "abc"],
+    ["ep", data_path("shared_single.json"), "--seed", "3"],
+    ["measure", "--grid", "64"],
+], ids=["no-subcommand", "unknown-subcommand", "ep-no-statefile", "transfer-M-abc",
+        "ep-seed", "measure-grid"])
+def test_usage_error_exit_2(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip()
+    assert err.startswith("error:") and "\n" not in err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "Exit codes:" in capsys.readouterr().out
+
+
+def test_no_option_leaks_between_calls(capsys):
+    # The parser is built once per process; each call starts from the defaults.
+    state = data_path("shared_single.json")
+    code, report = run_cli(capsys, "transfer", state, "--M", "8", "--path", "quadrature",
+                           "--grid", "30")
+    assert code == 0 and report["results"]["quadrature"]["grid"] == 30
+    code, report = run_cli(capsys, "transfer", state, "--M", "8", "--path", "quadrature")
+    assert code == 0 and report["results"]["quadrature"]["grid"] == 2 * 8 + 3
+    code, report = run_cli(capsys, "bounds", "--seeds", "1", "--s", "16", "--seed", "7")
+    assert code == 0 and report["seed"] == 7
+    code, report = run_cli(capsys, "bounds", "--seeds", "1", "--s", "16")
+    assert code == 0 and report["seed"] == 42
 
 
 @pytest.mark.parametrize("argv", [
