@@ -59,7 +59,6 @@ from .phase import (
     ef_upper_bound,
     entanglement_of_formation_x,
     post_measurement_register_state,
-    resolution_kernel,
     two_qubit_concurrence,
     visibility,
 )

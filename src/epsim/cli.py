@@ -69,6 +69,7 @@ from .statefile import (
     dump_json,
     format_float,
     load_state,
+    round_floats,
     state_to_dict,
 )
 from .uncertainty import (
@@ -118,7 +119,8 @@ class _Run(NamedTuple):
 
     inputs: dict
     results: dict
-    out: dict | str | None = None           # --out payload; None: {"results": results}
+    out: str | None = None                  # --out text in place of JSON (sweep CSV)
+    bare: bool = False                      # JSON --out is the results, not {"results": ...}
     failure: Exception | None = None        # raised once the report is out
 
 
@@ -240,15 +242,16 @@ def cmd_measure(args) -> _Run:
     _check_option("--local-scale", args.local_scale, args.local_scale > 0.0, "> 0")
     transported, local = _coherent_references(args.ntr, args.local_scale)
     c = visibility(transported, local)
+    variance = transported.variance
     results = {
         "c": c,
         "visibility_sq": abs(c) ** 2,
         "ef_formula": entanglement_of_formation_x(c),
         "ef_oracle": concurrence_ef_oracle(post_measurement_register_state(c)),
         "visibility_sq_model": coherent_visibility_model(args.ntr),
-        "ef_bound": ef_upper_bound(transported.variance),
+        "ef_bound": ef_upper_bound(variance),
         "transported_mean": transported.mean,
-        "transported_variance": transported.variance,
+        "transported_variance": variance,
     }
     return _Run({"ntr": args.ntr, "local_scale": args.local_scale}, results)
 
@@ -286,7 +289,8 @@ def cmd_sweep(args) -> _Run:
     efs = [r["ef"] for r in rows]
     results = {"rows": rows, "monotone_ef": all(b > a for a, b in zip(efs, efs[1:]))}
     inputs = {"ntr_list": ntr_values, "local_scale": args.local_scale, "format": args.format}
-    return _Run(inputs, results, out=sweep_csv(rows) if args.format == "csv" else results)
+    return _Run(inputs, results, out=sweep_csv(rows) if args.format == "csv" else None,
+                bare=True)
 
 
 def _check_summary(reports) -> dict:
@@ -430,14 +434,20 @@ def main(argv: list[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
         started = time.perf_counter()
         run = args.func(args)
+        # Rounded once for both the --out file and the report.
+        results = round_floats(run.results)
         if args.out:
-            out = {"results": run.results} if run.out is None else run.out
+            text = run.out
+            if text is None:
+                text = dump_json(results if run.bare else {"results": results}) + "\n"
             with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(out if isinstance(out, str) else dump_json(out) + "\n")
-        report = {"command": args.command, "inputs": run.inputs, "results": run.results}
+                fh.write(text)
+        report = {"command": args.command, "inputs": run.inputs}
         if "seed" in args:
             report["seed"] = args.seed
         report["wall_time_s"] = time.perf_counter() - started
+        report = round_floats(report)
+        report["results"] = results
         print(dump_json(report))
         if run.failure is not None:
             raise run.failure

@@ -9,14 +9,21 @@ The post-measurement register state is an X-shaped two-qubit mixture whose
 entanglement of formation depends on |C| alone.
 
 The grid work is O(K log K) for a K-point grid: a canonical distribution's
-values and all of its moments come from one FFT of the amplitudes and one
-real FFT of the power, and the resolution kernel from two real FFTs and one
-inverse.  The phase-difference POVM groups the state's terms with integer
-keys and forms the register matrix as one matrix product; the grouping
-lives inside the reference-phase invariant subspaces (fixed pair total), so
-it is planned once per state and the angle enters only through a phase
-ramp on the amplitudes.  The per-lag moment sums and the per-term dict
-grouping they replace are the test oracles in ``tests/oracles.py``.
+values come from one FFT of the amplitudes, and the visibility's quadrature
+route integrates each reference's density against e^{i theta} on its own
+grid, which the convolution theorem makes the first moment of the
+measurement's resolution kernel, so no kernel is formed.  Each reference
+enters over its non-zero amplitudes only: a coherent reference of mean nbar
+has about 65 sqrt(nbar) of them at the truncation nbar + 10 sqrt(nbar), and
+under 110 sqrt(nbar) however long its truncation.  The
+phase-difference POVM groups the state's terms with integer keys and forms
+the register matrix as one matrix product; the grouping lives inside the
+reference-phase invariant subspaces (fixed pair total), so it is planned
+once per state and the angle enters only through a phase ramp on the
+amplitudes.  ``resolution_kernel`` is no longer called here; it is the
+reference the tests check that first moment against.  The per-lag moment
+sums and the per-term dict grouping are the test oracles in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -53,20 +60,19 @@ class CrossCheckError(ArithmeticError):
 
 @dataclass(frozen=True)
 class PhaseDistribution:
-    """Density over [0, 2pi) sampled on a uniform grid, plus its moments.
+    """Density over [0, 2pi) sampled on a uniform grid.
 
-    ``moments[k]`` is the k-th circular moment integral(P(u) e^{iku} du) for
-    k >= 0; negative moments follow by conjugation.  For a canonical
-    distribution of amplitudes c this equals sum_n conj(c_n) c_{n+k}.
+    ``degree`` is the highest Fourier order of the density, M for a
+    canonical distribution of amplitudes c_0..c_M: on a grid of at least
+    2 degree + 3 points its circular moments are exact sums over the grid.
     """
 
     values: np.ndarray
-    moments: np.ndarray
+    degree: int
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "moments", np.asarray(self.moments, dtype=complex))
         if values.min() < -1e-12:
             raise StateValidationError(f"negative density value {values.min()}")
         total = TWO_PI / len(values) * float(values.sum())
@@ -81,26 +87,44 @@ class PhaseDistribution:
     def angles(self) -> np.ndarray:
         return TWO_PI * np.arange(self.grid_size) / self.grid_size
 
+    @functools.cached_property
+    def moments(self) -> np.ndarray:
+        """``moments[k]``, k = 0..degree, is the k-th circular moment
+        integral(P(u) e^{iku} du); negative moments follow by conjugation.
+        For a canonical distribution of amplitudes c this equals
+        sum_n conj(c_n) c_{n+k}.  Taken on first use from one real FFT of
+        the grid values, the circular autocorrelation of c (free of
+        wrap-around on a grid of K >= 2 degree + 3 points)."""
+        K = self.grid_size
+        return np.conj(np.fft.rfft(self.values)[: self.degree + 1]) * (TWO_PI / K)
+
     def grid_moment(self, k: int) -> complex:
         """Quadrature evaluation of the k-th circular moment."""
-        return complex(TWO_PI / self.grid_size
-                       * np.sum(self.values * np.exp(1j * k * self.angles)))
+        K = self.grid_size
+        cos_sin = _unit_circle(K)
+        if k % K != 1:
+            cos_sin = cos_sin[:, k * np.arange(K) % K]
+        re, im = cos_sin @ self.values
+        return complex(re, im) * (TWO_PI / K)
+
+
+@functools.lru_cache(maxsize=8)
+def _unit_circle(K: int) -> np.ndarray:
+    """Rows cos(theta_j) and sin(theta_j) of the K grid angles, filled on
+    first use for each grid size and shared read-only."""
+    angles = TWO_PI * np.arange(K) / K
+    table = np.stack([np.cos(angles), np.sin(angles)])
+    table.setflags(write=False)
+    return table
 
 
 def canonical_phase_distribution(spec: AncillaSpec, K: int) -> PhaseDistribution:
-    """P(theta) = |sum_n c_n e^{-i n theta}|^2 / 2pi on a K-point grid.
-
-    The moments come from the same transform: the inverse FFT of the power
-    |fft(c, K)|^2 is the circular autocorrelation sum_n conj(c_n) c_{n+k},
-    free of wrap-around because K >= 2M + 3 exceeds the 2M + 1 lags present.
-    The power is real, so a half-length real FFT gives the M + 1 moments in
-    O(K log K).
-    """
+    """P(theta) = |sum_n c_n e^{-i n theta}|^2 / 2pi on a K-point grid, from
+    one FFT of the amplitudes; its moments are taken on demand."""
     if K < 2 * spec.M + 3:
         raise GridError(f"grid size {K} below exactness bound {2 * spec.M + 3}")
     power = np.abs(np.fft.fft(spec.coefficients, n=K)) ** 2
-    moments = np.conj(np.fft.rfft(power)[: spec.M + 1]) / K
-    return PhaseDistribution(power / TWO_PI, moments)
+    return PhaseDistribution(power / TWO_PI, spec.M)
 
 
 def circular_mean(dist: PhaseDistribution) -> float:
@@ -120,10 +144,11 @@ def resolution_kernel(pa: PhaseDistribution, pb: PhaseDistribution,
     effective variable u = theta - phi.
 
     Circular cross-correlation of the two single-mode distributions shifted
-    by the measured difference ``varphi``: the grid values are one inverse
-    real FFT of fft(P_A) conj(fft(P_B)) times the shift ramp e^{i k varphi},
-    computed from the grid values alone.  Fourier coefficients multiply,
-    which the moment field records exactly.
+    by the measured difference ``varphi``: one inverse real FFT of
+    fft(P_A) conj(fft(P_B)) times the shift ramp e^{i k varphi}, from the
+    grid values alone.  ``visibility`` does not form it: it needs only the
+    kernel's first moment, e^{-i varphi} q_A conj(q_B) from the two
+    densities' grid sums.  The kernel is the test oracle for that shortcut.
     """
     if pa.grid_size != pb.grid_size:
         raise GridError(f"grid mismatch: {pa.grid_size} vs {pb.grid_size}")
@@ -131,44 +156,58 @@ def resolution_kernel(pa: PhaseDistribution, pb: PhaseDistribution,
     ramp = np.exp(1j * varphi * np.arange(K // 2 + 1))
     spectrum = np.fft.rfft(pa.values) * np.conj(np.fft.rfft(pb.values)) * ramp
     values = np.fft.irfft(spectrum, n=K) * (TWO_PI / K)
-    n = min(len(pa.moments), len(pb.moments))
-    ks = np.arange(n)
-    moments = pa.moments[:n] * np.conj(pb.moments[:n]) * np.exp(-1j * ks * varphi)
-    return PhaseDistribution(values, moments)
+    return PhaseDistribution(values, min(pa.degree, pb.degree))
+
+
+def _nonzero_span(spec: AncillaSpec) -> AncillaSpec:
+    """``spec`` cut to its non-zero amplitudes c_lo..c_hi (at least two
+    levels, so it stays a valid ancilla).  Dropping the leading zeros only
+    multiplies sum_n c_n e^{-in theta} by e^{i lo theta}, so the canonical
+    phase distribution is unchanged."""
+    nonzero = np.flatnonzero(spec.coefficients)
+    lo = min(int(nonzero[0]), spec.M - 1)
+    hi = max(int(nonzero[-1]), lo + 1)
+    if hi - lo == spec.M:
+        return spec
+    return AncillaSpec(hi - lo, spec.coefficients[lo:hi + 1])
 
 
 def visibility(spec_a: AncillaSpec, spec_b: AncillaSpec, varphi: float = 0.0,
                grid: int | None = None) -> complex:
     """Fringe visibility C of the phase-difference measurement.
 
-    Quadrature route: average e^{i(phi - theta)} against the resolution
-    kernel.  Closed route: e^{i varphi} conj(m_A) m_B with m_Z the first
-    circular moment of each reference.  Both are computed and must agree to
-    1e-9 (the grid integrates the band-limited kernel exactly); the
-    quadrature value is returned.  Without ``grid`` the quadrature uses the
-    smallest power of two >= max(2M + 3, 257), M the larger truncation, and
-    past ``QUADRATURE_GRID_CAP`` only the closed route is evaluated; an
-    explicit ``grid`` is used as given.  Either way |C| above 1 + 1e-10
-    raises ``CrossCheckError``.
+    Quadrature route: C = e^{i varphi} conj(q_A) q_B, with q_Z the grid sum
+    (2pi/K_Z) sum_j P_Z(theta_j) e^{i theta_j} of each reference's canonical
+    phase density.  This is the resolution kernel's first moment by the
+    convolution theorem, so no kernel is formed.  Closed route:
+    e^{i varphi} conj(m_A) m_B with m_Z = sum_n conj(c_n) c_{n+1} from the
+    amplitudes.  Both are computed and must agree to 1e-9 (each grid
+    integrates its band-limited density exactly); the quadrature value is
+    returned.  Without ``grid`` each density is taken over the reference's
+    non-zero span of W_Z + 1 levels on its own grid, the smallest power of
+    two >= max(2 W_Z + 3, 257); if either grid would pass
+    ``QUADRATURE_GRID_CAP`` only the closed route is evaluated.  An explicit
+    ``grid`` holds both full references and must be >= 2M + 3.  Either way
+    |C| above 1 + 1e-10 raises ``CrossCheckError``.
     """
-    closed = np.exp(1j * varphi) * np.conj(spec_a.first_moment()) * spec_b.first_moment()
-    K = grid
-    if K is None:
-        bound = max(2 * max(spec_a.M, spec_b.M) + 3, 257)
-        if bound > QUADRATURE_GRID_CAP:
+    shift = np.exp(1j * varphi)
+    closed = shift * np.conj(spec_a.first_moment()) * spec_b.first_moment()
+    if grid is None:
+        spans = [_nonzero_span(spec) for spec in (spec_a, spec_b)]
+        bounds = [max(2 * span.M + 3, 257) for span in spans]
+        if max(bounds) > QUADRATURE_GRID_CAP:
             return _unit_bounded(complex(closed))
-        # A power of two is the fastest FFT length; any K >= 2M + 3 is exact.
-        K = 1 << (bound - 1).bit_length()
-    pa = canonical_phase_distribution(spec_a, K)
-    pb = canonical_phase_distribution(spec_b, K)
-    kernel = resolution_kernel(pa, pb, varphi)
-    # C = integral of r(u) e^{-iu} du: the varphi shift lives inside the kernel.
-    quad = complex(np.conj(kernel.grid_moment(1)))
+        # A power of two is the fastest FFT length; any K >= 2W + 3 is exact.
+        pa, pb = (canonical_phase_distribution(span, 1 << (bound - 1).bit_length())
+                  for span, bound in zip(spans, bounds))
+    else:
+        pa, pb = (canonical_phase_distribution(spec, grid) for spec in (spec_a, spec_b))
+    quad = shift * np.conj(pa.grid_moment(1)) * pb.grid_moment(1)
     if abs(quad - closed) > 1e-9:
         raise CrossCheckError(
             f"visibility routes disagree: quadrature {quad} vs closed {closed}"
         )
-    return _unit_bounded(quad)
+    return _unit_bounded(complex(quad))
 
 
 def _unit_bounded(c: complex) -> complex:

@@ -111,12 +111,21 @@ class AncillaSpec:
         return f"AncillaSpec(M={self.M}, mean={self.mean:.3f})"
 
 
+# Log weights more than this far below the peak's give amplitudes
+# exp(0.5 * log_w) that underflow to exactly 0.0 (below about -1490.3).
+_LOG_WEIGHT_FLOOR = -1600.0
+
+
 def coherent_coefficients(nbar: float, M: int) -> AncillaSpec:
     """Truncated coherent-state amplitudes with mean occupation ``nbar``.
 
     c_n is proportional to the square root of the Poisson weight
     nbar^n e^{-nbar} / n!, renormalized after truncation at M.  Computed in
-    log space so large nbar stays finite.
+    log space so large nbar stays finite, and only on the window [lo, M]
+    below which every amplitude underflows to 0.0 (lo is about
+    nbar - 56 sqrt(nbar) once nbar passes about 3000): the same lgamma
+    values minus the same maximum, so the result equals the full-range
+    computation bit for bit.
     """
     if not (math.isfinite(nbar) and nbar >= 0):
         raise ValueError(f"nbar must be finite and >= 0, got {nbar}")
@@ -126,18 +135,44 @@ def coherent_coefficients(nbar: float, M: int) -> AncillaSpec:
             f"{nbar + 10.0 * math.sqrt(nbar):.1f}; tail probability is clipped",
             stacklevel=2,
         )
-    ns = np.arange(M + 1)
+    amps = np.zeros(M + 1)
     if nbar == 0.0:
-        log_w = np.where(ns == 0, 0.0, -np.inf)
+        amps[0] = 1.0
     else:
         # The factor e^{-nbar} is constant in n and cancels in the
         # renormalization; kept in the log weights it would swamp the
         # n-dependent terms once nbar passes about 1e17.
-        log_w = ns * math.log(nbar) - np.array([math.lgamma(n + 1) for n in ns])
-    log_w -= log_w.max()
-    amps = np.exp(0.5 * log_w)
+        log_nbar = math.log(nbar)
+        lo = _coherent_window_start(log_nbar, min(M, math.floor(nbar)))
+        log_w = np.arange(lo, M + 1) * log_nbar - np.fromiter(
+            map(math.lgamma, range(lo + 1, M + 2)), dtype=float, count=M + 1 - lo)
+        log_w -= log_w.max()
+        amps[lo:] = np.exp(0.5 * log_w)
     amps /= np.linalg.norm(amps)
     return AncillaSpec(M, amps)
+
+
+def _coherent_window_start(log_nbar: float, peak: int) -> int:
+    """Smallest n <= peak whose log weight n log nbar - lgamma(n + 1) lies
+    within ``_LOG_WEIGHT_FLOOR`` of the weight at ``peak``, the largest one.
+
+    The log weight is concave in n and rises up to floor(nbar) >= peak, so
+    a bisection over [0, peak] finds the edge with O(log peak) lgamma calls.
+    """
+    def below_peak(n: int) -> float:
+        return n * log_nbar - math.lgamma(n + 1) - top
+
+    top = peak * log_nbar - math.lgamma(peak + 1)
+    if below_peak(0) >= _LOG_WEIGHT_FLOOR:
+        return 0
+    lo, hi = 0, peak                  # below_peak(lo) < floor <= below_peak(hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if below_peak(mid) >= _LOG_WEIGHT_FLOOR:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def truncated_phase_state(M: int, theta: float,

@@ -148,7 +148,10 @@ def round_floats(obj, digits: int = SIG_DIGITS):
 
 
 def dump_json(data: dict) -> str:
-    return json.dumps(round_floats(data), indent=2, sort_keys=True)
+    """Indented, key-sorted JSON text of ``data``, whose floats
+    ``round_floats`` has already rounded (so each result is rounded once
+    however many documents carry it)."""
+    return json.dumps(data, indent=2, sort_keys=True)
 
 
 def format_float(x: float, digits: int = SIG_DIGITS) -> str:

@@ -1,3 +1,5 @@
+import cmath
+import itertools
 import json
 import math
 import warnings
@@ -163,17 +165,34 @@ class TestMeasureCommand:
         assert results["ef_formula"] == pytest.approx(results["ef_oracle"], abs=1e-10)
         assert results["visibility_sq"] <= 1.0
 
-    def test_cross_check_failure_exit_5(self, capsys, monkeypatch):
-        # The two visibility routes agree for every valid input, so the
-        # failure path is driven with a kernel shifted off the measured angle.
-        import epsim.phase as phase_module
+    @staticmethod
+    def _rotate_transported_moment(monkeypatch):
+        """The two visibility routes agree for every valid input, so the
+        failure path is driven by rotating the closed route's first moment of
+        the transported reference (the first one visibility() reads) by
+        0.5 rad.  The quadrature route never reads it, and |C| stays below 1;
+        a phase on both moments would cancel in conj(m_A) m_B."""
+        from epsim.protocol import AncillaSpec
 
-        real = phase_module.resolution_kernel
-        monkeypatch.setattr(phase_module, "resolution_kernel",
-                            lambda pa, pb, varphi=0.0: real(pa, pb, varphi + 0.5))
+        real = AncillaSpec.first_moment
+        calls = itertools.count()
+        monkeypatch.setattr(AncillaSpec, "first_moment",
+                            lambda self: real(self) * (cmath.exp(0.5j) if next(calls) == 0
+                                                       else 1.0))
+
+    def test_cross_check_failure_exit_5(self, capsys, monkeypatch):
+        self._rotate_transported_moment(monkeypatch)
         assert main(["measure", "--ntr", "25", "--local-scale", "2"]) == 5
         err = capsys.readouterr().err.strip()
-        assert err.startswith("error:") and "\n" not in err
+        assert err.startswith("error: visibility routes disagree") and "\n" not in err
+
+    def test_cross_check_runs_at_large_transport(self, capsys, monkeypatch):
+        # Grids of 2^17 and 2^18 points over the references' non-zero spans,
+        # where the full truncations (2M + 3 > 2^20) used to skip the check.
+        self._rotate_transported_moment(monkeypatch)
+        assert main(["measure", "--ntr", "1e6", "--local-scale", "1.5"]) == 5
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error: visibility routes disagree") and "\n" not in err
 
     def test_unwritable_out_exit_4(self, capsys, tmp_path):
         target = tmp_path / "missing_dir" / "x.json"

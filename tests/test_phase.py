@@ -22,7 +22,6 @@ from epsim import (
     ef_upper_bound,
     entanglement_of_formation_x,
     post_measurement_register_state,
-    resolution_kernel,
     transfer_final_state,
     two_qubit_concurrence,
     visibility,
@@ -30,7 +29,12 @@ from epsim import (
 from epsim.phase import _row_keys, register_pair_layout
 from epsim.statefile import load_state
 from conftest import data_path, shared_double, shared_single
-from oracles import moment_list, phase_difference_povm_oracle, povm_identity_residual
+from oracles import (
+    moment_list,
+    phase_difference_povm_oracle,
+    povm_identity_residual,
+    resolution_kernel,
+)
 from strategies import ancilla_specs, random_ancillas, transfer_inputs
 
 # h(0.9), 40-digit arithmetic: EF at |C| = 0.6 where p = 0.9.
@@ -137,6 +141,29 @@ class TestVisibility:
             closed = (np.exp(1j * varphi) * np.conj(spec_a.first_moment())
                       * spec_b.first_moment())
             assert c == pytest.approx(closed, abs=1e-9)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(spec_a=random_ancillas(40), spec_b=random_ancillas(40),
+           varphi=st.floats(0.0, 2.0 * np.pi), pad=st.integers(0, 20))
+    def test_quadrature_equals_kernel_first_moment(self, spec_a, spec_b, varphi, pad):
+        # On a shared grid, e^{i varphi} conj(q_A) q_B is the first moment of
+        # the resolution kernel (convolution theorem), which is not formed.
+        K = 2 * max(spec_a.M, spec_b.M) + 3 + pad
+        kernel = resolution_kernel(canonical_phase_distribution(spec_a, K),
+                                   canonical_phase_distribution(spec_b, K), varphi)
+        c = visibility(spec_a, spec_b, varphi, grid=K)
+        assert c == pytest.approx(np.conj(kernel.grid_moment(1)), abs=1e-12)
+
+    def test_nonzero_spans_equal_full_grid(self):
+        # nbar = 5000 leaves about 1,700 exact zeros below the non-zero
+        # span and M = 12000 about 2,700 above it; the default route takes
+        # each reference over its non-zero span on its own grid.
+        spec_a = coherent_coefficients(5000.0, 12000)
+        spec_b = coherent_coefficients(20.0, 70)
+        assert spec_a.coefficients[0] == 0.0 and spec_a.coefficients[-1] == 0.0
+        for varphi in (0.0, 2.5):
+            full = visibility(spec_a, spec_b, varphi, grid=2 * 12000 + 3)
+            assert visibility(spec_a, spec_b, varphi) == pytest.approx(full, abs=1e-12)
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(spec_a=ancilla_specs(64), spec_b=ancilla_specs(64),

@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -34,7 +37,7 @@ from epsim import (
     two_mode_ancilla_state,
 )
 from conftest import random_two_site_state, shared_double, shared_single
-from oracles import gate_register_state
+from oracles import coherent_amplitudes_full_range, gate_register_state
 from strategies import ancilla_specs, random_ancillas, transfer_inputs
 
 
@@ -160,6 +163,29 @@ class TestCoherentCoefficients:
     def test_non_finite_nbar_rejected(self, nbar):
         with pytest.raises(ValueError):
             coherent_coefficients(nbar, 10)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_window_equals_full_range_oracle(self, data):
+        # The vacuum, nbar log-uniform up to the largest CLI reference with M
+        # below nbar or far above it (past the upper underflow edge too),
+        # and the nbar = 1e20, M = 4 case that a Gaussian cut gets wrong.
+        kind = data.draw(st.sampled_from(("vacuum", "below", "above", "huge")))
+        if kind == "vacuum":
+            nbar, m = 0.0, data.draw(st.integers(1, 50))
+        elif kind == "huge":
+            nbar, m = 1e20, 4
+        else:
+            nbar = 10.0 ** data.draw(st.floats(-3.0, math.log10(1.6e7)))
+            if kind == "below":
+                m = data.draw(st.integers(1, max(1, math.floor(nbar))))
+            else:
+                m = math.ceil(nbar + data.draw(st.floats(10.0, 80.0)) * math.sqrt(nbar)
+                              + data.draw(st.integers(1, 100)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            spec = coherent_coefficients(nbar, m)
+        assert np.array_equal(spec.coefficients, coherent_amplitudes_full_range(nbar, m))
 
 
 class TestAncillaSpec:
