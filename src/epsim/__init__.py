@@ -51,8 +51,6 @@ from .phase import (
     apply_phase_difference_povm,
     binary_entropy,
     canonical_phase_distribution,
-    circular_mean,
-    circular_variance,
     coherent_visibility_model,
     concurrence_ef_oracle,
     ef_large_visibility,
@@ -67,7 +65,6 @@ from .uncertainty import (
     PhaseOperatorSpace,
     PhysicalityError,
     UncertaintyReport,
-    optimum_condition,
     random_uncorrelated_pair,
     robertson_checks,
     visibility_bound_check,

@@ -127,17 +127,6 @@ def canonical_phase_distribution(spec: AncillaSpec, K: int) -> PhaseDistribution
     return PhaseDistribution(power / TWO_PI, spec.M)
 
 
-def circular_mean(dist: PhaseDistribution) -> float:
-    return float(np.angle(dist.grid_moment(1)))
-
-
-def circular_variance(dist: PhaseDistribution) -> float:
-    """Second central moment of the angle, wrapped about the circular mean."""
-    mean = circular_mean(dist)
-    wrapped = np.angle(np.exp(1j * (dist.angles - mean)))
-    return float(TWO_PI / dist.grid_size * np.sum(wrapped ** 2 * dist.values))
-
-
 def resolution_kernel(pa: PhaseDistribution, pb: PhaseDistribution,
                       varphi: float = 0.0) -> PhaseDistribution:
     """Resolution of the phase-difference measurement as a density over the

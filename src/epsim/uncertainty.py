@@ -1,16 +1,19 @@
 """Number-phase uncertainty bounds on a truncated two-mode space.
 
-A two-mode state is its amplitude matrix Psi[n_A, n_B] over occupations
-0..s of each mode.  On s+1 levels the Pegg-Barnett unitary
+A two-mode state over occupations 0..s of each mode is given either as its
+two factor vectors ``(a, b)``, for a product Psi = a (x) b, or as its
+amplitude matrix Psi[n_A, n_B].  On s+1 levels the Pegg-Barnett unitary
 E = e^{i phi} = sum_m e^{i theta_m} |theta_m><theta_m|, theta_m = 2 pi m/(s+1),
 is exactly the cyclic lowering shift |n> -> |n-1>, |0> -> |s>, so the pair
 expectations <E_A^k E_B^{dagger k}> behind the phase-difference cos D and
-sin D are overlaps of Psi with a rolled copy of itself; no operator on the
-pair space or on one mode is built.  For states supported away from the
-truncation boundary ("physical" states) the Robertson relations of cos D and
-sin D against the local and relative number operators bound the achievable
-squared fringe visibility |C|^2 = |<e^{i(phi_A - phi_B)}>|^2 by the number
-variances.  The dense phase-state constructions are the test oracles
+sin D are overlaps of the state with a rolled copy of itself; for factors
+they are products of one-mode overlaps, O(d) instead of O(d^2), and no
+operator on the pair space or on one mode is built.  For states supported
+away from the truncation boundary ("physical" states) the Robertson
+relations of cos D and sin D against the local and relative number operators
+bound the achievable squared fringe visibility |C|^2 = |<e^{i(phi_A - phi_B)}>|^2
+by the number variances; the variance-additive cap C1 applies to factors
+only.  The dense phase-state constructions are the test oracles
 (tests/oracles.py).
 """
 
@@ -18,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -98,10 +102,45 @@ def _shift_expectation(psi: np.ndarray, k: int) -> complex:
     return complex(np.vdot(psi, np.roll(psi, (-k, k), axis=(0, 1))))
 
 
+class _Sums(NamedTuple):
+    """What the moments need from a state: x_k = <E_A^k E_B^{dagger k}>
+    (k = 1, 2), the number marginals pa, pb and <N_A N_B>."""
+
+    x1: complex
+    x2: complex
+    pa: np.ndarray
+    pb: np.ndarray
+    mean_ab: float
+
+
+def _sums(state) -> _Sums:
+    """Reduce factors ``(a, b)`` in O(d) or an amplitude matrix in O(d^2).
+
+    For Psi = a (x) b the shift expectations factor,
+    x_k = <a|E^k|a> conj(<b|E^k|b>), the marginals are |a|^2 ||b||^2 and
+    |b|^2 ||a||^2, and <N_A N_B> = <N_A><N_B>.
+    """
+    if isinstance(state, tuple):
+        a, b = (np.asarray(v, dtype=complex) for v in state)
+        wa, wb = np.abs(a) ** 2, np.abs(b) ** 2
+        pa, pb = wa * wb.sum(), wb * wa.sum()
+        # np.vdot(b, np.roll(b, k)) is conj(<b|E^k|b>).
+        x1, x2 = (np.vdot(a, np.roll(a, -k)) * np.vdot(b, np.roll(b, k)) for k in (1, 2))
+        n_a, n_b = np.arange(a.size, dtype=float), np.arange(b.size, dtype=float)
+        mean_ab = float(n_a @ pa) * float(n_b @ pb)
+    else:
+        psi = np.asarray(state, dtype=complex)
+        prob = np.abs(psi) ** 2
+        pa, pb = prob.sum(axis=1), prob.sum(axis=0)
+        x1, x2 = (_shift_expectation(psi, k) for k in (1, 2))
+        n_a, n_b = (np.arange(size, dtype=float) for size in psi.shape)
+        mean_ab = n_a @ prob @ n_b
+    return _Sums(complex(x1), complex(x2), pa, pb, float(mean_ab))
+
+
 class _Moments:
-    def __init__(self, psi: np.ndarray, space: PhaseOperatorSpace):
-        x1 = _shift_expectation(psi, 1)
-        x2 = _shift_expectation(psi, 2)
+    def __init__(self, sums: _Sums, space: PhaseOperatorSpace):
+        x1, x2 = sums.x1, sums.x2
         self.cos_mean = float(np.real(x1))
         self.sin_mean = float(np.imag(x1))
         cos2 = (float(np.real(x2)) + 1.0) / 2.0
@@ -112,41 +151,33 @@ class _Moments:
         self.trig_identity_residual = (self.var_cos + self.var_sin
                                        - (1.0 - self.visibility_sq))
 
-        prob = np.abs(psi) ** 2
-        ns = space.number
-        pa = prob.sum(axis=1)
-        pb = prob.sum(axis=0)
+        ns, pa, pb = space.number, sums.pa, sums.pb
         self.mean_n_a = float(ns @ pa)
         self.mean_n_b = float(ns @ pb)
         self.var_n_a = float(ns ** 2 @ pa) - self.mean_n_a ** 2
         self.var_n_b = float(ns ** 2 @ pb) - self.mean_n_b ** 2
-        mean_ab = float(ns @ prob @ ns)
-        cov = mean_ab - self.mean_n_a * self.mean_n_b
+        cov = sums.mean_ab - self.mean_n_a * self.mean_n_b
         self.var_n_diff = self.var_n_a + self.var_n_b - 2.0 * cov
 
 
-def check_physical(psi: np.ndarray, space: PhaseOperatorSpace) -> None:
-    """Reject states with tail mass above s - sqrt(s) beyond the tolerance."""
+def _checked_moments(state, space: PhaseOperatorSpace) -> _Moments:
+    """Moments of a unit-norm physical state, validated on its marginals:
+    s+1 levels per mode and mass above occupation s - sqrt(s) within
+    PHYSICAL_TAIL_TOL in each mode."""
+    sums = _sums(state)
+    if sums.pa.shape != (space.dim,) or sums.pb.shape != (space.dim,):
+        raise LayoutError(f"state must have {space.dim} levels in each mode")
+    norm = math.sqrt(float(sums.pa.sum()))
+    if abs(norm - 1.0) > 1e-10:
+        raise ValueError(f"state norm {norm} deviates from 1")
     cutoff = int(math.floor(space.s - math.sqrt(space.s)))
-    prob = np.abs(psi) ** 2
-    tail_a = float(prob[cutoff + 1:, :].sum())
-    tail_b = float(prob[:, cutoff + 1:].sum())
+    tail_a = float(sums.pa[cutoff + 1:].sum())
+    tail_b = float(sums.pb[cutoff + 1:].sum())
     if tail_a > PHYSICAL_TAIL_TOL or tail_b > PHYSICAL_TAIL_TOL:
         raise PhysicalityError(
             f"tail mass above occupation {cutoff}: A={tail_a:.3e}, B={tail_b:.3e}"
         )
-
-
-def _physical_moments(psi, space: PhaseOperatorSpace) -> tuple[np.ndarray, _Moments]:
-    """Validate a unit-norm physical amplitude matrix and take its moments."""
-    psi = np.asarray(psi, dtype=complex)
-    if psi.shape != (space.dim, space.dim):
-        raise LayoutError(f"amplitude matrix must be {space.dim}x{space.dim}")
-    norm = np.linalg.norm(psi)
-    if abs(norm - 1.0) > 1e-10:
-        raise ValueError(f"state norm {norm} deviates from 1")
-    check_physical(psi, space)
-    return psi, _Moments(psi, space)
+    return _Moments(sums, space)
 
 
 def _report(m: _Moments, checks: tuple[InequalityCheck, ...]) -> UncertaintyReport:
@@ -160,8 +191,8 @@ def _report(m: _Moments, checks: tuple[InequalityCheck, ...]) -> UncertaintyRepo
     )
 
 
-def robertson_checks(psi, space: PhaseOperatorSpace) -> UncertaintyReport:
-    """Number-phase Robertson inequalities for a physical amplitude matrix.
+def robertson_checks(state, space: PhaseOperatorSpace) -> UncertaintyReport:
+    """Number-phase Robertson inequalities for a physical state.
 
     Difference-operator forms:
         Var(N_A - N_B) Var(cos D) >= <sin D>^2       (dcos)
@@ -170,7 +201,7 @@ def robertson_checks(psi, space: PhaseOperatorSpace) -> UncertaintyReport:
         Var(N_Z) Var(cos D) >= <sin D>^2 / 4         (dcos2_Z)
         Var(N_Z) Var(sin D) >= <cos D>^2 / 4         (dsin2_Z)
     """
-    _, m = _physical_moments(psi, space)
+    m = _checked_moments(state, space)
     s2, c2 = m.sin_mean ** 2, m.cos_mean ** 2
     checks = (
         InequalityCheck("dcos", m.var_n_diff * m.var_cos, s2),
@@ -183,53 +214,26 @@ def robertson_checks(psi, space: PhaseOperatorSpace) -> UncertaintyReport:
     return _report(m, checks)
 
 
-def is_product_state(psi: np.ndarray, tol: float = 1e-8) -> bool:
-    """True when the amplitude matrix has rank one within ``tol``, in O(d^2).
-
-    With the pivot (i, j) = argmax |Psi| the cross residual
-    R = Psi - Psi[:, j] Psi[i, :] / Psi[i, j] vanishes exactly for a product,
-    and the state is called a product when ||R||_F <= tol ||Psi||_F.
-    Psi - R has rank one, so sigma_2 <= ||R||_F; the max-modulus entry is the
-    maximal-volume 1x1 submatrix, so max|R| <= 2 sigma_2 (Goreinov &
-    Tyrtyshnikov, Contemp. Math. 280, 47 (2001)) and ||R||_F <= 2 d sigma_2
-    for a d x d matrix.  Against the singular-value test
-    sigma_2 <= tol sigma_1 (tests/oracles.py) the verdicts can differ only
-    when tol / (2 d) < sigma_2 / sigma_1 <= tol ||Psi||_F / sigma_1, and
-    ||Psi||_F / sigma_1 <= (1 - (d - 1) tol^2)^{-1/2} inside that band.
-    """
-    i, j = np.unravel_index(np.argmax(np.abs(psi)), psi.shape)
-    cross = np.outer(psi[:, j], psi[i, :] / psi[i, j])
-    cross -= psi  # -R, formed in place so only one d x d temporary is allocated
-    return bool(np.linalg.norm(cross) <= tol * np.linalg.norm(psi))
-
-
-def visibility_bound_check(psi, space: PhaseOperatorSpace) -> UncertaintyReport:
+def visibility_bound_check(state, space: PhaseOperatorSpace) -> UncertaintyReport:
     """Visibility caps from the summed Robertson relations.
 
         |C|^2 <= (Var N_A + Var N_B) / (1 + Var N_A + Var N_B)   (C1)
         |C|^2 <= 4 Var N_Z / (1 + 4 Var N_Z), Z = A, B           (C2_Z)
 
     C1 uses variance additivity and is only meaningful for uncorrelated
-    (product) inputs; for correlated states it is reported as skipped.
+    inputs, so it applies to a state given as factors ``(a, b)``; for an
+    amplitude matrix it is reported as skipped.
     """
-    psi, m = _physical_moments(psi, space)
+    m = _checked_moments(state, space)
     c2 = m.visibility_sq
     vsum = m.var_n_a + m.var_n_b
-    product = is_product_state(psi)
     checks = (
-        InequalityCheck("C1", vsum / (1.0 + vsum), c2, skipped=not product),
+        InequalityCheck("C1", vsum / (1.0 + vsum), c2,
+                        skipped=not isinstance(state, tuple)),
         InequalityCheck("C2_A", 4.0 * m.var_n_a / (1.0 + 4.0 * m.var_n_a), c2),
         InequalityCheck("C2_B", 4.0 * m.var_n_b / (1.0 + 4.0 * m.var_n_b), c2),
     )
     return _report(m, checks)
-
-
-def optimum_condition(var_a: float, var_b: float) -> bool:
-    """True when the non-transported variance dominates, Var_B >= 3 Var_A,
-    so the single-site cap on the transported mode A is the binding bound."""
-    if var_a < 0.0 or var_b < 0.0:
-        raise ValueError("variances must be non-negative")
-    return var_b >= 3.0 * var_a
 
 
 def pair_layout(s: int) -> ModeLayout:
@@ -246,23 +250,22 @@ def pair_state(psi: np.ndarray) -> PureState:
 
 
 def coherent_pair_state(nbar_a: float, nbar_b: float,
-                        space: PhaseOperatorSpace) -> np.ndarray:
-    """Amplitude matrix of two truncated coherent states."""
+                        space: PhaseOperatorSpace) -> tuple[np.ndarray, np.ndarray]:
+    """Factors of two truncated coherent states."""
     from .protocol import coherent_coefficients
 
-    ca = coherent_coefficients(nbar_a, space.s).coefficients
-    cb = coherent_coefficients(nbar_b, space.s).coefficients
-    return np.outer(ca, cb)
+    return (coherent_coefficients(nbar_a, space.s).coefficients,
+            coherent_coefficients(nbar_b, space.s).coefficients)
 
 
 def random_uncorrelated_pair(space: PhaseOperatorSpace,
-                             rng: np.random.RandomState) -> np.ndarray:
-    """Amplitude matrix of a random product state supported on [0, s // 2]
-    in each mode, a window that keeps the state comfortably physical."""
+                             rng: np.random.RandomState) -> tuple[np.ndarray, np.ndarray]:
+    """Factors of a random product state supported on [0, s // 2] in each
+    mode, a window that keeps the state comfortably physical."""
     w = space.s // 2
-    vec_a = rng.randn(w + 1) + 1j * rng.randn(w + 1)
-    vec_b = rng.randn(w + 1) + 1j * rng.randn(w + 1)
-    psi = np.zeros((space.dim, space.dim), dtype=complex)
-    psi[:w + 1, :w + 1] = np.outer(vec_a / np.linalg.norm(vec_a),
-                                   vec_b / np.linalg.norm(vec_b))
-    return psi
+
+    def factor():
+        vec = rng.randn(w + 1) + 1j * rng.randn(w + 1)
+        return np.pad(vec / np.linalg.norm(vec), (0, space.s - w))
+
+    return factor(), factor()

@@ -258,10 +258,3 @@ def phase_difference_trig(s, theta0=0.0):
     sin = (x - x.conj().T) / 2.0j
     return cos, sin
 
-
-def product_state_svd(psi, tol=1e-8):
-    """Rank-one test by the full singular-value decomposition: the amplitude
-    matrix is a product when sigma_2 <= tol sigma_1 (the library uses the
-    maximal-volume cross residual instead)."""
-    svals = np.linalg.svd(psi, compute_uv=False)
-    return bool(svals[1] <= tol * svals[0])

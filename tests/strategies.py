@@ -73,22 +73,21 @@ def amplitude_matrices(draw, max_s=40):
 
 
 @st.composite
-def perturbed_products(draw, max_s=40):
-    """Unit-norm (s+1)x(s+1) matrix a (x) b + eps E with complex Gaussian a, b
-    and E, 1 <= s <= max_s, eps in {0} u [1e-14, 1e-12] u [1e-5, 1]: exact,
-    rounding-level and clearly correlated inputs on either side of the 1e-8
-    product tolerance.  About half of the entries of a and of b are zeroed, as
-    in number states and windowed supports, so Psi[0, 0] is often zero."""
+def factor_pairs(draw, max_s=64):
+    """Two unit-norm complex factor vectors ``(a, b)`` of length s+1 with
+    1 <= s <= max_s.  Each factor is supported on [0, top]; top = s (an
+    unpadded support that reaches the truncation boundary) for about half of
+    the factors and uniform in [0, s] otherwise.  About a third of the
+    entries are zeroed, as in number states, and one entry of the support is
+    set to 1 so the factor is never zero."""
     s = draw(st.integers(1, max_s))
-    eps = draw(st.one_of(st.just(0.0), st.floats(1e-14, 1e-12), st.floats(1e-5, 1.0)))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-
-    def gaussian(*shape):
-        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-    a, b = gaussian(s + 1), gaussian(s + 1)
-    for vec in (a, b):
-        vec[rng.random(s + 1) < 0.5] = 0.0
-        vec[rng.integers(s + 1)] = 1.0
-    psi = np.outer(a, b) + eps * gaussian(s + 1, s + 1)
-    return psi / np.linalg.norm(psi)
+    factors = []
+    for _ in range(2):
+        top = draw(st.one_of(st.just(s), st.integers(0, s)))
+        vec = np.zeros(s + 1, dtype=complex)
+        vec[:top + 1] = rng.standard_normal(top + 1) + 1j * rng.standard_normal(top + 1)
+        vec[rng.random(s + 1) < 1.0 / 3.0] = 0.0
+        vec[rng.integers(top + 1)] = 1.0
+        factors.append(vec / np.linalg.norm(vec))
+    return tuple(factors)

@@ -317,7 +317,8 @@ class TestBoundsCommand:
         assert pair["checks"]["C2_A"]["lhs"] == pytest.approx(100.0 / 101.0, rel=1e-9)
 
     def test_product_detected_at_size_cap(self, capsys):
-        # d = 2049: the rank-one test must stay O(d^2) for C1 to be affordable.
+        # d = 2049: the draws are factor pairs, so C1 is checked on O(d) moments
+        # with no d x d matrix.
         code, report = run_cli(capsys, "bounds", "--seeds", "1", "--s", "2048")
         assert code == 0
         assert "C1" in report["results"]["inequalities"]
@@ -347,20 +348,29 @@ class TestBoundsCommand:
 
     def test_violation_exit_5(self, capsys, monkeypatch):
         # The inequalities are theorems for the generated states, so the
-        # failure path is driven with a doctored report.
+        # failure path is driven with a doctored report: first on a random
+        # state, then on the coherent pair only (its truncation grows to 440
+        # for --nbar 25,250, the draws stay at 32).
         import epsim.cli as cli_module
         from epsim.uncertainty import InequalityCheck
 
-        real = cli_module.robertson_checks
+        def doctor(patch, name, check, s_bad):
+            real = getattr(cli_module, name)
 
-        def doctored(state, space):
-            report = real(state, space)
-            bad = InequalityCheck("dcos", 0.0, 1.0)
-            return type(report)(**{**report.__dict__, "checks": (bad,)})
+            def doctored(state, space):
+                report = real(state, space)
+                if space.s != s_bad:
+                    return report
+                bad = InequalityCheck(check, 0.0, 1.0)
+                return type(report)(**{**report.__dict__, "checks": (bad,)})
 
-        monkeypatch.setattr(cli_module, "robertson_checks", doctored)
-        code, report = run_cli(capsys, "bounds", "--seeds", "1", "--s", "32")
+            patch.setattr(cli_module, name, doctored)
+
+        with monkeypatch.context() as patch:
+            doctor(patch, "robertson_checks", "dcos", 32)
+            code, report = run_cli(capsys, "bounds", "--seeds", "1", "--s", "32")
         assert code == 5
+        assert report["results"]["violations"] == 1
         (entry,) = report["results"]["violating_states"]
         assert set(entry) == {"modes", "terms"}
         assert entry["modes"] == [
@@ -369,6 +379,16 @@ class TestBoundsCommand:
         assert all(set(t) == {"occ", "amp"} and len(t["occ"]) == 2 for t in entry["terms"])
         norm_sq = sum(t["amp"][0] ** 2 + t["amp"][1] ** 2 for t in entry["terms"])
         assert norm_sq == pytest.approx(1.0, abs=1e-12)
+
+        with monkeypatch.context() as patch:
+            doctor(patch, "visibility_bound_check", "C2_A", 440)
+            assert main(["bounds", "--seeds", "2", "--s", "32", "--nbar", "25,250"]) == 5
+        captured = capsys.readouterr()
+        assert captured.err == "error: 1 inequality violations\n"
+        results = json.loads(captured.out)["results"]
+        assert results["violations"] == 1
+        assert results["coherent_pair"]["s"] == 440
+        assert "violating_states" not in results
 
 
 @pytest.mark.parametrize("argv", [

@@ -14,7 +14,6 @@ from epsim import (
     StateValidationError,
     apply_phase_difference_povm,
     canonical_phase_distribution,
-    circular_variance,
     coherent_coefficients,
     coherent_visibility_model,
     concurrence_ef_oracle,
@@ -63,12 +62,6 @@ class TestCanonicalPhaseDistribution:
         dist = canonical_phase_distribution(spec, 257)
         total = 2 * np.pi / dist.grid_size * dist.values.sum()
         assert total == pytest.approx(1.0, abs=1e-12)
-
-    def test_coherent_circular_variance(self):
-        spec = coherent_coefficients(25.0, 75)
-        dist = canonical_phase_distribution(spec, 257)
-        var = circular_variance(dist)
-        assert abs(var - 1.0 / 100.0) / (1.0 / 100.0) < 0.10
 
     def test_grid_too_small(self):
         spec = coherent_coefficients(9.0, 40)

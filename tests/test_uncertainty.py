@@ -8,16 +8,14 @@ from epsim import (
     PhaseOperatorSpace,
     PhysicalityError,
     coherent_coefficients,
-    optimum_condition,
     robertson_checks,
     visibility,
     visibility_bound_check,
 )
 from epsim.uncertainty import (
     _Moments,
-    _shift_expectation,
+    _sums,
     coherent_pair_state,
-    is_product_state,
     random_uncorrelated_pair,
 )
 from oracles import (
@@ -25,9 +23,8 @@ from oracles import (
     phase_angles,
     phase_difference_trig,
     phase_states,
-    product_state_svd,
 )
-from strategies import amplitude_matrices, perturbed_products
+from strategies import amplitude_matrices, factor_pairs
 
 
 def number_pair_state(na, nb, s):
@@ -100,26 +97,28 @@ class TestPhaseDifferenceTrig:
 class TestShiftRoute:
     """The library's np.roll moments against the dense Pegg-Barnett operators.
 
-    Full-support matrices put weight on the truncation boundary, where the
-    shift wraps around, so the moments run on unchecked (non-physical)
-    inputs through ``_Moments`` directly.
+    Full-support matrices and unpadded factors put weight on the truncation
+    boundary, where the shift wraps around, so the moments run on unchecked
+    (non-physical) inputs through ``_Moments`` directly.
     """
 
-    @settings(max_examples=100, deadline=None, derandomize=True)
-    @given(psi=amplitude_matrices(max_s=40))
-    def test_shift_moments_equal_dense_oracle(self, psi):
+    @staticmethod
+    def assert_dense_moments(state, psi):
+        """The moments of ``state`` (psi itself or its factors) against the
+        dense operators on psi."""
         s = psi.shape[0] - 1
         vec = psi.ravel()
         e = pegg_barnett_exponential(s)
-        for k in (1, 2):
+        sums = _sums(state)
+        for k, x in ((1, sums.x1), (2, sums.x2)):
             ek = np.linalg.matrix_power(e, k)
             dense = np.vdot(vec, np.kron(ek, ek.conj().T) @ vec)
-            assert abs(_shift_expectation(psi, k) - dense) <= 1e-12
+            assert abs(x - dense) <= 1e-12
         cos, sin = phase_difference_trig(s)
         cos_vec, sin_vec = cos @ vec, sin @ vec
         cos_mean = np.vdot(vec, cos_vec).real
         sin_mean = np.vdot(vec, sin_vec).real
-        m = _Moments(psi, PhaseOperatorSpace(s))
+        m = _Moments(sums, PhaseOperatorSpace(s))
         assert m.cos_mean == pytest.approx(cos_mean, abs=1e-12)
         assert m.sin_mean == pytest.approx(sin_mean, abs=1e-12)
         assert m.var_cos == pytest.approx(
@@ -127,14 +126,63 @@ class TestShiftRoute:
         assert m.var_sin == pytest.approx(
             np.vdot(sin_vec, sin_vec).real - sin_mean ** 2, abs=1e-12)
 
-
-class TestProductState:
-    """The cross-residual rank test against the singular-value oracle."""
-
     @settings(max_examples=100, deadline=None, derandomize=True)
-    @given(psi=perturbed_products(max_s=40))
-    def test_rank_one_test_equals_svd_oracle(self, psi):
-        assert is_product_state(psi) == product_state_svd(psi)
+    @given(psi=amplitude_matrices(max_s=40))
+    def test_shift_moments_equal_dense_oracle(self, psi):
+        self.assert_dense_moments(psi, psi)
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(factors=factor_pairs(max_s=40))
+    def test_factor_moments_equal_dense_oracle(self, factors):
+        self.assert_dense_moments(factors, np.outer(*factors))
+
+
+def _checked(check, state, space):
+    """The check's report, or None when it rejects the state as unphysical."""
+    try:
+        return check(state, space)
+    except PhysicalityError:
+        return None
+
+
+class TestFactoredRoute:
+    """Factors ``(a, b)`` against the amplitude matrix ``np.outer(a, b)``.
+
+    Values agree to 1e-12 relative to their natural scale: (s+1)^2 for the
+    number variances and the Robertson left sides, which carry one, and 1
+    for phase moments, visibilities and caps.
+    """
+
+    FIELDS = ("var_n_a", "var_n_b", "var_n_diff", "cos_mean", "sin_mean",
+              "var_cos", "var_sin", "visibility_sq", "trig_identity_residual")
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(factors=factor_pairs(max_s=64))
+    def test_reports_equal_matrix_route(self, factors):
+        psi = np.outer(*factors)
+        s = psi.shape[0] - 1
+        space = PhaseOperatorSpace(s)
+        number_scale = float((s + 1) ** 2)
+
+        def close(got, want, scale):
+            return math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-12 * scale)
+
+        for check in (robertson_checks, visibility_bound_check):
+            factored = _checked(check, factors, space)
+            dense = _checked(check, psi, space)
+            assert (factored is None) == (dense is None)
+            if factored is None:
+                continue
+            for field in self.FIELDS:
+                scale = number_scale if field.startswith("var_n") else 1.0
+                assert close(getattr(factored, field), getattr(dense, field), scale), field
+            assert [c.name for c in factored.checks] == [c.name for c in dense.checks]
+            lhs_scale = number_scale if check is robertson_checks else 1.0
+            for fc, dc in zip(factored.checks, dense.checks):
+                assert close(fc.lhs, dc.lhs, lhs_scale), fc.name
+                assert close(fc.rhs, dc.rhs, 1.0), fc.name
+                assert not fc.skipped
+                assert dc.skipped == (fc.name == "C1")
 
 
 class TestRobertsonChecks:
@@ -171,9 +219,13 @@ class TestRobertsonChecks:
 
     def test_nonphysical_rejected(self):
         s = 32
-        state = number_pair_state(s, 0, s)
-        with pytest.raises(PhysicalityError):
-            robertson_checks(state, PhaseOperatorSpace(s))
+        space = PhaseOperatorSpace(s)
+        top, ground = np.zeros(s + 1), np.zeros(s + 1)
+        top[s] = ground[0] = 1.0
+        for state in (number_pair_state(s, 0, s), number_pair_state(0, s, s),
+                      (top, ground), (ground, top)):
+            with pytest.raises(PhysicalityError):
+                robertson_checks(state, space)
 
 
 class TestVisibilityBoundCheck:
@@ -210,21 +262,6 @@ class TestVisibilityBoundCheck:
         c2a = report.check("C2_A")
         rel_slack = (c2a.lhs - c2a.rhs) / (1.0 - c2a.rhs)
         assert 0.0 <= rel_slack <= 0.30
-
-
-class TestOptimumCondition:
-    def test_threshold_holds(self):
-        assert optimum_condition(1.0, 3.0) is True
-
-    def test_below_threshold(self):
-        assert optimum_condition(1.0, 2.9) is False
-
-    def test_degenerate_boundary(self):
-        assert optimum_condition(0.0, 0.0) is True
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            optimum_condition(-1.0, 1.0)
 
 
 class TestCrossModuleVisibility:
