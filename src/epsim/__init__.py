@@ -39,7 +39,6 @@ from .protocol import (
     mode_overlap_integral,
     occupation_cnot,
     phase_grid_register_state,
-    phase_rotated_ancilla,
     reference_phase_shift,
     run_transfer,
     transfer_final_state,

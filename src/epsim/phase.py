@@ -13,9 +13,10 @@ values come from one FFT of the amplitudes, and the visibility's quadrature
 route integrates each reference's density against e^{i theta} on its own
 grid, which the convolution theorem makes the first moment of the
 measurement's resolution kernel, so no kernel is formed.  Each reference
-enters over its non-zero amplitudes only: a coherent reference of mean nbar
-has about 65 sqrt(nbar) of them at the truncation nbar + 10 sqrt(nbar), and
-under 110 sqrt(nbar) however long its truncation.  The
+enters through the non-zero span its ``AncillaSpec`` stores: a coherent
+reference of mean nbar has about 65 sqrt(nbar) non-zero amplitudes at the
+truncation nbar + 10 sqrt(nbar), and under 110 sqrt(nbar) however long its
+truncation.  The
 phase-difference POVM groups the state's terms with integer keys and forms
 the register matrix as one matrix product; the grouping lives inside the
 reference-phase invariant subspaces (fixed pair total), so it is planned
@@ -62,9 +63,10 @@ class CrossCheckError(ArithmeticError):
 class PhaseDistribution:
     """Density over [0, 2pi) sampled on a uniform grid.
 
-    ``degree`` is the highest Fourier order of the density, M for a
-    canonical distribution of amplitudes c_0..c_M: on a grid of at least
-    2 degree + 3 points its circular moments are exact sums over the grid.
+    ``degree`` is the highest Fourier order of the density, W = hi - lo for
+    a canonical distribution of the stored span c_lo..c_hi: on a grid of at
+    least 2 degree + 3 points its circular moments are exact sums over the
+    grid.
     """
 
     values: np.ndarray
@@ -120,11 +122,14 @@ def _unit_circle(K: int) -> np.ndarray:
 
 def canonical_phase_distribution(spec: AncillaSpec, K: int) -> PhaseDistribution:
     """P(theta) = |sum_n c_n e^{-i n theta}|^2 / 2pi on a K-point grid, from
-    one FFT of the amplitudes; its moments are taken on demand."""
-    if K < 2 * spec.M + 3:
-        raise GridError(f"grid size {K} below exactness bound {2 * spec.M + 3}")
+    one FFT of the stored span c_lo..c_hi (starting at lo only multiplies the
+    sum by a phase), so its degree is W = hi - lo and K >= 2W + 3 whatever M
+    is; its moments are taken on demand."""
+    degree = spec.coefficients.size - 1
+    if K < 2 * degree + 3:
+        raise GridError(f"grid size {K} below exactness bound {2 * degree + 3}")
     power = np.abs(np.fft.fft(spec.coefficients, n=K)) ** 2
-    return PhaseDistribution(power / TWO_PI, spec.M)
+    return PhaseDistribution(power / TWO_PI, degree)
 
 
 def resolution_kernel(pa: PhaseDistribution, pb: PhaseDistribution,
@@ -148,19 +153,6 @@ def resolution_kernel(pa: PhaseDistribution, pb: PhaseDistribution,
     return PhaseDistribution(values, min(pa.degree, pb.degree))
 
 
-def _nonzero_span(spec: AncillaSpec) -> AncillaSpec:
-    """``spec`` cut to its non-zero amplitudes c_lo..c_hi (at least two
-    levels, so it stays a valid ancilla).  Dropping the leading zeros only
-    multiplies sum_n c_n e^{-in theta} by e^{i lo theta}, so the canonical
-    phase distribution is unchanged."""
-    nonzero = np.flatnonzero(spec.coefficients)
-    lo = min(int(nonzero[0]), spec.M - 1)
-    hi = max(int(nonzero[-1]), lo + 1)
-    if hi - lo == spec.M:
-        return spec
-    return AncillaSpec(hi - lo, spec.coefficients[lo:hi + 1])
-
-
 def visibility(spec_a: AncillaSpec, spec_b: AncillaSpec, varphi: float = 0.0,
                grid: int | None = None) -> complex:
     """Fringe visibility C of the phase-difference measurement.
@@ -172,25 +164,25 @@ def visibility(spec_a: AncillaSpec, spec_b: AncillaSpec, varphi: float = 0.0,
     e^{i varphi} conj(m_A) m_B with m_Z = sum_n conj(c_n) c_{n+1} from the
     amplitudes.  Both are computed and must agree to 1e-9 (each grid
     integrates its band-limited density exactly); the quadrature value is
-    returned.  Without ``grid`` each density is taken over the reference's
-    non-zero span of W_Z + 1 levels on its own grid, the smallest power of
-    two >= max(2 W_Z + 3, 257); if either grid would pass
+    returned.  Each density is taken over the reference's stored span of
+    W_Z + 1 levels.  Without ``grid`` each reference gets its own grid, the
+    smallest power of two >= max(2 W_Z + 3, 257); if either grid would pass
     ``QUADRATURE_GRID_CAP`` only the closed route is evaluated.  An explicit
-    ``grid`` holds both full references and must be >= 2M + 3.  Either way
-    |C| above 1 + 1e-10 raises ``CrossCheckError``.
+    ``grid`` serves both references and must be >= 2 W_Z + 3 for each.
+    Either way |C| above 1 + 1e-10 raises ``CrossCheckError``.
     """
     shift = np.exp(1j * varphi)
     closed = shift * np.conj(spec_a.first_moment()) * spec_b.first_moment()
     if grid is None:
-        spans = [_nonzero_span(spec) for spec in (spec_a, spec_b)]
-        bounds = [max(2 * span.M + 3, 257) for span in spans]
+        bounds = [max(2 * (spec.coefficients.size - 1) + 3, 257) for spec in (spec_a, spec_b)]
         if max(bounds) > QUADRATURE_GRID_CAP:
             return _unit_bounded(complex(closed))
         # A power of two is the fastest FFT length; any K >= 2W + 3 is exact.
-        pa, pb = (canonical_phase_distribution(span, 1 << (bound - 1).bit_length())
-                  for span, bound in zip(spans, bounds))
+        grids = [1 << (bound - 1).bit_length() for bound in bounds]
     else:
-        pa, pb = (canonical_phase_distribution(spec, grid) for spec in (spec_a, spec_b))
+        grids = [grid, grid]
+    pa, pb = (canonical_phase_distribution(spec, K)
+              for spec, K in zip((spec_a, spec_b), grids))
     quad = shift * np.conj(pa.grid_moment(1)) * pb.grid_moment(1)
     if abs(quad - closed) > 1e-9:
         raise CrossCheckError(

@@ -65,21 +65,28 @@ class GridError(ValueError):
 
 
 class AncillaSpec:
-    """Truncated ancilla amplitudes c_0..c_M with unit two-norm."""
+    """Unit-norm ancilla amplitudes on the levels 0..M, stored as their
+    non-zero span: ``coefficients`` is c_lo..c_hi, from the first to the last
+    non-zero amplitude.  The constructor takes amplitudes that start at level
+    ``lo`` and keeps a copy of that span only, not a zero-padded input."""
 
-    def __init__(self, M: int, coefficients):
+    def __init__(self, M: int, coefficients, lo: int = 0):
         if M < 1:
             raise ValueError("ancilla truncation M must be >= 1")
-        coeffs = np.asarray(coefficients, dtype=complex)
-        if coeffs.shape != (M + 1,):
-            raise ValueError(f"expected {M + 1} coefficients, got {coeffs.shape}")
+        coeffs = np.array(coefficients, dtype=complex)
+        if coeffs.ndim != 1 or not 0 <= lo <= lo + coeffs.size - 1 <= M:
+            raise ValueError(f"{coeffs.shape} coefficients from level {lo} do not fit "
+                             f"in levels 0..{M}")
         if not np.all(np.isfinite(coeffs)):
             raise StateValidationError("ancilla coefficients must be finite")
         norm = float(np.linalg.norm(coeffs))
         if abs(norm - 1.0) > 1e-10:
             raise StateValidationError(f"ancilla coefficients have norm {norm}, not 1")
+        nonzero = coeffs != 0
+        first, stop = int(nonzero.argmax()), coeffs.size - int(nonzero[::-1].argmax())
         self.M = M
-        self.coefficients = coeffs
+        self.lo = lo + first
+        self.coefficients = coeffs if stop - first == coeffs.size else coeffs[first:stop].copy()
 
     @classmethod
     def uniform(cls, M: int) -> "AncillaSpec":
@@ -87,19 +94,24 @@ class AncillaSpec:
 
     @classmethod
     def number_state(cls, n: int, M: int) -> "AncillaSpec":
-        coeffs = np.zeros(M + 1)
-        coeffs[n] = 1.0
-        return cls(M, coeffs)
+        return cls(M, [1.0], lo=n)
+
+    @property
+    def levels(self) -> np.ndarray:
+        """Occupation of each stored amplitude, lo..hi."""
+        return np.arange(self.lo, self.lo + self.coefficients.size)
 
     @property
     def mean(self) -> float:
-        return float(np.sum(np.arange(self.M + 1) * np.abs(self.coefficients) ** 2))
+        return float(np.sum(self.levels * np.abs(self.coefficients) ** 2))
 
     @property
     def variance(self) -> float:
+        """sum_n (n - mean)^2 |c_n|^2, taken about the mean: the raw second
+        moment minus the squared mean loses digits to cancellation as the
+        mean grows (0.28 of 1.6e7 at nbar = 1.6e7)."""
         probs = np.abs(self.coefficients) ** 2
-        ns = np.arange(self.M + 1)
-        return float(np.sum(ns ** 2 * probs) - np.sum(ns * probs) ** 2)
+        return float(np.sum((self.levels - self.mean) ** 2 * probs))
 
     def first_moment(self) -> complex:
         """sum_n conj(c_n) c_{n+1}; the mean phasor of the ancilla's phase
@@ -112,8 +124,8 @@ class AncillaSpec:
 
 
 # Log weights more than this far below the peak's give amplitudes
-# exp(0.5 * log_w) that underflow to exactly 0.0 (below about -1490.3).
-_LOG_WEIGHT_FLOOR = -1600.0
+# exp(0.5 * log_w) that underflow to exactly 0.0 (below about -1490.27).
+_LOG_WEIGHT_FLOOR = -1491.0
 
 
 def coherent_coefficients(nbar: float, M: int) -> AncillaSpec:
@@ -121,11 +133,11 @@ def coherent_coefficients(nbar: float, M: int) -> AncillaSpec:
 
     c_n is proportional to the square root of the Poisson weight
     nbar^n e^{-nbar} / n!, renormalized after truncation at M.  Computed in
-    log space so large nbar stays finite, and only on the window [lo, M]
-    below which every amplitude underflows to 0.0 (lo is about
-    nbar - 56 sqrt(nbar) once nbar passes about 3000): the same lgamma
-    values minus the same maximum, so the result equals the full-range
-    computation bit for bit.
+    log space so large nbar stays finite, and only on the window [lo, hi]
+    outside which every amplitude underflows to 0.0 (about
+    nbar -+ 55 sqrt(nbar) once nbar passes about 3000, whatever M is): the
+    same lgamma values minus the same maximum as over all of 0..M, and
+    normalized over the non-zero levels, which the returned spec stores.
     """
     if not (math.isfinite(nbar) and nbar >= 0):
         raise ValueError(f"nbar must be finite and >= 0, got {nbar}")
@@ -135,44 +147,48 @@ def coherent_coefficients(nbar: float, M: int) -> AncillaSpec:
             f"{nbar + 10.0 * math.sqrt(nbar):.1f}; tail probability is clipped",
             stacklevel=2,
         )
-    amps = np.zeros(M + 1)
     if nbar == 0.0:
-        amps[0] = 1.0
-    else:
-        # The factor e^{-nbar} is constant in n and cancels in the
-        # renormalization; kept in the log weights it would swamp the
-        # n-dependent terms once nbar passes about 1e17.
-        log_nbar = math.log(nbar)
-        lo = _coherent_window_start(log_nbar, min(M, math.floor(nbar)))
-        log_w = np.arange(lo, M + 1) * log_nbar - np.fromiter(
-            map(math.lgamma, range(lo + 1, M + 2)), dtype=float, count=M + 1 - lo)
-        log_w -= log_w.max()
-        amps[lo:] = np.exp(0.5 * log_w)
-    amps /= np.linalg.norm(amps)
-    return AncillaSpec(M, amps)
+        return AncillaSpec(M, [1.0])
+    # The factor e^{-nbar} is constant in n and cancels in the
+    # renormalization; kept in the log weights it would swamp the
+    # n-dependent terms once nbar passes about 1e17.
+    log_nbar = math.log(nbar)
+    lo, hi = _coherent_window(log_nbar, min(M, math.floor(nbar)), M)
+    log_w = np.arange(lo, hi + 1) * log_nbar - np.fromiter(
+        map(math.lgamma, range(lo + 1, hi + 2)), dtype=float, count=hi + 1 - lo)
+    log_w -= log_w.max()
+    amps = np.exp(0.5 * log_w)
+    nonzero = np.flatnonzero(amps)
+    amps = amps[nonzero[0]:nonzero[-1] + 1]
+    return AncillaSpec(M, amps / np.linalg.norm(amps), lo=lo + int(nonzero[0]))
 
 
-def _coherent_window_start(log_nbar: float, peak: int) -> int:
-    """Smallest n <= peak whose log weight n log nbar - lgamma(n + 1) lies
-    within ``_LOG_WEIGHT_FLOOR`` of the weight at ``peak``, the largest one.
+def _coherent_window(log_nbar: float, peak: int, M: int) -> tuple[int, int]:
+    """First and last n in [0, M] whose log weight n log nbar - lgamma(n + 1)
+    lies within ``_LOG_WEIGHT_FLOOR`` of the weight at ``peak``, the largest
+    one.
 
-    The log weight is concave in n and rises up to floor(nbar) >= peak, so
-    a bisection over [0, peak] finds the edge with O(log peak) lgamma calls.
+    The log weight is concave in n, rising up to peak = min(M, floor(nbar))
+    and falling after it, so one bisection on each side of the peak finds
+    the edges with O(log M) lgamma calls.
     """
-    def below_peak(n: int) -> float:
-        return n * log_nbar - math.lgamma(n + 1) - top
+    def within(n: int) -> bool:
+        return n * log_nbar - math.lgamma(n + 1) - top >= _LOG_WEIGHT_FLOOR
+
+    def edge(inside: int, outside: int) -> int:
+        """The last n from ``inside`` towards ``outside`` that is within."""
+        if within(outside):
+            return outside
+        while abs(outside - inside) > 1:
+            mid = (inside + outside) // 2
+            if within(mid):
+                inside = mid
+            else:
+                outside = mid
+        return inside
 
     top = peak * log_nbar - math.lgamma(peak + 1)
-    if below_peak(0) >= _LOG_WEIGHT_FLOOR:
-        return 0
-    lo, hi = 0, peak                  # below_peak(lo) < floor <= below_peak(hi)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if below_peak(mid) >= _LOG_WEIGHT_FLOOR:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return edge(peak, 0), edge(peak, M)
 
 
 def truncated_phase_state(M: int, theta: float,
@@ -191,19 +207,6 @@ def truncated_phase_state(M: int, theta: float,
     return PureState(layout_of(mode), amps)
 
 
-def phase_rotated_ancilla(spec: AncillaSpec, theta: float,
-                          mode: ModeDescriptor | None = None) -> PureState:
-    """Single-mode state sum_n c_n e^{i n theta} |n>."""
-    if mode is None:
-        mode = ModeDescriptor("anc", "A", "field", spec.M)
-    amps = {
-        (n,): spec.coefficients[n] * np.exp(1j * n * theta)
-        for n in range(spec.M + 1)
-        if abs(spec.coefficients[n]) > 0.0
-    }
-    return PureState(layout_of(mode), amps)
-
-
 def two_mode_ancilla_state(spec: AncillaSpec, sink: ModeDescriptor | None = None,
                            ref: ModeDescriptor | None = None,
                            site: str = "A") -> PureState:
@@ -215,11 +218,7 @@ def two_mode_ancilla_state(spec: AncillaSpec, sink: ModeDescriptor | None = None
         ref = ModeDescriptor(f"ref_{site}", site, "field", M)
     if sink.capacity < M:
         raise CapacityError(f"sink capacity {sink.capacity} below M={M}")
-    amps = {
-        (M - n, n): spec.coefficients[n]
-        for n in range(M + 1)
-        if abs(spec.coefficients[n]) > 0.0
-    }
+    amps = {(M - n, n): c for n, c in zip(spec.levels.tolist(), spec.coefficients)}
     return PureState(layout_of(sink, ref), amps)
 
 
@@ -412,7 +411,7 @@ def mode_overlap_integral(k: int, spec: AncillaSpec, theta: float) -> complex:
         warnings.warn(f"k={k} exceeds truncation M={spec.M}; integral is 0",
                       stacklevel=2)
         return 0.0 + 0.0j
-    weight = float(np.sum(np.abs(spec.coefficients[k:]) ** 2))
+    weight = float(np.sum(np.abs(spec.coefficients[max(0, k - spec.lo):]) ** 2))
     return weight / (spec.M + 1) * np.exp(1j * k * theta)
 
 

@@ -251,11 +251,15 @@ def pair_state(psi: np.ndarray) -> PureState:
 
 def coherent_pair_state(nbar_a: float, nbar_b: float,
                         space: PhaseOperatorSpace) -> tuple[np.ndarray, np.ndarray]:
-    """Factors of two truncated coherent states."""
+    """Factors of two truncated coherent states, each its stored non-zero
+    span padded with zeros to the s+1 levels the cyclic shift runs over."""
     from .protocol import coherent_coefficients
 
-    return (coherent_coefficients(nbar_a, space.s).coefficients,
-            coherent_coefficients(nbar_b, space.s).coefficients)
+    def factor(nbar):
+        spec = coherent_coefficients(nbar, space.s)
+        return np.pad(spec.coefficients, (spec.lo, space.s - spec.levels[-1]))
+
+    return factor(nbar_a), factor(nbar_b)
 
 
 def random_uncorrelated_pair(space: PhaseOperatorSpace,

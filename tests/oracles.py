@@ -15,6 +15,14 @@ import numpy as np
 from epsim.phase import resolution_kernel  # noqa: F401
 
 
+def dense(spec):
+    """An ancilla's amplitudes on all of its levels 0..M: the stored span
+    c_lo..c_hi with the zeros around it filled back in."""
+    full = np.zeros(spec.M + 1, dtype=complex)
+    full[spec.lo:spec.lo + spec.coefficients.size] = spec.coefficients
+    return full
+
+
 def overlap_integral_quadrature(k, spec, theta, grid=None):
     """Phase-average of the sink/reference overlap products:
 
@@ -26,12 +34,13 @@ def overlap_integral_quadrature(k, spec, theta, grid=None):
     m_tr = spec.M
     K = grid if grid is not None else 2 * m_tr + 3
     ns = np.arange(m_tr + 1)
+    coeffs = dense(spec)
 
     def psi(angle):
         return np.exp(-1j * (m_tr - ns) * angle) / np.sqrt(m_tr + 1)
 
     def cvec(angle):
-        return spec.coefficients * np.exp(1j * ns * angle)
+        return coeffs * np.exp(1j * ns * angle)
 
     psi_theta = psi(theta)
     c_theta = cvec(theta)
@@ -181,17 +190,18 @@ def povm_identity_residual(dim_a, dim_b, varphi_grid):
 
 
 def moment_list(spec):
-    """Circular moments sum_n conj(c_n) c_{n+k}, k = 0..M, one explicit sum
-    per lag: the O(M^2) reference for the FFT autocorrelation in
-    canonical_phase_distribution."""
+    """Circular moments sum_n conj(c_n) c_{n+k}, k = 0..W over the stored
+    span c_lo..c_hi (W = hi - lo; the moments do not depend on lo), one
+    explicit sum per lag: the O(W^2) reference for the FFT autocorrelation
+    in canonical_phase_distribution."""
     c = spec.coefficients
     return np.array([np.sum(np.conj(c[: len(c) - k]) * c[k:]) for k in range(len(c))])
 
 
 def coherent_amplitudes_full_range(nbar, M):
     """Truncated coherent amplitudes with one lgamma call per level over all
-    of 0..M: the reference that the library's windowed computation must
-    equal bit for bit."""
+    of 0..M, normalized over their non-zero levels: the reference that the
+    library's windowed computation must equal bit for bit."""
     ns = np.arange(M + 1)
     if nbar == 0.0:
         log_w = np.where(ns == 0, 0.0, -np.inf)
@@ -199,7 +209,9 @@ def coherent_amplitudes_full_range(nbar, M):
         log_w = ns * math.log(nbar) - np.array([math.lgamma(n + 1) for n in ns])
     log_w -= log_w.max()
     amps = np.exp(0.5 * log_w)
-    amps /= np.linalg.norm(amps)
+    nonzero = np.flatnonzero(amps)
+    span = amps[nonzero[0]:nonzero[-1] + 1]
+    amps[nonzero[0]:nonzero[-1] + 1] = span / np.linalg.norm(span)
     return amps
 
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from epsim import (
     AncillaSpec,
     DensityOperator,
+    GridError,
     LayoutError,
     ProtocolConfig,
     PureState,
@@ -148,15 +149,30 @@ class TestVisibility:
         assert c == pytest.approx(np.conj(kernel.grid_moment(1)), abs=1e-12)
 
     def test_nonzero_spans_equal_full_grid(self):
-        # nbar = 5000 leaves about 1,700 exact zeros below the non-zero
-        # span and M = 12000 about 2,700 above it; the default route takes
-        # each reference over its non-zero span on its own grid.
+        # nbar = 5000 has about 1,700 zero levels below its non-zero span
+        # and M = 12000 about 2,700 above it; the spec stores the span only,
+        # and the default route takes each span on its own grid.
         spec_a = coherent_coefficients(5000.0, 12000)
         spec_b = coherent_coefficients(20.0, 70)
-        assert spec_a.coefficients[0] == 0.0 and spec_a.coefficients[-1] == 0.0
+        assert spec_a.coefficients[0] != 0.0 and spec_a.coefficients[-1] != 0.0
+        assert spec_a.lo > 0 and spec_a.coefficients.size < spec_a.M + 1
         for varphi in (0.0, 2.5):
             full = visibility(spec_a, spec_b, varphi, grid=2 * 12000 + 3)
             assert visibility(spec_a, spec_b, varphi) == pytest.approx(full, abs=1e-12)
+
+    @pytest.mark.parametrize("pad", [0, 1, 40])
+    def test_explicit_grid_needs_the_span_only(self, pad):
+        # 2W + 3 <= K < 2M + 3: exact, since each density is band-limited
+        # to its span's width W.
+        spec_a = coherent_coefficients(5000.0, 12000)
+        spec_b = AncillaSpec(50, [0.6, 0.0, 0.8j], lo=30)
+        grid = 2 * (spec_a.coefficients.size - 1) + 3 + pad
+        assert grid < 2 * spec_a.M + 3
+        for varphi in (0.0, 2.5):
+            assert visibility(spec_a, spec_b, varphi, grid=grid) == pytest.approx(
+                visibility(spec_a, spec_b, varphi), abs=1e-12)
+        with pytest.raises(GridError):
+            visibility(spec_a, spec_b, grid=2 * (spec_a.coefficients.size - 1) + 2)
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(spec_a=ancilla_specs(64), spec_b=ancilla_specs(64),

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -17,6 +18,7 @@ from epsim import (
     ProtocolConfig,
     PureState,
     StateValidationError,
+    canonical_phase_distribution,
     coherent_coefficients,
     equal_different_measurement,
     hiding_operation,
@@ -25,7 +27,6 @@ from epsim import (
     occupation_cnot,
     particle_entanglement,
     phase_grid_register_state,
-    phase_rotated_ancilla,
     reference_phase_shift,
     register_sector_entanglement,
     register_sector_weights,
@@ -37,7 +38,7 @@ from epsim import (
     two_mode_ancilla_state,
 )
 from conftest import random_two_site_state, shared_double, shared_single
-from oracles import coherent_amplitudes_full_range, gate_register_state
+from oracles import coherent_amplitudes_full_range, dense, gate_register_state
 from strategies import ancilla_specs, random_ancillas, transfer_inputs
 
 
@@ -107,34 +108,11 @@ class TestTruncatedPhaseState:
         assert direct == pytest.approx(closed, abs=1e-12)
 
 
-class TestPhaseRotatedAncilla:
-    def test_theta_zero_reproduces_coefficients(self):
-        spec = coherent_coefficients(4.0, 25)
-        state = phase_rotated_ancilla(spec, 0.0)
-        for n in range(21):
-            expected = spec.coefficients[n]
-            if abs(expected) > 0:
-                assert state.amplitudes[(n,)] == pytest.approx(expected)
-
-    def test_normalized_any_theta(self):
-        spec = coherent_coefficients(4.0, 25)
-        for theta in (0.1, 1.0, 5.5):
-            assert phase_rotated_ancilla(spec, theta).norm() == pytest.approx(1.0, abs=1e-12)
-
-    def test_mean_theta_independent(self):
-        spec = coherent_coefficients(4.0, 25)
-        base = spec.mean
-        for theta in (0.3, 2.1):
-            state = phase_rotated_ancilla(spec, theta)
-            mean = sum(n * abs(a) ** 2 for (n,), a in state.amplitudes.items())
-            assert mean == pytest.approx(base, abs=1e-12)
-
-
 class TestCoherentCoefficients:
     def test_vacuum_limit(self):
         spec = coherent_coefficients(0.0, 4)
-        assert spec.coefficients[0] == pytest.approx(1.0)
-        assert np.allclose(spec.coefficients[1:], 0.0)
+        assert spec.lo == 0 and spec.M == 4
+        assert spec.coefficients.tolist() == [1.0]
 
     def test_normalized(self):
         spec = coherent_coefficients(25.0, 75)
@@ -157,7 +135,7 @@ class TestCoherentCoefficients:
         # constant e^{-nbar} must not swamp them into a uniform profile.
         with pytest.warns(UserWarning):
             spec = coherent_coefficients(1e20, 4)
-        assert abs(spec.coefficients[4]) > 0.999
+        assert abs(dense(spec)[4]) > 0.999
 
     @pytest.mark.parametrize("nbar", [float("nan"), float("inf")])
     def test_non_finite_nbar_rejected(self, nbar):
@@ -185,7 +163,40 @@ class TestCoherentCoefficients:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             spec = coherent_coefficients(nbar, m)
-        assert np.array_equal(spec.coefficients, coherent_amplitudes_full_range(nbar, m))
+        assert np.array_equal(dense(spec), coherent_amplitudes_full_range(nbar, m))
+
+    @pytest.mark.parametrize("m, levels", [(16_040_000, 300_000), (2 ** 24 - 1, 440_000)])
+    def test_largest_reference_stores_its_span_only(self, m, levels):
+        # nbar = 1.6e7 at the CLI's truncation nbar + 10 sqrt(nbar), and at the
+        # longest one: amplitudes stay non-zero (subnormal at the edges) out
+        # to about 54.6 sqrt(nbar) below and above nbar, so the span is under
+        # 110 sqrt(nbar) = 440,000 levels however long the truncation.
+        spec = coherent_coefficients(1.6e7, m)
+        assert spec.coefficients.size < levels
+        assert spec.coefficients[0] != 0.0 and spec.coefficients[-1] != 0.0
+
+    def test_long_truncation_allocates_no_dense_vector(self):
+        tracemalloc.start()
+        try:
+            spec = coherent_coefficients(1.0, 2 ** 24 - 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2 ** 20
+        assert spec.lo == 0 and spec.M == 2 ** 24 - 1
+
+    @pytest.mark.parametrize("nbar, m", [(1.0, 2 ** 24 - 1), (5000.0, 12000),
+                                         (1.6e7, 2 ** 24 - 1), (1e20, 4)])
+    def test_lgamma_only_on_the_span(self, monkeypatch, nbar, m):
+        # The span's levels (plus the few whose amplitude rounds to zero only
+        # once normalized) and the two O(log M) bisections, whatever M is.
+        calls = []
+        lgamma = math.lgamma
+        monkeypatch.setattr(math, "lgamma", lambda x: calls.append(x) or lgamma(x))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            spec = coherent_coefficients(nbar, m)
+        assert len(calls) <= 1.01 * spec.coefficients.size + 2 * (m.bit_length() + 2)
 
 
 class TestAncillaSpec:
@@ -193,6 +204,43 @@ class TestAncillaSpec:
     def test_non_finite_coefficients_rejected(self, bad):
         with pytest.raises(StateValidationError):
             AncillaSpec(2, [bad, 0.0, 0.0])
+
+    @pytest.mark.parametrize("m, coeffs, lo", [(3, [1.0] * 5, 0), (3, [1.0], 4),
+                                               (3, [1.0], -1), (3, [[1.0]], 0)])
+    def test_span_outside_levels_rejected(self, m, coeffs, lo):
+        with pytest.raises(ValueError):
+            AncillaSpec(m, coeffs, lo=lo)
+
+    def test_number_state_is_one_level(self):
+        spec = AncillaSpec.number_state(3, 6)
+        assert (spec.lo, spec.M, spec.coefficients.tolist()) == (3, 6, [1.0])
+        assert spec.mean == 3.0 and spec.variance == 0.0
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(inner=random_ancillas(12), lead=st.integers(0, 9), trail=st.integers(0, 9),
+           theta=st.floats(0.0, 2.0 * np.pi))
+    def test_padded_input_stores_tight_span(self, inner, lead, trail, theta):
+        full = np.pad(inner.coefficients, (lead, trail))
+        m = full.size - 1
+        spec = AncillaSpec(m, full)
+        assert spec.lo == lead and spec.M == m
+        assert np.array_equal(spec.coefficients, inner.coefficients)
+        assert np.array_equal(dense(spec), full)
+
+        ns, probs = np.arange(m + 1), np.abs(full) ** 2
+        mean = float(ns @ probs)
+        assert spec.mean == pytest.approx(mean, abs=1e-12)
+        assert spec.variance == pytest.approx(float(ns ** 2 @ probs) - mean ** 2, abs=1e-12)
+        first = np.sum(np.conj(full[:-1]) * full[1:])
+        assert spec.first_moment() == pytest.approx(first, abs=1e-12)
+        for k in range(m + 1):
+            overlap = probs[k:].sum() / (m + 1) * np.exp(1j * k * theta)
+            assert mode_overlap_integral(k, spec, theta) == pytest.approx(overlap, abs=1e-12)
+        K = 2 * m + 3
+        density = np.abs(np.exp(-1j * np.outer(2 * np.pi * np.arange(K) / K, ns))
+                         @ full) ** 2 / (2 * np.pi)
+        np.testing.assert_allclose(canonical_phase_distribution(spec, K).values, density,
+                                   rtol=0.0, atol=1e-12)
 
 
 class TestTwoModeAncilla:
@@ -217,7 +265,7 @@ class TestTwoModeAncilla:
         for j in range(k):
             theta = 2 * np.pi * j / k
             psi = np.exp(-1j * (m - np.arange(m + 1)) * theta) / np.sqrt(m + 1)
-            c = spec.coefficients * np.exp(1j * np.arange(m + 1) * theta)
+            c = dense(spec) * np.exp(1j * np.arange(m + 1) * theta)
             acc += np.outer(psi, c)
         acc *= np.sqrt(m + 1) / k
         state = two_mode_ancilla_state(spec)
@@ -375,7 +423,7 @@ class TestModeOverlapIntegral:
         spec = coherent_coefficients(4.0, 25)
         theta = 1.3
         for k in (1, 2, 3):
-            weight = float(np.sum(np.abs(spec.coefficients[k:]) ** 2))
+            weight = float(np.sum(np.abs(dense(spec)[k:]) ** 2))
             expected = weight / 26 * np.exp(1j * k * theta)
             assert mode_overlap_integral(k, spec, theta) == pytest.approx(expected, abs=1e-14)
 

@@ -19,6 +19,7 @@ from epsim.uncertainty import (
     random_uncorrelated_pair,
 )
 from oracles import (
+    dense,
     pegg_barnett_exponential,
     phase_angles,
     phase_difference_trig,
@@ -87,7 +88,7 @@ class TestPhaseDifferenceTrig:
         cos, sin = phase_difference_trig(s)
         n_a = np.kron(np.diag(np.arange(s + 1.0)), np.eye(s + 1))
         spec = coherent_coefficients(3.0, s)
-        vec = np.kron(spec.coefficients, spec.coefficients)
+        vec = np.kron(dense(spec), dense(spec))
         comm = n_a @ cos - cos @ n_a
         lhs = np.vdot(vec, comm @ vec)
         rhs = -1j * np.vdot(vec, np.kron(np.eye(s + 1), np.eye(s + 1)) @ (sin @ vec))
