@@ -9,16 +9,18 @@ Subcommands::
     epsim measure --ntr N              phase-difference measurement analysis
     epsim sweep --ntr-list 25,50,100   visibility / formation-entanglement table
     epsim bounds --seeds N --s S       Robertson / visibility-bound sweep
-                                       (--seed, default 42, seeds the draws)
+                                       (--seed in [0, 2^32 - 1], default 42,
+                                       seeds the draws)
 
 Exit codes: 0 success, 2 usage error (missing or unknown subcommand or
 option, or a malformed option value), state-file parse error, mode-layout
 error (modes at one site only, or register-kind or reserved mode ids in a
 transfer input) or invalid option value (also a value that would size
-arrays past 2^24 coherent levels in transfer/measure/sweep, or s past 2048
-in bounds), 3 capacity overflow (kept for library errors; no current CLI
-input reaches it), 4 unwritable output, 5 a numerical cross-check or an
-uncertainty inequality failed, each with a one-line ``error:`` on stderr.
+arrays past 2^24 coherent levels in transfer/measure/sweep, a --grid past
+2^63 - 1, or s past 2048 in bounds), 3 capacity overflow (kept for library
+errors; no current CLI input reaches it), 4 unwritable output, 5 a
+numerical cross-check or an uncertainty inequality failed, each with a
+one-line ``error:`` on stderr.
 Every run prints a JSON report to stdout; ``--out`` additionally writes a
 deterministic result file (the stdout report carries wall time, the file
 does not, so identical inputs give byte-identical files; --seed is one of
@@ -172,6 +174,11 @@ def cmd_transfer(args) -> _Run:
         _check_option("--nbar", args.nbar, args.nbar >= 0.0, ">= 0")
     if args.grid is not None and args.path != "quadrature":
         raise StateFileError("--grid needs --path quadrature")
+    # The grid sink kernel takes particle-number differences modulo the grid
+    # in int64.
+    if args.grid is not None and args.grid > np.iinfo(np.int64).max:
+        raise StateFileError(f"--grid must be at most {np.iinfo(np.int64).max}, "
+                             f"got {args.grid}")
     state = load_state(args.statefile)
     spec = _transfer_ancilla(args.M, args.nbar)
     config = ProtocolConfig(state, spec, spec)
@@ -313,6 +320,8 @@ def cmd_bounds(args) -> _Run:
         raise StateFileError(f"--s must be in [16, {MAX_BOUNDS_S}], got {args.s}")
     if args.seeds < 1:
         raise StateFileError(f"--seeds must be >= 1, got {args.seeds}")
+    if not 0 <= args.seed <= 2 ** 32 - 1:
+        raise StateFileError(f"--seed must be in [0, {2 ** 32 - 1}], got {args.seed}")
     nbar_pair = None
     if args.nbar is not None:
         nbar_pair = _float_list("--nbar", args.nbar)
@@ -363,6 +372,8 @@ def cmd_bounds(args) -> _Run:
         pair_space = space if s_pair == args.s else PhaseOperatorSpace(s_pair)
         rep = visibility_bound_check(coherent_pair_state(nbar_a, nbar_b, pair_space),
                                      pair_space)
+        results["trig_identity_max_residual"] = max(trig_max,
+                                                    abs(rep.trig_identity_residual))
         results["coherent_pair"] = {
             "nbar": [nbar_a, nbar_b],
             "s": s_pair,

@@ -90,9 +90,6 @@ class ModeLayout:
                 return i
         raise LayoutError(f"unknown mode id {mode_id!r}")
 
-    def mode(self, mode_id: str) -> ModeDescriptor:
-        return self.modes[self.index(mode_id)]
-
     def indices(self, site: str | None = None, kind: str | None = None) -> list[int]:
         """Positions of modes matching the given site and/or kind."""
         out = []
@@ -161,9 +158,6 @@ class PureState:
     def norm(self) -> float:
         return math.sqrt(sum(abs(a) ** 2 for a in self.amplitudes.values()))
 
-    def labels(self) -> list[tuple[int, ...]]:
-        return sorted(self.amplitudes)
-
     def overlap(self, other: "PureState") -> complex:
         """<self|other> over a common layout."""
         if self.layout.ids() != other.layout.ids():
@@ -216,7 +210,8 @@ class DensityOperator:
     ``basis`` lists occupation labels in lexicographic order; ``matrix`` is
     the dense representation in that basis.  ``check_trace=False`` relaxes
     only the unit-trace requirement (used by the deliberately unnormalized
-    phase-grid reconstruction); hermiticity and positivity always hold.
+    phase-grid reconstruction, and by the reference phase shift, which keeps
+    its input's trace); hermiticity and positivity always hold.
     """
 
     def __init__(self, layout: ModeLayout, basis: list[tuple[int, ...]],
@@ -249,28 +244,9 @@ class DensityOperator:
 
     @classmethod
     def from_pure(cls, state: PureState) -> "DensityOperator":
-        basis = state.labels()
+        basis = sorted(state.amplitudes)
         vec = np.array([state.amplitudes[l] for l in basis], dtype=complex)
         return cls(state.layout, basis, np.outer(vec, vec.conj()))
-
-    @classmethod
-    def from_mixture(cls, ensemble: list[tuple[float, PureState]],
-                     check_trace: bool = True) -> "DensityOperator":
-        """Convex mixture of pure states sharing one layout."""
-        if not ensemble:
-            raise StateValidationError("empty ensemble")
-        layout = ensemble[0][1].layout
-        labels = sorted({l for _, s in ensemble for l in s.amplitudes})
-        index = {l: i for i, l in enumerate(labels)}
-        mat = np.zeros((len(labels), len(labels)), dtype=complex)
-        for p, s in ensemble:
-            if s.layout.ids() != layout.ids():
-                raise LayoutError("mixture members must share a layout")
-            vec = np.zeros(len(labels), dtype=complex)
-            for l, a in s.amplitudes.items():
-                vec[index[l]] = a
-            mat += p * np.outer(vec, vec.conj())
-        return cls(layout, labels, mat, check_trace=check_trace)
 
     def trace(self) -> float:
         return float(np.real(np.trace(self.matrix)))

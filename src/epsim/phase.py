@@ -16,7 +16,9 @@ measurement's resolution kernel, so no kernel is formed.  Each reference
 enters through the non-zero span its ``AncillaSpec`` stores: a coherent
 reference of mean nbar has about 65 sqrt(nbar) non-zero amplitudes at the
 truncation nbar + 10 sqrt(nbar), and under 110 sqrt(nbar) however long its
-truncation.  The
+truncation.  ``visibility`` has one path: both routes run on every call, and
+a reference whose grid would pass ``QUADRATURE_GRID_CAP`` raises
+``GridError`` rather than skip the quadrature.  The
 phase-difference POVM groups the state's terms with integer keys and forms
 the register matrix as one matrix product; the grouping lives inside the
 reference-phase invariant subspaces (fixed pair total), so it is planned
@@ -49,9 +51,9 @@ from .protocol import AncillaSpec, GridError
 LN2 = math.log(2.0)
 TWO_PI = 2.0 * math.pi
 
-# Above this grid size visibility() skips the quadrature path and trusts the
-# closed-form moment product (the two are identical for band-limited grids;
-# the cap only avoids gratuitous FFTs for huge coherent truncations).
+# Largest quadrature grid visibility() forms for one reference; a larger one
+# raises GridError.  The largest reference the CLI accepts has a span of
+# W = 263,068 and takes a 2^20 grid.
 QUADRATURE_GRID_CAP = 1 << 20
 
 
@@ -84,10 +86,6 @@ class PhaseDistribution:
     @property
     def grid_size(self) -> int:
         return len(self.values)
-
-    @property
-    def angles(self) -> np.ndarray:
-        return TWO_PI * np.arange(self.grid_size) / self.grid_size
 
     @functools.cached_property
     def moments(self) -> np.ndarray:
@@ -153,8 +151,7 @@ def resolution_kernel(pa: PhaseDistribution, pb: PhaseDistribution,
     return PhaseDistribution(values, min(pa.degree, pb.degree))
 
 
-def visibility(spec_a: AncillaSpec, spec_b: AncillaSpec, varphi: float = 0.0,
-               grid: int | None = None) -> complex:
+def visibility(spec_a: AncillaSpec, spec_b: AncillaSpec, varphi: float = 0.0) -> complex:
     """Fringe visibility C of the phase-difference measurement.
 
     Quadrature route: C = e^{i varphi} conj(q_A) q_B, with q_Z the grid sum
@@ -162,41 +159,31 @@ def visibility(spec_a: AncillaSpec, spec_b: AncillaSpec, varphi: float = 0.0,
     phase density.  This is the resolution kernel's first moment by the
     convolution theorem, so no kernel is formed.  Closed route:
     e^{i varphi} conj(m_A) m_B with m_Z = sum_n conj(c_n) c_{n+1} from the
-    amplitudes.  Both are computed and must agree to 1e-9 (each grid
+    amplitudes.  Both run on every call and must agree to 1e-9 (each grid
     integrates its band-limited density exactly); the quadrature value is
     returned.  Each density is taken over the reference's stored span of
-    W_Z + 1 levels.  Without ``grid`` each reference gets its own grid, the
-    smallest power of two >= max(2 W_Z + 3, 257); if either grid would pass
-    ``QUADRATURE_GRID_CAP`` only the closed route is evaluated.  An explicit
-    ``grid`` serves both references and must be >= 2 W_Z + 3 for each.
-    Either way |C| above 1 + 1e-10 raises ``CrossCheckError``.
+    W_Z + 1 levels on its own grid, the smallest power of two
+    >= max(2 W_Z + 3, 257).  A grid past ``QUADRATURE_GRID_CAP`` raises
+    ``GridError``; a disagreement, or |C| above 1 + 1e-10 (impossible for
+    unit-norm references), raises ``CrossCheckError``.
     """
     shift = np.exp(1j * varphi)
     closed = shift * np.conj(spec_a.first_moment()) * spec_b.first_moment()
-    if grid is None:
-        bounds = [max(2 * (spec.coefficients.size - 1) + 3, 257) for spec in (spec_a, spec_b)]
-        if max(bounds) > QUADRATURE_GRID_CAP:
-            return _unit_bounded(complex(closed))
-        # A power of two is the fastest FFT length; any K >= 2W + 3 is exact.
-        grids = [1 << (bound - 1).bit_length() for bound in bounds]
-    else:
-        grids = [grid, grid]
+    # A power of two is the fastest FFT length; any K >= 2W + 3 is exact.
+    grids = [1 << (max(2 * spec.coefficients.size + 1, 257) - 1).bit_length()
+             for spec in (spec_a, spec_b)]
+    if max(grids) > QUADRATURE_GRID_CAP:
+        raise GridError(f"visibility grid {max(grids)} exceeds {QUADRATURE_GRID_CAP}")
     pa, pb = (canonical_phase_distribution(spec, K)
               for spec, K in zip((spec_a, spec_b), grids))
-    quad = shift * np.conj(pa.grid_moment(1)) * pb.grid_moment(1)
+    quad = complex(shift * np.conj(pa.grid_moment(1)) * pb.grid_moment(1))
     if abs(quad - closed) > 1e-9:
         raise CrossCheckError(
             f"visibility routes disagree: quadrature {quad} vs closed {closed}"
         )
-    return _unit_bounded(complex(quad))
-
-
-def _unit_bounded(c: complex) -> complex:
-    """``c`` itself; |C| <= 1 for unit-norm references, so a larger value is
-    a numerical failure."""
-    if abs(c) > 1.0 + 1e-10:
-        raise CrossCheckError(f"visibility |C| = {abs(c)} exceeds 1")
-    return c
+    if abs(quad) > 1.0 + 1e-10:
+        raise CrossCheckError(f"visibility |C| = {abs(quad)} exceeds 1")
+    return quad
 
 
 def register_pair_layout() -> ModeLayout:

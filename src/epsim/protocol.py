@@ -92,10 +92,6 @@ class AncillaSpec:
     def uniform(cls, M: int) -> "AncillaSpec":
         return cls(M, np.full(M + 1, 1.0 / math.sqrt(M + 1)))
 
-    @classmethod
-    def number_state(cls, n: int, M: int) -> "AncillaSpec":
-        return cls(M, [1.0], lo=n)
-
     @property
     def levels(self) -> np.ndarray:
         """Occupation of each stored amplitude, lo..hi."""
@@ -207,15 +203,10 @@ def truncated_phase_state(M: int, theta: float,
     return PureState(layout_of(mode), amps)
 
 
-def two_mode_ancilla_state(spec: AncillaSpec, sink: ModeDescriptor | None = None,
-                           ref: ModeDescriptor | None = None,
-                           site: str = "A") -> PureState:
+def two_mode_ancilla_state(spec: AncillaSpec, sink: ModeDescriptor,
+                           ref: ModeDescriptor) -> PureState:
     """Two-mode ancilla sum_n c_n |M-n, n> over (sink, reference) modes."""
     M = spec.M
-    if sink is None:
-        sink = ModeDescriptor(f"sink_{site}", site, "field", M)
-    if ref is None:
-        ref = ModeDescriptor(f"ref_{site}", site, "field", M)
     if sink.capacity < M:
         raise CapacityError(f"sink capacity {sink.capacity} below M={M}")
     amps = {(M - n, n): c for n, c in zip(spec.levels.tolist(), spec.coefficients)}
@@ -347,7 +338,7 @@ def transfer_final_state(config: ProtocolConfig) -> PureState:
         sink = ModeDescriptor(config.sink_id(site), site, "field",
                               spec.M + config.total_particles)
         ref = ModeDescriptor(config.ref_id(site), site, "field", spec.M)
-        pieces.append(two_mode_ancilla_state(spec, sink=sink, ref=ref, site=site))
+        pieces.append(two_mode_ancilla_state(spec, sink, ref))
     pieces.append(config.input_state)
     regs = config.register_modes()
     reg_zero = PureState.basis_state(ModeLayout(tuple(regs)), (0,) * len(regs))
@@ -525,5 +516,5 @@ def reference_phase_shift(rho: DensityOperator, theta: float, phi: float) -> Den
         for label in rho.basis
     ])
     mat = (phases[:, None] * rho.matrix) * np.conj(phases)[None, :]
-    unit_trace = abs(float(np.real(np.trace(rho.matrix))) - 1.0) <= 1e-10
-    return DensityOperator(layout, rho.basis, mat, check_trace=unit_trace)
+    # The conjugation leaves the diagonal, and so the trace, as it was.
+    return DensityOperator(layout, rho.basis, mat, check_trace=False)

@@ -50,8 +50,8 @@ class SectorDecomposition:
         return {s.n: s.probability for s in self.sectors}
 
 
-def sector_decompose(state: PureState, site: str = "A") -> SectorDecomposition:
-    """Split a normalized state by particle count at ``site``.
+def sector_decompose(state: PureState) -> SectorDecomposition:
+    """Split a normalized state by particle count at site A.
 
     Sectors with weight below SECTOR_DROP_TOL are discarded.  Each sector
     state is renormalized and its global phase fixed by making the
@@ -60,7 +60,7 @@ def sector_decompose(state: PureState, site: str = "A") -> SectorDecomposition:
     """
     groups: dict[int, dict[tuple[int, ...], complex]] = {}
     for label, amp in state.amplitudes.items():
-        n = local_particle_number(state.layout, label, site)
+        n = local_particle_number(state.layout, label, "A")
         groups.setdefault(n, {})[label] = amp
     sectors = []
     for n in sorted(groups):
@@ -83,27 +83,27 @@ def particle_entanglement(state: PureState) -> float:
     return total
 
 
-def register_sector_weights(rho: DensityOperator, site: str = "A") -> dict[int, float]:
-    """Weight carried by each local register-occupation sector of ``rho``."""
+def register_sector_weights(rho: DensityOperator) -> dict[int, float]:
+    """Weight carried by each site-A register-occupation sector of ``rho``."""
     weights: dict[int, float] = {}
-    idx = rho.layout.indices(site=site, kind="register")
+    idx = rho.layout.indices(site="A", kind="register")
     for i, label in enumerate(rho.basis):
         n = sum(label[j] for j in idx)
         weights[n] = weights.get(n, 0.0) + float(np.real(rho.matrix[i, i]))
     return {n: w for n, w in sorted(weights.items()) if w > SECTOR_DROP_TOL}
 
 
-def _register_sector_blocks(rho: DensityOperator, site: str):
-    """Yield (n, weight, entropy of entanglement) for each register-number
+def _register_sector_blocks(rho: DensityOperator):
+    """Yield (n, weight, entropy of entanglement) for each site-A register-number
     block kept by ``register_sector_weights``, with the same weight.
 
     Each block must be pure up to PURITY_TOL (as the transfer protocol and its
     conditional measurements make it); its entropy is the Schmidt entropy of
     its top eigenvector.
     """
-    idx = rho.layout.indices(site=site, kind="register")
+    idx = rho.layout.indices(site="A", kind="register")
     if not idx:
-        raise LayoutError(f"no register modes at site {site!r}")
+        raise LayoutError("no register modes at site 'A'")
     groups: dict[int, list[int]] = {}
     for i, label in enumerate(rho.basis):
         n = sum(label[j] for j in idx)
@@ -121,14 +121,14 @@ def _register_sector_blocks(rho: DensityOperator, site: str):
                                           evecs[:, -1])
 
 
-def register_sector_entanglement(rho: DensityOperator, site: str = "A") -> float:
+def register_sector_entanglement(rho: DensityOperator) -> float:
     """Entanglement of a register mixture whose blocks are sector-pure:
     the weight-averaged per-sector entropy of entanglement."""
-    return sum(weight * entropy for _, weight, entropy in _register_sector_blocks(rho, site))
+    return sum(weight * entropy for _, weight, entropy in _register_sector_blocks(rho))
 
 
-def register_sector_table(rho: DensityOperator, site: str = "A") -> list[dict]:
+def register_sector_table(rho: DensityOperator) -> list[dict]:
     """Per-sector weights (``register_sector_weights`` bit for bit) and
     entanglements of a register mixture."""
     return [{"n": n, "weight": weight, "entanglement": entropy}
-            for n, weight, entropy in _register_sector_blocks(rho, site)]
+            for n, weight, entropy in _register_sector_blocks(rho)]

@@ -7,7 +7,9 @@ Schema::
       "terms": [{"occ": [1, 0], "amp": [0.7071067811865476, 0.0]}, ...]
     }
 
-Amplitudes are [real, imaginary] pairs.  Files whose norm deviates from 1 by
+Capacities and occupations are integers (a float with no fractional part
+is accepted) and amplitudes are [real, imaginary] pairs of finite numbers;
+anything else is a parse error.  Files whose norm deviates from 1 by
 at most 1e-6 are renormalized with a warning; larger deviations are parse
 errors.  All floats in emitted files are rounded to 12 significant digits so
 identical runs produce byte-identical output.
@@ -43,18 +45,31 @@ def _require(cond: bool, message: str) -> None:
         raise StateFileError(message)
 
 
+def _integer(value, what: str) -> int:
+    """A JSON integer, or a float with no fractional part, as an int."""
+    _require(isinstance(value, int) and not isinstance(value, bool)
+             or isinstance(value, float) and value.is_integer(),
+             f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def parse_state(data: dict) -> PureState:
+    """The state a schema document describes; any malformed part raises
+    ``StateFileError``."""
     _require(isinstance(data, dict), "top level must be an object")
     _require("modes" in data and "terms" in data, "missing 'modes' or 'terms'")
+    _require(isinstance(data["modes"], list) and isinstance(data["terms"], list),
+             "'modes' and 'terms' must be lists")
     modes = []
     for entry in data["modes"]:
         _require(isinstance(entry, dict), "mode entries must be objects")
         for key in ("id", "site", "kind", "capacity"):
             _require(key in entry, f"mode entry missing {key!r}")
+        capacity = _integer(entry["capacity"], "capacity")
         try:
             modes.append(ModeDescriptor(str(entry["id"]), str(entry["site"]),
-                                        str(entry["kind"]), int(entry["capacity"])))
-        except (LayoutError, TypeError, ValueError) as exc:
+                                        str(entry["kind"]), capacity))
+        except LayoutError as exc:
             raise StateFileError(f"bad mode entry {entry}: {exc}") from exc
     try:
         layout = ModeLayout(tuple(modes))
@@ -65,10 +80,13 @@ def parse_state(data: dict) -> PureState:
     for term in data["terms"]:
         _require(isinstance(term, dict) and "occ" in term and "amp" in term,
                  "term entries need 'occ' and 'amp'")
-        occ = tuple(int(x) for x in term["occ"])
+        _require(isinstance(term["occ"], list), "occupations must be lists")
+        occ = tuple(_integer(x, "occupation") for x in term["occ"])
         amp = term["amp"]
-        _require(isinstance(amp, (list, tuple)) and len(amp) == 2,
-                 "amplitudes must be [real, imaginary] pairs")
+        _require(isinstance(amp, list) and len(amp) == 2
+                 and all(isinstance(x, (int, float)) and not isinstance(x, bool)
+                         and abs(x) <= sys.float_info.max for x in amp),
+                 "amplitudes must be [real, imaginary] pairs of finite numbers")
         try:
             layout.check_label(occ)
         except (CapacityError, StateValidationError) as exc:
@@ -118,32 +136,32 @@ def density_to_dict(rho: DensityOperator) -> dict:
     }
 
 
-def density_from_dict(data: dict, check_trace: bool = True) -> DensityOperator:
+def density_from_dict(data: dict) -> DensityOperator:
     modes = tuple(ModeDescriptor(m["id"], m["site"], m["kind"], int(m["capacity"]))
                   for m in data["modes"])
     basis = [tuple(int(x) for x in label) for label in data["basis"]]
     matrix = np.array([[complex(z[0], z[1]) for z in row] for row in data["matrix"]])
-    return DensityOperator(ModeLayout(modes), basis, matrix, check_trace=check_trace)
+    return DensityOperator(ModeLayout(modes), basis, matrix)
 
 
-def round_floats(obj, digits: int = SIG_DIGITS):
-    """Recursively round floats to ``digits`` significant digits."""
+def round_floats(obj):
+    """Recursively round floats to ``SIG_DIGITS`` significant digits."""
     if isinstance(obj, bool):
         return obj
     if isinstance(obj, float):
-        return float(f"{obj:.{digits}g}")
+        return float(f"{obj:.{SIG_DIGITS}g}")
     if isinstance(obj, complex):
-        return [round_floats(obj.real, digits), round_floats(obj.imag, digits)]
+        return [round_floats(obj.real), round_floats(obj.imag)]
     if isinstance(obj, (np.floating,)):
-        return round_floats(float(obj), digits)
+        return round_floats(float(obj))
     if isinstance(obj, (np.complexfloating,)):
-        return round_floats(complex(obj), digits)
+        return round_floats(complex(obj))
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, dict):
-        return {k: round_floats(v, digits) for k, v in obj.items()}
+        return {k: round_floats(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [round_floats(v, digits) for v in obj]
+        return [round_floats(v) for v in obj]
     return obj
 
 
@@ -154,5 +172,5 @@ def dump_json(data: dict) -> str:
     return json.dumps(data, indent=2, sort_keys=True)
 
 
-def format_float(x: float, digits: int = SIG_DIGITS) -> str:
-    return f"{x:.{digits}g}"
+def format_float(x: float) -> str:
+    return f"{x:.{SIG_DIGITS}g}"

@@ -136,6 +136,28 @@ def phase_grid_oracle(config, K):
     return [e[0] for e in entries], mat / K ** 2
 
 
+def mixture(ensemble):
+    """Density operator of the convex mixture sum_i p_i |psi_i><psi_i| of
+    pure states sharing one layout, given as (p_i, psi_i) pairs, over the
+    sorted union of their labels."""
+    from epsim.fock import DensityOperator, LayoutError, StateValidationError
+
+    if not ensemble:
+        raise StateValidationError("empty ensemble")
+    layout = ensemble[0][1].layout
+    labels = sorted({l for _, s in ensemble for l in s.amplitudes})
+    index = {l: i for i, l in enumerate(labels)}
+    mat = np.zeros((len(labels), len(labels)), dtype=complex)
+    for p, s in ensemble:
+        if s.layout.ids() != layout.ids():
+            raise LayoutError("mixture members must share a layout")
+        vec = np.zeros(len(labels), dtype=complex)
+        for l, a in s.amplitudes.items():
+            vec[index[l]] = a
+        mat += p * np.outer(vec, vec.conj())
+    return DensityOperator(layout, labels, mat)
+
+
 def partial_trace_oracle(state, keep):
     """Reduction of a pure state onto the modes in ``keep`` (by id), summed
     bucket by bucket: amplitudes grouped by their traced-out label, each

@@ -6,11 +6,14 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from epsim.cli import main
-from epsim.statefile import StateFileError, density_from_dict, load_state
+from epsim.statefile import (StateFileError, density_from_dict, load_state, parse_state,
+                             state_to_dict)
 from epsim.uncertainty import pair_layout
 from conftest import data_path
+from strategies import transfer_inputs
 
 
 def run_cli(capsys, *argv):
@@ -107,7 +110,11 @@ class TestTransferCommand:
                                          ["--path", "quadrature", "--grid", "0"],
                                          # past MAX_COHERENT_LEVELS - 1, before
                                          # the ancilla is allocated
-                                         ["--M", "16777216"], ["--M", "1000000000"]])
+                                         ["--M", "16777216"], ["--M", "1000000000"],
+                                         # past the int64 modulus of the grid
+                                         # sink kernel
+                                         ["--path", "quadrature", "--grid",
+                                          "99999999999999999999"]])
     def test_bad_ancilla_options_exit_2(self, capsys, options):
         code = main(["transfer", data_path("shared_single.json"), *options])
         assert code == 2
@@ -285,13 +292,15 @@ class TestSweepCommand:
         assert err.startswith("error:") and "\n" not in err
 
     def test_visibility_above_one_exit_5(self, capsys, monkeypatch):
-        # |C| <= 1 for unit-norm references; the guard is driven with a
-        # doctored first moment on the closed-only route.
+        # |C| <= 1 for unit-norm references; the guard is driven with the
+        # closed route's first moment and the quadrature's grid moment
+        # doctored alike, so the two routes agree above 1.
         import epsim.phase as phase_module
 
-        monkeypatch.setattr(phase_module, "QUADRATURE_GRID_CAP", 1)
         monkeypatch.setattr(phase_module.AncillaSpec, "first_moment",
                             lambda self: 1.0 + 1e-9)
+        monkeypatch.setattr(phase_module.PhaseDistribution, "grid_moment",
+                            lambda self, k: 1.0 + 1e-9)
         assert main(["sweep", "--ntr-list", "25"]) == 5
         err = capsys.readouterr().err.strip()
         assert err.startswith("error:") and "\n" not in err
@@ -340,6 +349,8 @@ class TestBoundsCommand:
         # finite but past MAX_BOUNDS_S, rejected before any allocation
         ["--s", "2049"], ["--s", "100000"],
         ["--nbar", "1e15,1"], ["--nbar", "1,2000"], ["--nbar", "1.7e308,1"],
+        # outside the RandomState seed range, rejected before any draw
+        ["--seed", "-1"], ["--seed", "4294967296"],
     ])
     def test_bad_values_exit_2(self, capsys, options):
         assert main(["bounds", "--seeds", "1", "--s", "16", *options]) == 2
@@ -389,6 +400,25 @@ class TestBoundsCommand:
         assert results["violations"] == 1
         assert results["coherent_pair"]["s"] == 440
         assert "violating_states" not in results
+
+    def test_trig_residual_covers_coherent_pair(self, capsys, monkeypatch):
+        # A trig-identity residual doctored on the grown truncation only (440
+        # for --nbar 25,250; the draws stay at 32) shows in the field.
+        import epsim.cli as cli_module
+
+        real = cli_module.visibility_bound_check
+
+        def doctored(state, space):
+            report = real(state, space)
+            if space.s != 440:
+                return report
+            return type(report)(**{**report.__dict__, "trig_identity_residual": -0.25})
+
+        monkeypatch.setattr(cli_module, "visibility_bound_check", doctored)
+        code, report = run_cli(capsys, "bounds", "--seeds", "2", "--s", "32",
+                               "--nbar", "25,250")
+        assert code == 0
+        assert report["results"]["trig_identity_max_residual"] == 0.25
 
 
 @pytest.mark.parametrize("argv", [
@@ -449,7 +479,47 @@ def test_out_bytes_repeat(capsys, tmp_path, argv):
     assert runs[0] == runs[1]
 
 
+VALID_STATE = {
+    "modes": [{"id": "a", "site": "A", "kind": "field", "capacity": 1},
+              {"id": "b", "site": "B", "kind": "field", "capacity": 1}],
+    "terms": [{"occ": [1, 0], "amp": [2 ** -0.5, 0.0]},
+              {"occ": [0, 1], "amp": [2 ** -0.5, 0.0]}],
+}
+
+
+@pytest.mark.parametrize("command", ["ep", "transfer"])
+@pytest.mark.parametrize("where,key,value", [
+    ("term", "occ", ["x", 0]), ("term", "occ", None), ("term", "occ", 5),
+    ("term", "amp", ["a", 0.0]), ("term", "amp", [None, 0.0]),
+    ("term", "amp", [10 ** 400, 0.0]),
+    ("top", "modes", 5), ("top", "terms", 5),
+    # non-integral numbers are not truncated to an integer
+    ("term", "occ", [1.5, 0]), ("mode", "capacity", 1.7),
+], ids=["occ-string", "occ-null", "occ-number", "amp-string", "amp-null", "amp-past-float",
+        "modes-number", "terms-number", "occ-fraction", "capacity-fraction"])
+def test_malformed_state_file_exit_2(capsys, tmp_path, command, where, key, value):
+    data = json.loads(json.dumps(VALID_STATE))
+    target = {"top": data, "mode": data["modes"][0], "term": data["terms"][0]}[where]
+    target[key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip()
+    assert err.startswith("error:") and "\n" not in err
+
+
 class TestStateFileRoundTrip:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(state=transfer_inputs())
+    def test_parse_inverts_state_to_dict(self, state):
+        parsed = parse_state(state_to_dict(state))
+        assert parsed.layout == state.layout
+        assert sorted(parsed.amplitudes) == sorted(state.amplitudes)
+        for label, amp in state.amplitudes.items():
+            assert abs(parsed.amplitudes[label] - amp) <= 1e-15
+
     def test_load_shared_double(self):
         state = load_state(data_path("shared_double.json"))
         assert len(state.amplitudes) == 4

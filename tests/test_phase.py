@@ -52,9 +52,16 @@ def coherent_pair_specs(ntr, amp_scale=10.0):
     return coherent_coefficients(ntr, m_tr), coherent_coefficients(nbar_local, m_local)
 
 
+def shared_grid_visibility(spec_a, spec_b, varphi, K):
+    """The quadrature visibility e^{i varphi} conj(q_A) q_B with both
+    canonical densities on one K-point grid."""
+    pa, pb = (canonical_phase_distribution(spec, K) for spec in (spec_a, spec_b))
+    return np.exp(1j * varphi) * np.conj(pa.grid_moment(1)) * pb.grid_moment(1)
+
+
 class TestCanonicalPhaseDistribution:
     def test_number_state_uniform(self):
-        spec = AncillaSpec.number_state(3, 6)
+        spec = AncillaSpec(6, [1.0], lo=3)
         dist = canonical_phase_distribution(spec, 2 * 6 + 3)
         np.testing.assert_allclose(dist.values, 1.0 / (2 * np.pi), atol=1e-14)
 
@@ -81,7 +88,7 @@ class TestCanonicalPhaseDistribution:
 
 class TestResolutionKernel:
     def test_uniform_stays_uniform(self):
-        spec = AncillaSpec.number_state(2, 5)
+        spec = AncillaSpec(5, [1.0], lo=2)
         dist = canonical_phase_distribution(spec, 13)
         kernel = resolution_kernel(dist, dist, 0.4)
         np.testing.assert_allclose(kernel.values, 1.0 / (2 * np.pi), atol=1e-13)
@@ -114,7 +121,7 @@ class TestResolutionKernel:
 
 class TestVisibility:
     def test_number_state_kills_visibility(self):
-        number = AncillaSpec.number_state(4, 9)
+        number = AncillaSpec(9, [1.0], lo=4)
         coherent = coherent_coefficients(2.0, 20)
         assert abs(visibility(number, coherent)) == pytest.approx(0.0, abs=1e-12)
 
@@ -140,12 +147,13 @@ class TestVisibility:
     @given(spec_a=random_ancillas(40), spec_b=random_ancillas(40),
            varphi=st.floats(0.0, 2.0 * np.pi), pad=st.integers(0, 20))
     def test_quadrature_equals_kernel_first_moment(self, spec_a, spec_b, varphi, pad):
-        # On a shared grid, e^{i varphi} conj(q_A) q_B is the first moment of
-        # the resolution kernel (convolution theorem), which is not formed.
+        # e^{i varphi} conj(q_A) q_B, each q_Z on its own grid, is the first
+        # moment of the resolution kernel (convolution theorem), which is not
+        # formed; the kernel here is taken on a shared grid.
         K = 2 * max(spec_a.M, spec_b.M) + 3 + pad
         kernel = resolution_kernel(canonical_phase_distribution(spec_a, K),
                                    canonical_phase_distribution(spec_b, K), varphi)
-        c = visibility(spec_a, spec_b, varphi, grid=K)
+        c = visibility(spec_a, spec_b, varphi)
         assert c == pytest.approx(np.conj(kernel.grid_moment(1)), abs=1e-12)
 
     def test_nonzero_spans_equal_full_grid(self):
@@ -157,7 +165,7 @@ class TestVisibility:
         assert spec_a.coefficients[0] != 0.0 and spec_a.coefficients[-1] != 0.0
         assert spec_a.lo > 0 and spec_a.coefficients.size < spec_a.M + 1
         for varphi in (0.0, 2.5):
-            full = visibility(spec_a, spec_b, varphi, grid=2 * 12000 + 3)
+            full = shared_grid_visibility(spec_a, spec_b, varphi, 2 * 12000 + 3)
             assert visibility(spec_a, spec_b, varphi) == pytest.approx(full, abs=1e-12)
 
     @pytest.mark.parametrize("pad", [0, 1, 40])
@@ -169,10 +177,10 @@ class TestVisibility:
         grid = 2 * (spec_a.coefficients.size - 1) + 3 + pad
         assert grid < 2 * spec_a.M + 3
         for varphi in (0.0, 2.5):
-            assert visibility(spec_a, spec_b, varphi, grid=grid) == pytest.approx(
+            assert shared_grid_visibility(spec_a, spec_b, varphi, grid) == pytest.approx(
                 visibility(spec_a, spec_b, varphi), abs=1e-12)
         with pytest.raises(GridError):
-            visibility(spec_a, spec_b, grid=2 * (spec_a.coefficients.size - 1) + 2)
+            canonical_phase_distribution(spec_a, 2 * (spec_a.coefficients.size - 1) + 2)
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(spec_a=ancilla_specs(64), spec_b=ancilla_specs(64),
@@ -180,7 +188,13 @@ class TestVisibility:
     def test_default_grid_matches_exactness_bound(self, spec_a, spec_b, varphi):
         bound = 2 * max(spec_a.M, spec_b.M) + 3
         assert visibility(spec_a, spec_b, varphi) == pytest.approx(
-            visibility(spec_a, spec_b, varphi, grid=bound), abs=1e-12)
+            shared_grid_visibility(spec_a, spec_b, varphi, bound), abs=1e-12)
+
+    def test_grid_past_cap_raises(self):
+        # W = 2^19 needs 2W + 3 > 2^20 grid points; the quadrature is never
+        # skipped, so the call fails instead of returning the closed value.
+        with pytest.raises(GridError):
+            visibility(AncillaSpec.uniform(2 ** 19), coherent_coefficients(2.0, 20))
 
     def test_magnitude_bounded(self, rng):
         for _ in range(5):

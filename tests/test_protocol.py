@@ -38,7 +38,7 @@ from epsim import (
     two_mode_ancilla_state,
 )
 from conftest import random_two_site_state, shared_double, shared_single
-from oracles import coherent_amplitudes_full_range, dense, gate_register_state
+from oracles import coherent_amplitudes_full_range, dense, gate_register_state, mixture
 from strategies import ancilla_specs, random_ancillas, transfer_inputs
 
 
@@ -56,7 +56,7 @@ def register_layout_double():
 
 def expected_single_register_mixture():
     layout = register_layout_single()
-    return DensityOperator.from_mixture([
+    return mixture([
         (0.5, PureState.basis_state(layout, (1, 0))),
         (0.5, PureState.basis_state(layout, (0, 1))),
     ])
@@ -65,7 +65,7 @@ def expected_single_register_mixture():
 def expected_double_register_mixture():
     layout = register_layout_double()
     bell = PureState(layout, {(1, 0, 0, 1): 2 ** -0.5, (0, 1, 1, 0): 2 ** -0.5})
-    return DensityOperator.from_mixture([
+    return mixture([
         (0.25, PureState.basis_state(layout, (1, 1, 0, 0))),
         (0.25, PureState.basis_state(layout, (0, 0, 1, 1))),
         (0.5, bell),
@@ -85,7 +85,7 @@ def mixture_from_sectors(state, config):
         amps = {tuple(label[p] for p in positions): amp
                 for label, amp in sector.state.amplitudes.items()}
         ensemble.append((sector.probability, PureState(reg_layout, amps)))
-    return DensityOperator.from_mixture(ensemble)
+    return mixture(ensemble)
 
 
 class TestTruncatedPhaseState:
@@ -212,7 +212,7 @@ class TestAncillaSpec:
             AncillaSpec(m, coeffs, lo=lo)
 
     def test_number_state_is_one_level(self):
-        spec = AncillaSpec.number_state(3, 6)
+        spec = AncillaSpec(6, [1.0], lo=3)
         assert (spec.lo, spec.M, spec.coefficients.tolist()) == (3, 6, [1.0])
         assert spec.mean == 3.0 and spec.variance == 0.0
 
@@ -243,15 +243,22 @@ class TestAncillaSpec:
                                    rtol=0.0, atol=1e-12)
 
 
+def ancilla_state(spec):
+    """The two-mode ancilla over site-A sink and reference modes of
+    capacity M."""
+    return two_mode_ancilla_state(spec, ModeDescriptor("sink_A", "A", "field", spec.M),
+                                  ModeDescriptor("ref_A", "A", "field", spec.M))
+
+
 class TestTwoModeAncilla:
     def test_single_coefficient(self):
         spec = AncillaSpec(3, [1.0, 0.0, 0.0, 0.0])
-        state = two_mode_ancilla_state(spec)
+        state = ancilla_state(spec)
         assert state.amplitudes == {(3, 0): pytest.approx(1.0)}
 
     def test_total_number_constant(self):
         spec = coherent_coefficients(1.0, 12)
-        state = two_mode_ancilla_state(spec)
+        state = ancilla_state(spec)
         for label in state.amplitudes:
             assert sum(label) == 12
 
@@ -268,7 +275,7 @@ class TestTwoModeAncilla:
             c = dense(spec) * np.exp(1j * np.arange(m + 1) * theta)
             acc += np.outer(psi, c)
         acc *= np.sqrt(m + 1) / k
-        state = two_mode_ancilla_state(spec)
+        state = ancilla_state(spec)
         for (sink, ref), amp in state.amplitudes.items():
             assert acc[sink, ref] == pytest.approx(amp, abs=1e-10)
             acc[sink, ref] = 0.0
