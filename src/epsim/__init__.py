@@ -42,7 +42,6 @@ from .protocol import (
     reference_phase_shift,
     run_transfer,
     transfer_final_state,
-    truncated_phase_state,
     two_mode_ancilla_state,
 )
 from .phase import (

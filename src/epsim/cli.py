@@ -301,12 +301,10 @@ def cmd_sweep(args) -> _Run:
 
 
 def _fold_checks(summary: dict, report) -> int:
-    """Fold one report's checks into the per-inequality summary (skipped
-    checks are left out); returns how many of them fail."""
+    """Fold one report's checks into the per-inequality summary; returns how
+    many of them fail."""
     failed = 0
     for check in report.checks:
-        if check.skipped:
-            continue
         entry = summary.setdefault(check.name, {"min_slack": math.inf, "violations": 0})
         entry["min_slack"] = min(entry["min_slack"], check.slack)
         if not check.holds:
@@ -357,7 +355,7 @@ def cmd_bounds(args) -> _Run:
         trig_max = max(trig_max, *(abs(rep.trig_identity_residual) for rep in pair))
         if failed:
             violations += failed
-            offenders.append(state_to_dict(pair_state(np.outer(a, b))))
+            offenders.append(state_to_dict(pair_state(a, b)))
         produced += 1
     results = {
         "states": produced,
@@ -379,7 +377,7 @@ def cmd_bounds(args) -> _Run:
             "s": s_pair,
             "visibility_sq": rep.visibility_sq,
             "checks": {c.name: {"lhs": c.lhs, "rhs": c.rhs, "slack": c.slack}
-                       for c in rep.checks if not c.skipped},
+                       for c in rep.checks},
         }
         violations += sum(not c.holds for c in rep.checks)
     results["violations"] = violations

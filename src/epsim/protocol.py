@@ -187,22 +187,6 @@ def _coherent_window(log_nbar: float, peak: int, M: int) -> tuple[int, int]:
     return edge(peak, 0), edge(peak, M)
 
 
-def truncated_phase_state(M: int, theta: float,
-                          mode: ModeDescriptor | None = None) -> PureState:
-    """Uniform-amplitude phase state sum_n e^{-i(M-n)theta} |n> / sqrt(M+1)."""
-    if M < 0:
-        raise ValueError("M must be >= 0")
-    if mode is None:
-        mode = ModeDescriptor("psi", "A", "field", M)
-    if mode.capacity < M:
-        raise CapacityError(f"mode capacity {mode.capacity} below truncation {M}")
-    amps = {
-        (n,): np.exp(-1j * (M - n) * theta) / math.sqrt(M + 1)
-        for n in range(M + 1)
-    }
-    return PureState(layout_of(mode), amps)
-
-
 def two_mode_ancilla_state(spec: AncillaSpec, sink: ModeDescriptor,
                            ref: ModeDescriptor) -> PureState:
     """Two-mode ancilla sum_n c_n |M-n, n> over (sink, reference) modes."""

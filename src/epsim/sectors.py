@@ -83,35 +83,36 @@ def particle_entanglement(state: PureState) -> float:
     return total
 
 
+def _register_sectors(rho: DensityOperator):
+    """Yield (n, weight, basis rows) for each site-A register-number sector
+    of ``rho`` whose diagonal weight exceeds SECTOR_DROP_TOL, in increasing
+    n (with no register mode at A every label is in sector 0)."""
+    idx = rho.layout.indices(site="A", kind="register")
+    groups: dict[int, list[int]] = {}
+    for i, label in enumerate(rho.basis):
+        groups.setdefault(sum(label[j] for j in idx), []).append(i)
+    for n, rows in sorted(groups.items()):
+        weight = sum(float(np.real(rho.matrix[i, i])) for i in rows)
+        if weight > SECTOR_DROP_TOL:
+            yield n, weight, rows
+
+
 def register_sector_weights(rho: DensityOperator) -> dict[int, float]:
     """Weight carried by each site-A register-occupation sector of ``rho``."""
-    weights: dict[int, float] = {}
-    idx = rho.layout.indices(site="A", kind="register")
-    for i, label in enumerate(rho.basis):
-        n = sum(label[j] for j in idx)
-        weights[n] = weights.get(n, 0.0) + float(np.real(rho.matrix[i, i]))
-    return {n: w for n, w in sorted(weights.items()) if w > SECTOR_DROP_TOL}
+    return {n: weight for n, weight, _ in _register_sectors(rho)}
 
 
 def _register_sector_blocks(rho: DensityOperator):
-    """Yield (n, weight, entropy of entanglement) for each site-A register-number
-    block kept by ``register_sector_weights``, with the same weight.
+    """Yield (n, weight, entropy of entanglement) for each sector of
+    ``_register_sectors``.
 
     Each block must be pure up to PURITY_TOL (as the transfer protocol and its
     conditional measurements make it); its entropy is the Schmidt entropy of
     its top eigenvector.
     """
-    idx = rho.layout.indices(site="A", kind="register")
-    if not idx:
+    if not rho.layout.indices(site="A", kind="register"):
         raise LayoutError("no register modes at site 'A'")
-    groups: dict[int, list[int]] = {}
-    for i, label in enumerate(rho.basis):
-        n = sum(label[j] for j in idx)
-        groups.setdefault(n, []).append(i)
-    for n, rows in sorted(groups.items()):
-        weight = sum(float(np.real(rho.matrix[i, i])) for i in rows)
-        if not weight > SECTOR_DROP_TOL:
-            continue
+    for n, weight, rows in _register_sectors(rho):
         evals, evecs = np.linalg.eigh(rho.matrix[np.ix_(rows, rows)])
         if evals[-1] < weight * (1.0 - PURITY_TOL):
             raise StateValidationError(
@@ -128,7 +129,7 @@ def register_sector_entanglement(rho: DensityOperator) -> float:
 
 
 def register_sector_table(rho: DensityOperator) -> list[dict]:
-    """Per-sector weights (``register_sector_weights`` bit for bit) and
+    """Per-sector weights (the ``register_sector_weights`` values) and
     entanglements of a register mixture."""
     return [{"n": n, "weight": weight, "entanglement": entropy}
             for n, weight, entropy in _register_sector_blocks(rho)]

@@ -7,12 +7,13 @@ Schema::
       "terms": [{"occ": [1, 0], "amp": [0.7071067811865476, 0.0]}, ...]
     }
 
-Capacities and occupations are integers (a float with no fractional part
-is accepted) and amplitudes are [real, imaginary] pairs of finite numbers;
-anything else is a parse error.  Files whose norm deviates from 1 by
-at most 1e-6 are renormalized with a warning; larger deviations are parse
-errors.  All floats in emitted files are rounded to 12 significant digits so
-identical runs produce byte-identical output.
+Mode ids, sites and kinds are strings, capacities and occupations are
+integers (a float with no fractional part is accepted) and amplitudes are
+[real, imaginary] pairs of finite numbers; anything else is a parse error.
+Files whose norm deviates from 1 by at most 1e-6 are renormalized with a
+warning; larger deviations are parse errors.  All floats in emitted files
+are rounded to 12 significant digits so identical runs produce
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -65,10 +66,12 @@ def parse_state(data: dict) -> PureState:
         _require(isinstance(entry, dict), "mode entries must be objects")
         for key in ("id", "site", "kind", "capacity"):
             _require(key in entry, f"mode entry missing {key!r}")
+        for key in ("id", "site", "kind"):
+            _require(isinstance(entry[key], str),
+                     f"mode {key} must be a string, got {entry[key]!r}")
         capacity = _integer(entry["capacity"], "capacity")
         try:
-            modes.append(ModeDescriptor(str(entry["id"]), str(entry["site"]),
-                                        str(entry["kind"]), capacity))
+            modes.append(ModeDescriptor(entry["id"], entry["site"], entry["kind"], capacity))
         except LayoutError as exc:
             raise StateFileError(f"bad mode entry {entry}: {exc}") from exc
     try:
@@ -134,14 +137,6 @@ def density_to_dict(rho: DensityOperator) -> dict:
         "basis": [list(label) for label in rho.basis],
         "matrix": [[[z.real, z.imag] for z in row] for row in rho.matrix],
     }
-
-
-def density_from_dict(data: dict) -> DensityOperator:
-    modes = tuple(ModeDescriptor(m["id"], m["site"], m["kind"], int(m["capacity"]))
-                  for m in data["modes"])
-    basis = [tuple(int(x) for x in label) for label in data["basis"]]
-    matrix = np.array([[complex(z[0], z[1]) for z in row] for row in data["matrix"]])
-    return DensityOperator(ModeLayout(modes), basis, matrix)
 
 
 def round_floats(obj):

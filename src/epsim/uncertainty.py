@@ -1,24 +1,24 @@
 """Number-phase uncertainty bounds on a truncated two-mode space.
 
-A two-mode state over occupations 0..s of each mode is given either as its
-two factor vectors ``(a, b)``, for a product Psi = a (x) b, or as its
-amplitude matrix Psi[n_A, n_B].  On s+1 levels the Pegg-Barnett unitary
+A two-mode state over occupations 0..s of each mode is a product
+Psi = a (x) b, given as its two factor vectors ``(a, b)``.  On s+1 levels
+the Pegg-Barnett unitary
 E = e^{i phi} = sum_m e^{i theta_m} |theta_m><theta_m|, theta_m = 2 pi m/(s+1),
 is exactly the cyclic lowering shift |n> -> |n-1>, |0> -> |s>, so the pair
 expectations <E_A^k E_B^{dagger k}> behind the phase-difference cos D and
-sin D are overlaps of the state with a rolled copy of itself; for factors
-they are products of one-mode overlaps, O(d) instead of O(d^2), and no
-operator on the pair space or on one mode is built.  For states supported
-away from the truncation boundary ("physical" states) the Robertson
-relations of cos D and sin D against the local and relative number operators
-bound the achievable squared fringe visibility |C|^2 = |<e^{i(phi_A - phi_B)}>|^2
-by the number variances; the variance-additive cap C1 applies to factors
-only.  The dense phase-state constructions are the test oracles
+sin D are products of one-mode overlaps of each factor with a rolled copy
+of itself, O(d), and no operator on the pair space or on one mode is built.
+For states supported away from the truncation boundary ("physical" states)
+the Robertson relations of cos D and sin D against the local and relative
+number operators bound the achievable squared fringe visibility
+|C|^2 = |<e^{i(phi_A - phi_B)}>|^2 by the number variances.  The amplitude
+matrix route and the dense phase-state constructions are the test oracles
 (tests/oracles.py).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -51,7 +51,6 @@ class InequalityCheck:
     name: str
     lhs: float
     rhs: float
-    skipped: bool = False
 
     @property
     def slack(self) -> float:
@@ -59,7 +58,7 @@ class InequalityCheck:
 
     @property
     def holds(self) -> bool:
-        return self.skipped or self.slack >= SLACK_TOL
+        return self.slack >= SLACK_TOL
 
 
 @dataclass(frozen=True)
@@ -89,17 +88,7 @@ class UncertaintyReport:
 
     @property
     def min_slack(self) -> float:
-        active = [c.slack for c in self.checks if not c.skipped]
-        return min(active) if active else math.inf
-
-
-def _shift_expectation(psi: np.ndarray, k: int) -> complex:
-    """<E_A^k E_B^{dagger k}> on the amplitude matrix psi.
-
-    E lowers the occupation cyclically, so E_A^k E_B^{dagger k} maps
-    Psi[n_A, n_B] to Psi[n_A + k, n_B - k] (indices mod s+1).
-    """
-    return complex(np.vdot(psi, np.roll(psi, (-k, k), axis=(0, 1))))
+        return min(c.slack for c in self.checks)
 
 
 class _Sums(NamedTuple):
@@ -113,60 +102,68 @@ class _Sums(NamedTuple):
     mean_ab: float
 
 
-def _sums(state) -> _Sums:
-    """Reduce factors ``(a, b)`` in O(d) or an amplitude matrix in O(d^2).
+def _sums(a: np.ndarray, b: np.ndarray) -> _Sums:
+    """Reduce the factors of Psi = a (x) b in O(d).
 
-    For Psi = a (x) b the shift expectations factor,
-    x_k = <a|E^k|a> conj(<b|E^k|b>), the marginals are |a|^2 ||b||^2 and
-    |b|^2 ||a||^2, and <N_A N_B> = <N_A><N_B>.
+    The shift expectations factor, x_k = <a|E^k|a> conj(<b|E^k|b>), the
+    marginals are |a|^2 ||b||^2 and |b|^2 ||a||^2, and
+    <N_A N_B> = <N_A><N_B>.
     """
-    if isinstance(state, tuple):
-        a, b = (np.asarray(v, dtype=complex) for v in state)
-        wa, wb = np.abs(a) ** 2, np.abs(b) ** 2
-        pa, pb = wa * wb.sum(), wb * wa.sum()
-        # np.vdot(b, np.roll(b, k)) is conj(<b|E^k|b>).
-        x1, x2 = (np.vdot(a, np.roll(a, -k)) * np.vdot(b, np.roll(b, k)) for k in (1, 2))
-        n_a, n_b = np.arange(a.size, dtype=float), np.arange(b.size, dtype=float)
-        mean_ab = float(n_a @ pa) * float(n_b @ pb)
-    else:
-        psi = np.asarray(state, dtype=complex)
-        prob = np.abs(psi) ** 2
-        pa, pb = prob.sum(axis=1), prob.sum(axis=0)
-        x1, x2 = (_shift_expectation(psi, k) for k in (1, 2))
-        n_a, n_b = (np.arange(size, dtype=float) for size in psi.shape)
-        mean_ab = n_a @ prob @ n_b
-    return _Sums(complex(x1), complex(x2), pa, pb, float(mean_ab))
+    wa, wb = np.abs(a) ** 2, np.abs(b) ** 2
+    pa, pb = wa * wb.sum(), wb * wa.sum()
+    # np.vdot(b, np.roll(b, k)) is conj(<b|E^k|b>).
+    x1, x2 = (np.vdot(a, np.roll(a, -k)) * np.vdot(b, np.roll(b, k)) for k in (1, 2))
+    n_a, n_b = np.arange(a.size, dtype=float), np.arange(b.size, dtype=float)
+    return _Sums(complex(x1), complex(x2), pa, pb, float(n_a @ pa) * float(n_b @ pb))
 
 
-class _Moments:
-    def __init__(self, sums: _Sums, space: PhaseOperatorSpace):
-        x1, x2 = sums.x1, sums.x2
-        self.cos_mean = float(np.real(x1))
-        self.sin_mean = float(np.imag(x1))
-        cos2 = (float(np.real(x2)) + 1.0) / 2.0
-        sin2 = (1.0 - float(np.real(x2))) / 2.0
-        self.var_cos = cos2 - self.cos_mean ** 2
-        self.var_sin = sin2 - self.sin_mean ** 2
-        self.visibility_sq = float(abs(x1) ** 2)
-        self.trig_identity_residual = (self.var_cos + self.var_sin
-                                       - (1.0 - self.visibility_sq))
+class _Moments(NamedTuple):
+    """The moment fields of ``UncertaintyReport``, in its field order."""
 
-        ns, pa, pb = space.number, sums.pa, sums.pb
-        self.mean_n_a = float(ns @ pa)
-        self.mean_n_b = float(ns @ pb)
-        self.var_n_a = float(ns ** 2 @ pa) - self.mean_n_a ** 2
-        self.var_n_b = float(ns ** 2 @ pb) - self.mean_n_b ** 2
-        cov = sums.mean_ab - self.mean_n_a * self.mean_n_b
-        self.var_n_diff = self.var_n_a + self.var_n_b - 2.0 * cov
+    var_n_a: float
+    var_n_b: float
+    var_n_diff: float
+    cos_mean: float
+    sin_mean: float
+    var_cos: float
+    var_sin: float
+    visibility_sq: float
+    trig_identity_residual: float
+
+
+def _moments(sums: _Sums, space: PhaseOperatorSpace) -> _Moments:
+    x1, x2 = sums.x1, sums.x2
+    cos_mean = float(np.real(x1))
+    sin_mean = float(np.imag(x1))
+    cos2 = (float(np.real(x2)) + 1.0) / 2.0
+    sin2 = (1.0 - float(np.real(x2))) / 2.0
+    var_cos = cos2 - cos_mean ** 2
+    var_sin = sin2 - sin_mean ** 2
+    visibility_sq = float(abs(x1) ** 2)
+    trig_identity_residual = var_cos + var_sin - (1.0 - visibility_sq)
+
+    ns, pa, pb = space.number, sums.pa, sums.pb
+    mean_n_a = float(ns @ pa)
+    mean_n_b = float(ns @ pb)
+    var_n_a = float(ns ** 2 @ pa) - mean_n_a ** 2
+    var_n_b = float(ns ** 2 @ pb) - mean_n_b ** 2
+    cov = sums.mean_ab - mean_n_a * mean_n_b
+    var_n_diff = var_n_a + var_n_b - 2.0 * cov
+    return _Moments(var_n_a, var_n_b, var_n_diff, cos_mean, sin_mean,
+                    var_cos, var_sin, visibility_sq, trig_identity_residual)
 
 
 def _checked_moments(state, space: PhaseOperatorSpace) -> _Moments:
-    """Moments of a unit-norm physical state, validated on its marginals:
-    s+1 levels per mode and mass above occupation s - sqrt(s) within
+    """Moments of a unit-norm physical state: a tuple of two 1-D factors of
+    s+1 levels each (anything else is a ``LayoutError``), validated on its
+    marginals, with mass above occupation s - sqrt(s) within
     PHYSICAL_TAIL_TOL in each mode."""
-    sums = _sums(state)
-    if sums.pa.shape != (space.dim,) or sums.pb.shape != (space.dim,):
-        raise LayoutError(f"state must have {space.dim} levels in each mode")
+    if not (isinstance(state, tuple) and len(state) == 2):
+        raise LayoutError("state must be a tuple of two factor vectors (a, b)")
+    a, b = (np.asarray(v, dtype=complex) for v in state)
+    if a.shape != (space.dim,) or b.shape != (space.dim,):
+        raise LayoutError(f"state factors must be vectors of {space.dim} levels")
+    sums = _sums(a, b)
     norm = math.sqrt(float(sums.pa.sum()))
     if abs(norm - 1.0) > 1e-10:
         raise ValueError(f"state norm {norm} deviates from 1")
@@ -177,22 +174,11 @@ def _checked_moments(state, space: PhaseOperatorSpace) -> _Moments:
         raise PhysicalityError(
             f"tail mass above occupation {cutoff}: A={tail_a:.3e}, B={tail_b:.3e}"
         )
-    return _Moments(sums, space)
-
-
-def _report(m: _Moments, checks: tuple[InequalityCheck, ...]) -> UncertaintyReport:
-    return UncertaintyReport(
-        var_n_a=m.var_n_a, var_n_b=m.var_n_b, var_n_diff=m.var_n_diff,
-        cos_mean=m.cos_mean, sin_mean=m.sin_mean,
-        var_cos=m.var_cos, var_sin=m.var_sin,
-        visibility_sq=m.visibility_sq,
-        trig_identity_residual=m.trig_identity_residual,
-        checks=checks,
-    )
+    return _moments(sums, space)
 
 
 def robertson_checks(state, space: PhaseOperatorSpace) -> UncertaintyReport:
-    """Number-phase Robertson inequalities for a physical state.
+    """Number-phase Robertson inequalities for a physical state ``(a, b)``.
 
     Difference-operator forms:
         Var(N_A - N_B) Var(cos D) >= <sin D>^2       (dcos)
@@ -211,29 +197,28 @@ def robertson_checks(state, space: PhaseOperatorSpace) -> UncertaintyReport:
         InequalityCheck("dsin2_A", m.var_n_a * m.var_sin, c2 / 4.0),
         InequalityCheck("dsin2_B", m.var_n_b * m.var_sin, c2 / 4.0),
     )
-    return _report(m, checks)
+    return UncertaintyReport(*m, checks=checks)
 
 
 def visibility_bound_check(state, space: PhaseOperatorSpace) -> UncertaintyReport:
-    """Visibility caps from the summed Robertson relations.
+    """Visibility caps from the summed Robertson relations for a physical
+    state ``(a, b)``.
 
         |C|^2 <= (Var N_A + Var N_B) / (1 + Var N_A + Var N_B)   (C1)
         |C|^2 <= 4 Var N_Z / (1 + 4 Var N_Z), Z = A, B           (C2_Z)
 
-    C1 uses variance additivity and is only meaningful for uncorrelated
-    inputs, so it applies to a state given as factors ``(a, b)``; for an
-    amplitude matrix it is reported as skipped.
+    C1 uses variance additivity, which holds for the uncorrelated modes of
+    a product state, so it always applies.
     """
     m = _checked_moments(state, space)
     c2 = m.visibility_sq
     vsum = m.var_n_a + m.var_n_b
     checks = (
-        InequalityCheck("C1", vsum / (1.0 + vsum), c2,
-                        skipped=not isinstance(state, tuple)),
+        InequalityCheck("C1", vsum / (1.0 + vsum), c2),
         InequalityCheck("C2_A", 4.0 * m.var_n_a / (1.0 + 4.0 * m.var_n_a), c2),
         InequalityCheck("C2_B", 4.0 * m.var_n_b / (1.0 + 4.0 * m.var_n_b), c2),
     )
-    return _report(m, checks)
+    return UncertaintyReport(*m, checks=checks)
 
 
 def pair_layout(s: int) -> ModeLayout:
@@ -243,10 +228,12 @@ def pair_layout(s: int) -> ModeLayout:
     ))
 
 
-def pair_state(psi: np.ndarray) -> PureState:
-    """The amplitude matrix as a sparse state on ``pair_layout(s)``."""
-    amps = {(int(na), int(nb)): psi[na, nb] for na, nb in zip(*np.nonzero(psi))}
-    return PureState(pair_layout(psi.shape[0] - 1), amps, normalize=True)
+def pair_state(a: np.ndarray, b: np.ndarray) -> PureState:
+    """The product a (x) b as a sparse state on ``pair_layout(s)``."""
+    ia, ib = np.flatnonzero(a), np.flatnonzero(b)
+    amps = dict(zip(itertools.product(ia.tolist(), ib.tolist()),
+                    (a[ia, None] * b[ib]).ravel()))
+    return PureState(pair_layout(a.size - 1), amps, normalize=True)
 
 
 def coherent_pair_state(nbar_a: float, nbar_b: float,

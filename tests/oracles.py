@@ -23,6 +23,20 @@ def dense(spec):
     return full
 
 
+def truncated_phase_state(M, theta, mode=None):
+    """Uniform-amplitude phase state sum_n e^{-i(M-n)theta} |n> / sqrt(M+1)
+    as a sparse state on one field mode (default capacity M)."""
+    from epsim.fock import ModeDescriptor, PureState, layout_of
+
+    if mode is None:
+        mode = ModeDescriptor("psi", "A", "field", M)
+    amps = {
+        (n,): np.exp(-1j * (M - n) * theta) / math.sqrt(M + 1)
+        for n in range(M + 1)
+    }
+    return PureState(layout_of(mode), amps)
+
+
 def overlap_integral_quadrature(k, spec, theta, grid=None):
     """Phase-average of the sink/reference overlap products:
 
@@ -70,7 +84,7 @@ def phase_grid_oracle(config, K):
     phase_grid_register_state.
     """
     from epsim.fock import ModeDescriptor, PureState, layout_of
-    from epsim.protocol import hiding_operation, truncated_phase_state
+    from epsim.protocol import hiding_operation
     from epsim.sectors import local_particle_number
 
     layout = config.input_state.layout
@@ -292,3 +306,18 @@ def phase_difference_trig(s, theta0=0.0):
     sin = (x - x.conj().T) / 2.0j
     return cos, sin
 
+
+def matrix_sums(psi):
+    """The uncertainty layer's sums from an (s+1)x(s+1) amplitude matrix
+    Psi[n_A, n_B], any two-mode state: the O(d^2) reference for the factor
+    route.  E lowers the occupation cyclically, so E_A^k E_B^{dagger k} maps
+    Psi[n_A, n_B] to Psi[n_A + k, n_B - k] (indices mod s+1), and x_k is the
+    overlap of Psi with that rolled copy."""
+    from epsim.uncertainty import _Sums
+
+    psi = np.asarray(psi, dtype=complex)
+    prob = np.abs(psi) ** 2
+    x1, x2 = (np.vdot(psi, np.roll(psi, (-k, k), axis=(0, 1))) for k in (1, 2))
+    n_a, n_b = (np.arange(size, dtype=float) for size in psi.shape)
+    return _Sums(complex(x1), complex(x2), prob.sum(axis=1), prob.sum(axis=0),
+                 float(n_a @ prob @ n_b))

@@ -8,12 +8,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from epsim import DensityOperator, ModeDescriptor, ModeLayout
 from epsim.cli import main
-from epsim.statefile import (StateFileError, density_from_dict, load_state, parse_state,
-                             state_to_dict)
+from epsim.statefile import StateFileError, load_state, parse_state, state_to_dict
 from epsim.uncertainty import pair_layout
 from conftest import data_path
 from strategies import transfer_inputs
+
+
+def density_from_dict(data):
+    """The register density operator of a ``transfer`` result file."""
+    modes = tuple(ModeDescriptor(m["id"], m["site"], m["kind"], int(m["capacity"]))
+                  for m in data["modes"])
+    basis = [tuple(int(x) for x in label) for label in data["basis"]]
+    matrix = np.array([[complex(z[0], z[1]) for z in row] for row in data["matrix"]])
+    return DensityOperator(ModeLayout(modes), basis, matrix)
 
 
 def run_cli(capsys, *argv):
@@ -495,8 +504,11 @@ VALID_STATE = {
     ("top", "modes", 5), ("top", "terms", 5),
     # non-integral numbers are not truncated to an integer
     ("term", "occ", [1.5, 0]), ("mode", "capacity", 1.7),
+    # mode ids, sites and kinds must be JSON strings
+    ("mode", "id", None), ("mode", "id", 5), ("mode", "site", 1), ("mode", "kind", None),
 ], ids=["occ-string", "occ-null", "occ-number", "amp-string", "amp-null", "amp-past-float",
-        "modes-number", "terms-number", "occ-fraction", "capacity-fraction"])
+        "modes-number", "terms-number", "occ-fraction", "capacity-fraction",
+        "id-null", "id-number", "site-number", "kind-null"])
 def test_malformed_state_file_exit_2(capsys, tmp_path, command, where, key, value):
     data = json.loads(json.dumps(VALID_STATE))
     target = {"top": data, "mode": data["modes"][0], "term": data["terms"][0]}[where]

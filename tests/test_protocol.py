@@ -34,11 +34,11 @@ from epsim import (
     sector_decompose,
     tensor_product,
     trace_distance,
-    truncated_phase_state,
     two_mode_ancilla_state,
 )
 from conftest import random_two_site_state, shared_double, shared_single
-from oracles import coherent_amplitudes_full_range, dense, gate_register_state, mixture
+from oracles import (coherent_amplitudes_full_range, dense, gate_register_state, mixture,
+                     truncated_phase_state)
 from strategies import ancilla_specs, random_ancillas, transfer_inputs
 
 
