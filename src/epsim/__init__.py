@@ -13,7 +13,6 @@ from .fock import (
     entropy_of_entanglement,
     layout_of,
     partial_trace,
-    tensor_many,
     tensor_product,
     trace_distance,
     von_neumann_entropy,
@@ -42,7 +41,6 @@ from .protocol import (
     reference_phase_shift,
     run_transfer,
     transfer_final_state,
-    two_mode_ancilla_state,
 )
 from .phase import (
     PhaseDistribution,

@@ -313,6 +313,27 @@ def _fold_checks(summary: dict, report) -> int:
     return failed
 
 
+def _coherent_pair_check(nbar_pair: list[float], space: PhaseOperatorSpace):
+    """Truncation and visibility report of the coherent pair ``--nbar``.
+
+    The truncation starts at max(s, nbar + 12 sqrt(nbar)) for the larger
+    mean and grows one level at a time until the pair passes the check's
+    own tail test: the 12 sqrt(nbar) margin bounds a Gaussian tail, and a
+    small-mean Poisson tail is heavier (nbar = 2 at s = 16 needs 21).
+    """
+    nbar_max = max(nbar_pair)
+    top = nbar_max + 12.0 * math.sqrt(nbar_max)
+    s_pair = max(space.s, math.ceil(min(top, MAX_BOUNDS_S + 1)))
+    while s_pair <= MAX_BOUNDS_S:
+        pair_space = space if s_pair == space.s else PhaseOperatorSpace(s_pair)
+        try:
+            return s_pair, visibility_bound_check(
+                coherent_pair_state(*nbar_pair, pair_space), pair_space)
+        except PhysicalityError:
+            s_pair += 1
+    raise StateFileError(f"--nbar {nbar_max:g} needs a truncation above {MAX_BOUNDS_S}")
+
+
 def cmd_bounds(args) -> _Run:
     if not 16 <= args.s <= MAX_BOUNDS_S:
         raise StateFileError(f"--s must be in [16, {MAX_BOUNDS_S}], got {args.s}")
@@ -320,6 +341,7 @@ def cmd_bounds(args) -> _Run:
         raise StateFileError(f"--seeds must be >= 1, got {args.seeds}")
     if not 0 <= args.seed <= 2 ** 32 - 1:
         raise StateFileError(f"--seed must be in [0, {2 ** 32 - 1}], got {args.seed}")
+    space = PhaseOperatorSpace(args.s)
     nbar_pair = None
     if args.nbar is not None:
         nbar_pair = _float_list("--nbar", args.nbar)
@@ -327,14 +349,7 @@ def cmd_bounds(args) -> _Run:
             raise StateFileError(f"--nbar takes two values, got {args.nbar!r}")
         for value in nbar_pair:
             _check_option("every --nbar value", value, value >= 0.0, ">= 0")
-        # Grow the truncation if needed so the coherent pair stays physical.
-        nbar_max = max(nbar_pair)
-        top = nbar_max + 12.0 * math.sqrt(nbar_max)
-        if not top <= MAX_BOUNDS_S:
-            raise StateFileError(f"--nbar {nbar_max:g} needs a truncation above "
-                                 f"{MAX_BOUNDS_S}")
-        s_pair = max(args.s, math.ceil(top))
-    space = PhaseOperatorSpace(args.s)
+        s_pair, pair_rep = _coherent_pair_check(nbar_pair, space)
     rng = np.random.RandomState(args.seed)
     # Each report is folded in as it comes out; none is kept.
     summary: dict[str, dict] = {}
@@ -366,20 +381,16 @@ def cmd_bounds(args) -> _Run:
     if offenders:
         results["violating_states"] = offenders
     if nbar_pair:
-        nbar_a, nbar_b = nbar_pair
-        pair_space = space if s_pair == args.s else PhaseOperatorSpace(s_pair)
-        rep = visibility_bound_check(coherent_pair_state(nbar_a, nbar_b, pair_space),
-                                     pair_space)
         results["trig_identity_max_residual"] = max(trig_max,
-                                                    abs(rep.trig_identity_residual))
+                                                    abs(pair_rep.trig_identity_residual))
         results["coherent_pair"] = {
-            "nbar": [nbar_a, nbar_b],
+            "nbar": nbar_pair,
             "s": s_pair,
-            "visibility_sq": rep.visibility_sq,
+            "visibility_sq": pair_rep.visibility_sq,
             "checks": {c.name: {"lhs": c.lhs, "rhs": c.rhs, "slack": c.slack}
-                       for c in rep.checks},
+                       for c in pair_rep.checks},
         }
-        violations += sum(not c.holds for c in rep.checks)
+        violations += sum(not c.holds for c in pair_rep.checks)
     results["violations"] = violations
     failure = None
     if violations:

@@ -197,13 +197,6 @@ def tensor_product(a: PureState, b: PureState) -> PureState:
     return PureState(layout, amps)
 
 
-def tensor_many(*states: PureState) -> PureState:
-    out = states[0]
-    for s in states[1:]:
-        out = tensor_product(out, s)
-    return out
-
-
 class DensityOperator:
     """Hermitian, PSD, unit-trace operator over an explicit label basis.
 

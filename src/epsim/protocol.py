@@ -31,10 +31,13 @@ closed-form sink kernel in place of the sector delta, also O(L^2).  The
 overcounted boundary weight makes its output deviate from the exact route by
 O(1/(M+1)), which is the quantity the grid diagnostic exposes.
 
-The gate-level simulation of the protocol stays in ``transfer_final_state``
-(ancillas tensored in, occupation CNOT and hiding gate on every field mode).
-The phase-difference POVM needs that full final state, and its partial trace
-over the field modes is the test oracle for ``run_transfer``.
+``transfer_final_state`` builds the full post-protocol state the
+phase-difference POVM needs, by the same fact: the field modes end empty,
+so the branch with reference occupations (m_A, m_B) and register label r is
+|M_A - m_A + n_A, m_A, M_B - m_B + n_B, m_B, 0...0, r> with amplitude
+c_A[m_A] c_B[m_B] amp_r.  The gate-level simulation it replaces (ancillas
+tensored in, occupation CNOT and hiding gate on every field mode) is the
+test oracle for it and for ``run_transfer``.
 """
 
 from __future__ import annotations
@@ -54,10 +57,8 @@ from .fock import (
     ModeLayout,
     PureState,
     StateValidationError,
-    layout_of,
-    tensor_many,
 )
-from .sectors import local_particle_number, register_sector_entanglement
+from .sectors import register_sector_entanglement
 
 
 class GridError(ValueError):
@@ -187,16 +188,6 @@ def _coherent_window(log_nbar: float, peak: int, M: int) -> tuple[int, int]:
     return edge(peak, 0), edge(peak, M)
 
 
-def two_mode_ancilla_state(spec: AncillaSpec, sink: ModeDescriptor,
-                           ref: ModeDescriptor) -> PureState:
-    """Two-mode ancilla sum_n c_n |M-n, n> over (sink, reference) modes."""
-    M = spec.M
-    if sink.capacity < M:
-        raise CapacityError(f"sink capacity {sink.capacity} below M={M}")
-    amps = {(M - n, n): c for n, c in zip(spec.levels.tolist(), spec.coefficients)}
-    return PureState(layout_of(sink, ref), amps)
-
-
 def occupation_cnot(state: PureState, control: str, target: str) -> PureState:
     """Add the control field occupation onto a register, modulo capacity+1.
 
@@ -268,8 +259,8 @@ class ProtocolConfig:
             raise LayoutError("transfer input must involve both sites")
         if any(m.kind != "field" for m in layout.modes):
             raise LayoutError("transfer input must use field modes only")
-        # The gate route (transfer_final_state) puts the input next to these
-        # modes in one layout, so their ids must stay free.
+        # transfer_final_state puts the input next to these modes in one
+        # layout, so their ids must stay free.
         protocol_ids = ({self.sink_id(s) for s in ("A", "B")}
                         | {self.ref_id(s) for s in ("A", "B")}
                         | {m.id for m in self.register_modes()})
@@ -281,9 +272,6 @@ class ProtocolConfig:
     @property
     def total_particles(self) -> int:
         return max(sum(label) for label in self.input_state.amplitudes)
-
-    def ancilla(self, site: str) -> AncillaSpec:
-        return self.ancilla_a if site == "A" else self.ancilla_b
 
     def sink_id(self, site: str) -> str:
         return f"sink_{site}"
@@ -308,54 +296,56 @@ class ProtocolConfig:
         return out
 
 
+def _register_terms(config: ProtocolConfig):
+    """Input terms relabelled onto the register modes, in register-label order.
+
+    Returns the register layout, the sorted register labels, and aligned
+    arrays of the input amplitudes and of the local particle numbers n_A, n_B:
+    the sums over the site-A and the site-B part of each register label.
+    """
+    layout = config.input_state.layout
+    fields_a = config.field_modes("A")
+    positions = [layout.index(f.id) for f in fields_a + config.field_modes("B")]
+    terms = sorted(((tuple(label[p] for p in positions), amp)
+                    for label, amp in config.input_state.amplitudes.items()),
+                   key=lambda t: t[0])
+    basis, amps = zip(*terms)
+    occupations = np.array(basis)
+    split = len(fields_a)
+    return (ModeLayout(tuple(config.register_modes())), list(basis),
+            np.array(amps, dtype=complex),
+            occupations[:, :split].sum(axis=1), occupations[:, split:].sum(axis=1))
+
+
 def transfer_final_state(config: ProtocolConfig) -> PureState:
     """Full pure state after both sites ran CNOT-then-hide on every field mode.
 
     Each sink has capacity M + N, N the input's total particle number.
     Layout: [sink_A, ref_A, sink_B, ref_B, input field modes..., registers...].
-    Field modes are all still present; trace them out to get the register
-    state, or keep the reference modes to feed the phase-difference POVM.
+    The input field modes are still present and empty; trace them out to get the
+    register state, or keep the reference modes to feed the
+    phase-difference POVM.  Built in closed form (see the module
+    docstring): one term per reference pair (m_A, m_B) and input term.
     """
-    pieces = []
-    for site in ("A", "B"):
-        spec = config.ancilla(site)
-        sink = ModeDescriptor(config.sink_id(site), site, "field",
-                              spec.M + config.total_particles)
-        ref = ModeDescriptor(config.ref_id(site), site, "field", spec.M)
-        pieces.append(two_mode_ancilla_state(spec, sink, ref))
-    pieces.append(config.input_state)
-    regs = config.register_modes()
-    reg_zero = PureState.basis_state(ModeLayout(tuple(regs)), (0,) * len(regs))
-    pieces.append(reg_zero)
-    state = tensor_many(*pieces)
-
-    for site in ("A", "B"):
-        for f in config.field_modes(site):
-            reg = config.register_id(f.id)
-            state = occupation_cnot(state, control=f.id, target=reg)
-            state = hiding_operation(state, control=reg, source=f.id,
-                                     sink=config.sink_id(site))
-    return state
-
-
-def _register_terms(config: ProtocolConfig):
-    """Input terms relabelled onto the register modes, in register-label order.
-
-    Returns the register layout, the sorted register labels, and aligned
-    arrays of the input amplitudes and of the local particle numbers n_A, n_B.
-    """
-    layout = config.input_state.layout
-    reg_layout = ModeLayout(tuple(config.register_modes()))
-    positions = [layout.index(f.id) for site in ("A", "B") for f in config.field_modes(site)]
-    terms = sorted(
-        ((tuple(label[p] for p in positions), amp,
-          local_particle_number(layout, label, "A"),
-          local_particle_number(layout, label, "B"))
-         for label, amp in config.input_state.amplitudes.items()),
-        key=lambda t: t[0])
-    basis, amps, n_a, n_b = zip(*terms)
-    return (reg_layout, list(basis), np.array(amps, dtype=complex),
-            np.array(n_a), np.array(n_b))
+    reg_layout, basis, amps, n_a, n_b = _register_terms(config)
+    site_modes = []
+    for site, spec in (("A", config.ancilla_a), ("B", config.ancilla_b)):
+        site_modes += [ModeDescriptor(config.sink_id(site), site, "field",
+                                      spec.M + config.total_particles),
+                       ModeDescriptor(config.ref_id(site), site, "field", spec.M)]
+    layout = ModeLayout(tuple(site_modes) + config.input_state.layout.modes
+                        + reg_layout.modes)
+    empty = (0,) * len(config.input_state.layout)
+    terms = list(zip(basis, amps.tolist(), n_a.tolist(), n_b.tolist()))
+    spec_a, spec_b = config.ancilla_a, config.ancilla_b
+    final = {}
+    for m_a, c_a in zip(spec_a.levels.tolist(), spec_a.coefficients.tolist()):
+        for m_b, c_b in zip(spec_b.levels.tolist(), spec_b.coefficients.tolist()):
+            c = c_a * c_b
+            for r, amp, na, nb in terms:
+                final[(spec_a.M - m_a + na, m_a, spec_b.M - m_b + nb, m_b)
+                      + empty + r] = c * amp
+    return PureState(layout, final)
 
 
 def run_transfer(config: ProtocolConfig) -> DensityOperator:

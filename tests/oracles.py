@@ -196,14 +196,53 @@ def partial_trace_oracle(state, keep):
     return DensityOperator(state.layout.sublayout(keep_idx), basis, mat)
 
 
-def gate_register_state(config):
-    """Register state by the gate route: the field modes traced out of the
-    full post-protocol state (ancillas tensored in, occupation CNOT and
-    hiding gate on every field mode), the brute-force reference for
-    run_transfer's sector dephasing."""
-    from epsim.protocol import transfer_final_state
+def two_mode_ancilla_state(spec, sink, ref):
+    """Two-mode ancilla sum_n c_n |M-n, n> over (sink, reference) modes."""
+    from epsim.fock import CapacityError, PureState, layout_of
 
-    return partial_trace_oracle(transfer_final_state(config),
+    M = spec.M
+    if sink.capacity < M:
+        raise CapacityError(f"sink capacity {sink.capacity} below M={M}")
+    amps = {(M - n, n): c for n, c in zip(spec.levels.tolist(), spec.coefficients)}
+    return PureState(layout_of(sink, ref), amps)
+
+
+def gate_final_state(config):
+    """The full post-protocol state by the gate route: both two-mode
+    ancillas (sinks of capacity M + N), the input and zeroed registers
+    tensored together, then the occupation CNOT and the hiding gate run on
+    every field mode, site A first.  The brute-force reference for
+    transfer_final_state's closed form."""
+    from functools import reduce
+
+    from epsim.fock import ModeDescriptor, ModeLayout, PureState, tensor_product
+    from epsim.protocol import hiding_operation, occupation_cnot
+
+    pieces = []
+    for site, spec in (("A", config.ancilla_a), ("B", config.ancilla_b)):
+        sink = ModeDescriptor(config.sink_id(site), site, "field",
+                              spec.M + config.total_particles)
+        ref = ModeDescriptor(config.ref_id(site), site, "field", spec.M)
+        pieces.append(two_mode_ancilla_state(spec, sink, ref))
+    pieces.append(config.input_state)
+    regs = config.register_modes()
+    pieces.append(PureState.basis_state(ModeLayout(tuple(regs)), (0,) * len(regs)))
+    state = reduce(tensor_product, pieces)
+
+    for site in ("A", "B"):
+        for f in config.field_modes(site):
+            reg = config.register_id(f.id)
+            state = occupation_cnot(state, control=f.id, target=reg)
+            state = hiding_operation(state, control=reg, source=f.id,
+                                     sink=config.sink_id(site))
+    return state
+
+
+def gate_register_state(config):
+    """Register state by the gate route: the field modes traced out of
+    gate_final_state, the brute-force reference for run_transfer's sector
+    dephasing (independent of the closed-form transfer_final_state)."""
+    return partial_trace_oracle(gate_final_state(config),
                                 [m.id for m in config.register_modes()])
 
 

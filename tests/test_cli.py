@@ -347,6 +347,17 @@ class TestBoundsCommand:
         assert code == 0
         assert "C1" in report["results"]["coherent_pair"]["checks"]
 
+    @pytest.mark.parametrize("nbar, s_pair", [("1,2", 21), ("1.04,1.04", 18),
+                                              ("3.75,0", 28)])
+    def test_small_mean_pair_grows_past_its_tail(self, capsys, nbar, s_pair):
+        # nbar + 12 sqrt(nbar) levels leave more than the tail tolerance of a
+        # small-mean Poisson tail above the physicality cutoff; the
+        # truncation grows one level at a time until the pair passes.
+        code, report = run_cli(capsys, "bounds", "--seeds", "1", "--s", "16",
+                               "--nbar", nbar)
+        assert code == 0
+        assert report["results"]["coherent_pair"]["s"] == s_pair
+
     def test_small_s_exit_2(self, capsys):
         assert main(["bounds", "--seeds", "1", "--s", "8"]) == 2
 

@@ -34,11 +34,12 @@ from epsim import (
     sector_decompose,
     tensor_product,
     trace_distance,
-    two_mode_ancilla_state,
+    transfer_final_state,
 )
 from conftest import random_two_site_state, shared_double, shared_single
-from oracles import (coherent_amplitudes_full_range, dense, gate_register_state, mixture,
-                     truncated_phase_state)
+from oracles import (coherent_amplitudes_full_range, dense, gate_final_state,
+                     gate_register_state, mixture, truncated_phase_state,
+                     two_mode_ancilla_state)
 from strategies import ancilla_specs, random_ancillas, transfer_inputs
 
 
@@ -399,8 +400,6 @@ class TestRunTransfer:
                                         AncillaSpec.uniform(2)))
 
     def test_protocol_empties_field_modes(self):
-        from epsim import transfer_final_state
-
         config = ProtocolConfig(shared_double(), AncillaSpec.uniform(8),
                                 AncillaSpec.uniform(8))
         final = transfer_final_state(config)
@@ -410,6 +409,15 @@ class TestRunTransfer:
 
 
 class TestClosedRouteMatchesGateOracle:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(state=transfer_inputs(), ancilla_a=ancilla_specs(), ancilla_b=ancilla_specs())
+    def test_final_state_equals_gate_route(self, state, ancilla_a, ancilla_b):
+        config = ProtocolConfig(state, ancilla_a, ancilla_b)
+        closed = transfer_final_state(config)
+        gate = gate_final_state(config)
+        assert closed.layout == gate.layout
+        assert dict(closed.amplitudes) == dict(gate.amplitudes)
+
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(state=transfer_inputs(), ancilla_a=ancilla_specs(), ancilla_b=ancilla_specs())
     def test_sector_dephasing_equals_gate_route(self, state, ancilla_a, ancilla_b):

@@ -113,7 +113,8 @@ class TestShiftRoute:
     @staticmethod
     def assert_dense_moments(sums, psi):
         """The moments from ``sums`` (of psi or of its factors) against the
-        dense operators on psi."""
+        dense operators on psi: the phase moments to 1e-12, the number
+        variances to 1e-12 (s+1)^2, the scale they carry."""
         s = psi.shape[0] - 1
         vec = psi.ravel()
         e = pegg_barnett_exponential(s)
@@ -132,6 +133,14 @@ class TestShiftRoute:
             np.vdot(cos_vec, cos_vec).real - cos_mean ** 2, abs=1e-12)
         assert m.var_sin == pytest.approx(
             np.vdot(sin_vec, sin_vec).real - sin_mean ** 2, abs=1e-12)
+        number, eye = np.diag(np.arange(s + 1.0)), np.eye(s + 1)
+        n_a_vec = np.kron(number, eye) @ vec
+        n_b_vec = np.kron(eye, number) @ vec
+        for got, op_vec in ((m.var_n_a, n_a_vec), (m.var_n_b, n_b_vec),
+                            (m.var_n_diff, n_a_vec - n_b_vec)):
+            mean = np.vdot(vec, op_vec).real
+            want = np.vdot(op_vec, op_vec).real - mean ** 2
+            assert got == pytest.approx(want, abs=1e-12 * (s + 1) ** 2)
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(psi=amplitude_matrices(max_s=40))
