@@ -15,7 +15,8 @@ Subcommands::
 Exit codes: 0 success, 2 usage error (missing or unknown subcommand or
 option, or a malformed option value), state-file parse error, mode-layout
 error (modes at one site only, or register-kind or reserved mode ids in a
-transfer input) or invalid option value (also a value that would size
+transfer input), a transfer input whose site-A particle number pairs with
+several site-B numbers, or invalid option value (also a value that would size
 arrays past 2^24 coherent levels in transfer/measure/sweep, a --grid past
 2^63 - 1, or s past 2048 in bounds), 3 capacity overflow (kept for library
 errors; no current CLI input reaches it), 4 unwritable output, 5 a
@@ -40,7 +41,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fock import CapacityError, LayoutError, entropy_of_entanglement, trace_distance
+from .fock import (
+    CapacityError,
+    LayoutError,
+    StateValidationError,
+    entropy_of_entanglement,
+    trace_distance,
+)
 from .phase import (
     CrossCheckError,
     coherent_visibility_model,
@@ -183,7 +190,13 @@ def cmd_transfer(args) -> _Run:
     spec = _transfer_ancilla(args.M, args.nbar)
     config = ProtocolConfig(state, spec, spec)
     rho = run_transfer(config)
-    sector_table = register_sector_table(rho)
+    try:
+        sector_table = register_sector_table(rho)
+    except StateValidationError as exc:
+        # A site-A sector is pure only when its particle number comes with
+        # one site-B number; the register entanglement is undefined otherwise.
+        raise StateFileError("transfer needs one site-B particle number per site-A "
+                             f"number (a fixed total in each sector): {exc}") from exc
     results = {
         "register_state": density_to_dict(rho),
         "sector_weights": {row["n"]: row["weight"] for row in sector_table},

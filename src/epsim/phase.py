@@ -18,14 +18,20 @@ reference of mean nbar has about 65 sqrt(nbar) non-zero amplitudes at the
 truncation nbar + 10 sqrt(nbar), and under 110 sqrt(nbar) however long its
 truncation.  ``visibility`` has one path: both routes run on every call, and
 a reference whose grid would pass ``QUADRATURE_GRID_CAP`` raises
-``GridError`` rather than skip the quadrature.  The
-phase-difference POVM groups the state's terms with integer keys and forms
-the register matrix as one matrix product; the grouping lives inside the
-reference-phase invariant subspaces (fixed pair total), so it is planned
-once per state and the angle enters only through a phase ramp on the
-amplitudes.  ``resolution_kernel`` is no longer called here; it is the
-reference the tests check that first moment against.  The per-lag moment
-sums and the per-term dict grouping are the test oracles in
+``GridError`` rather than skip the quadrature.
+
+The phase-difference POVM never couples terms outside one reference-phase
+invariant subspace (fixed spectator occupations and pair total), and inside
+one it rebuilds coherence between terms that differ by k particles moved
+between the sites (Bartlett, Rudolph & Spekkens, RMP 79, 555 (2007)).  The
+measured register matrix is therefore a trigonometric polynomial in the
+angle, T(phi) = sum_k e^{-i phi k} Q_k with |k| <= D - 1, whose Fourier
+coefficients Q_k are formed once per state from integer-key groups.  An
+angle then costs one length-D ramp and one contraction, O(D R^2) for R
+register labels, with D <= N + 1 on the protocol's final state of N
+particles.  ``resolution_kernel`` is no longer called here; it is the
+reference the tests check the visibility's first moment against.  The
+per-lag moment sums and the per-term dict grouping are the test oracles in
 ``tests/oracles.py``.
 """
 
@@ -231,22 +237,27 @@ def _row_keys(rows: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _PovmPlan:
-    """The phi-independent part of the phase-difference POVM on one state."""
+    """The phi-independent part of the phase-difference POVM on one state:
+    the register matrix is T(phi) = sum_k e^{-i phi k} Q_k, |k| <= D - 1,
+    with Q_{-k} = Q_k^H."""
 
-    amps: np.ndarray          # term amplitudes
-    n_b: np.ndarray           # site-B reference occupation of each term
-    group: np.ndarray         # group row of each term
-    reg: np.ndarray           # register column of each term
-    shape: tuple[int, int]    # groups x register labels
+    coeffs: np.ndarray        # Q_0 / 2, Q_1, ..., Q_{D-1}, each R x R
     basis: list[tuple[int, ...]]
     reg_layout: ModeLayout
 
 
 @functools.lru_cache(maxsize=1)
 def _povm_plan(state: PureState, mode_a: str, mode_b: str) -> _PovmPlan:
-    """Group and register indices of ``state``'s terms for the POVM on the
-    reference pair (mode_a, mode_b).
+    """Fourier coefficients of ``state``'s register matrix under the POVM on
+    the reference pair (mode_a, mode_b).
 
+    Terms are grouped by spectator occupations and pair total.  B_g[r, d]
+    is the amplitude in group g with register label r and site-B reference
+    occupation n_B = min_g n_B + d (the rest of the label is then fixed, so
+    each slot holds at most one term).  The group's register vector at
+    angle phi is v_g = e^{-i phi min_g n_B} sum_d e^{-i phi d} B_g[:, d],
+    whose common phase cancels in v_g v_g^H, so
+    Q_k = (1/2pi) sum_g sum_{d - d' = k} B_g[:, d] B_g[:, d']^H.
     PureState compares by identity and its amplitudes are read-only, so the
     cached plan cannot go stale; the cache keeps only the latest state.
     """
@@ -270,12 +281,21 @@ def _povm_plan(state: PureState, mode_a: str, mode_b: str) -> _PovmPlan:
     group_ids, group = np.unique(_row_keys(group_rows), return_inverse=True)
     reg_ids, first, reg = np.unique(_row_keys(labels[:, reg_idx]),
                                     return_index=True, return_inverse=True)
-    n_b = np.ascontiguousarray(labels[:, ib])
-    for arr in (amps, n_b, group, reg):
-        arr.setflags(write=False)
+    n_b = labels[:, ib]
+    lowest = np.full(len(group_ids), n_b.max())
+    np.minimum.at(lowest, group, n_b)
+    lag = n_b - lowest[group]
+    D, R = int(lag.max()) + 1, len(reg_ids)
+    blocks = np.zeros((len(group_ids), D, R), dtype=complex)
+    blocks[group, lag, reg] = amps
+    coeffs = np.empty((D, R, R), dtype=complex)
+    for k in range(D):
+        coeffs[k] = blocks[:, k:].reshape(-1, R).T @ blocks[:, :D - k].reshape(-1, R).conj()
+    coeffs[0] /= 2.0
+    coeffs /= TWO_PI
+    coeffs.setflags(write=False)
     basis = [tuple(row) for row in labels[np.ix_(first, reg_idx)].tolist()]
-    return _PovmPlan(amps, n_b, group, reg, (len(group_ids), len(reg_ids)), basis,
-                     layout.sublayout(reg_idx))
+    return _PovmPlan(coeffs, basis, layout.sublayout(reg_idx))
 
 
 def apply_phase_difference_povm(state: PureState, mode_a: str, mode_b: str,
@@ -288,18 +308,22 @@ def apply_phase_difference_povm(state: PureState, mode_a: str, mode_b: str,
     ``varphi`` (densities integrate to 1 over a full turn) and the
     conditional register state.
 
-    The grouping (fixed spectator occupations and pair total) and the
-    register labels do not depend on ``varphi``: they are planned once per
-    state as integer keys and reused for every angle measured on it.  The
-    angle enters only through the ramp e^{-i varphi n_b} on the amplitudes,
-    and the register matrix is one product of the groups x registers
-    amplitude matrix with its conjugate.
+    The register matrix is a trigonometric polynomial in the angle,
+    T(varphi) = sum_k e^{-i varphi k} Q_k, where k counts the particles the
+    measurement moves between the sites and Q_{-k} = Q_k^H.  The
+    coefficients do not depend on ``varphi``: ``_povm_plan`` forms them once
+    per state and reuses them for every angle measured on it.  An angle then
+    costs one length-D ramp and one contraction with the D coefficient
+    matrices, O(D R^2) for R register labels.  On a ``transfer_final_state``
+    output the sink pins the difference between the site-B reference
+    occupation and the site-B register number inside each group, so D <= N + 1
+    for N input particles.
     """
     plan = _povm_plan(state, mode_a, mode_b)
-    # T[r, r'] = (1/2pi) sum_groups v_g[r] conj(v_g[r']).
-    vecs = np.zeros(plan.shape, dtype=complex)
-    np.add.at(vecs, (plan.group, plan.reg), plan.amps * np.exp(-1j * varphi * plan.n_b))
-    mat = vecs.T @ vecs.conj() / TWO_PI
+    D, R = plan.coeffs.shape[:2]
+    ramp = np.exp(-1j * varphi * np.arange(D))
+    half = (ramp @ plan.coeffs.reshape(D, R * R)).reshape(R, R)
+    mat = half + half.conj().T
     density = float(np.real(np.trace(mat)))
     post = DensityOperator(plan.reg_layout, plan.basis, mat / density)
     return density, post

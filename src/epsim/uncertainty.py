@@ -6,8 +6,9 @@ the Pegg-Barnett unitary
 E = e^{i phi} = sum_m e^{i theta_m} |theta_m><theta_m|, theta_m = 2 pi m/(s+1),
 is exactly the cyclic lowering shift |n> -> |n-1>, |0> -> |s>, so the pair
 expectations <E_A^k E_B^{dagger k}> behind the phase-difference cos D and
-sin D are products of one-mode overlaps of each factor with a rolled copy
-of itself, O(d), and no operator on the pair space or on one mode is built.
+sin D are products of one-mode overlaps of each factor with its own cyclic
+shift, taken on slices without a shifted copy, O(d), and no operator on the
+pair space or on one mode is built.
 For states supported away from the truncation boundary ("physical" states)
 the Robertson relations of cos D and sin D against the local and relative
 number operators bound the achievable squared fringe visibility
@@ -102,6 +103,13 @@ class _Sums(NamedTuple):
     mean_ab: float
 
 
+def _shift_overlap(v: np.ndarray, k: int) -> complex:
+    """<v|E^k|v> = sum_n conj(v_n) v_{(n+k) mod d} for 1 <= k <= d, as the
+    overlaps of the two slice pairs the cyclic shift lines up, with no
+    shifted copy of v."""
+    return np.vdot(v[:-k], v[k:]) + np.vdot(v[-k:], v[:k])
+
+
 def _sums(a: np.ndarray, b: np.ndarray) -> _Sums:
     """Reduce the factors of Psi = a (x) b in O(d).
 
@@ -111,8 +119,7 @@ def _sums(a: np.ndarray, b: np.ndarray) -> _Sums:
     """
     wa, wb = np.abs(a) ** 2, np.abs(b) ** 2
     pa, pb = wa * wb.sum(), wb * wa.sum()
-    # np.vdot(b, np.roll(b, k)) is conj(<b|E^k|b>).
-    x1, x2 = (np.vdot(a, np.roll(a, -k)) * np.vdot(b, np.roll(b, k)) for k in (1, 2))
+    x1, x2 = (_shift_overlap(a, k) * np.conj(_shift_overlap(b, k)) for k in (1, 2))
     n_a, n_b = np.arange(a.size, dtype=float), np.arange(b.size, dtype=float)
     return _Sums(complex(x1), complex(x2), pa, pb, float(n_a @ pa) * float(n_b @ pb))
 
@@ -244,7 +251,9 @@ def coherent_pair_state(nbar_a: float, nbar_b: float,
 
     def factor(nbar):
         spec = coherent_coefficients(nbar, space.s)
-        return np.pad(spec.coefficients, (spec.lo, space.s - spec.levels[-1]))
+        vec = np.zeros(space.dim, dtype=complex)
+        vec[spec.lo:spec.lo + spec.coefficients.size] = spec.coefficients
+        return vec
 
     return factor(nbar_a), factor(nbar_b)
 
@@ -257,6 +266,8 @@ def random_uncorrelated_pair(space: PhaseOperatorSpace,
 
     def factor():
         vec = rng.randn(w + 1) + 1j * rng.randn(w + 1)
-        return np.pad(vec / np.linalg.norm(vec), (0, space.s - w))
+        padded = np.zeros(space.dim, dtype=complex)
+        padded[:w + 1] = vec / np.linalg.norm(vec)
+        return padded
 
     return factor(), factor()

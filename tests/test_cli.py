@@ -1,12 +1,17 @@
 import cmath
+import contextlib
+import io
 import itertools
 import json
 import math
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epsim import DensityOperator, ModeDescriptor, ModeLayout
 from epsim.cli import main
@@ -161,6 +166,22 @@ class TestTransferCommand:
         assert out.exists()
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("warning: truncation M=4 below")
+
+    def test_mixed_total_exit_2(self, capsys, tmp_path):
+        # Site-A number 0 pairs with site-B numbers 0 and 1, so the sector
+        # n_A = 0 of the register state is a mixture.
+        path = tmp_path / "mixed.json"
+        path.write_text(json.dumps({
+            "modes": [{"id": "a", "site": "A", "kind": "field", "capacity": 1},
+                      {"id": "b", "site": "B", "kind": "field", "capacity": 1}],
+            "terms": [{"occ": [0, 0], "amp": [0.6, 0.0]},
+                      {"occ": [0, 1], "amp": [0.8, 0.0]}],
+        }))
+        assert main(["transfer", str(path), "--M", "4"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.strip()
+        assert err.startswith("error:") and "\n" not in err
 
     def test_emitted_matrix_revalidates(self, capsys, tmp_path):
         out = tmp_path / "t.json"
@@ -497,6 +518,33 @@ def test_out_bytes_repeat(capsys, tmp_path, argv):
         runs.append(out.read_bytes())
     capsys.readouterr()
     assert runs[0] == runs[1]
+
+
+def run_quietly(argv, out):
+    """Exit code, ``error:`` lines on stderr and, on exit 0, the ``--out``
+    bytes of one ``cli.main`` call."""
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        code = main([*argv, "--out", out])
+    errors = [line for line in stderr.getvalue().splitlines() if line.startswith("error:")]
+    return code, errors, (Path(out).read_bytes() if code == 0 else None)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(state=transfer_inputs(), M=st.integers(1, 6))
+def test_transfer_inputs_exit_cleanly(state, M):
+    # Fixed and mixed totals: every run ends in a documented exit code, a
+    # failure prints one error line, and a repeated run gives the same code
+    # and --out bytes.
+    with tempfile.TemporaryDirectory() as work:
+        path, out = Path(work, "state.json"), str(Path(work, "out.json"))
+        path.write_text(json.dumps(state_to_dict(state)))
+        for argv in (["ep", str(path)], ["transfer", str(path), "--M", str(M)],
+                     ["transfer", str(path), "--M", str(M), "--path", "quadrature"]):
+            code, errors, written = run_quietly(argv, out)
+            assert code in (0, 2, 3, 4, 5)
+            assert len(errors) == (1 if code else 0)
+            assert run_quietly(argv, out) == (code, errors, written)
 
 
 VALID_STATE = {

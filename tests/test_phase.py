@@ -26,7 +26,8 @@ from epsim import (
     two_qubit_concurrence,
     visibility,
 )
-from epsim.phase import _row_keys, register_pair_layout
+from epsim.phase import _povm_plan, _row_keys, register_pair_layout
+from epsim.protocol import _register_terms
 from epsim.statefile import load_state
 from conftest import data_path, shared_double, shared_single
 from oracles import (
@@ -124,6 +125,16 @@ class TestVisibility:
         number = AncillaSpec(9, [1.0], lo=4)
         coherent = coherent_coefficients(2.0, 20)
         assert abs(visibility(number, coherent)) == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("width", [1, 2, 7, 64, 255, 1000])
+    def test_sine_reference_closed_form(self, width):
+        # The sine state c_n ~ sin(pi (n + 1)/(W + 2)), n = 0..W, has first
+        # moment cos(pi/(W + 2)), the largest of any W + 1 levels (Summy &
+        # Pegg, Opt. Commun. 77, 75 (1990)); two copies give |C| its square.
+        n = np.arange(width + 1)
+        amps = np.sin(np.pi * (n + 1) / (width + 2))
+        sine = AncillaSpec(width, amps / np.linalg.norm(amps))
+        assert abs(visibility(sine, sine) - math.cos(math.pi / (width + 2)) ** 2) <= 1e-12
 
     def test_identical_coherent_specs(self):
         spec = coherent_coefficients(100.0, 200)
@@ -336,6 +347,40 @@ class TestPhaseDifferencePovm:
         assert post.basis == post_ref.basis
         assert density == pytest.approx(density_ref, abs=1e-12)
         np.testing.assert_allclose(post.matrix, post_ref.matrix, rtol=0.0, atol=1e-12)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(state=transfer_inputs(max_particles=2), ancilla_a=random_ancillas(6),
+           ancilla_b=random_ancillas(6))
+    def test_plan_coefficients_equal_closed_form(self, state, ancilla_a, ancilla_b):
+        # On the protocol's final state, T(varphi)[r, r'] is
+        # amp_r conj(amp_r') [N_r = N_r'] mu_A(Delta) mu_B(-Delta)
+        # e^{-i varphi (n_B,r - n_B,r')} / 2pi with Delta = n_A,r - n_A,r', so
+        # the pair (r, r') sits in Q_k at k = n_B,r - n_B,r' = -Delta only.
+        config = ProtocolConfig(state, ancilla_a, ancilla_b)
+        plan = _povm_plan(transfer_final_state(config), "ref_A", "ref_B")
+        _, basis, amps, n_a, n_b = _register_terms(config)
+        assert plan.basis == basis
+        D, N = plan.coeffs.shape[0], config.total_particles
+        assert D - 1 <= N
+
+        def mu(spec, k):
+            moments = moment_list(spec)
+            value = moments[abs(k)] if abs(k) < moments.size else 0.0
+            return value if k >= 0 else np.conj(value)
+
+        size = (len(basis), len(basis))
+        got = {k: np.zeros(size, dtype=complex) for k in range(-N, N + 1)}
+        got[0] = 2.0 * plan.coeffs[0]
+        for k in range(1, D):
+            got[k], got[-k] = plan.coeffs[k], plan.coeffs[k].conj().T
+        delta = n_a[:, None] - n_a[None, :]
+        same_total = (n_a + n_b)[:, None] == (n_a + n_b)[None, :]
+        for k, q in got.items():
+            want = np.zeros(size, dtype=complex)
+            for r, r2 in zip(*np.nonzero(same_total & (delta == -k))):
+                want[r, r2] = (amps[r] * np.conj(amps[r2]) * mu(ancilla_a, -k)
+                               * mu(ancilla_b, k) / (2 * np.pi))
+            np.testing.assert_allclose(q, want, rtol=0.0, atol=1e-12)
 
     def test_row_keys_past_int64_range(self, rng):
         # Column values near 2^40 push the mixed-radix span far past int64;

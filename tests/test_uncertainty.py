@@ -100,8 +100,31 @@ class TestPhaseDifferenceTrig:
         assert lhs == pytest.approx(rhs, abs=1e-8)
 
 
+# The operators of the latest s only: at s = 40 one set takes 226 MB, and
+# hypothesis often draws the same s several times in a row.
+_DENSE_PAIR_OPERATORS = {}
+
+
+def dense_pair_operators(s):
+    """The dense operators on the (s+1)^2 pair space, built once per run of
+    equal s: E_A^k E_B^{dagger k} for k = 1, 2, cos D, sin D, N_A (x) I and
+    I (x) N_B."""
+    if s not in _DENSE_PAIR_OPERATORS:
+        _DENSE_PAIR_OPERATORS.clear()
+        e = pegg_barnett_exponential(s)
+        ops = [np.kron(ek, ek.conj().T)
+               for ek in (np.linalg.matrix_power(e, k) for k in (1, 2))]
+        ops += phase_difference_trig(s)
+        number, eye = np.diag(np.arange(s + 1.0)), np.eye(s + 1)
+        ops += [np.kron(number, eye), np.kron(eye, number)]
+        for op in ops:
+            op.setflags(write=False)
+        _DENSE_PAIR_OPERATORS[s] = ops
+    return _DENSE_PAIR_OPERATORS[s]
+
+
 class TestShiftRoute:
-    """The np.roll moments against the dense Pegg-Barnett operators: the
+    """The shift moments against the dense Pegg-Barnett operators: the
     library's factor route, and the amplitude-matrix oracle that the factor
     route is itself checked against (TestFactoredRoute).
 
@@ -117,12 +140,9 @@ class TestShiftRoute:
         variances to 1e-12 (s+1)^2, the scale they carry."""
         s = psi.shape[0] - 1
         vec = psi.ravel()
-        e = pegg_barnett_exponential(s)
-        for k, x in ((1, sums.x1), (2, sums.x2)):
-            ek = np.linalg.matrix_power(e, k)
-            dense = np.vdot(vec, np.kron(ek, ek.conj().T) @ vec)
-            assert abs(x - dense) <= 1e-12
-        cos, sin = phase_difference_trig(s)
+        shift1, shift2, cos, sin, n_a_op, n_b_op = dense_pair_operators(s)
+        for shift, x in ((shift1, sums.x1), (shift2, sums.x2)):
+            assert abs(x - np.vdot(vec, shift @ vec)) <= 1e-12
         cos_vec, sin_vec = cos @ vec, sin @ vec
         cos_mean = np.vdot(vec, cos_vec).real
         sin_mean = np.vdot(vec, sin_vec).real
@@ -133,9 +153,7 @@ class TestShiftRoute:
             np.vdot(cos_vec, cos_vec).real - cos_mean ** 2, abs=1e-12)
         assert m.var_sin == pytest.approx(
             np.vdot(sin_vec, sin_vec).real - sin_mean ** 2, abs=1e-12)
-        number, eye = np.diag(np.arange(s + 1.0)), np.eye(s + 1)
-        n_a_vec = np.kron(number, eye) @ vec
-        n_b_vec = np.kron(eye, number) @ vec
+        n_a_vec, n_b_vec = n_a_op @ vec, n_b_op @ vec
         for got, op_vec in ((m.var_n_a, n_a_vec), (m.var_n_b, n_b_vec),
                             (m.var_n_diff, n_a_vec - n_b_vec)):
             mean = np.vdot(vec, op_vec).real
