@@ -23,9 +23,11 @@ errors; no current CLI input reaches it), 4 unwritable output, 5 a
 numerical cross-check or an uncertainty inequality failed, each with a
 one-line ``error:`` on stderr.
 Every run prints a JSON report to stdout; ``--out`` additionally writes a
-deterministic result file (the stdout report carries wall time, the file
+deterministic result file (the stdout report carries wall time, which
+covers the subcommand, rendering its results and writing --out; the file
 does not, so identical inputs give byte-identical files; --seed is one of
-the inputs of bounds and the only seed any subcommand takes).
+the inputs of bounds and the only seed any subcommand takes).  Both carry
+the same results text, rendered once.
 ``--format csv`` (sweep only) writes that file as CSV.
 """
 
@@ -76,9 +78,9 @@ from .statefile import (
     StateFileError,
     density_to_dict,
     dump_json,
+    dump_members,
     format_float,
     load_state,
-    round_floats,
     state_to_dict,
 )
 from .uncertainty import (
@@ -473,21 +475,22 @@ def main(argv: list[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
         started = time.perf_counter()
         run = args.func(args)
-        # Rounded once for both the --out file and the report.
-        results = round_floats(run.results)
+        # Rendered once: the --out document and the report carry this text.
+        results = dump_json(run.results, depth=1)
         if args.out:
             text = run.out
             if text is None:
-                text = dump_json(results if run.bare else {"results": results}) + "\n"
+                text = (dump_json(run.results) if run.bare
+                        else dump_members({"results": results})) + "\n"
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
         report = {"command": args.command, "inputs": run.inputs}
         if "seed" in args:
             report["seed"] = args.seed
         report["wall_time_s"] = time.perf_counter() - started
-        report = round_floats(report)
-        report["results"] = results
-        print(dump_json(report))
+        members = {key: dump_json(value, depth=1) for key, value in report.items()}
+        members["results"] = results
+        print(dump_members(members))
         if run.failure is not None:
             raise run.failure
         return EXIT_OK

@@ -11,15 +11,21 @@ Mode ids, sites and kinds are strings, capacities and occupations are
 integers (a float with no fractional part is accepted) and amplitudes are
 [real, imaginary] pairs of finite numbers; anything else is a parse error.
 Files whose norm deviates from 1 by at most 1e-6 are renormalized with a
-warning; larger deviations are parse errors.  All floats in emitted files
-are rounded to 12 significant digits so identical runs produce
-byte-identical output.
+warning; larger deviations are parse errors.
+
+Results are written by ``dump_json``, one pass over the result tree that
+rounds every float to 12 significant digits as it writes it, so identical
+runs produce byte-identical output.  Its text is the text of the standard
+library route ``json.dumps(rounded, indent=2, sort_keys=True)``, which the
+test suite keeps as its oracle.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import sys
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -35,6 +41,7 @@ from .fock import (
 
 NORM_FILE_TOL = 1e-6
 SIG_DIGITS = 12
+_ROUND_FORMAT = f".{SIG_DIGITS}g"
 
 
 class StateFileError(ValueError):
@@ -132,39 +139,132 @@ def state_to_dict(state: PureState) -> dict:
 
 
 def density_to_dict(rho: DensityOperator) -> dict:
+    matrix = np.ascontiguousarray(rho.matrix)
     return {
         "modes": _modes_to_list(rho.layout),
         "basis": [list(label) for label in rho.basis],
-        "matrix": [[[z.real, z.imag] for z in row] for row in rho.matrix],
+        # [real, imaginary] pairs from one tolist() of the real view.
+        "matrix": matrix.view(np.float64).reshape(*matrix.shape, 2).tolist(),
     }
 
 
-def round_floats(obj):
-    """Recursively round floats to ``SIG_DIGITS`` significant digits."""
-    if isinstance(obj, bool):
-        return obj
-    if isinstance(obj, float):
-        return float(f"{obj:.{SIG_DIGITS}g}")
-    if isinstance(obj, complex):
-        return [round_floats(obj.real), round_floats(obj.imag)]
-    if isinstance(obj, (np.floating,)):
-        return round_floats(float(obj))
-    if isinstance(obj, (np.complexfloating,)):
-        return round_floats(complex(obj))
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, dict):
-        return {k: round_floats(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [round_floats(v) for v in obj]
-    return obj
+def _float_repr(x: float) -> str:
+    """JSON text of a float as ``json`` writes it: its repr, or NaN,
+    Infinity or -Infinity."""
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
 
 
-def dump_json(data: dict) -> str:
-    """Indented, key-sorted JSON text of ``data``, whose floats
-    ``round_floats`` has already rounded (so each result is rounded once
-    however many documents carry it)."""
-    return json.dumps(data, indent=2, sort_keys=True)
+def _key_text(key) -> str:
+    """JSON text of a dict key, converted as ``json`` converts it (floats
+    unrounded)."""
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    if isinstance(key, float):
+        text = _float_repr(key)
+    elif key is True:
+        text = "true"
+    elif key is False:
+        text = "false"
+    elif key is None:
+        text = "null"
+    elif isinstance(key, int):
+        text = int.__repr__(key)
+    else:
+        raise TypeError(f"keys must be str, int, float, bool or None, "
+                        f"not {key.__class__.__name__}")
+    return f'"{text}"'
+
+
+def _render(obj, newline: str, out: list[str]) -> None:
+    """Append the JSON text of ``obj`` to ``out``; ``newline`` is the line
+    break plus indent of the line ``obj`` starts on."""
+    kind = type(obj)
+    if kind is float or kind is np.float64:
+        out.append(_float_repr(float(format(obj, _ROUND_FORMAT))))
+    elif kind is list or kind is tuple:
+        if not obj:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        separator = "," + inner
+        start = len(out)
+        for value in obj:
+            out.append(separator)
+            _render(value, inner, out)
+        out[start] = "[" + inner
+        out.append(newline + "]")
+    elif kind is dict:
+        if not obj:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        separator = "," + inner
+        start = len(out)
+        for key in sorted(obj):
+            out.append(separator)
+            out.append(_key_text(key) + ": ")
+            _render(obj[key], inner, out)
+        out[start] = "{" + inner
+        out.append(newline + "}")
+    elif kind is str:
+        out.append(encode_basestring_ascii(obj))
+    elif kind is int:
+        out.append(int.__repr__(obj))
+    # Subclasses, numpy scalars and complex values, in the order the
+    # standard library route resolves them.
+    elif obj is None:
+        out.append("null")
+    elif obj is True or obj is False:
+        out.append("true" if obj else "false")
+    elif isinstance(obj, float):
+        out.append(_float_repr(float(format(obj, _ROUND_FORMAT))))
+    elif isinstance(obj, complex):
+        _render([obj.real, obj.imag], newline, out)
+    elif isinstance(obj, np.floating):
+        _render(float(obj), newline, out)
+    elif isinstance(obj, np.complexfloating):
+        _render(complex(obj), newline, out)
+    elif isinstance(obj, np.integer):
+        out.append(int.__repr__(int(obj)))
+    elif isinstance(obj, dict):
+        _render(dict(obj), newline, out)
+    elif isinstance(obj, (list, tuple)):
+        _render(list(obj), newline, out)
+    elif isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    else:
+        raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
+
+
+def dump_json(data, depth: int = 0) -> str:
+    """Indented, key-sorted JSON text of ``data`` with every float rounded
+    to ``SIG_DIGITS`` significant digits as it is written (dict keys are
+    not rounded).
+
+    One pass over the tree; the text equals
+    ``json.dumps(rounded, indent=2, sort_keys=True)`` of the rounded tree,
+    with every line after the first indented ``depth`` more levels, so it
+    can stand as a member of an enclosing object at that depth (see
+    ``dump_members``).  Types ``json`` rejects raise ``TypeError``.
+    """
+    out: list[str] = []
+    _render(data, "\n" + "  " * depth, out)
+    return "".join(out)
+
+
+def dump_members(members: dict[str, str]) -> str:
+    """JSON text of an object whose member values are already rendered by
+    ``dump_json(value, depth=1)``, keys sorted as ``dump_json`` sorts them."""
+    return "{\n" + ",\n".join(f"  {encode_basestring_ascii(key)}: {text}"
+                               for key, text in sorted(members.items())) + "\n}"
 
 
 def format_float(x: float) -> str:

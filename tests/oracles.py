@@ -5,6 +5,7 @@ sums, grid quadrature) so the library implementations are checked against
 something they do not share code with.
 """
 
+import json
 import math
 
 import numpy as np
@@ -360,3 +361,41 @@ def matrix_sums(psi):
     n_a, n_b = (np.arange(size, dtype=float) for size in psi.shape)
     return _Sums(complex(x1), complex(x2), prob.sum(axis=1), prob.sum(axis=0),
                  float(n_a @ prob @ n_b))
+
+
+def round_floats(obj):
+    """Recursively round floats to ``SIG_DIGITS`` significant digits: the
+    first of the two tree walks of the standard library route."""
+    from epsim.statefile import SIG_DIGITS
+
+    if isinstance(obj, bool):
+        return obj
+    if isinstance(obj, float):
+        return float(f"{obj:.{SIG_DIGITS}g}")
+    if isinstance(obj, complex):
+        return [round_floats(obj.real), round_floats(obj.imag)]
+    if isinstance(obj, (np.floating,)):
+        return round_floats(float(obj))
+    if isinstance(obj, (np.complexfloating,)):
+        return round_floats(complex(obj))
+    if isinstance(obj, (np.integer,)):
+        return int(obj)
+    if isinstance(obj, dict):
+        return {k: round_floats(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [round_floats(v) for v in obj]
+    return obj
+
+
+def dump_json_oracle(data):
+    """The standard library route to ``statefile.dump_json(data)``: round
+    every float, then let ``json`` indent and sort the whole tree."""
+    return json.dumps(round_floats(data), indent=2, sort_keys=True)
+
+
+def cli_out_oracle(run):
+    """The ``--out`` text of a subcommand's ``_Run`` by the standard library
+    route: the CSV text as is, the bare results, or ``{"results": ...}``."""
+    if run.out is not None:
+        return run.out
+    return dump_json_oracle(run.results if run.bare else {"results": run.results}) + "\n"

@@ -14,10 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epsim import DensityOperator, ModeDescriptor, ModeLayout
-from epsim.cli import main
+from epsim.cli import build_parser, main
 from epsim.statefile import StateFileError, load_state, parse_state, state_to_dict
 from epsim.uncertainty import pair_layout
 from conftest import data_path
+from oracles import cli_out_oracle, dump_json_oracle
 from strategies import transfer_inputs
 
 
@@ -520,6 +521,38 @@ def test_out_bytes_repeat(capsys, tmp_path, argv):
     assert runs[0] == runs[1]
 
 
+@pytest.mark.parametrize("argv", [
+    ["ep", data_path("shared_double.json")],
+    ["transfer", data_path("shared_double.json"), "--M", "8"],
+    ["transfer", data_path("shared_single.json"), "--M", "8", "--path", "quadrature"],
+    ["measure", "--ntr", "25", "--local-scale", "4"],
+    ["sweep", "--ntr-list", "25,50", "--format", "json"],
+    ["sweep", "--ntr-list", "25,50", "--format", "csv"],
+    ["bounds", "--seeds", "3", "--s", "32", "--nbar", "25,250"],
+], ids=["ep", "transfer-exact", "transfer-quadrature", "measure", "sweep-json",
+        "sweep-csv", "bounds"])
+def test_rendering_equals_stdlib_route(capsys, tmp_path, argv):
+    # The --out bytes are the standard library route's text of the same run,
+    # and the report carries the results block of that text verbatim.
+    out = tmp_path / "out"
+    argv = [*argv, "--out", str(out)]
+    args = build_parser().parse_args(argv)
+    run = args.func(args)
+    assert main(argv) == 0
+    report = capsys.readouterr().out
+    written = out.read_text(encoding="utf-8")
+    assert written == cli_out_oracle(run)
+    if run.out is not None:
+        block = dump_json_oracle(run.results).replace("\n", "\n  ")
+    elif run.bare:
+        block = written[:-1].replace("\n", "\n  ")
+    else:
+        prefix, suffix = '{\n  "results": ', "\n}\n"
+        assert written.startswith(prefix) and written.endswith(suffix)
+        block = written[len(prefix):-len(suffix)]
+    assert f'\n  "results": {block},\n' in report
+
+
 def run_quietly(argv, out):
     """Exit code, ``error:`` lines on stderr and, on exit 0, the ``--out``
     bytes of one ``cli.main`` call."""
@@ -545,6 +578,30 @@ def test_transfer_inputs_exit_cleanly(state, M):
             assert code in (0, 2, 3, 4, 5)
             assert len(errors) == (1 if code else 0)
             assert run_quietly(argv, out) == (code, errors, written)
+
+
+# Hostile option values, each run with a cheap valid partner option.
+OPTION_VALUES = ("nan", "inf", "-inf", "-1", "0", "5e-324", "1e9", "1e15", "1e308")
+OPTION_SLOTS = (
+    lambda v: ["measure", f"--ntr={v}", "--local-scale", "1"],
+    lambda v: ["measure", "--ntr", "4", f"--local-scale={v}"],
+    lambda v: ["sweep", f"--ntr-list=4,{v}", "--local-scale", "1"],
+    lambda v: ["sweep", "--ntr-list", "4", f"--local-scale={v}"],
+    lambda v: ["bounds", "--seeds", "1", "--s", "16", f"--nbar={v},1"],
+    lambda v: ["bounds", "--seeds", "1", "--s", "16", f"--nbar=1,{v}"],
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(slot=st.sampled_from(OPTION_SLOTS), value=st.sampled_from(OPTION_VALUES))
+def test_numeric_options_exit_cleanly(slot, value):
+    # NaN, infinities, negatives, zero, the smallest subnormal and huge
+    # values: every run ends in a documented exit code with at most one
+    # error line.
+    with tempfile.TemporaryDirectory() as work:
+        code, errors, _ = run_quietly(slot(value), str(Path(work, "out.json")))
+    assert code in (0, 2, 3, 4, 5)
+    assert len(errors) == (1 if code else 0)
 
 
 VALID_STATE = {

@@ -1,0 +1,70 @@
+"""``statefile.dump_json`` against the standard library route it replaces."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from epsim.statefile import dump_json, dump_members
+from oracles import dump_json_oracle
+
+# Signed zeros, the non-finite values, the smallest subnormal and the largest
+# finite float, plus magnitudes 1e12..1e16, where the 12-digit rounding and
+# repr disagree about exponents.
+SPECIAL_FLOATS = (0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1.7976931348623157e308)
+FLOATS = st.one_of(
+    st.sampled_from(SPECIAL_FLOATS),
+    st.floats(1e12, 1e16),
+    st.floats(-1e16, -1e12),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+LEAVES = st.one_of(
+    FLOATS,
+    st.integers(-2 ** 70, 2 ** 70),
+    st.booleans(),
+    st.none(),
+    st.text(),
+    st.complex_numbers(allow_nan=True, allow_infinity=True),
+    FLOATS.map(np.float64),
+    st.floats(width=32, allow_nan=True, allow_infinity=True).map(np.float32),
+    st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
+    st.complex_numbers(allow_nan=True, allow_infinity=True).map(np.complex128),
+)
+# One key kind per dict: json sorts keys, and str keys do not order against
+# numbers.  Numbers and bools (bool is an int) order among themselves.
+NUMBER_KEYS = st.one_of(st.integers(-2 ** 70, 2 ** 70), FLOATS, st.booleans())
+
+
+def _containers(children):
+    return st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(), children, max_size=4),
+        st.dictionaries(NUMBER_KEYS, children, max_size=4),
+        st.dictionaries(st.none(), children, max_size=1),
+    )
+
+
+TREES = st.recursive(LEAVES, _containers, max_leaves=16)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=TREES)
+def test_dump_json_equals_stdlib_route(data):
+    assert dump_json(data) == dump_json_oracle(data)
+    # At depth 1 the text stands as a member of an enclosing object.
+    document = dump_members({"results": dump_json(data, depth=1)})
+    assert document == dump_json_oracle({"results": data})
+
+
+@pytest.mark.parametrize("data", [
+    np.bool_(True), {1, 2}, object(), [1.5, {"a": {0.5}}], {(1, 2): 0.5},
+    {"a": 1, 2: "b"},
+], ids=["numpy-bool", "set", "object", "nested-set", "tuple-key", "mixed-keys"])
+def test_unserializable_types_raise(data):
+    with pytest.raises(TypeError):
+        dump_json_oracle(data)
+    with pytest.raises(TypeError):
+        dump_json(data)
