@@ -22,6 +22,7 @@ from .sectors import (
     SectorDecomposition,
     local_particle_number,
     particle_entanglement,
+    particle_sector_table,
     register_sector_entanglement,
     register_sector_table,
     register_sector_weights,

@@ -71,8 +71,8 @@ from .protocol import (
 )
 from .sectors import (
     particle_entanglement,
+    particle_sector_table,
     register_sector_table,
-    sector_decompose,
 )
 from .statefile import (
     StateFileError,
@@ -163,10 +163,7 @@ def _float_list(name: str, text: str) -> list[float]:
 
 def cmd_ep(args) -> _Run:
     state = load_state(args.statefile)
-    sector_rows = [
-        {"n": s.n, "p": s.probability, "entanglement": entropy_of_entanglement(s.state)}
-        for s in sector_decompose(state).sectors
-    ]
+    sector_rows = particle_sector_table(state)
     results = {
         # The same sum over the same rows as particle_entanglement(state).
         "particle_entanglement": sum(row["p"] * row["entanglement"] for row in sector_rows),

@@ -6,13 +6,15 @@ occupations aligned with the layout.  Amplitudes are stored sparsely
 (label -> complex) because every protocol map in this package is a basis
 permutation and preserves exact sparsity.  A split pure state is one matrix
 Psi[kept label, other label]: its partial trace is Psi Psi^dagger, its
-entropy of entanglement that of Psi's squared singular values.  All entropies
-are base-2 (bits / ebits).
+entropy of entanglement that of Psi's squared singular values.  A table of
+such entropies (the sectors of one state) is one batched SVD of the matrices
+zero-padded into one stack.  All entropies are base-2 (bits / ebits).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import types
 from dataclasses import dataclass
 
@@ -257,36 +259,60 @@ class DensityOperator:
         return f"DensityOperator(dim={len(self.basis)} over {self.layout.ids()})"
 
 
-def _amplitude_matrix(layout: ModeLayout, labels, amps, keep_idx: list[int]):
-    """(sorted kept labels, Psi[kept label, other label]) of pure amplitudes."""
-    drop_idx = [i for i in range(len(layout)) if i not in keep_idx]
-    rows, cols, other = [], [], {}
-    for label in labels:
-        rows.append(tuple(label[i] for i in keep_idx))
-        cols.append(other.setdefault(tuple(label[i] for i in drop_idx), len(other)))
-    basis = sorted(set(rows))
-    index = {l: i for i, l in enumerate(basis)}
-    psi = np.zeros((len(basis), len(other)), dtype=complex)
-    psi[[index[l] for l in rows], cols] = list(amps)
-    return basis, psi
+def _split(labels, row_key, col_key):
+    """Where each label's amplitude sits in Psi[row, column]: (sorted distinct
+    row keys, row of each label, column of each label, number of columns),
+    with columns numbered in order of first appearance."""
+    keys = list(map(row_key, labels))
+    basis = sorted(set(keys))
+    index = {key: i for i, key in enumerate(basis)}
+    other: dict = {}
+    cols = [other.setdefault(col_key(label), len(other)) for label in labels]
+    return basis, [index[key] for key in keys], cols, len(other)
 
 
-def _entropy_bits(probs: np.ndarray) -> float:
-    """-sum_i p_i log2 p_i in bits; entries below the clip threshold count as
-    exact zeros.  Clamped at 0: a pure operator would otherwise give -0.0, and
-    one within rounding of pure a tiny negative."""
-    probs = probs[probs > EIG_CLIP]
-    return max(0.0, float(-np.sum(probs * np.log2(probs))))
+def _entropy_bits(probs: np.ndarray) -> np.ndarray:
+    """-sum_i p_i log2 p_i in bits over the last axis; entries at or below the
+    clip threshold count as exact zeros (as 1 log2 1).  Clamped at +0.0: a
+    pure operator would otherwise give -0.0, and one within rounding of pure a
+    tiny negative."""
+    probs = np.where(probs > EIG_CLIP, probs, 1.0)
+    # Adding +0.0 turns a -0.0 that np.maximum passes through into +0.0.
+    return np.maximum(-(probs * np.log2(probs)).sum(axis=-1), 0.0) + 0.0
 
 
-def _schmidt_entropy(layout: ModeLayout, labels, amps) -> float:
-    """Entropy (bits) of the squared singular values of Psi split at site A."""
+def _schmidt_entropies(layout: ModeLayout, blocks) -> list[float]:
+    """Entropy (bits) of the squared singular values of each block's Psi
+    split at site A, for ``blocks`` of pure ``(labels, amps)`` pairs (any
+    scale).
+
+    The matrices are zero-padded into one ``(G, a, b)`` stack, filled by one
+    assignment and decomposed by a single batched SVD; padding adds only zero
+    singular values.
+    """
     if layout.sites() != {"A", "B"}:
         raise LayoutError("entropy of entanglement needs both sites in the layout")
-    _, psi = _amplitude_matrix(layout, labels, amps, layout.indices(site="A"))
-    probs = np.linalg.svd(psi, compute_uv=False) ** 2
-    # Over their sum, so a rank-one Psi gives exactly [1.0] and entropy 0.0.
-    return _entropy_bits(probs / probs.sum())
+    keep_idx = layout.indices(site="A")
+    # Both sites hold modes, so each getter takes at least one position.  The
+    # keys of a single mode are bare occupations, which sort as their
+    # 1-tuples do.
+    row_key = operator.itemgetter(*keep_idx)
+    col_key = operator.itemgetter(*(i for i in range(len(layout)) if i not in keep_idx))
+    where: tuple[list, list, list] = ([], [], [])
+    values: list = []
+    n_rows = n_cols = 0
+    for g, (labels, amps) in enumerate(blocks):
+        basis, rows, cols, width = _split(labels, row_key, col_key)
+        where[0].extend([g] * len(rows))
+        where[1].extend(rows)
+        where[2].extend(cols)
+        values.extend(amps)
+        n_rows, n_cols = max(n_rows, len(basis)), max(n_cols, width)
+    stack = np.zeros((len(blocks), n_rows, n_cols), dtype=complex)
+    stack[where] = values
+    probs = np.linalg.svd(stack, compute_uv=False) ** 2
+    # Over their sum, so a rank-one Psi gives exactly [1.0, 0, ...] and entropy 0.0.
+    return _entropy_bits(probs / probs.sum(axis=-1, keepdims=True)).tolist()
 
 
 def partial_trace(state: PureState, keep: set[str] | list[str]) -> DensityOperator:
@@ -296,8 +322,12 @@ def partial_trace(state: PureState, keep: set[str] | list[str]) -> DensityOperat
     if unknown:
         raise LayoutError(f"cannot keep unknown mode ids {sorted(unknown)}")
     keep_idx = [i for i, m in enumerate(state.layout.modes) if m.id in keep]
-    basis, psi = _amplitude_matrix(state.layout, state.amplitudes.keys(),
-                                   state.amplitudes.values(), keep_idx)
+    drop_idx = [i for i in range(len(state.layout)) if i not in keep_idx]
+    basis, rows, cols, width = _split(state.amplitudes.keys(),
+                                      lambda label: tuple(label[i] for i in keep_idx),
+                                      lambda label: tuple(label[i] for i in drop_idx))
+    psi = np.zeros((len(basis), width), dtype=complex)
+    psi[rows, cols] = list(state.amplitudes.values())
     return DensityOperator(state.layout.sublayout(keep_idx), basis, psi @ psi.conj().T)
 
 
@@ -306,13 +336,14 @@ def von_neumann_entropy(rho: DensityOperator) -> float:
     herm_err = np.max(np.abs(rho.matrix - rho.matrix.conj().T))
     if herm_err > HERM_TOL:
         raise StateValidationError(f"operator not Hermitian: deviation {herm_err}")
-    return _entropy_bits(np.linalg.eigvalsh(rho.matrix))
+    return float(_entropy_bits(np.linalg.eigvalsh(rho.matrix)))
 
 
 def entropy_of_entanglement(state: PureState) -> float:
     """Entropy (bits) of the reduction onto all site-A modes."""
-    return _schmidt_entropy(state.layout, state.amplitudes.keys(),
-                            state.amplitudes.values())
+    [entropy] = _schmidt_entropies(
+        state.layout, [(state.amplitudes.keys(), state.amplitudes.values())])
+    return entropy
 
 
 def trace_distance(rho: DensityOperator, sigma: DensityOperator) -> float:

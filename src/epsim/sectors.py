@@ -3,10 +3,13 @@
 Local operations cannot create coherences between subspaces with different
 particle counts at one site, so the operationally accessible entanglement of
 a shared-particle state is the probability-weighted average of the per-sector
-entropies of entanglement, not the entropy of the state itself.  Each sector
-entropy comes from one Schmidt decomposition of the sector's amplitudes.  Register
-modes never count toward the local particle number: they model ordinary
-distinguishable qubits, which the superselection rule does not constrain.
+entropies of entanglement, not the entropy of the state itself.  One pass over
+the amplitudes groups them by sector, and each table of sector entropies comes
+from one batched SVD of the sectors' zero-padded amplitude matrices; a table of
+register sectors adds one batched ``eigh`` of its zero-padded sector blocks
+before it.  Register modes never count toward the local particle number: they
+model ordinary distinguishable qubits, which the superselection rule does not
+constrain.
 """
 
 from __future__ import annotations
@@ -21,8 +24,7 @@ from .fock import (
     ModeLayout,
     PureState,
     StateValidationError,
-    _schmidt_entropy,
-    entropy_of_entanglement,
+    _schmidt_entropies,
 )
 
 SECTOR_DROP_TOL = 1e-14
@@ -50,6 +52,25 @@ class SectorDecomposition:
         return {s.n: s.probability for s in self.sectors}
 
 
+def _site_a_sectors(state: PureState):
+    """(n, P_n, labels, amplitudes) of each site-A field-number sector of
+    ``state`` whose weight reaches SECTOR_DROP_TOL, in increasing n: one pass
+    over the amplitudes, with the site-A field positions found once."""
+    idx = state.layout.indices(site="A", kind="field")
+    groups: dict[int, tuple[list, list]] = {}
+    for label, amp in state.amplitudes.items():
+        labels, amps = groups.setdefault(sum(label[i] for i in idx), ([], []))
+        labels.append(label)
+        amps.append(amp)
+    out = []
+    for n in sorted(groups):
+        labels, amps = groups[n]
+        p = sum(abs(a) ** 2 for a in amps)
+        if p >= SECTOR_DROP_TOL:
+            out.append((n, p, labels, amps))
+    return out
+
+
 def sector_decompose(state: PureState) -> SectorDecomposition:
     """Split a normalized state by particle count at site A.
 
@@ -58,29 +79,30 @@ def sector_decompose(state: PureState) -> SectorDecomposition:
     largest-magnitude amplitude real and positive, so decompositions are
     deterministic and safe to freeze in golden tests.
     """
-    groups: dict[int, dict[tuple[int, ...], complex]] = {}
-    for label, amp in state.amplitudes.items():
-        n = local_particle_number(state.layout, label, "A")
-        groups.setdefault(n, {})[label] = amp
     sectors = []
-    for n in sorted(groups):
-        amps = groups[n]
-        p = sum(abs(a) ** 2 for a in amps.values())
-        if p < SECTOR_DROP_TOL:
-            continue
-        anchor = max(amps.values(), key=abs)
+    for n, p, labels, amps in _site_a_sectors(state):
+        anchor = max(amps, key=abs)
         phase = anchor / abs(anchor)
-        fixed = {l: a / (phase * np.sqrt(p)) for l, a in amps.items()}
+        fixed = {l: a / (phase * np.sqrt(p)) for l, a in zip(labels, amps)}
         sectors.append(Sector(n, p, PureState(state.layout, fixed, normalize=True)))
     return SectorDecomposition(tuple(sectors))
 
 
+def particle_sector_table(state: PureState) -> list[dict]:
+    """Rows ``{"n", "p", "entanglement"}``: each site-A sector's probability
+    P_n and the entropy of entanglement E_n of its normalized state.  The
+    entropies come from one batched Schmidt decomposition; their scale does
+    not matter, so the sectors are not renormalized."""
+    sectors = _site_a_sectors(state)
+    entropies = _schmidt_entropies(state.layout,
+                                   [(labels, amps) for _, _, labels, amps in sectors])
+    return [{"n": n, "p": p, "entanglement": entropy}
+            for (n, p, _, _), entropy in zip(sectors, entropies)]
+
+
 def particle_entanglement(state: PureState) -> float:
     """Sector-probability-weighted entanglement, sum_n P_n E(state_n), in bits."""
-    total = 0.0
-    for sector in sector_decompose(state).sectors:
-        total += sector.probability * entropy_of_entanglement(sector.state)
-    return total
+    return sum(row["p"] * row["entanglement"] for row in particle_sector_table(state))
 
 
 def _register_sectors(rho: DensityOperator):
@@ -91,8 +113,9 @@ def _register_sectors(rho: DensityOperator):
     groups: dict[int, list[int]] = {}
     for i, label in enumerate(rho.basis):
         groups.setdefault(sum(label[j] for j in idx), []).append(i)
+    diagonal = rho.matrix.diagonal().real.tolist()
     for n, rows in sorted(groups.items()):
-        weight = sum(float(np.real(rho.matrix[i, i])) for i in rows)
+        weight = sum(diagonal[i] for i in rows)
         if weight > SECTOR_DROP_TOL:
             yield n, weight, rows
 
@@ -103,23 +126,38 @@ def register_sector_weights(rho: DensityOperator) -> dict[int, float]:
 
 
 def _register_sector_blocks(rho: DensityOperator):
-    """Yield (n, weight, entropy of entanglement) for each sector of
+    """(n, weight, entropy of entanglement) for each sector of
     ``_register_sectors``.
 
     Each block must be pure up to PURITY_TOL (as the transfer protocol and its
     conditional measurements make it); its entropy is the Schmidt entropy of
-    its top eigenvector.
+    its top eigenvector.  The blocks are gathered with one index, zero-padded
+    into one stack and diagonalized by a single batched ``eigh``; padding
+    adds only zero eigenvalues, below the top one of a block with weight.
     """
     if not rho.layout.indices(site="A", kind="register"):
         raise LayoutError("no register modes at site 'A'")
-    for n, weight, rows in _register_sectors(rho):
-        evals, evecs = np.linalg.eigh(rho.matrix[np.ix_(rows, rows)])
-        if evals[-1] < weight * (1.0 - PURITY_TOL):
+    sectors = list(_register_sectors(rho))
+    order = [i for _, _, rows in sectors for i in rows]
+    gathered = rho.matrix[np.ix_(order, order)]
+    size = max((len(rows) for _, _, rows in sectors), default=0)
+    stack = np.zeros((len(sectors), size, size), dtype=complex)
+    start = 0
+    for g, (_, _, rows) in enumerate(sectors):
+        end = start + len(rows)
+        stack[g, :len(rows), :len(rows)] = gathered[start:end, start:end]
+        start = end
+    evals, evecs = np.linalg.eigh(stack)
+    top = evals[:, -1].tolist()
+    for (n, weight, _), value in zip(sectors, top):
+        if value < weight * (1.0 - PURITY_TOL):
             raise StateValidationError(
-                f"sector n={n} is not pure: top eigenvalue {evals[-1]} of weight {weight}"
+                f"sector n={n} is not pure: top eigenvalue {value} of weight {weight}"
             )
-        yield n, weight, _schmidt_entropy(rho.layout, [rho.basis[i] for i in rows],
-                                          evecs[:, -1])
+    entropies = _schmidt_entropies(
+        rho.layout, [([rho.basis[i] for i in rows], evecs[g, :len(rows), -1])
+                     for g, (_, _, rows) in enumerate(sectors)])
+    return [(n, weight, entropy) for (n, weight, _), entropy in zip(sectors, entropies)]
 
 
 def register_sector_entanglement(rho: DensityOperator) -> float:

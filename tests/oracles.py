@@ -197,6 +197,62 @@ def partial_trace_oracle(state, keep):
     return DensityOperator(state.layout.sublayout(keep_idx), basis, mat)
 
 
+def schmidt_entropy_oracle(state):
+    """Entropy of entanglement (bits) of a pure state split at site A, from
+    one SVD of that state's own amplitude matrix Psi[A label, B label]:
+    squared singular values over their sum, values at or below EIG_CLIP
+    dropped.  The per-state route that the batched Schmidt kernel replaced."""
+    from epsim.fock import EIG_CLIP
+
+    a_idx = state.layout.indices(site="A")
+    b_idx = [i for i in range(len(state.layout)) if i not in a_idx]
+    rows = sorted({tuple(label[i] for i in a_idx) for label in state.amplitudes})
+    cols = sorted({tuple(label[i] for i in b_idx) for label in state.amplitudes})
+    psi = np.zeros((len(rows), len(cols)), dtype=complex)
+    for label, amp in state.amplitudes.items():
+        psi[rows.index(tuple(label[i] for i in a_idx)),
+            cols.index(tuple(label[i] for i in b_idx))] = amp
+    probs = np.linalg.svd(psi, compute_uv=False) ** 2
+    probs = probs / probs.sum()
+    probs = probs[probs > EIG_CLIP]
+    return max(0.0, float(-np.sum(probs * np.log2(probs))))
+
+
+def sector_table_oracle(state):
+    """(n, P_n, E_n) of each site-A sector, one sector at a time: the
+    normalized ``sector_decompose`` states, each through its own SVD."""
+    from epsim.sectors import sector_decompose
+
+    return [(s.n, s.probability, schmidt_entropy_oracle(s.state))
+            for s in sector_decompose(state).sectors]
+
+
+def register_sector_oracle(rho):
+    """(n, weight, E_n) of each site-A register-number sector of ``rho``, one
+    block at a time: the block's own ``np.ix_`` and ``eigh``, the purity
+    check, and the Schmidt entropy of its top eigenvector."""
+    from epsim.fock import PureState, StateValidationError
+    from epsim.sectors import PURITY_TOL, SECTOR_DROP_TOL
+
+    idx = rho.layout.indices(site="A", kind="register")
+    groups = {}
+    for i, label in enumerate(rho.basis):
+        groups.setdefault(sum(label[j] for j in idx), []).append(i)
+    out = []
+    for n, rows in sorted(groups.items()):
+        block = rho.matrix[np.ix_(rows, rows)]
+        weight = float(np.real(np.trace(block)))
+        if weight <= SECTOR_DROP_TOL:
+            continue
+        evals, evecs = np.linalg.eigh(block)
+        if evals[-1] < weight * (1.0 - PURITY_TOL):
+            raise StateValidationError(f"sector n={n} is not pure")
+        top = PureState(rho.layout, {rho.basis[i]: evecs[k, -1] for k, i in enumerate(rows)},
+                        normalize=True)
+        out.append((n, weight, schmidt_entropy_oracle(top)))
+    return out
+
+
 def two_mode_ancilla_state(spec, sink, ref):
     """Two-mode ancilla sum_n c_n |M-n, n> over (sink, reference) modes."""
     from epsim.fock import CapacityError, PureState, layout_of

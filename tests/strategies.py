@@ -40,12 +40,12 @@ def ancilla_specs(draw, max_m=12):
 
 
 @st.composite
-def transfer_inputs(draw, max_particles=3):
+def transfer_inputs(draw, max_particles=3, fixed_total=None):
     """Random two-site state: 1 to max_particles particles, 1-2 modes per
     site, either a fixed total particle number or any total up to the
-    maximum."""
+    maximum (drawn, unless ``fixed_total`` picks one)."""
     particles = draw(st.integers(1, max_particles))
-    fixed = draw(st.booleans())
+    fixed = draw(st.booleans()) if fixed_total is None else fixed_total
     modes = []
     for site in ("A", "B"):
         for k in range(draw(st.integers(1, 2))):

@@ -1,4 +1,9 @@
 import itertools
+import json
+import math
+import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,18 +11,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epsim import (
+    AncillaSpec,
     LayoutError,
     ModeDescriptor,
     ModeLayout,
+    ProtocolConfig,
     PureState,
+    StateValidationError,
     entropy_of_entanglement,
     layout_of,
     local_particle_number,
     particle_entanglement,
+    particle_sector_table,
+    register_sector_table,
+    run_transfer,
     sector_decompose,
     tensor_product,
 )
+from epsim.cli import build_parser
+from epsim.fock import _schmidt_entropies
+from epsim.statefile import load_state, state_to_dict
 from conftest import random_two_site_state, shared_double, shared_single
+from oracles import register_sector_oracle, schmidt_entropy_oracle, sector_table_oracle
 from strategies import transfer_inputs
 
 
@@ -201,3 +216,125 @@ class TestProperties:
             for s_new, s_old in zip(decomp.sectors, base.sectors):
                 assert entropy_of_entanglement(s_new.state) == pytest.approx(
                     entropy_of_entanglement(s_old.state), abs=1e-12)
+
+
+def mixed_shape_state():
+    """Three particles on two modes per site (capacity 2): all six labels of
+    the site-A sector n = 2, a 3x2 Schmidt matrix of rank 2, next to the
+    single label of sector n = 3, a 1x1 matrix of rank one."""
+    layout = ModeLayout(tuple(ModeDescriptor(f"{site}{k}", site.upper(), "field", 2)
+                              for site in "ab" for k in range(2)))
+    amps = {(a0, 2 - a0, b0, 1 - b0): complex(1 + a0 + b0, a0 - 2 * b0)
+            for a0 in range(3) for b0 in range(2)}
+    amps[(2, 1, 0, 0)] = 0.5j
+    return PureState(layout, amps, normalize=True)
+
+
+def assert_rows_match(rows, oracle):
+    assert [row[0] for row in rows] == [row[0] for row in oracle]
+    for row, expected in zip(rows, oracle):
+        assert row[1] == pytest.approx(expected[1], abs=1e-12)
+        assert row[2] == pytest.approx(expected[2], abs=1e-12)
+
+
+def ep_results(state):
+    """Unrounded results of ``epsim ep`` on ``state`` written to a file, and
+    the state as the file reloads it."""
+    with tempfile.TemporaryDirectory() as work:
+        path = Path(work, "state.json")
+        path.write_text(json.dumps(state_to_dict(state)))
+        args = build_parser().parse_args(["ep", str(path)])
+        return args.func(args).results, load_state(str(path))
+
+
+class TestBatchedSectorEntropies:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(state=transfer_inputs(fixed_total=True), M=st.integers(1, 8))
+    def test_batched_tables_equal_per_sector_oracle(self, state, M):
+        oracle = sector_table_oracle(state)
+        assert_rows_match([(r["n"], r["p"], r["entanglement"])
+                           for r in particle_sector_table(state)], oracle)
+        assert particle_entanglement(state) == pytest.approx(
+            sum(p * e for _, p, e in oracle), abs=1e-12)
+        assert entropy_of_entanglement(state) == pytest.approx(
+            schmidt_entropy_oracle(state), abs=1e-12)
+        results, loaded = ep_results(state)
+        loaded_oracle = sector_table_oracle(loaded)
+        assert_rows_match([(r["n"], r["p"], r["entanglement"]) for r in results["sectors"]],
+                          loaded_oracle)
+        assert results["particle_entanglement"] == pytest.approx(
+            sum(p * e for _, p, e in loaded_oracle), abs=1e-12)
+        rho = run_transfer(ProtocolConfig(state, AncillaSpec.uniform(M), AncillaSpec.uniform(M)))
+        assert_rows_match([(r["n"], r["weight"], r["entanglement"])
+                           for r in register_sector_table(rho)], register_sector_oracle(rho))
+
+    def test_padded_blocks_of_different_shapes(self):
+        state = mixed_shape_state()
+        rows = particle_sector_table(state)
+        assert [r["n"] for r in rows] == [2, 3]
+        assert_rows_match([(r["n"], r["p"], r["entanglement"]) for r in rows],
+                          sector_table_oracle(state))
+        assert rows[0]["entanglement"] > 0.1
+        rho = run_transfer(ProtocolConfig(state, AncillaSpec.uniform(4), AncillaSpec.uniform(4)))
+        table = register_sector_table(rho)
+        assert_rows_match([(r["n"], r["weight"], r["entanglement"]) for r in table],
+                          register_sector_oracle(rho))
+        # A 1x1 block beside a 3x2 one, in both orders.
+        big = ([l for l in state.amplitudes if l[0] + l[1] == 2],
+               [a for l, a in state.amplitudes.items() if l[0] + l[1] == 2])
+        small = ([(2, 1, 0, 0)], [0.5j])
+        e_big = sector_table_oracle(state)[0][2]
+        assert _schmidt_entropies(state.layout, [small, big]) == pytest.approx(
+            [0.0, e_big], abs=1e-12)
+        assert _schmidt_entropies(state.layout, [big, small]) == pytest.approx(
+            [e_big, 0.0], abs=1e-12)
+
+    def test_rank_one_sector_is_positive_zero(self):
+        state = mixed_shape_state()
+        pure_rows = [r for r in particle_sector_table(state) if r["n"] == 3]
+        rho = run_transfer(ProtocolConfig(state, AncillaSpec.uniform(4), AncillaSpec.uniform(4)))
+        pure_rows += [r for r in register_sector_table(rho) if r["n"] == 3]
+        pure_rows += particle_sector_table(shared_single())
+        for row in pure_rows:
+            assert row["entanglement"] == 0.0
+            assert math.copysign(1.0, row["entanglement"]) == 1.0
+        product = PureState(shared_single().layout, {(1, 0): 1.0})
+        assert math.copysign(1.0, entropy_of_entanglement(product)) == 1.0
+
+    def test_one_decomposition_per_table(self, monkeypatch):
+        counts = {"svd": 0, "eigh": 0}
+        for name in counts:
+            real = getattr(np.linalg, name)
+
+            def counted(*args, _real=real, _name=name, **kwargs):
+                counts[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
+        state = mixed_shape_state()
+        rho = run_transfer(ProtocolConfig(state, AncillaSpec.uniform(4), AncillaSpec.uniform(4)))
+        for call, expected in [(lambda: particle_sector_table(state), {"svd": 1, "eigh": 0}),
+                               (lambda: register_sector_table(rho), {"svd": 1, "eigh": 1}),
+                               (lambda: ep_results(state), {"svd": 2, "eigh": 0})]:
+            counts.update(svd=0, eigh=0)
+            call()
+            assert counts == expected
+
+
+@pytest.mark.parametrize("amps,n,top,weight", [
+    # Site-A number 0 pairs with site-B numbers 0 and 1.
+    ({(0, 0): 0.6, (0, 1): 0.8}, 0, 0.64, 1.0),
+    # A pure sector n = 0 first, then the mixed sector n = 1.
+    ({(0, 1): 0.6, (1, 0): 0.48, (1, 1): 0.64}, 1, 0.4096, 0.64),
+])
+def test_mixed_register_sector_fails_purity_check(amps, n, top, weight):
+    layout = layout_of(ModeDescriptor("a", "A", "field", 1), ModeDescriptor("b", "B", "field", 1))
+    state = PureState(layout, amps)
+    rho = run_transfer(ProtocolConfig(state, AncillaSpec.uniform(4), AncillaSpec.uniform(4)))
+    with pytest.raises(StateValidationError) as caught:
+        register_sector_table(rho)
+    match = re.fullmatch(r"sector n=(\d+) is not pure: top eigenvalue (\S+) of weight (\S+)",
+                         str(caught.value))
+    assert match is not None
+    assert int(match[1]) == n
+    assert float(match[2]) == pytest.approx(top, abs=1e-12)
+    assert float(match[3]) == pytest.approx(weight, abs=1e-12)
