@@ -45,6 +45,7 @@ class PhaseOperatorSpace:
         self.s = s
         self.dim = s + 1
         self.number = np.arange(self.dim, dtype=float)
+        self.number_sq = self.number ** 2
 
 
 @dataclass(frozen=True)
@@ -94,12 +95,15 @@ class UncertaintyReport:
 
 class _Sums(NamedTuple):
     """What the moments need from a state: x_k = <E_A^k E_B^{dagger k}>
-    (k = 1, 2), the number marginals pa, pb and <N_A N_B>."""
+    (k = 1, 2), the number marginals pa, pb, their means <N_A>, <N_B> and
+    <N_A N_B>."""
 
     x1: complex
     x2: complex
     pa: np.ndarray
     pb: np.ndarray
+    mean_a: float
+    mean_b: float
     mean_ab: float
 
 
@@ -121,7 +125,8 @@ def _sums(a: np.ndarray, b: np.ndarray) -> _Sums:
     pa, pb = wa * wb.sum(), wb * wa.sum()
     x1, x2 = (_shift_overlap(a, k) * np.conj(_shift_overlap(b, k)) for k in (1, 2))
     n_a, n_b = np.arange(a.size, dtype=float), np.arange(b.size, dtype=float)
-    return _Sums(complex(x1), complex(x2), pa, pb, float(n_a @ pa) * float(n_b @ pb))
+    mean_a, mean_b = float(n_a @ pa), float(n_b @ pb)
+    return _Sums(complex(x1), complex(x2), pa, pb, mean_a, mean_b, mean_a * mean_b)
 
 
 class _Moments(NamedTuple):
@@ -149,11 +154,9 @@ def _moments(sums: _Sums, space: PhaseOperatorSpace) -> _Moments:
     visibility_sq = float(abs(x1) ** 2)
     trig_identity_residual = var_cos + var_sin - (1.0 - visibility_sq)
 
-    ns, pa, pb = space.number, sums.pa, sums.pb
-    mean_n_a = float(ns @ pa)
-    mean_n_b = float(ns @ pb)
-    var_n_a = float(ns ** 2 @ pa) - mean_n_a ** 2
-    var_n_b = float(ns ** 2 @ pb) - mean_n_b ** 2
+    mean_n_a, mean_n_b = sums.mean_a, sums.mean_b
+    var_n_a = float(space.number_sq @ sums.pa) - mean_n_a ** 2
+    var_n_b = float(space.number_sq @ sums.pb) - mean_n_b ** 2
     cov = sums.mean_ab - mean_n_a * mean_n_b
     var_n_diff = var_n_a + var_n_b - 2.0 * cov
     return _Moments(var_n_a, var_n_b, var_n_diff, cos_mean, sin_mean,
@@ -207,9 +210,11 @@ def robertson_checks(state, space: PhaseOperatorSpace) -> UncertaintyReport:
     return UncertaintyReport(*m, checks=checks)
 
 
-def visibility_bound_check(state, space: PhaseOperatorSpace) -> UncertaintyReport:
-    """Visibility caps from the summed Robertson relations for a physical
-    state ``(a, b)``.
+def visibility_caps(moments) -> UncertaintyReport:
+    """Visibility caps from the summed Robertson relations, taken from the
+    moment fields of a physical state: its ``_checked_moments`` or any
+    report on it, so a ``robertson_checks`` report gives the caps with no
+    second pass over the state.
 
         |C|^2 <= (Var N_A + Var N_B) / (1 + Var N_A + Var N_B)   (C1)
         |C|^2 <= 4 Var N_Z / (1 + 4 Var N_Z), Z = A, B           (C2_Z)
@@ -217,7 +222,7 @@ def visibility_bound_check(state, space: PhaseOperatorSpace) -> UncertaintyRepor
     C1 uses variance additivity, which holds for the uncorrelated modes of
     a product state, so it always applies.
     """
-    m = _checked_moments(state, space)
+    m = _Moments(*(getattr(moments, field) for field in _Moments._fields))
     c2 = m.visibility_sq
     vsum = m.var_n_a + m.var_n_b
     checks = (
@@ -226,6 +231,11 @@ def visibility_bound_check(state, space: PhaseOperatorSpace) -> UncertaintyRepor
         InequalityCheck("C2_B", 4.0 * m.var_n_b / (1.0 + 4.0 * m.var_n_b), c2),
     )
     return UncertaintyReport(*m, checks=checks)
+
+
+def visibility_bound_check(state, space: PhaseOperatorSpace) -> UncertaintyReport:
+    """The ``visibility_caps`` of a physical state ``(a, b)``."""
+    return visibility_caps(_checked_moments(state, space))
 
 
 def pair_layout(s: int) -> ModeLayout:
@@ -263,11 +273,10 @@ def random_uncorrelated_pair(space: PhaseOperatorSpace,
     """Factors of a random product state supported on [0, s // 2] in each
     mode, a window that keeps the state comfortably physical."""
     w = space.s // 2
-
-    def factor():
-        vec = rng.randn(w + 1) + 1j * rng.randn(w + 1)
-        padded = np.zeros(space.dim, dtype=complex)
-        padded[:w + 1] = vec / np.linalg.norm(vec)
-        return padded
-
-    return factor(), factor()
+    # One draw of the four rows that four randn(w + 1) calls would give in
+    # turn: Re a, Im a, Re b, Im b.
+    z = rng.randn(4, w + 1)
+    pair = np.zeros((2, space.dim), dtype=complex)
+    for row, vec in zip(pair, (z[0] + 1j * z[1], z[2] + 1j * z[3])):
+        row[:w + 1] = vec / np.linalg.norm(vec)
+    return pair[0], pair[1]

@@ -415,8 +415,24 @@ def matrix_sums(psi):
     prob = np.abs(psi) ** 2
     x1, x2 = (np.vdot(psi, np.roll(psi, (-k, k), axis=(0, 1))) for k in (1, 2))
     n_a, n_b = (np.arange(size, dtype=float) for size in psi.shape)
-    return _Sums(complex(x1), complex(x2), prob.sum(axis=1), prob.sum(axis=0),
+    pa, pb = prob.sum(axis=1), prob.sum(axis=0)
+    return _Sums(complex(x1), complex(x2), pa, pb, float(n_a @ pa), float(n_b @ pb),
                  float(n_a @ prob @ n_b))
+
+
+def random_uncorrelated_pair_oracle(space, rng):
+    """``random_uncorrelated_pair`` drawn with four ``randn(w + 1)`` calls,
+    the real and imaginary parts of each factor in turn, each factor
+    normalized and zero-padded on its own."""
+    w = space.s // 2
+
+    def factor():
+        vec = rng.randn(w + 1) + 1j * rng.randn(w + 1)
+        padded = np.zeros(space.dim, dtype=complex)
+        padded[:w + 1] = vec / np.linalg.norm(vec)
+        return padded
+
+    return factor(), factor()
 
 
 def round_floats(obj):

@@ -7,7 +7,15 @@ import numpy as np
 from hypothesis import assume
 from hypothesis import strategies as st
 
-from epsim import AncillaSpec, ModeDescriptor, ModeLayout, PureState, coherent_coefficients
+from epsim import (
+    AncillaSpec,
+    ModeDescriptor,
+    ModeLayout,
+    PhaseOperatorSpace,
+    PureState,
+    coherent_coefficients,
+)
+from epsim.uncertainty import coherent_pair_state
 
 AMPLITUDES = st.builds(lambda r, phi: r * np.exp(1j * phi),
                        st.floats(0.1, 1.0), st.floats(0.0, 2.0 * np.pi))
@@ -91,3 +99,15 @@ def factor_pairs(draw, max_s=64):
         vec[rng.integers(top + 1)] = 1.0
         factors.append(vec / np.linalg.norm(vec))
     return tuple(factors)
+
+
+@st.composite
+def coherent_pairs(draw, max_s=256):
+    """A truncation 16 <= s <= max_s and the factors ``(a, b)`` of two
+    coherent states on it, each mean in [0, s]: the larger means leave tail
+    mass above the physicality cutoff s - sqrt(s), or are clipped."""
+    space = PhaseOperatorSpace(draw(st.integers(16, max_s)))
+    nbars = [draw(st.floats(0.0, float(space.s))) for _ in range(2)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return space, coherent_pair_state(*nbars, space)

@@ -380,6 +380,29 @@ class TestBoundsCommand:
         assert code == 0
         assert report["results"]["coherent_pair"]["s"] == s_pair
 
+    @pytest.mark.parametrize("s, nbar", [("64", None), ("64", "5,40"), ("16", "1,2")])
+    def test_one_moment_pass_per_state(self, capsys, monkeypatch, s, nbar):
+        # Each random state is reduced once: its caps come from the moments
+        # of its Robertson report.  The coherent pair costs one pass per
+        # truncation tried, from max(s, nbar + 12 sqrt(nbar)) up.
+        import epsim.uncertainty
+
+        sizes = []
+        real = epsim.uncertainty._sums
+        monkeypatch.setattr(epsim.uncertainty, "_sums",
+                            lambda a, b: sizes.append(a.size) or real(a, b))
+        argv = ["bounds", "--seeds", "10", "--s", s] + (["--nbar", nbar] if nbar else [])
+        code, report = run_cli(capsys, *argv)
+        assert code == 0
+        results = report["results"]
+        assert results["resampled"] == 0
+        tried = []
+        if nbar:
+            top = max(float(x) for x in nbar.split(","))
+            start = max(int(s), math.ceil(top + 12.0 * math.sqrt(top)))
+            tried = list(range(start + 1, results["coherent_pair"]["s"] + 2))
+        assert sizes == tried + [int(s) + 1] * 10
+
     def test_small_s_exit_2(self, capsys):
         assert main(["bounds", "--seeds", "1", "--s", "8"]) == 2
 

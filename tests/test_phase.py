@@ -126,15 +126,18 @@ class TestVisibility:
         coherent = coherent_coefficients(2.0, 20)
         assert abs(visibility(number, coherent)) == pytest.approx(0.0, abs=1e-12)
 
-    @pytest.mark.parametrize("width", [1, 2, 7, 64, 255, 1000])
+    @pytest.mark.parametrize("width", [1, 2, 3, 7, 16, 64, 100, 255, 513, 1000])
     def test_sine_reference_closed_form(self, width):
         # The sine state c_n ~ sin(pi (n + 1)/(W + 2)), n = 0..W, has first
         # moment cos(pi/(W + 2)), the largest of any W + 1 levels (Summy &
-        # Pegg, Opt. Commun. 77, 75 (1990)); two copies give |C| its square.
+        # Pegg, Opt. Commun. 77, 75 (1990)); two copies give C its square.
+        # Both visibility routes run, so each is pinned to the exact value.
         n = np.arange(width + 1)
         amps = np.sin(np.pi * (n + 1) / (width + 2))
         sine = AncillaSpec(width, amps / np.linalg.norm(amps))
-        assert abs(visibility(sine, sine) - math.cos(math.pi / (width + 2)) ** 2) <= 1e-12
+        cap = math.cos(math.pi / (width + 2))
+        assert abs(sine.first_moment() - cap) <= 1e-13
+        assert abs(visibility(sine, sine, 0.0) - cap ** 2) <= 1e-13
 
     def test_identical_coherent_specs(self):
         spec = coherent_coefficients(100.0, 200)

@@ -4,6 +4,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import epsim.uncertainty
 from epsim import (
@@ -20,6 +21,7 @@ from epsim.uncertainty import (
     _sums,
     coherent_pair_state,
     random_uncorrelated_pair,
+    visibility_caps,
 )
 from oracles import (
     dense,
@@ -28,8 +30,9 @@ from oracles import (
     phase_angles,
     phase_difference_trig,
     phase_states,
+    random_uncorrelated_pair_oracle,
 )
-from strategies import amplitude_matrices, factor_pairs
+from strategies import amplitude_matrices, coherent_pairs, factor_pairs
 
 
 def number_pair_state(na, nb, s):
@@ -285,6 +288,47 @@ class TestVisibilityBoundCheck:
         c2a = report.check("C2_A")
         rel_slack = (c2a.lhs - c2a.rhs) / (1.0 - c2a.rhs)
         assert 0.0 <= rel_slack <= 0.30
+
+
+class TestVisibilityCaps:
+    """The caps taken from a ``robertson_checks`` report, as ``bounds``
+    takes them, equal a second pass over the state exactly."""
+
+    @staticmethod
+    def assert_caps_of_report_equal_check(state, space):
+        report = _checked(robertson_checks, state, space)
+        caps = _checked(visibility_bound_check, state, space)
+        assert (report is None) == (caps is None)
+        if report is not None:
+            assert visibility_caps(report) == caps
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(factors=factor_pairs(max_s=64))
+    def test_factor_pairs(self, factors):
+        space = PhaseOperatorSpace(factors[0].size - 1)
+        self.assert_caps_of_report_equal_check(factors, space)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(pair=coherent_pairs())
+    def test_coherent_pairs(self, pair):
+        space, state = pair
+        self.assert_caps_of_report_equal_check(state, space)
+
+
+class TestRandomUncorrelatedPair:
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(s=st.integers(16, 2048), seed=st.integers(0, 2 ** 32 - 1))
+    def test_one_draw_equals_four_calls(self, s, seed):
+        # Two pairs in a row, so the generators must also be left in the
+        # same state.
+        space = PhaseOperatorSpace(s)
+        rng, ref = np.random.RandomState(seed), np.random.RandomState(seed)
+        for _ in range(2):
+            got = random_uncorrelated_pair(space, rng)
+            want = random_uncorrelated_pair_oracle(space, ref)
+            for g, w in zip(got, want):
+                assert (g.dtype, g.shape) == (w.dtype, w.shape)
+                assert g.tobytes() == w.tobytes()
 
 
 class TestCrossModuleVisibility:
