@@ -153,22 +153,6 @@ class PureState:
         self.layout = layout
         self.amplitudes = types.MappingProxyType(amps)
 
-    @classmethod
-    def basis_state(cls, layout: ModeLayout, label: tuple[int, ...]) -> "PureState":
-        return cls(layout, {tuple(label): 1.0})
-
-    def norm(self) -> float:
-        return math.sqrt(sum(abs(a) ** 2 for a in self.amplitudes.values()))
-
-    def overlap(self, other: "PureState") -> complex:
-        """<self|other> over a common layout."""
-        if self.layout.ids() != other.layout.ids():
-            raise LayoutError("overlap requires identical layouts")
-        if len(self.amplitudes) > len(other.amplitudes):
-            return other.overlap(self).conjugate()
-        return sum(a.conjugate() * other.amplitudes.get(l, 0.0)
-                   for l, a in self.amplitudes.items())
-
     def map_labels(self, fn) -> "PureState":
         """Apply an injective label map ``fn(label) -> label`` (basis permutation)."""
         out: dict[tuple[int, ...], complex] = {}
@@ -237,17 +221,8 @@ class DensityOperator:
         self.matrix = matrix
         self._index = {label: i for i, label in enumerate(basis)}
 
-    @classmethod
-    def from_pure(cls, state: PureState) -> "DensityOperator":
-        basis = sorted(state.amplitudes)
-        vec = np.array([state.amplitudes[l] for l in basis], dtype=complex)
-        return cls(state.layout, basis, np.outer(vec, vec.conj()))
-
     def trace(self) -> float:
         return float(np.real(np.trace(self.matrix)))
-
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.matrix)
 
     def index(self, label: tuple[int, ...]) -> int:
         try:

@@ -58,7 +58,7 @@ from .fock import (
     PureState,
     StateValidationError,
 )
-from .sectors import register_sector_entanglement
+from .sectors import _register_sector_blocks
 
 
 class GridError(ValueError):
@@ -434,7 +434,6 @@ class MeasurementOutcome:
     outcome_a: str
     outcome_b: str
     probability: float
-    state: DensityOperator
     entanglement: float
 
 
@@ -443,8 +442,11 @@ def equal_different_measurement(rho: DensityOperator) -> list[MeasurementOutcome
 
     Both parties compare their two registers; the joint state is projected
     onto the four (equal/different, equal/different) outcomes.  Returns the
-    outcomes with nonzero probability, each with its conditional state and
-    sector-projected entanglement.
+    outcomes with probability at least 1e-12, each with its sector-projected
+    entanglement.  Registers differ exactly when their sum is 1, so each
+    outcome is a union of site-A register-number sectors: one decomposition
+    keyed by (outcome pair, n_A) gives every outcome's probability p (the
+    diagonal weight of its rows) and entanglement sum_n (w_n / p) E_n.
     """
     layout = rho.layout
     if any(m.kind != "register" or m.capacity != 1 for m in layout.modes):
@@ -460,20 +462,20 @@ def equal_different_measurement(rho: DensityOperator) -> list[MeasurementOutcome
         i, j = pair_idx[site]
         return "equal" if label[i] == label[j] else "different"
 
-    outcomes = []
-    for oa, ob in itertools.product(("equal", "different"), repeat=2):
-        rows = [i for i, label in enumerate(rho.basis)
-                if outcome_of(label, "A") == oa and outcome_of(label, "B") == ob]
-        if not rows:
-            continue
-        block = rho.matrix[np.ix_(rows, rows)]
-        prob = float(np.real(np.trace(block)))
-        if prob < 1e-12:
-            continue
-        conditional = DensityOperator(layout, [rho.basis[i] for i in rows], block / prob)
-        ent = register_sector_entanglement(conditional)
-        outcomes.append(MeasurementOutcome(oa, ob, prob, conditional, ent))
-    return outcomes
+    pairs = [(outcome_of(label, "A"), outcome_of(label, "B")) for label in rho.basis]
+    probability = dict.fromkeys(itertools.product(("equal", "different"), repeat=2), 0.0)
+    for pair, weight in zip(pairs, rho.matrix.diagonal().real.tolist()):
+        probability[pair] += weight
+    kept = {pair for pair, p in probability.items() if p >= 1e-12}
+    i, j = pair_idx["A"]
+    # Rows of a skipped outcome join no sector.
+    keys = [(pair, label[i] + label[j]) if pair in kept else None
+            for pair, label in zip(pairs, rho.basis)]
+    entanglement = dict.fromkeys(kept, 0.0)
+    for (pair, _), weight, entropy in _register_sector_blocks(rho, keys):
+        entanglement[pair] += weight / probability[pair] * entropy
+    return [MeasurementOutcome(*pair, p, entanglement[pair])
+            for pair, p in probability.items() if pair in kept]
 
 
 def reference_phase_shift(rho: DensityOperator, theta: float, phi: float) -> DensityOperator:

@@ -105,29 +105,37 @@ def particle_entanglement(state: PureState) -> float:
     return sum(row["p"] * row["entanglement"] for row in particle_sector_table(state))
 
 
-def _register_sectors(rho: DensityOperator):
-    """Yield (n, weight, basis rows) for each site-A register-number sector
-    of ``rho`` whose diagonal weight exceeds SECTOR_DROP_TOL, in increasing
-    n (with no register mode at A every label is in sector 0)."""
+def _register_numbers(rho: DensityOperator) -> list[int]:
+    """Site-A register number of each basis label of ``rho`` (with no
+    register mode at A every label has number 0)."""
     idx = rho.layout.indices(site="A", kind="register")
-    groups: dict[int, list[int]] = {}
-    for i, label in enumerate(rho.basis):
-        groups.setdefault(sum(label[j] for j in idx), []).append(i)
+    return [sum(label[j] for j in idx) for label in rho.basis]
+
+
+def _register_sectors(rho: DensityOperator, keys):
+    """Yield (key, weight, basis rows) for each distinct key of ``keys``,
+    one per basis row of ``rho`` (a row keyed None belongs to no sector),
+    whose diagonal weight exceeds SECTOR_DROP_TOL, in increasing key."""
+    groups: dict = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    groups.pop(None, None)
     diagonal = rho.matrix.diagonal().real.tolist()
-    for n, rows in sorted(groups.items()):
+    for key, rows in sorted(groups.items()):
         weight = sum(diagonal[i] for i in rows)
         if weight > SECTOR_DROP_TOL:
-            yield n, weight, rows
+            yield key, weight, rows
 
 
 def register_sector_weights(rho: DensityOperator) -> dict[int, float]:
     """Weight carried by each site-A register-occupation sector of ``rho``."""
-    return {n: weight for n, weight, _ in _register_sectors(rho)}
+    return {n: weight for n, weight, _ in _register_sectors(rho, _register_numbers(rho))}
 
 
-def _register_sector_blocks(rho: DensityOperator):
-    """(n, weight, entropy of entanglement) for each sector of
-    ``_register_sectors``.
+def _register_sector_blocks(rho: DensityOperator, keys):
+    """(key, weight, entropy of entanglement) for each sector of
+    ``_register_sectors(rho, keys)``; the register tables key the rows by
+    their site-A register number.
 
     Each block must be pure up to PURITY_TOL (as the transfer protocol and its
     conditional measurements make it); its entropy is the Schmidt entropy of
@@ -137,7 +145,7 @@ def _register_sector_blocks(rho: DensityOperator):
     """
     if not rho.layout.indices(site="A", kind="register"):
         raise LayoutError("no register modes at site 'A'")
-    sectors = list(_register_sectors(rho))
+    sectors = list(_register_sectors(rho, keys))
     order = [i for _, _, rows in sectors for i in rows]
     gathered = rho.matrix[np.ix_(order, order)]
     size = max((len(rows) for _, _, rows in sectors), default=0)
@@ -149,25 +157,26 @@ def _register_sector_blocks(rho: DensityOperator):
         start = end
     evals, evecs = np.linalg.eigh(stack)
     top = evals[:, -1].tolist()
-    for (n, weight, _), value in zip(sectors, top):
+    for (key, weight, _), value in zip(sectors, top):
         if value < weight * (1.0 - PURITY_TOL):
             raise StateValidationError(
-                f"sector n={n} is not pure: top eigenvalue {value} of weight {weight}"
+                f"sector n={key} is not pure: top eigenvalue {value} of weight {weight}"
             )
     entropies = _schmidt_entropies(
         rho.layout, [([rho.basis[i] for i in rows], evecs[g, :len(rows), -1])
                      for g, (_, _, rows) in enumerate(sectors)])
-    return [(n, weight, entropy) for (n, weight, _), entropy in zip(sectors, entropies)]
+    return [(key, weight, entropy) for (key, weight, _), entropy in zip(sectors, entropies)]
 
 
 def register_sector_entanglement(rho: DensityOperator) -> float:
     """Entanglement of a register mixture whose blocks are sector-pure:
     the weight-averaged per-sector entropy of entanglement."""
-    return sum(weight * entropy for _, weight, entropy in _register_sector_blocks(rho))
+    return sum(weight * entropy
+               for _, weight, entropy in _register_sector_blocks(rho, _register_numbers(rho)))
 
 
 def register_sector_table(rho: DensityOperator) -> list[dict]:
     """Per-sector weights (the ``register_sector_weights`` values) and
     entanglements of a register mixture."""
     return [{"n": n, "weight": weight, "entanglement": entropy}
-            for n, weight, entropy in _register_sector_blocks(rho)]
+            for n, weight, entropy in _register_sector_blocks(rho, _register_numbers(rho))]

@@ -15,9 +15,12 @@ warning; larger deviations are parse errors.
 
 Results are written by ``dump_json``, one pass over the result tree that
 rounds every float to 12 significant digits as it writes it, so identical
-runs produce byte-identical output.  Its text is the text of the standard
-library route ``json.dumps(rounded, indent=2, sort_keys=True)``, which the
-test suite keeps as its oracle.
+runs produce byte-identical output.  It renders the kinds a report holds,
+by exact type: float, int, bool, None, str, complex (as [real, imaginary]),
+list, and dict with str or int keys; anything else, a subclass, tuple or
+numpy scalar included, raises ``TypeError``.  Its text is the text of the
+standard library route ``json.dumps(rounded, indent=2, sort_keys=True)``,
+which the test suite keeps as its oracle.
 """
 
 from __future__ import annotations
@@ -161,33 +164,23 @@ def _float_repr(x: float) -> str:
 
 
 def _key_text(key) -> str:
-    """JSON text of a dict key, converted as ``json`` converts it (floats
-    unrounded)."""
-    if isinstance(key, str):
+    """JSON text of a dict key: a str, or an int quoted as ``json`` quotes
+    it."""
+    kind = type(key)
+    if kind is str:
         return encode_basestring_ascii(key)
-    if isinstance(key, float):
-        text = _float_repr(key)
-    elif key is True:
-        text = "true"
-    elif key is False:
-        text = "false"
-    elif key is None:
-        text = "null"
-    elif isinstance(key, int):
-        text = int.__repr__(key)
-    else:
-        raise TypeError(f"keys must be str, int, float, bool or None, "
-                        f"not {key.__class__.__name__}")
-    return f'"{text}"'
+    if kind is int:
+        return f'"{int.__repr__(key)}"'
+    raise TypeError(f"keys must be str or int, not {kind.__name__}")
 
 
 def _render(obj, newline: str, out: list[str]) -> None:
     """Append the JSON text of ``obj`` to ``out``; ``newline`` is the line
     break plus indent of the line ``obj`` starts on."""
     kind = type(obj)
-    if kind is float or kind is np.float64:
+    if kind is float:
         out.append(_float_repr(float(format(obj, _ROUND_FORMAT))))
-    elif kind is list or kind is tuple:
+    elif kind is list:
         if not obj:
             out.append("[]")
             return
@@ -216,32 +209,14 @@ def _render(obj, newline: str, out: list[str]) -> None:
         out.append(encode_basestring_ascii(obj))
     elif kind is int:
         out.append(int.__repr__(obj))
-    # Subclasses, numpy scalars and complex values, in the order the
-    # standard library route resolves them.
     elif obj is None:
         out.append("null")
-    elif obj is True or obj is False:
+    elif kind is bool:
         out.append("true" if obj else "false")
-    elif isinstance(obj, float):
-        out.append(_float_repr(float(format(obj, _ROUND_FORMAT))))
-    elif isinstance(obj, complex):
+    elif kind is complex:
         _render([obj.real, obj.imag], newline, out)
-    elif isinstance(obj, np.floating):
-        _render(float(obj), newline, out)
-    elif isinstance(obj, np.complexfloating):
-        _render(complex(obj), newline, out)
-    elif isinstance(obj, np.integer):
-        out.append(int.__repr__(int(obj)))
-    elif isinstance(obj, dict):
-        _render(dict(obj), newline, out)
-    elif isinstance(obj, (list, tuple)):
-        _render(list(obj), newline, out)
-    elif isinstance(obj, str):
-        out.append(encode_basestring_ascii(obj))
-    elif isinstance(obj, int):
-        out.append(int.__repr__(obj))
     else:
-        raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def dump_json(data, depth: int = 0) -> str:
@@ -253,7 +228,8 @@ def dump_json(data, depth: int = 0) -> str:
     ``json.dumps(rounded, indent=2, sort_keys=True)`` of the rounded tree,
     with every line after the first indented ``depth`` more levels, so it
     can stand as a member of an enclosing object at that depth (see
-    ``dump_members``).  Types ``json`` rejects raise ``TypeError``.
+    ``dump_members``).  Any kind the module docstring does not list raises
+    ``TypeError``.
     """
     out: list[str] = []
     _render(data, "\n" + "  " * depth, out)

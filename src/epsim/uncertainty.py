@@ -21,12 +21,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
 from .fock import LayoutError, ModeDescriptor, ModeLayout, PureState
+from .protocol import coherent_coefficients
 
 PHYSICAL_TAIL_TOL = 1e-10
 SLACK_TOL = -1e-9
@@ -65,7 +66,8 @@ class InequalityCheck:
 
 @dataclass(frozen=True)
 class UncertaintyReport:
-    """Moments and inequality slacks for one two-mode state."""
+    """Moments and inequality slacks for one two-mode state; with no
+    ``checks`` it is the moment record the checks are built from."""
 
     var_n_a: float
     var_n_b: float
@@ -76,7 +78,7 @@ class UncertaintyReport:
     var_sin: float
     visibility_sq: float
     trig_identity_residual: float
-    checks: tuple[InequalityCheck, ...]
+    checks: tuple[InequalityCheck, ...] = ()
 
     def check(self, name: str) -> InequalityCheck:
         for c in self.checks:
@@ -129,21 +131,7 @@ def _sums(a: np.ndarray, b: np.ndarray) -> _Sums:
     return _Sums(complex(x1), complex(x2), pa, pb, mean_a, mean_b, mean_a * mean_b)
 
 
-class _Moments(NamedTuple):
-    """The moment fields of ``UncertaintyReport``, in its field order."""
-
-    var_n_a: float
-    var_n_b: float
-    var_n_diff: float
-    cos_mean: float
-    sin_mean: float
-    var_cos: float
-    var_sin: float
-    visibility_sq: float
-    trig_identity_residual: float
-
-
-def _moments(sums: _Sums, space: PhaseOperatorSpace) -> _Moments:
+def _moments(sums: _Sums, space: PhaseOperatorSpace) -> UncertaintyReport:
     x1, x2 = sums.x1, sums.x2
     cos_mean = float(np.real(x1))
     sin_mean = float(np.imag(x1))
@@ -159,11 +147,11 @@ def _moments(sums: _Sums, space: PhaseOperatorSpace) -> _Moments:
     var_n_b = float(space.number_sq @ sums.pb) - mean_n_b ** 2
     cov = sums.mean_ab - mean_n_a * mean_n_b
     var_n_diff = var_n_a + var_n_b - 2.0 * cov
-    return _Moments(var_n_a, var_n_b, var_n_diff, cos_mean, sin_mean,
-                    var_cos, var_sin, visibility_sq, trig_identity_residual)
+    return UncertaintyReport(var_n_a, var_n_b, var_n_diff, cos_mean, sin_mean,
+                             var_cos, var_sin, visibility_sq, trig_identity_residual)
 
 
-def _checked_moments(state, space: PhaseOperatorSpace) -> _Moments:
+def _checked_moments(state, space: PhaseOperatorSpace) -> UncertaintyReport:
     """Moments of a unit-norm physical state: a tuple of two 1-D factors of
     s+1 levels each (anything else is a ``LayoutError``), validated on its
     marginals, with mass above occupation s - sqrt(s) within
@@ -207,14 +195,13 @@ def robertson_checks(state, space: PhaseOperatorSpace) -> UncertaintyReport:
         InequalityCheck("dsin2_A", m.var_n_a * m.var_sin, c2 / 4.0),
         InequalityCheck("dsin2_B", m.var_n_b * m.var_sin, c2 / 4.0),
     )
-    return UncertaintyReport(*m, checks=checks)
+    return replace(m, checks=checks)
 
 
-def visibility_caps(moments) -> UncertaintyReport:
+def visibility_caps(moments: UncertaintyReport) -> UncertaintyReport:
     """Visibility caps from the summed Robertson relations, taken from the
-    moment fields of a physical state: its ``_checked_moments`` or any
-    report on it, so a ``robertson_checks`` report gives the caps with no
-    second pass over the state.
+    moments of any report on a physical state, so a ``robertson_checks``
+    report gives the caps with no second pass over the state.
 
         |C|^2 <= (Var N_A + Var N_B) / (1 + Var N_A + Var N_B)   (C1)
         |C|^2 <= 4 Var N_Z / (1 + 4 Var N_Z), Z = A, B           (C2_Z)
@@ -222,15 +209,15 @@ def visibility_caps(moments) -> UncertaintyReport:
     C1 uses variance additivity, which holds for the uncorrelated modes of
     a product state, so it always applies.
     """
-    m = _Moments(*(getattr(moments, field) for field in _Moments._fields))
-    c2 = m.visibility_sq
-    vsum = m.var_n_a + m.var_n_b
+    c2 = moments.visibility_sq
+    var_a, var_b = moments.var_n_a, moments.var_n_b
+    vsum = var_a + var_b
     checks = (
         InequalityCheck("C1", vsum / (1.0 + vsum), c2),
-        InequalityCheck("C2_A", 4.0 * m.var_n_a / (1.0 + 4.0 * m.var_n_a), c2),
-        InequalityCheck("C2_B", 4.0 * m.var_n_b / (1.0 + 4.0 * m.var_n_b), c2),
+        InequalityCheck("C2_A", 4.0 * var_a / (1.0 + 4.0 * var_a), c2),
+        InequalityCheck("C2_B", 4.0 * var_b / (1.0 + 4.0 * var_b), c2),
     )
-    return UncertaintyReport(*m, checks=checks)
+    return replace(moments, checks=checks)
 
 
 def visibility_bound_check(state, space: PhaseOperatorSpace) -> UncertaintyReport:
@@ -257,8 +244,6 @@ def coherent_pair_state(nbar_a: float, nbar_b: float,
                         space: PhaseOperatorSpace) -> tuple[np.ndarray, np.ndarray]:
     """Factors of two truncated coherent states, each its stored non-zero
     span padded with zeros to the s+1 levels the cyclic shift runs over."""
-    from .protocol import coherent_coefficients
-
     def factor(nbar):
         spec = coherent_coefficients(nbar, space.s)
         vec = np.zeros(space.dim, dtype=complex)

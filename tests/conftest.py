@@ -78,3 +78,18 @@ def random_two_site_state(rng: np.random.RandomState, particles: int,
 @pytest.fixture
 def rng():
     return np.random.RandomState(42)
+
+
+@pytest.fixture
+def decompositions(monkeypatch):
+    """Calls of ``np.linalg.svd`` and ``np.linalg.eigh`` made after the
+    fixture is set up, by name; reset them with ``update``."""
+    counts = {"svd": 0, "eigh": 0}
+    for name in counts:
+        real = getattr(np.linalg, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    return counts

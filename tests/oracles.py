@@ -253,6 +253,47 @@ def register_sector_oracle(rho):
     return out
 
 
+def equal_different_oracle(rho):
+    """(outcome_a, outcome_b, p, E) of each equal/different outcome of two
+    binary registers per site, one outcome at a time: its rows projected
+    out, renormalized into its own validated ``DensityOperator`` and passed
+    through ``register_sector_entanglement``.  The per-outcome route that
+    the single keyed decomposition of ``equal_different_measurement``
+    replaced."""
+    import itertools
+
+    from epsim.fock import DensityOperator, LayoutError
+    from epsim.sectors import register_sector_entanglement
+
+    layout = rho.layout
+    if any(m.kind != "register" or m.capacity != 1 for m in layout.modes):
+        raise LayoutError("measurement needs binary register modes only")
+    pair_idx = {}
+    for site in ("A", "B"):
+        idx = layout.indices(site=site, kind="register")
+        if len(idx) != 2:
+            raise LayoutError(f"site {site} must hold exactly two registers, got {len(idx)}")
+        pair_idx[site] = idx
+
+    def outcome_of(label, site):
+        i, j = pair_idx[site]
+        return "equal" if label[i] == label[j] else "different"
+
+    outcomes = []
+    for oa, ob in itertools.product(("equal", "different"), repeat=2):
+        rows = [i for i, label in enumerate(rho.basis)
+                if outcome_of(label, "A") == oa and outcome_of(label, "B") == ob]
+        if not rows:
+            continue
+        block = rho.matrix[np.ix_(rows, rows)]
+        prob = float(np.real(np.trace(block)))
+        if prob < 1e-12:
+            continue
+        conditional = DensityOperator(layout, [rho.basis[i] for i in rows], block / prob)
+        outcomes.append((oa, ob, prob, register_sector_entanglement(conditional)))
+    return outcomes
+
+
 def two_mode_ancilla_state(spec, sink, ref):
     """Two-mode ancilla sum_n c_n |M-n, n> over (sink, reference) modes."""
     from epsim.fock import CapacityError, PureState, layout_of
@@ -283,7 +324,7 @@ def gate_final_state(config):
         pieces.append(two_mode_ancilla_state(spec, sink, ref))
     pieces.append(config.input_state)
     regs = config.register_modes()
-    pieces.append(PureState.basis_state(ModeLayout(tuple(regs)), (0,) * len(regs)))
+    pieces.append(PureState(ModeLayout(tuple(regs)), {(0,) * len(regs): 1.0}))
     state = reduce(tensor_product, pieces)
 
     for site in ("A", "B"):

@@ -69,6 +69,23 @@ def transfer_inputs(draw, max_particles=3, fixed_total=None):
 
 
 @st.composite
+def binary_pair_inputs(draw):
+    """Random state on two capacity-1 field modes per site, the input whose
+    transfer leaves two binary registers per site: either of one drawn
+    total particle number (0 to 4) or of any totals."""
+    modes = tuple(ModeDescriptor(f"{site.lower()}{k}", site, "field", 1)
+                  for site in ("A", "B") for k in range(2))
+    labels = list(itertools.product((0, 1), repeat=4))
+    if draw(st.booleans()):
+        total = draw(st.integers(0, 4))
+        labels = [label for label in labels if sum(label) == total]
+    support = draw(st.lists(st.sampled_from(labels), min_size=1,
+                            max_size=len(labels), unique=True))
+    amps = {label: draw(AMPLITUDES) for label in support}
+    return PureState(ModeLayout(modes), amps, normalize=True)
+
+
+@st.composite
 def amplitude_matrices(draw, max_s=40):
     """Unit-norm complex (s+1)x(s+1) amplitude matrix with 1 <= s <= max_s and
     every entry's modulus in [0.1, 1] before normalization, so the rows and

@@ -674,7 +674,7 @@ class TestStateFileRoundTrip:
     def test_load_shared_double(self):
         state = load_state(data_path("shared_double.json"))
         assert len(state.amplitudes) == 4
-        assert state.norm() == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(list(state.amplitudes.values())) == pytest.approx(1.0, abs=1e-12)
 
     def test_renormalization_warning(self, tmp_path, capsys):
         slightly_off = 0.70710678
@@ -686,4 +686,4 @@ class TestStateFileRoundTrip:
                       {"occ": [0, 1], "amp": [slightly_off, 0.0]}],
         }))
         state = load_state(str(path))
-        assert state.norm() == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(list(state.amplitudes.values())) == pytest.approx(1.0, abs=1e-12)

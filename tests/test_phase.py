@@ -233,13 +233,13 @@ class TestPostMeasurementState:
 
     def test_unit_visibility_is_pure_bell(self):
         rho = post_measurement_register_state(1.0)
-        evals = np.sort(rho.eigenvalues())
+        evals = np.linalg.eigvalsh(rho.matrix)
         np.testing.assert_allclose(evals, [0, 0, 0, 1], atol=1e-12)
         assert concurrence_ef_oracle(rho) == pytest.approx(1.0, abs=1e-12)
 
     def test_eigenvalues_at_c06(self):
         rho = post_measurement_register_state(0.6)
-        evals = np.sort(rho.eigenvalues())[::-1]
+        evals = np.linalg.eigvalsh(rho.matrix)[::-1]
         np.testing.assert_allclose(evals, [0.8, 0.2, 0.0, 0.0], atol=1e-12)
 
     def test_overlarge_visibility_rejected(self):

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from epsim import (
     AncillaSpec,
     CapacityError,
-    DensityOperator,
     GridError,
     LayoutError,
     ModeDescriptor,
@@ -37,10 +36,10 @@ from epsim import (
     transfer_final_state,
 )
 from conftest import random_two_site_state, shared_double, shared_single
-from oracles import (coherent_amplitudes_full_range, dense, gate_final_state,
-                     gate_register_state, mixture, truncated_phase_state,
-                     two_mode_ancilla_state)
-from strategies import ancilla_specs, random_ancillas, transfer_inputs
+from oracles import (coherent_amplitudes_full_range, dense, equal_different_oracle,
+                     gate_final_state, gate_register_state, mixture,
+                     truncated_phase_state, two_mode_ancilla_state)
+from strategies import ancilla_specs, binary_pair_inputs, random_ancillas, transfer_inputs
 
 
 def register_layout_single():
@@ -58,8 +57,8 @@ def register_layout_double():
 def expected_single_register_mixture():
     layout = register_layout_single()
     return mixture([
-        (0.5, PureState.basis_state(layout, (1, 0))),
-        (0.5, PureState.basis_state(layout, (0, 1))),
+        (0.5, PureState(layout, {(1, 0): 1.0})),
+        (0.5, PureState(layout, {(0, 1): 1.0})),
     ])
 
 
@@ -67,8 +66,8 @@ def expected_double_register_mixture():
     layout = register_layout_double()
     bell = PureState(layout, {(1, 0, 0, 1): 2 ** -0.5, (0, 1, 1, 0): 2 ** -0.5})
     return mixture([
-        (0.25, PureState.basis_state(layout, (1, 1, 0, 0))),
-        (0.25, PureState.basis_state(layout, (0, 0, 1, 1))),
+        (0.25, PureState(layout, {(1, 1, 0, 0): 1.0})),
+        (0.25, PureState(layout, {(0, 0, 1, 1): 1.0})),
         (0.5, bell),
     ])
 
@@ -97,14 +96,16 @@ class TestTruncatedPhaseState:
 
     def test_normalized(self, rng):
         for m, theta in [(5, 0.3), (16, 2.0), (33, -1.2)]:
-            assert truncated_phase_state(m, theta).norm() == pytest.approx(1.0, abs=1e-12)
+            amps = list(truncated_phase_state(m, theta).amplitudes.values())
+            assert np.linalg.norm(amps) == pytest.approx(1.0, abs=1e-12)
 
     def test_overlap_matches_geometric_sum(self):
         m = 9
         theta, theta2 = 0.7, 2.4
         a = truncated_phase_state(m, theta)
         b = truncated_phase_state(m, theta2)
-        direct = a.overlap(b)
+        # Both states list their amplitudes in level order 0..m.
+        direct = np.vdot(list(a.amplitudes.values()), list(b.amplitudes.values()))
         closed = sum(np.exp(1j * (m - n) * (theta - theta2)) for n in range(m + 1)) / (m + 1)
         assert direct == pytest.approx(closed, abs=1e-12)
 
@@ -301,7 +302,7 @@ class TestOccupationCnot:
     def test_on_shared_pair(self):
         reg = ModeDescriptor("reg_a", "A", "register", 1)
         state = tensor_product(shared_single(),
-                               PureState.basis_state(layout_of(reg), (0,)))
+                               PureState(layout_of(reg), {(0,): 1.0}))
         out = occupation_cnot(state, "a", "reg_a")
         assert out.amplitudes[(1, 0, 1)] == pytest.approx(2 ** -0.5)
         assert out.amplitudes[(0, 1, 0)] == pytest.approx(2 ** -0.5)
@@ -333,7 +334,7 @@ class TestHidingOperation:
     def test_norm_preserved_on_superpositions(self):
         state = PureState(self.layout(), {(2, 1, 1): 0.6, (1, 2, 2): 0.8})
         out = hiding_operation(state, "reg", "src", "sink")
-        assert out.norm() == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(list(out.amplitudes.values())) == pytest.approx(1.0, abs=1e-12)
         assert out.amplitudes[(3, 0, 1)] == pytest.approx(0.6)
         assert out.amplitudes[(3, 0, 2)] == pytest.approx(0.8)
 
@@ -566,7 +567,7 @@ class TestEqualDifferentMeasurement:
 
     def test_product_register_state(self):
         layout = register_layout_double()
-        rho = DensityOperator.from_pure(PureState.basis_state(layout, (0, 0, 0, 0)))
+        rho = mixture([(1.0, PureState(layout, {(0, 0, 0, 0): 1.0}))])
         outcomes = equal_different_measurement(rho)
         assert len(outcomes) == 1
         assert outcomes[0].probability == pytest.approx(1.0)
@@ -577,12 +578,56 @@ class TestEqualDifferentMeasurement:
         with pytest.raises(Exception):
             equal_different_measurement(rho)
 
+    def test_skipped_outcome_is_not_checked(self):
+        # (equal, equal) holds 2e-13 of weight in one mixed sector (n_A = 0,
+        # B registers 00 or 11): below 1e-12, so it is skipped, not a purity
+        # failure.
+        layout = register_layout_double()
+        bell = PureState(layout, {(1, 0, 0, 1): 2 ** -0.5, (0, 1, 1, 0): 2 ** -0.5})
+        rho = mixture([(1.0 - 2e-13, bell), (1e-13, PureState(layout, {(0, 0, 0, 0): 1.0})),
+                       (1e-13, PureState(layout, {(0, 0, 1, 1): 1.0}))])
+        (outcome,) = equal_different_measurement(rho)
+        assert (outcome.outcome_a, outcome.outcome_b) == ("different", "different")
+        assert outcome.probability == pytest.approx(1.0, abs=1e-12)
+        assert outcome.entanglement == pytest.approx(1.0, abs=1e-10)
+        assert [row[:2] for row in equal_different_oracle(rho)] == [("different", "different")]
+
+    @staticmethod
+    def outcome_rows(measure, rho):
+        try:
+            return measure(rho)
+        except StateValidationError:
+            return None
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(state=binary_pair_inputs())
+    def test_equals_per_outcome_oracle(self, state):
+        rho = run_transfer(ProtocolConfig(state, AncillaSpec.uniform(2), AncillaSpec.uniform(2)))
+        expected = self.outcome_rows(equal_different_oracle, rho)
+        outcomes = self.outcome_rows(equal_different_measurement, rho)
+        assert (outcomes is None) == (expected is None)
+        if outcomes is None:
+            return
+        got = [(o.outcome_a, o.outcome_b, o.probability, o.entanglement) for o in outcomes]
+        assert [row[:2] for row in got] == [row[:2] for row in expected]
+        np.testing.assert_allclose([row[2:] for row in got], [row[2:] for row in expected],
+                                   rtol=0.0, atol=1e-12)
+
+    def test_one_decomposition_per_call(self, decompositions):
+        rho = run_transfer(ProtocolConfig(shared_double(), AncillaSpec.uniform(2),
+                                          AncillaSpec.uniform(2)))
+        decompositions.update(svd=0, eigh=0)
+        # Three register sectors over the (equal, equal) and (different,
+        # different) outcomes.
+        assert len(equal_different_measurement(rho)) == 2
+        assert decompositions == {"svd": 1, "eigh": 1}
+
 
 class TestReferencePhaseShift:
     def test_invariant_subspace_projector(self):
         layout = register_layout_double()
         bell = PureState(layout, {(1, 0, 0, 1): 2 ** -0.5, (0, 1, 1, 0): 2 ** -0.5})
-        rho = DensityOperator.from_pure(bell)
+        rho = mixture([(1.0, bell)])
         shifted = reference_phase_shift(rho, 0.8, -1.7)
         assert trace_distance(shifted, rho) < 1e-12
 

@@ -301,15 +301,8 @@ class TestBatchedSectorEntropies:
         product = PureState(shared_single().layout, {(1, 0): 1.0})
         assert math.copysign(1.0, entropy_of_entanglement(product)) == 1.0
 
-    def test_one_decomposition_per_table(self, monkeypatch):
-        counts = {"svd": 0, "eigh": 0}
-        for name in counts:
-            real = getattr(np.linalg, name)
-
-            def counted(*args, _real=real, _name=name, **kwargs):
-                counts[_name] += 1
-                return _real(*args, **kwargs)
-            monkeypatch.setattr(np.linalg, name, counted)
+    def test_one_decomposition_per_table(self, decompositions):
+        counts = decompositions
         state = mixed_shape_state()
         rho = run_transfer(ProtocolConfig(state, AncillaSpec.uniform(4), AncillaSpec.uniform(4)))
         for call, expected in [(lambda: particle_sector_table(state), {"svd": 1, "eigh": 0}),

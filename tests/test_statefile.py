@@ -20,6 +20,7 @@ FLOATS = st.one_of(
     st.floats(-1e16, -1e12),
     st.floats(allow_nan=True, allow_infinity=True),
 )
+# The kinds a report holds; ``dump_json`` rejects every other kind.
 LEAVES = st.one_of(
     FLOATS,
     st.integers(-2 ** 70, 2 ** 70),
@@ -27,23 +28,16 @@ LEAVES = st.one_of(
     st.none(),
     st.text(),
     st.complex_numbers(allow_nan=True, allow_infinity=True),
-    FLOATS.map(np.float64),
-    st.floats(width=32, allow_nan=True, allow_infinity=True).map(np.float32),
-    st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
-    st.complex_numbers(allow_nan=True, allow_infinity=True).map(np.complex128),
 )
-# One key kind per dict: json sorts keys, and str keys do not order against
-# numbers.  Numbers and bools (bool is an int) order among themselves.
-NUMBER_KEYS = st.one_of(st.integers(-2 ** 70, 2 ** 70), FLOATS, st.booleans())
 
 
 def _containers(children):
+    # One key kind per dict: json sorts keys, and str keys do not order
+    # against ints.
     return st.one_of(
         st.lists(children, max_size=4),
-        st.lists(children, max_size=4).map(tuple),
         st.dictionaries(st.text(), children, max_size=4),
-        st.dictionaries(NUMBER_KEYS, children, max_size=4),
-        st.dictionaries(st.none(), children, max_size=1),
+        st.dictionaries(st.integers(-2 ** 70, 2 ** 70), children, max_size=4),
     )
 
 
@@ -66,5 +60,26 @@ def test_dump_json_equals_stdlib_route(data):
 def test_unserializable_types_raise(data):
     with pytest.raises(TypeError):
         dump_json_oracle(data)
+    with pytest.raises(TypeError):
+        dump_json(data)
+
+
+class _Float(float):
+    pass
+
+
+class _Dict(dict):
+    pass
+
+
+@pytest.mark.parametrize("data", [
+    np.float64(1.5), np.float32(1.5), np.int64(3), np.complex128(1 + 2j), (1.0, 2),
+    {0.5: 1}, {True: 1}, {None: 1}, _Float(1.5), _Dict(a=1.0),
+    [1.0, {"a": np.float64(2.0)}],
+], ids=["float64", "float32", "int64", "complex128", "tuple", "float-key", "bool-key",
+        "none-key", "float-subclass", "dict-subclass", "nested-float64"])
+def test_kinds_no_report_holds_raise(data):
+    # The standard library route accepts each of these; no report holds one.
+    dump_json_oracle(data)
     with pytest.raises(TypeError):
         dump_json(data)
