@@ -58,7 +58,7 @@ from .fock import (
     PureState,
     StateValidationError,
 )
-from .sectors import _register_sector_blocks
+from .sectors import _local_numbers, _register_numbers, _register_sector_blocks
 
 
 class GridError(ValueError):
@@ -300,21 +300,19 @@ def _register_terms(config: ProtocolConfig):
     """Input terms relabelled onto the register modes, in register-label order.
 
     Returns the register layout, the sorted register labels, and aligned
-    arrays of the input amplitudes and of the local particle numbers n_A, n_B:
-    the sums over the site-A and the site-B part of each register label.
+    arrays of the input amplitudes and of the local particle numbers n_A, n_B
+    of each register label.
     """
     layout = config.input_state.layout
-    fields_a = config.field_modes("A")
-    positions = [layout.index(f.id) for f in fields_a + config.field_modes("B")]
+    positions = [layout.index(f.id) for site in ("A", "B") for f in config.field_modes(site)]
     terms = sorted(((tuple(label[p] for p in positions), amp)
                     for label, amp in config.input_state.amplitudes.items()),
                    key=lambda t: t[0])
     basis, amps = zip(*terms)
-    occupations = np.array(basis)
-    split = len(fields_a)
-    return (ModeLayout(tuple(config.register_modes())), list(basis),
-            np.array(amps, dtype=complex),
-            occupations[:, :split].sum(axis=1), occupations[:, split:].sum(axis=1))
+    reg_layout = ModeLayout(tuple(config.register_modes()))
+    n_a, n_b = (np.array(_local_numbers(reg_layout, basis, site, "register"))
+                for site in ("A", "B"))
+    return reg_layout, list(basis), np.array(amps, dtype=complex), n_a, n_b
 
 
 def transfer_final_state(config: ProtocolConfig) -> PureState:
@@ -467,10 +465,9 @@ def equal_different_measurement(rho: DensityOperator) -> list[MeasurementOutcome
     for pair, weight in zip(pairs, rho.matrix.diagonal().real.tolist()):
         probability[pair] += weight
     kept = {pair for pair, p in probability.items() if p >= 1e-12}
-    i, j = pair_idx["A"]
     # Rows of a skipped outcome join no sector.
-    keys = [(pair, label[i] + label[j]) if pair in kept else None
-            for pair, label in zip(pairs, rho.basis)]
+    keys = [(pair, n) if pair in kept else None
+            for pair, n in zip(pairs, _register_numbers(rho))]
     entanglement = dict.fromkeys(kept, 0.0)
     for (pair, _), weight, entropy in _register_sector_blocks(rho, keys):
         entanglement[pair] += weight / probability[pair] * entropy
@@ -484,13 +481,8 @@ def reference_phase_shift(rho: DensityOperator, theta: float, phi: float) -> Den
     layout = rho.layout
     if any(m.kind != "register" for m in layout.modes):
         raise LayoutError("reference phase shift acts on register-only operators")
-    idx_a = layout.indices(site="A")
-    idx_b = layout.indices(site="B")
-    phases = np.array([
-        np.exp(1j * (theta * sum(label[i] for i in idx_a)
-                     + phi * sum(label[i] for i in idx_b)))
-        for label in rho.basis
-    ])
+    n_a, n_b = (_local_numbers(layout, rho.basis, site, "register") for site in ("A", "B"))
+    phases = np.array([np.exp(1j * (theta * a + phi * b)) for a, b in zip(n_a, n_b)])
     mat = (phases[:, None] * rho.matrix) * np.conj(phases)[None, :]
     # The conjugation leaves the diagonal, and so the trace, as it was.
     return DensityOperator(layout, rho.basis, mat, check_trace=False)

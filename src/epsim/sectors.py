@@ -3,9 +3,11 @@
 Local operations cannot create coherences between subspaces with different
 particle counts at one site, so the operationally accessible entanglement of
 a shared-particle state is the probability-weighted average of the per-sector
-entropies of entanglement, not the entropy of the state itself.  One pass over
-the amplitudes groups them by sector, and each table of sector entropies comes
-from one batched SVD of the sectors' zero-padded amplitude matrices; a table of
+entropies of entanglement, not the entropy of the state itself.  A sector is
+keyed by a local number, the summed occupation of one kind of mode at one
+site, which ``_local_numbers`` counts for every label; ``_sectors`` groups
+rows by their key in one pass, and each table of sector entropies comes from
+one batched SVD of the sectors' zero-padded amplitude matrices; a table of
 register sectors adds one batched ``eigh`` of its zero-padded sector blocks
 before it.  Register modes never count toward the local particle number: they
 model ordinary distinguishable qubits, which the superselection rule does not
@@ -31,10 +33,30 @@ SECTOR_DROP_TOL = 1e-14
 PURITY_TOL = 1e-9
 
 
+def _local_numbers(layout: ModeLayout, labels, site: str, kind: str) -> list[int]:
+    """Summed occupation of the ``kind`` modes at ``site`` in each of ``labels``."""
+    idx = layout.indices(site=site, kind=kind)
+    return [sum(label[i] for i in idx) for label in labels]
+
+
+def _sectors(keys, weights):
+    """Yield (key, weight, rows) for each distinct key of ``keys``, one per
+    row (a row keyed None belongs to no sector), whose summed row ``weights``
+    reach SECTOR_DROP_TOL, in increasing key."""
+    groups: dict = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    groups.pop(None, None)
+    for key, rows in sorted(groups.items()):
+        weight = sum(weights[i] for i in rows)
+        if weight >= SECTOR_DROP_TOL:
+            yield key, weight, rows
+
+
 def local_particle_number(layout: ModeLayout, label: tuple[int, ...], site: str) -> int:
     """Particles in the field modes at ``site`` (register modes excluded)."""
     layout.check_label(label)
-    return sum(label[i] for i in layout.indices(site=site, kind="field"))
+    return _local_numbers(layout, [label], site, "field")[0]
 
 
 @dataclass(frozen=True)
@@ -54,21 +76,12 @@ class SectorDecomposition:
 
 def _site_a_sectors(state: PureState):
     """(n, P_n, labels, amplitudes) of each site-A field-number sector of
-    ``state`` whose weight reaches SECTOR_DROP_TOL, in increasing n: one pass
-    over the amplitudes, with the site-A field positions found once."""
-    idx = state.layout.indices(site="A", kind="field")
-    groups: dict[int, tuple[list, list]] = {}
-    for label, amp in state.amplitudes.items():
-        labels, amps = groups.setdefault(sum(label[i] for i in idx), ([], []))
-        labels.append(label)
-        amps.append(amp)
-    out = []
-    for n in sorted(groups):
-        labels, amps = groups[n]
-        p = sum(abs(a) ** 2 for a in amps)
-        if p >= SECTOR_DROP_TOL:
-            out.append((n, p, labels, amps))
-    return out
+    ``state`` whose weight reaches SECTOR_DROP_TOL, in increasing n."""
+    labels = list(state.amplitudes)
+    amps = list(state.amplitudes.values())
+    return [(n, p, [labels[i] for i in rows], [amps[i] for i in rows])
+            for n, p, rows in _sectors(_local_numbers(state.layout, labels, "A", "field"),
+                                       [abs(a) ** 2 for a in amps])]
 
 
 def sector_decompose(state: PureState) -> SectorDecomposition:
@@ -83,7 +96,7 @@ def sector_decompose(state: PureState) -> SectorDecomposition:
     for n, p, labels, amps in _site_a_sectors(state):
         anchor = max(amps, key=abs)
         phase = anchor / abs(anchor)
-        fixed = {l: a / (phase * np.sqrt(p)) for l, a in zip(labels, amps)}
+        fixed = {l: a / phase for l, a in zip(labels, amps)}
         sectors.append(Sector(n, p, PureState(state.layout, fixed, normalize=True)))
     return SectorDecomposition(tuple(sectors))
 
@@ -108,53 +121,34 @@ def particle_entanglement(state: PureState) -> float:
 def _register_numbers(rho: DensityOperator) -> list[int]:
     """Site-A register number of each basis label of ``rho`` (with no
     register mode at A every label has number 0)."""
-    idx = rho.layout.indices(site="A", kind="register")
-    return [sum(label[j] for j in idx) for label in rho.basis]
-
-
-def _register_sectors(rho: DensityOperator, keys):
-    """Yield (key, weight, basis rows) for each distinct key of ``keys``,
-    one per basis row of ``rho`` (a row keyed None belongs to no sector),
-    whose diagonal weight exceeds SECTOR_DROP_TOL, in increasing key."""
-    groups: dict = {}
-    for i, key in enumerate(keys):
-        groups.setdefault(key, []).append(i)
-    groups.pop(None, None)
-    diagonal = rho.matrix.diagonal().real.tolist()
-    for key, rows in sorted(groups.items()):
-        weight = sum(diagonal[i] for i in rows)
-        if weight > SECTOR_DROP_TOL:
-            yield key, weight, rows
+    return _local_numbers(rho.layout, rho.basis, "A", "register")
 
 
 def register_sector_weights(rho: DensityOperator) -> dict[int, float]:
     """Weight carried by each site-A register-occupation sector of ``rho``."""
-    return {n: weight for n, weight, _ in _register_sectors(rho, _register_numbers(rho))}
+    return {n: weight for n, weight, _ in
+            _sectors(_register_numbers(rho), rho.matrix.diagonal().real.tolist())}
 
 
 def _register_sector_blocks(rho: DensityOperator, keys):
-    """(key, weight, entropy of entanglement) for each sector of
-    ``_register_sectors(rho, keys)``; the register tables key the rows by
-    their site-A register number.
+    """(key, weight, entropy of entanglement) for each sector that
+    ``_sectors`` makes of the rows of ``rho`` keyed by ``keys`` and weighted
+    by its diagonal; the register tables key the rows by their site-A
+    register number.
 
     Each block must be pure up to PURITY_TOL (as the transfer protocol and its
     conditional measurements make it); its entropy is the Schmidt entropy of
-    its top eigenvector.  The blocks are gathered with one index, zero-padded
-    into one stack and diagonalized by a single batched ``eigh``; padding
-    adds only zero eigenvalues, below the top one of a block with weight.
+    its top eigenvector.  The blocks are zero-padded into one stack and
+    diagonalized by a single batched ``eigh``; padding adds only zero
+    eigenvalues, below the top one of a block with weight.
     """
     if not rho.layout.indices(site="A", kind="register"):
         raise LayoutError("no register modes at site 'A'")
-    sectors = list(_register_sectors(rho, keys))
-    order = [i for _, _, rows in sectors for i in rows]
-    gathered = rho.matrix[np.ix_(order, order)]
+    sectors = list(_sectors(keys, rho.matrix.diagonal().real.tolist()))
     size = max((len(rows) for _, _, rows in sectors), default=0)
     stack = np.zeros((len(sectors), size, size), dtype=complex)
-    start = 0
     for g, (_, _, rows) in enumerate(sectors):
-        end = start + len(rows)
-        stack[g, :len(rows), :len(rows)] = gathered[start:end, start:end]
-        start = end
+        stack[g, :len(rows), :len(rows)] = rho.matrix[np.ix_(rows, rows)]
     evals, evecs = np.linalg.eigh(stack)
     top = evals[:, -1].tolist()
     for (key, weight, _), value in zip(sectors, top):

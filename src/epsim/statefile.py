@@ -106,7 +106,11 @@ def parse_state(data: dict) -> PureState:
             raise StateFileError(f"bad occupation {occ}: {exc}") from exc
         amps[occ] = amps.get(occ, 0.0) + complex(float(amp[0]), float(amp[1]))
 
-    norm = float(np.sqrt(sum(abs(a) ** 2 for a in amps.values()))) if amps else 0.0
+    try:
+        norm = float(np.sqrt(sum(abs(a) ** 2 for a in amps.values()))) if amps else 0.0
+    except OverflowError:
+        # Some |a|^2 passes the largest float, so the norm is as good as infinite.
+        norm = math.inf
     _require(abs(norm - 1.0) <= NORM_FILE_TOL,
              f"amplitudes have norm {norm}; expected 1 within {NORM_FILE_TOL}")
     if norm != 1.0:

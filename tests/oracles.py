@@ -242,7 +242,7 @@ def register_sector_oracle(rho):
     for n, rows in sorted(groups.items()):
         block = rho.matrix[np.ix_(rows, rows)]
         weight = float(np.real(np.trace(block)))
-        if weight <= SECTOR_DROP_TOL:
+        if weight < SECTOR_DROP_TOL:
             continue
         evals, evecs = np.linalg.eigh(block)
         if evals[-1] < weight * (1.0 - PURITY_TOL):

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from epsim import DensityOperator, ModeDescriptor, ModeLayout
@@ -601,6 +601,68 @@ def test_transfer_inputs_exit_cleanly(state, M):
             assert code in (0, 2, 3, 4, 5)
             assert len(errors) == (1 if code else 0)
             assert run_quietly(argv, out) == (code, errors, written)
+
+
+DOCUMENTS = [json.loads(Path(data_path(name)).read_text(encoding="utf-8"))
+             for name in ("shared_single.json", "shared_double.json", "vacuum.json")]
+DELETE = object()
+# Huge and tiny numbers, empty containers and wrong types.
+JSON_VALUES = st.one_of(
+    st.sampled_from([1e308, -1e308, 1e200, 1e154, 0, -1, 2, [], {}, "", "x", None, True]),
+    st.floats(-1e308, 1e308), st.integers(-3, 3),
+    st.lists(st.integers(0, 2), max_size=4))
+
+
+def node_paths(node, path=()):
+    """Key paths of every node below ``node``."""
+    if not isinstance(node, (dict, list)):
+        return
+    for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+        yield path + (key,)
+        yield from node_paths(child, path + (key,))
+
+
+def mutated(document, path, value):
+    """A copy of ``document`` with the node at ``path`` set to ``value``, or
+    removed if ``value`` is DELETE."""
+    document = json.loads(json.dumps(document))
+    parent = document
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return document
+
+
+@st.composite
+def mutated_documents(draw):
+    """A ``tests/data`` document with one or two nodes replaced or deleted."""
+    document = draw(st.sampled_from(DOCUMENTS))
+    for _ in range(draw(st.integers(1, 2))):
+        paths = list(node_paths(document))
+        if paths:
+            document = mutated(document, draw(st.sampled_from(paths)),
+                               draw(st.just(DELETE) | JSON_VALUES))
+    return document
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@example(document=mutated(DOCUMENTS[0], ("terms", 0, "amp", 0), 1e308))
+@example(document=mutated(DOCUMENTS[0], ("terms", 0, "amp", 0), 1e200))
+@given(document=mutated_documents())
+def test_mutated_state_files_exit_cleanly(document):
+    # A damaged state file either still describes a state (exit 0) or is a
+    # parse error (exit 2) with one error line; no input ends in a traceback.
+    with tempfile.TemporaryDirectory() as work:
+        path, out = Path(work, "state.json"), str(Path(work, "out.json"))
+        path.write_text(json.dumps(document))
+        for argv in (["ep", str(path)], ["transfer", str(path), "--M", "4"],
+                     ["transfer", str(path), "--M", "4", "--path", "quadrature"]):
+            code, errors, _ = run_quietly(argv, out)
+            assert code in (0, 2)
+            assert len(errors) == (1 if code else 0)
 
 
 # Hostile option values, each run with a cheap valid partner option.

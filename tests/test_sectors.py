@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from epsim import (
     AncillaSpec,
+    DensityOperator,
     LayoutError,
     ModeDescriptor,
     ModeLayout,
@@ -24,12 +25,14 @@ from epsim import (
     particle_entanglement,
     particle_sector_table,
     register_sector_table,
+    register_sector_weights,
     run_transfer,
     sector_decompose,
     tensor_product,
 )
 from epsim.cli import build_parser
 from epsim.fock import _schmidt_entropies
+from epsim.sectors import SECTOR_DROP_TOL
 from epsim.statefile import load_state, state_to_dict
 from conftest import random_two_site_state, shared_double, shared_single
 from oracles import register_sector_oracle, schmidt_entropy_oracle, sector_table_oracle
@@ -331,3 +334,16 @@ def test_mixed_register_sector_fails_purity_check(amps, n, top, weight):
     assert int(match[1]) == n
     assert float(match[2]) == pytest.approx(top, abs=1e-12)
     assert float(match[3]) == pytest.approx(weight, abs=1e-12)
+
+
+@pytest.mark.parametrize("weight,kept", [(SECTOR_DROP_TOL, True),
+                                         (np.nextafter(SECTOR_DROP_TOL, 0.0), False)])
+def test_register_sector_at_drop_tolerance(weight, kept):
+    # A sector whose diagonal weight reaches SECTOR_DROP_TOL exactly is kept,
+    # as particle_sector_table keeps one; one ulp below it is dropped.
+    layout = layout_of(ModeDescriptor("ra", "A", "register", 1),
+                       ModeDescriptor("rb", "B", "register", 1))
+    rho = DensityOperator(layout, [(0, 1), (1, 0)], np.diag([1.0 - weight, weight]))
+    expected = [(0, 1.0 - weight), (1, weight)][:2 if kept else 1]
+    assert list(register_sector_weights(rho).items()) == expected
+    assert [(row["n"], row["weight"]) for row in register_sector_table(rho)] == expected
