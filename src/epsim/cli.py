@@ -9,19 +9,18 @@ Subcommands::
     epsim measure --ntr N              phase-difference measurement analysis
     epsim sweep --ntr-list 25,50,100   visibility / formation-entanglement table
     epsim bounds --seeds N --s S       Robertson / visibility-bound sweep
-                                       (--seed in [0, 2^32 - 1], default 42,
-                                       seeds the draws)
 
 Exit codes: 0 success, 2 usage error (missing or unknown subcommand or
-option, or a malformed option value), state-file parse error, mode-layout
-error (modes at one site only, or register-kind or reserved mode ids in a
-transfer input), a transfer input whose site-A particle number pairs with
-several site-B numbers, or invalid option value (also a value that would size
-arrays past 2^24 coherent levels in transfer/measure/sweep, a --grid past
-2^63 - 1, or s past 2048 in bounds), 3 capacity overflow (kept for library
-errors; no current CLI input reaches it), 4 unwritable output, 5 a
-numerical cross-check or an uncertainty inequality failed, each with a
-one-line ``error:`` on stderr.
+option, or a malformed or out-of-range option value), state-file parse
+error, mode-layout error (modes at one site only, or register-kind or
+reserved mode ids in a transfer input), a transfer input whose site-A
+particle number pairs with several site-B numbers, a transfer --path
+quadrature input of N >= 2M + 3 particles, or option values that would size
+arrays past 2^24 coherent levels in measure/sweep or past s = 2048 in
+bounds, 3 capacity overflow (kept for library errors; no current CLI input
+reaches it), 4 unwritable output, 5 a numerical cross-check or an
+uncertainty inequality failed, each with a one-line ``error:`` on stderr,
+after any ``warning:`` lines.
 Every run prints a JSON report to stdout; ``--out`` additionally writes a
 deterministic result file (the stdout report carries wall time, which
 covers the subcommand, rendering its results and writing --out; the file
@@ -46,7 +45,6 @@ import numpy as np
 from .fock import (
     CapacityError,
     LayoutError,
-    StateValidationError,
     entropy_of_entanglement,
     trace_distance,
 )
@@ -70,6 +68,7 @@ from .protocol import (
     run_transfer,
 )
 from .sectors import (
+    _local_numbers,
     particle_entanglement,
     particle_sector_table,
     register_sector_table,
@@ -136,30 +135,36 @@ class _Run(NamedTuple):
     failure: Exception | None = None        # raised once the report is out
 
 
-def _transfer_ancilla(m: int, nbar: float | None) -> AncillaSpec:
-    """Uniform or coherent ancilla; a clipped coherent tail is reported as
-    one ``warning:`` line on stderr."""
-    if nbar is None:
-        return AncillaSpec.uniform(m)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        spec = coherent_coefficients(nbar, m)
-    for warning in caught:
-        print(f"warning: {warning.message}", file=sys.stderr)
-    return spec
+def _checked(base, ok, requirement: str):
+    """An argparse ``type``: ``base`` of the text, finite and passing ``ok``,
+    or a usage error "must be <requirement>, got <value>" (exit 2)."""
+    def parse(text: str):
+        value = base(text)
+        if not (-math.inf < value < math.inf and ok(value)):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {value}")
+        return value
+    parse.__name__ = base.__name__          # argparse's "invalid int value: 'abc'"
+    return parse
 
 
-def _check_option(name: str, value: float, ok: bool, requirement: str) -> None:
-    """Reject a non-finite option value or one failing ``ok`` (exit 2)."""
-    if not (math.isfinite(value) and ok):
-        raise StateFileError(f"{name} must be finite and {requirement}, got {value}")
+_NON_NEGATIVE = _checked(float, lambda x: x >= 0.0, "finite and >= 0")
+_AT_LEAST_ONE = _checked(float, lambda x: x >= 1.0, "finite and >= 1")
+_POSITIVE = _checked(float, lambda x: x > 0.0, "finite and > 0")
+# A comma-separated option: its text, as the report echoes it, and its values.
+_Numbers = NamedTuple("_Numbers", [("text", str), ("values", list)])
 
 
-def _float_list(name: str, text: str) -> list[float]:
-    try:
-        return [float(x) for x in text.split(",") if x.strip()]
-    except ValueError:
-        raise StateFileError(f"{name} must be comma-separated numbers, got {text!r}") from None
+def _numbers(item, count: int | None = None):
+    """An argparse ``type``: comma-separated values, each read by ``item``,
+    exactly ``count`` of them or at least one."""
+    def parse(text: str) -> _Numbers:
+        values = [item(x) for x in text.split(",") if x.strip()]
+        if not values or count not in (None, len(values)):
+            raise argparse.ArgumentTypeError(
+                f"must be {count or 'one or more'} numbers, got {text!r}")
+        return _Numbers(text, values)
+    parse.__name__ = "number list"          # argparse's "invalid number list value: '5,x'"
+    return parse
 
 
 def cmd_ep(args) -> _Run:
@@ -175,28 +180,27 @@ def cmd_ep(args) -> _Run:
 
 
 def cmd_transfer(args) -> _Run:
-    if not 1 <= args.M <= MAX_COHERENT_LEVELS - 1:
-        raise StateFileError(f"--M must be in [1, {MAX_COHERENT_LEVELS - 1}], got {args.M}")
-    if args.nbar is not None:
-        _check_option("--nbar", args.nbar, args.nbar >= 0.0, ">= 0")
-    if args.grid is not None and args.path != "quadrature":
-        raise StateFileError("--grid needs --path quadrature")
-    # The grid sink kernel takes particle-number differences modulo the grid
-    # in int64.
-    if args.grid is not None and args.grid > np.iinfo(np.int64).max:
-        raise StateFileError(f"--grid must be at most {np.iinfo(np.int64).max}, "
-                             f"got {args.grid}")
     state = load_state(args.statefile)
-    spec = _transfer_ancilla(args.M, args.nbar)
+    spec = (AncillaSpec.uniform(args.M) if args.nbar is None
+            else coherent_coefficients(args.nbar, args.M))
     config = ProtocolConfig(state, spec, spec)
+    # Each site-A particle number must pair with one site-B number, or its
+    # register sector is a mixture, whose entanglement is undefined.
+    n_a, n_b = (_local_numbers(state.layout, state.amplitudes, site, "field")
+                for site in ("A", "B"))
+    site_b: dict[int, int] = {}
+    for a, b in sorted(set(zip(n_a, n_b))):
+        if site_b.setdefault(a, b) != b:
+            raise StateFileError("transfer needs one site-B particle number per site-A number "
+                                 f"(a fixed total in each sector): site-A number {a} pairs "
+                                 f"with site-B numbers {site_b[a]} and {b}")
+    grid = 2 * args.M + 3
+    particles = config.total_particles
+    if args.path == "quadrature" and particles >= grid:
+        raise GridError(f"--path quadrature needs fewer than 2M + 3 = {grid} particles, "
+                        f"got {particles}")
     rho = run_transfer(config)
-    try:
-        sector_table = register_sector_table(rho)
-    except StateValidationError as exc:
-        # A site-A sector is pure only when its particle number comes with
-        # one site-B number; the register entanglement is undefined otherwise.
-        raise StateFileError("transfer needs one site-B particle number per site-A "
-                             f"number (a fixed total in each sector): {exc}") from exc
+    sector_table = register_sector_table(rho)
     results = {
         "register_state": density_to_dict(rho),
         "sector_weights": {row["n"]: row["weight"] for row in sector_table},
@@ -217,13 +221,13 @@ def cmd_transfer(args) -> _Run:
         results["average_entanglement"] = sum(
             o.probability * o.entanglement for o in outcomes)
     if args.path == "quadrature":
-        grid = 2 * args.M + 3 if args.grid is None else args.grid
         approx = phase_grid_register_state(config, grid)
+        ratio = particles / (args.M + 1)    # see phase_grid_register_state
         results["quadrature"] = {
             "grid": grid,
             "trace": approx.trace(),
             "trace_distance_to_exact": trace_distance(approx, rho),
-            "distance_bound": 3.0 / (args.M + 1),
+            "distance_bound": ratio + ratio ** 2 / 2,
         }
     inputs = {"statefile": args.statefile, "M": args.M, "path": args.path, "nbar": args.nbar}
     return _Run(inputs, results)
@@ -258,8 +262,6 @@ def _coherent_references(ntr: float, local_scale: float) -> tuple[AncillaSpec, A
 
 
 def cmd_measure(args) -> _Run:
-    _check_option("--ntr", args.ntr, args.ntr >= 1.0, ">= 1")
-    _check_option("--local-scale", args.local_scale, args.local_scale > 0.0, "> 0")
     transported, local = _coherent_references(args.ntr, args.local_scale)
     c = visibility(transported, local)
     variance = transported.variance
@@ -298,12 +300,8 @@ def sweep_csv(rows: list[dict]) -> str:
 
 
 def cmd_sweep(args) -> _Run:
-    ntr_values = _float_list("--ntr-list", args.ntr_list)
-    if not ntr_values:
-        raise StateFileError("empty --ntr-list")
-    _check_option("--local-scale", args.local_scale, args.local_scale > 0.0, "> 0")
+    ntr_values = args.ntr_list.values
     for value in ntr_values:
-        _check_option("every --ntr-list value", value, value >= 1.0, ">= 1")
         _reference_truncations(value, args.local_scale)
     rows = sweep_rows(ntr_values, args.local_scale)
     efs = [r["ef"] for r in rows]
@@ -348,21 +346,9 @@ def _coherent_pair_check(nbar_pair: list[float], space: PhaseOperatorSpace):
 
 
 def cmd_bounds(args) -> _Run:
-    if not 16 <= args.s <= MAX_BOUNDS_S:
-        raise StateFileError(f"--s must be in [16, {MAX_BOUNDS_S}], got {args.s}")
-    if args.seeds < 1:
-        raise StateFileError(f"--seeds must be >= 1, got {args.seeds}")
-    if not 0 <= args.seed <= 2 ** 32 - 1:
-        raise StateFileError(f"--seed must be in [0, {2 ** 32 - 1}], got {args.seed}")
     space = PhaseOperatorSpace(args.s)
-    nbar_pair = None
-    if args.nbar is not None:
-        nbar_pair = _float_list("--nbar", args.nbar)
-        if len(nbar_pair) != 2:
-            raise StateFileError(f"--nbar takes two values, got {args.nbar!r}")
-        for value in nbar_pair:
-            _check_option("every --nbar value", value, value >= 0.0, ">= 0")
-        s_pair, pair_rep = _coherent_pair_check(nbar_pair, space)
+    if args.nbar:
+        s_pair, pair_rep = _coherent_pair_check(args.nbar.values, space)
     rng = np.random.RandomState(args.seed)
     # Each report is folded in as it comes out; none is kept.
     summary: dict[str, dict] = {}
@@ -393,11 +379,11 @@ def cmd_bounds(args) -> _Run:
     }
     if offenders:
         results["violating_states"] = offenders
-    if nbar_pair:
+    if args.nbar:
         results["trig_identity_max_residual"] = max(trig_max,
                                                     abs(pair_rep.trig_identity_residual))
         results["coherent_pair"] = {
-            "nbar": nbar_pair,
+            "nbar": args.nbar.values,
             "s": s_pair,
             "visibility_sq": pair_rep.visibility_sq,
             "checks": {c.name: {"lhs": c.lhs, "rhs": c.rhs, "slack": c.slack}
@@ -408,8 +394,8 @@ def cmd_bounds(args) -> _Run:
     failure = None
     if violations:
         failure = InequalityViolation(f"{violations} inequality violations")
-    return _Run({"seeds": args.seeds, "s": args.s, "nbar": args.nbar}, results,
-                failure=failure)
+    return _Run({"seeds": args.seeds, "s": args.s, "nbar": args.nbar and args.nbar.text},
+                results, failure=failure)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -438,41 +424,53 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_tr = add("transfer", cmd_transfer, "run the register transfer protocol")
     p_tr.add_argument("statefile")
-    p_tr.add_argument("--M", type=int, default=32, help="ancilla truncation")
-    p_tr.add_argument("--grid", type=int, default=None, help="--path quadrature grid size")
+    p_tr.add_argument("--M", type=_checked(int, lambda m: 1 <= m < MAX_COHERENT_LEVELS,
+                                           f"in [1, {MAX_COHERENT_LEVELS - 1}]"),
+                      default=32, help="ancilla truncation")
     p_tr.add_argument("--path", choices=("exact", "quadrature"), default="exact")
-    p_tr.add_argument("--nbar", type=float, default=None,
+    p_tr.add_argument("--nbar", type=_NON_NEGATIVE, default=None,
                       help="coherent ancilla mean (default: uniform amplitudes)")
 
     p_me = add("measure", cmd_measure, "phase-difference measurement analysis")
-    p_me.add_argument("--ntr", type=float, default=100.0,
+    p_me.add_argument("--ntr", type=_AT_LEAST_ONE, default=100.0,
                       help="mean transported particle number")
-    p_me.add_argument("--local-scale", type=float, default=10.0,
+    p_me.add_argument("--local-scale", type=_POSITIVE, default=10.0,
                       help="local/transported coherent amplitude ratio "
                            "(local mean occupation is scale^2 * ntr)")
 
     p_sw = add("sweep", cmd_sweep, "visibility / formation entanglement table")
-    p_sw.add_argument("--ntr-list", required=True, help="comma-separated ntr values")
-    p_sw.add_argument("--local-scale", type=float, default=10.0)
+    p_sw.add_argument("--ntr-list", type=_numbers(_AT_LEAST_ONE), required=True,
+                      help="comma-separated ntr values")
+    p_sw.add_argument("--local-scale", type=_POSITIVE, default=10.0)
     p_sw.add_argument("--format", choices=("json", "csv"), default="json",
                       help="--out file format")
 
     p_bo = add("bounds", cmd_bounds, "uncertainty inequality sweep")
-    p_bo.add_argument("--seeds", type=int, default=100, help="number of random states")
-    p_bo.add_argument("--s", type=int, default=256, help="phase-space truncation")
-    p_bo.add_argument("--nbar", default=None,
+    p_bo.add_argument("--seeds", type=_checked(int, lambda n: n >= 1, ">= 1"), default=100,
+                      help="number of random states")
+    p_bo.add_argument("--s", type=_checked(int, lambda s: 16 <= s <= MAX_BOUNDS_S,
+                                           f"in [16, {MAX_BOUNDS_S}]"),
+                      default=256, help="phase-space truncation")
+    p_bo.add_argument("--nbar", type=_numbers(_NON_NEGATIVE, count=2), default=None,
                       help="comma pair, e.g. 25,250: add a coherent-pair check")
-    p_bo.add_argument("--seed", type=int, default=42, help="seed of the random draws")
+    p_bo.add_argument("--seed", type=_checked(int, lambda n: 0 <= n < 2 ** 32,
+                                              f"in [0, {2 ** 32 - 1}]"),
+                      default=42, help="seed of the random draws, 0 to 2^32 - 1 (default 42)")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Parse, run one subcommand, write ``--out``, print the report and map
-    every expected failure to its exit code with a one-line ``error:``."""
+    """Parse, run one subcommand, write ``--out`` and print the report: a
+    ``warning:`` line per warning, an exit code and ``error:`` line per failure."""
     try:
         args = build_parser().parse_args(argv)
         started = time.perf_counter()
-        run = args.func(args)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", UserWarning)
+            try:
+                run = args.func(args)
+            finally:
+                sys.stderr.writelines(f"warning: {w.message}\n" for w in caught)
         # Rendered once: the --out document and the report carry this text.
         results = dump_json(run.results, depth=1)
         if args.out:

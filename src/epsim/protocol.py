@@ -411,10 +411,10 @@ def phase_grid_register_state(config: ProtocolConfig, K: int) -> DensityOperator
     kernels of ``_grid_sink_kernel``, so, like ``run_transfer``, the result
     is confined to coherences between labels whose local numbers agree modulo
     K.  Retaining the boundary branches overcounts their weight,
-    G_Z(n, n) = 1 + 2n/(M_Z+1) for n <= M_Z+1, so the trace is
-    sum_r |amp_r|^2 G_A(n_A,r, n_A,r) G_B(n_B,r, n_B,r) = 1 + O(N/(M+1)) and
-    the result sits at trace distance <= 3/(M+1) from the exact
-    ``run_transfer`` output (N <= 2), shrinking as the truncation grows.
+    G_Z(n, n) = 1 + 2n/(M_Z+1) for n <= M_Z+1 (3 past it).  For K > N the
+    result is the ``run_transfer`` output with each sector (n_A, n_B) scaled
+    by G_A(n_A, n_A) G_B(n_B, n_B) >= 1, so it sits at trace distance
+    (trace - 1)/2 <= N/(M+1) + N^2/(2(M+1)^2) from it, M the smaller truncation.
     """
     M_a, M_b = config.ancilla_a.M, config.ancilla_b.M
     K_min = 2 * max(M_a, M_b) + 3

@@ -11,7 +11,7 @@ Mode ids, sites and kinds are strings, capacities and occupations are
 integers (a float with no fractional part is accepted) and amplitudes are
 [real, imaginary] pairs of finite numbers; anything else is a parse error.
 Files whose norm deviates from 1 by at most 1e-6 are renormalized with a
-warning; larger deviations are parse errors.
+``UserWarning``; larger deviations are parse errors.
 
 Results are written by ``dump_json``, one pass over the result tree that
 rounds every float to 12 significant digits as it writes it, so identical
@@ -28,6 +28,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+import warnings
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -114,7 +115,7 @@ def parse_state(data: dict) -> PureState:
     _require(abs(norm - 1.0) <= NORM_FILE_TOL,
              f"amplitudes have norm {norm}; expected 1 within {NORM_FILE_TOL}")
     if norm != 1.0:
-        print(f"warning: renormalizing state file (norm {norm})", file=sys.stderr)
+        warnings.warn(f"renormalizing state file (norm {norm})", stacklevel=2)
     try:
         return PureState(layout, amps, normalize=True)
     except StateValidationError as exc:

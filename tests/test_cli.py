@@ -113,23 +113,49 @@ class TestTransferCommand:
         quad = report["results"]["quadrature"]
         assert quad["trace_distance_to_exact"] <= 3.0 / 9.0
 
-    def test_undersized_grid_exit_2(self, capsys):
-        code = main(["transfer", data_path("shared_single.json"),
-                     "--M", "8", "--path", "quadrature", "--grid", "5"])
+    @staticmethod
+    def noon_file(tmp_path, n):
+        """(|n, 0> + |0, n>) / sqrt(2) on one mode per site."""
+        path = tmp_path / f"noon{n}.json"
+        path.write_text(json.dumps({
+            "modes": [{"id": "a", "site": "A", "kind": "field", "capacity": n},
+                      {"id": "b", "site": "B", "kind": "field", "capacity": n}],
+            "terms": [{"occ": [n, 0], "amp": [2 ** -0.5, 0.0]},
+                      {"occ": [0, n], "amp": [2 ** -0.5, 0.0]}],
+        }))
+        return str(path)
+
+    def test_quadrature_distance_bound_five_particles(self, capsys, tmp_path):
+        # Past N = 2 the distance passes 3/(M+1) (5/9 here); the printed bound
+        # N/(M+1) + N^2/(2(M+1)^2) holds, and the distance is (trace - 1)/2.
+        code, report = run_cli(capsys, "transfer", self.noon_file(tmp_path, 5),
+                               "--M", "8", "--path", "quadrature")
+        assert code == 0
+        quad = report["results"]["quadrature"]
+        assert quad["distance_bound"] == pytest.approx(5 / 9 + 25 / 162, rel=1e-11)
+        assert quad["trace_distance_to_exact"] <= quad["distance_bound"]
+        assert quad["trace_distance_to_exact"] == pytest.approx((quad["trace"] - 1) / 2,
+                                                                abs=1e-12)
+
+    def test_undersized_grid_exit_2(self, capsys, tmp_path):
+        # The grid of 2M + 3 = 5 points would alias the sectors of 5 particles.
+        code = main(["transfer", self.noon_file(tmp_path, 5), "--M", "1", "--path",
+                     "quadrature"])
         assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.strip()
+        assert err.startswith("error: --path quadrature needs fewer than") and "\n" not in err
 
     @pytest.mark.parametrize("options", [["--M", "0"], ["--M", "-3"],
                                          ["--nbar", "-1"], ["--nbar", "nan"],
                                          ["--nbar", "inf"],
-                                         ["--grid", "5"],
-                                         ["--path", "quadrature", "--grid", "0"],
+                                         ["--nbar", "-inf"], ["--M", "1.5"],
                                          # past MAX_COHERENT_LEVELS - 1, before
                                          # the ancilla is allocated
                                          ["--M", "16777216"], ["--M", "1000000000"],
-                                         # past the int64 modulus of the grid
-                                         # sink kernel
-                                         ["--path", "quadrature", "--grid",
-                                          "99999999999999999999"]])
+                                         # parsed as infinity
+                                         ["--nbar", "1e309"]])
     def test_bad_ancilla_options_exit_2(self, capsys, options):
         code = main(["transfer", data_path("shared_single.json"), *options])
         assert code == 2
@@ -170,19 +196,50 @@ class TestTransferCommand:
 
     def test_mixed_total_exit_2(self, capsys, tmp_path):
         # Site-A number 0 pairs with site-B numbers 0 and 1, so the sector
-        # n_A = 0 of the register state is a mixture.
+        # n_A = 0 of the register state is a mixture, however small the
+        # minority amplitude (norms exactly 1, so no renormalization).
+        path = tmp_path / "mixed.json"
+        for terms in ([([0, 0], 0.6), ([0, 1], 0.8)],
+                      [([1, 0], 0.6), ([0, 1], 0.799999999999375), ([0, 0], 1e-6)]):
+            path.write_text(json.dumps({
+                "modes": [{"id": "a", "site": "A", "kind": "field", "capacity": 1},
+                          {"id": "b", "site": "B", "kind": "field", "capacity": 1}],
+                "terms": [{"occ": occ, "amp": [amp, 0.0]} for occ, amp in terms],
+            }))
+            assert main(["transfer", str(path), "--M", "4"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            err = captured.err.strip()
+            assert err.startswith("error: transfer needs one site-B particle number per "
+                                  "site-A number") and "\n" not in err
+            assert "site-A number 0 pairs with site-B numbers" in err
+
+    def test_warnings_print_before_the_error(self, capsys, tmp_path):
+        # A renormalized mixed-total file: one warning line, then the error.
         path = tmp_path / "mixed.json"
         path.write_text(json.dumps({
             "modes": [{"id": "a", "site": "A", "kind": "field", "capacity": 1},
                       {"id": "b", "site": "B", "kind": "field", "capacity": 1}],
             "terms": [{"occ": [0, 0], "amp": [0.6, 0.0]},
-                      {"occ": [0, 1], "amp": [0.8, 0.0]}],
+                      {"occ": [0, 1], "amp": [0.8000001, 0.0]}],
         }))
         assert main(["transfer", str(path), "--M", "4"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        err = captured.err.strip()
-        assert err.startswith("error:") and "\n" not in err
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 2
+        assert lines[0].startswith("warning: renormalizing state file (norm ")
+        assert lines[1].startswith("error: transfer needs one site-B particle number")
+
+    def test_runtime_warnings_keep_their_filter(self, monkeypatch):
+        # The CLI records UserWarnings only; the suite's error::RuntimeWarning
+        # still raises inside a run.
+        import epsim.cli as cli_module
+
+        def warn(rho):
+            warnings.warn("doctored", RuntimeWarning)
+
+        monkeypatch.setattr(cli_module, "register_sector_table", warn)
+        with pytest.raises(RuntimeWarning, match="doctored"):
+            main(["transfer", data_path("shared_single.json"), "--M", "4"])
 
     def test_emitted_matrix_revalidates(self, capsys, tmp_path):
         out = tmp_path / "t.json"
@@ -493,8 +550,9 @@ class TestBoundsCommand:
     ["transfer", data_path("shared_single.json"), "--M", "abc"],
     ["ep", data_path("shared_single.json"), "--seed", "3"],
     ["measure", "--grid", "64"],
+    ["transfer", data_path("shared_single.json"), "--path", "quadrature", "--grid", "30"],
 ], ids=["no-subcommand", "unknown-subcommand", "ep-no-statefile", "transfer-M-abc",
-        "ep-seed", "measure-grid"])
+        "ep-seed", "measure-grid", "transfer-grid"])
 def test_usage_error_exit_2(capsys, argv):
     assert main(argv) == 2
     captured = capsys.readouterr()
@@ -513,11 +571,10 @@ def test_help_exits_0(capsys):
 def test_no_option_leaks_between_calls(capsys):
     # The parser is built once per process; each call starts from the defaults.
     state = data_path("shared_single.json")
-    code, report = run_cli(capsys, "transfer", state, "--M", "8", "--path", "quadrature",
-                           "--grid", "30")
-    assert code == 0 and report["results"]["quadrature"]["grid"] == 30
-    code, report = run_cli(capsys, "transfer", state, "--M", "8", "--path", "quadrature")
-    assert code == 0 and report["results"]["quadrature"]["grid"] == 2 * 8 + 3
+    code, report = run_cli(capsys, "transfer", state, "--M", "8", "--nbar", "1")
+    assert code == 0 and report["inputs"]["nbar"] == 1.0
+    code, report = run_cli(capsys, "transfer", state, "--M", "8")
+    assert code == 0 and report["inputs"]["nbar"] is None
     code, report = run_cli(capsys, "bounds", "--seeds", "1", "--s", "16", "--seed", "7")
     assert code == 0 and report["seed"] == 7
     code, report = run_cli(capsys, "bounds", "--seeds", "1", "--s", "16")
@@ -724,6 +781,8 @@ def test_malformed_state_file_exit_2(capsys, tmp_path, command, where, key, valu
 
 
 class TestStateFileRoundTrip:
+    # Norms within a few ulps of 1 renormalize with a warning.
+    @pytest.mark.filterwarnings("ignore:renormalizing state file:UserWarning")
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(state=transfer_inputs())
     def test_parse_inverts_state_to_dict(self, state):
@@ -738,7 +797,7 @@ class TestStateFileRoundTrip:
         assert len(state.amplitudes) == 4
         assert np.linalg.norm(list(state.amplitudes.values())) == pytest.approx(1.0, abs=1e-12)
 
-    def test_renormalization_warning(self, tmp_path, capsys):
+    def test_renormalization_warning(self, tmp_path):
         slightly_off = 0.70710678
         path = tmp_path / "near.json"
         path.write_text(json.dumps({
@@ -747,5 +806,6 @@ class TestStateFileRoundTrip:
             "terms": [{"occ": [1, 0], "amp": [slightly_off, 0.0]},
                       {"occ": [0, 1], "amp": [slightly_off, 0.0]}],
         }))
-        state = load_state(str(path))
+        with pytest.warns(UserWarning, match=r"^renormalizing state file \(norm 0\.99"):
+            state = load_state(str(path))
         assert np.linalg.norm(list(state.amplitudes.values())) == pytest.approx(1.0, abs=1e-12)
