@@ -227,7 +227,7 @@ def cmd_transfer(args) -> _Run:
             "grid": grid,
             "trace": approx.trace(),
             "trace_distance_to_exact": trace_distance(approx, rho),
-            "distance_bound": ratio + ratio ** 2 / 2,
+            "distance_bound": ratio + ratio ** 2 / 2 + 1e-12,  # rounding margin
         }
     inputs = {"statefile": args.statefile, "M": args.M, "path": args.path, "nbar": args.nbar}
     return _Run(inputs, results)

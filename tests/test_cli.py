@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 
 from epsim import DensityOperator, ModeDescriptor, ModeLayout
 from epsim.cli import build_parser, main
-from epsim.statefile import StateFileError, load_state, parse_state, state_to_dict
+from epsim.statefile import (StateFileError, format_float, load_state, parse_state,
+                             state_to_dict)
 from epsim.uncertainty import pair_layout
 from conftest import data_path
 from oracles import cli_out_oracle, dump_json_oracle
@@ -136,6 +137,28 @@ class TestTransferCommand:
         assert quad["trace_distance_to_exact"] <= quad["distance_bound"]
         assert quad["trace_distance_to_exact"] == pytest.approx((quad["trace"] - 1) / 2,
                                                                 abs=1e-12)
+
+    def test_quadrature_distance_bound_tight(self, capsys, tmp_path):
+        # 0.6|1,0,1,0> + 0.8|0,1,0,1> keeps all its weight in n_A = n_B = 1,
+        # where the distance reaches N/(M+1) + N^2/(2(M+1)^2); the bound adds
+        # 1e-12 so that rounding cannot put the distance past it, and the
+        # 12-digit rounding of the report keeps the order.
+        path = tmp_path / "tight.json"
+        path.write_text(json.dumps({
+            "modes": [{"id": i, "site": i[0].upper(), "kind": "field", "capacity": 1}
+                      for i in ("a1", "a2", "b1", "b2")],
+            "terms": [{"occ": [1, 0, 1, 0], "amp": [0.6, 0.0]},
+                      {"occ": [0, 1, 0, 1], "amp": [0.8, 0.0]}],
+        }))
+        for M in range(1, 200, 6):
+            code, report = run_cli(capsys, "transfer", str(path), "--M", str(M),
+                                   "--path", "quadrature")
+            assert code == 0
+            quad = report["results"]["quadrature"]
+            formula = 2 / (M + 1) + 2 / (M + 1) ** 2
+            assert quad["distance_bound"] == float(format_float(formula + 1e-12))
+            assert quad["trace_distance_to_exact"] == pytest.approx(formula, rel=1e-11)
+            assert quad["trace_distance_to_exact"] <= quad["distance_bound"]
 
     def test_undersized_grid_exit_2(self, capsys, tmp_path):
         # The grid of 2M + 3 = 5 points would alias the sectors of 5 particles.
