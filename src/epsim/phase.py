@@ -14,8 +14,8 @@ route integrates each reference's density against e^{i theta} on its own
 grid, which the convolution theorem makes the first moment of the
 measurement's resolution kernel, so no kernel is formed.  Each reference
 enters through the non-zero span its ``AncillaSpec`` stores: a coherent
-reference of mean nbar has about 65 sqrt(nbar) non-zero amplitudes at the
-truncation nbar + 10 sqrt(nbar), and under 110 sqrt(nbar) however long its
+reference of large mean nbar stores about 23.4 sqrt(nbar) amplitudes at the
+truncation nbar + 10 sqrt(nbar), and about 26.8 sqrt(nbar) however long its
 truncation.  ``visibility`` has one path: both routes run on every call, and
 a reference whose grid would pass ``QUADRATURE_GRID_CAP`` raises
 ``GridError`` rather than skip the quadrature.
@@ -59,7 +59,7 @@ TWO_PI = 2.0 * math.pi
 
 # Largest quadrature grid visibility() forms for one reference; a larger one
 # raises GridError.  The largest reference the CLI accepts has a span of
-# W = 263,068 and takes a 2^20 grid.
+# W = 95,800 and takes a 2^18 grid, so only library callers reach the cap.
 QUADRATURE_GRID_CAP = 1 << 20
 
 

@@ -120,9 +120,15 @@ class AncillaSpec:
         return f"AncillaSpec(M={self.M}, mean={self.mean:.3f})"
 
 
-# Log weights more than this far below the peak's give amplitudes
-# exp(0.5 * log_w) that underflow to exactly 0.0 (below about -1490.27).
-_LOG_WEIGHT_FLOOR = -1491.0
+# Levels whose log weight lies more than this far below the peak's are
+# dropped.  Each dropped level then weighs under e^F of the peak, and so of
+# the total; a reference has at most 2^24 levels (the CLI's
+# MAX_COHERENT_LEVELS), so the dropped weight is at most 2^24 e^F.  Asking
+# for at most 2^-106, which moves the renormalization factor by far less
+# than half an ulp, gives F = -130 ln 2, about -90.1: nbar -+ 13.4 sqrt(nbar)
+# levels for large nbar.  The kept amplitudes stay above about 1e-22, far
+# from underflow.
+_LOG_WEIGHT_FLOOR = -130.0 * math.log(2.0)
 
 
 def coherent_coefficients(nbar: float, M: int) -> AncillaSpec:
@@ -131,10 +137,11 @@ def coherent_coefficients(nbar: float, M: int) -> AncillaSpec:
     c_n is proportional to the square root of the Poisson weight
     nbar^n e^{-nbar} / n!, renormalized after truncation at M.  Computed in
     log space so large nbar stays finite, and only on the window [lo, hi]
-    outside which every amplitude underflows to 0.0 (about
-    nbar -+ 55 sqrt(nbar) once nbar passes about 3000, whatever M is): the
-    same lgamma values minus the same maximum as over all of 0..M, and
-    normalized over the non-zero levels, which the returned spec stores.
+    of levels within ``_LOG_WEIGHT_FLOOR`` of the peak (about
+    nbar -+ 13.4 sqrt(nbar) once nbar passes about 1000, whatever M is),
+    whose dropped tail weighs at most 2^-106: the same lgamma values minus
+    the same maximum as over all of 0..M, normalized over the window, which
+    the returned spec stores.
     """
     if not (math.isfinite(nbar) and nbar >= 0):
         raise ValueError(f"nbar must be finite and >= 0, got {nbar}")
@@ -155,9 +162,7 @@ def coherent_coefficients(nbar: float, M: int) -> AncillaSpec:
         map(math.lgamma, range(lo + 1, hi + 2)), dtype=float, count=hi + 1 - lo)
     log_w -= log_w.max()
     amps = np.exp(0.5 * log_w)
-    nonzero = np.flatnonzero(amps)
-    amps = amps[nonzero[0]:nonzero[-1] + 1]
-    return AncillaSpec(M, amps / np.linalg.norm(amps), lo=lo + int(nonzero[0]))
+    return AncillaSpec(M, amps / np.linalg.norm(amps), lo=lo)
 
 
 def _coherent_window(log_nbar: float, peak: int, M: int) -> tuple[int, int]:

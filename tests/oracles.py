@@ -5,6 +5,7 @@ sums, grid quadrature) so the library implementations are checked against
 something they do not share code with.
 """
 
+import functools
 import json
 import math
 
@@ -371,20 +372,38 @@ def moment_list(spec):
     return np.array([np.sum(np.conj(c[: len(c) - k]) * c[k:]) for k in range(len(c))])
 
 
-def coherent_amplitudes_full_range(nbar, M):
-    """Truncated coherent amplitudes with one lgamma call per level over all
-    of 0..M, normalized over their non-zero levels: the reference that the
-    library's windowed computation must equal bit for bit."""
+# The cut coherent_coefficients documents: a level whose log weight lies
+# more than 130 ln 2 below the peak's weighs under 2^-130 of the total, so at
+# most 2^24 dropped levels weigh at most 2^-106 together.
+COHERENT_LOG_WEIGHT_FLOOR = -130.0 * math.log(2.0)
+
+
+@functools.lru_cache(maxsize=1)
+def _coherent_log_weights(nbar, M):
+    """n log nbar - lgamma(n + 1) over all of 0..M, minus its maximum
+    (read-only: the cut and uncut amplitudes of one reference share it)."""
     ns = np.arange(M + 1)
     if nbar == 0.0:
         log_w = np.where(ns == 0, 0.0, -np.inf)
     else:
         log_w = ns * math.log(nbar) - np.array([math.lgamma(n + 1) for n in ns])
     log_w -= log_w.max()
-    amps = np.exp(0.5 * log_w)
-    nonzero = np.flatnonzero(amps)
-    span = amps[nonzero[0]:nonzero[-1] + 1]
-    amps[nonzero[0]:nonzero[-1] + 1] = span / np.linalg.norm(span)
+    log_w.flags.writeable = False
+    return log_w
+
+
+def coherent_amplitudes_full_range(nbar, M, floor=-math.inf):
+    """Truncated coherent amplitudes with one lgamma call per level over all
+    of 0..M.  Levels whose log weight lies below ``floor`` from the peak's
+    are set to zero, and the rest normalized over their non-zero span.  With
+    ``floor=COHERENT_LOG_WEIGHT_FLOOR`` this is the reference that the
+    library's windowed computation must equal bit for bit; the default keeps
+    every level whose amplitude does not underflow."""
+    log_w = _coherent_log_weights(nbar, M)
+    amps = np.where(log_w >= floor, np.exp(0.5 * log_w), 0.0)
+    kept = np.flatnonzero(amps)
+    span = amps[kept[0]:kept[-1] + 1]
+    amps[kept[0]:kept[-1] + 1] = span / np.linalg.norm(span)
     return amps
 
 

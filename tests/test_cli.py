@@ -305,7 +305,7 @@ class TestMeasureCommand:
         assert err.startswith("error: visibility routes disagree") and "\n" not in err
 
     def test_cross_check_runs_at_large_transport(self, capsys, monkeypatch):
-        # Grids of 2^17 and 2^18 points over the references' non-zero spans,
+        # Grids of 2^16 and 2^17 points over the references' stored spans,
         # where the full truncations (2M + 3 > 2^20) used to skip the check.
         self._rotate_transported_moment(monkeypatch)
         assert main(["measure", "--ntr", "1e6", "--local-scale", "1.5"]) == 5

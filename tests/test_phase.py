@@ -171,8 +171,8 @@ class TestVisibility:
         assert c == pytest.approx(np.conj(kernel.grid_moment(1)), abs=1e-12)
 
     def test_nonzero_spans_equal_full_grid(self):
-        # nbar = 5000 has about 1,700 zero levels below its non-zero span
-        # and M = 12000 about 2,700 above it; the spec stores the span only,
+        # nbar = 5000 has about 4,100 levels below its kept span and
+        # M = 12000 about 6,000 above it; the spec stores the span only,
         # and the default route takes each span on its own grid.
         spec_a = coherent_coefficients(5000.0, 12000)
         spec_b = coherent_coefficients(20.0, 70)

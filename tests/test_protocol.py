@@ -34,10 +34,12 @@ from epsim import (
     tensor_product,
     trace_distance,
     transfer_final_state,
+    visibility,
 )
+from epsim.cli import _coherent_truncation
 from conftest import random_two_site_state, shared_double, shared_single
-from oracles import (coherent_amplitudes_full_range, dense, equal_different_oracle,
-                     gate_final_state, gate_register_state, mixture,
+from oracles import (COHERENT_LOG_WEIGHT_FLOOR, coherent_amplitudes_full_range, dense,
+                     equal_different_oracle, gate_final_state, gate_register_state, mixture,
                      truncated_phase_state, two_mode_ancilla_state)
 from strategies import ancilla_specs, binary_pair_inputs, random_ancillas, transfer_inputs
 
@@ -148,7 +150,7 @@ class TestCoherentCoefficients:
     @given(data=st.data())
     def test_window_equals_full_range_oracle(self, data):
         # The vacuum, nbar log-uniform up to the largest CLI reference with M
-        # below nbar or far above it (past the upper underflow edge too),
+        # below nbar or far above it (past the upper cut too),
         # and the nbar = 1e20, M = 4 case that a Gaussian cut gets wrong.
         kind = data.draw(st.sampled_from(("vacuum", "below", "above", "huge")))
         if kind == "vacuum":
@@ -165,14 +167,23 @@ class TestCoherentCoefficients:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             spec = coherent_coefficients(nbar, m)
-        assert np.array_equal(dense(spec), coherent_amplitudes_full_range(nbar, m))
+        assert np.array_equal(dense(spec), coherent_amplitudes_full_range(
+            nbar, m, floor=COHERENT_LOG_WEIGHT_FLOOR))
+        # The levels the cut drops carry at most 2^-106 of the uncut weight.
+        weights = np.abs(coherent_amplitudes_full_range(nbar, m)) ** 2
+        dropped = weights[:spec.lo].sum() + weights[spec.lo + spec.coefficients.size:].sum()
+        assert dropped <= 2.0 ** -106
 
-    @pytest.mark.parametrize("m, levels", [(16_040_000, 300_000), (2 ** 24 - 1, 440_000)])
+    # nbar = 1.6e7 at the CLI's truncation nbar + 10 sqrt(nbar), and at the
+    # longest one.  Near the peak the log weight falls as -d^2 / (2 nbar) at
+    # d levels away, so the floor F cuts about sqrt(2 |F| nbar) = 53,698 levels
+    # from nbar on each side; the Poisson skew moves the upper edge out by
+    # about d / (6 nbar), 0.05%, which the 1% slack covers.
+    EDGE = 1.01 * math.sqrt(-2.0 * COHERENT_LOG_WEIGHT_FLOOR * 1.6e7)
+
+    @pytest.mark.parametrize("m, levels", [(16_040_000, math.ceil(10.0 * math.sqrt(1.6e7) + EDGE)),
+                                           (2 ** 24 - 1, math.ceil(2.0 * EDGE))])
     def test_largest_reference_stores_its_span_only(self, m, levels):
-        # nbar = 1.6e7 at the CLI's truncation nbar + 10 sqrt(nbar), and at the
-        # longest one: amplitudes stay non-zero (subnormal at the edges) out
-        # to about 54.6 sqrt(nbar) below and above nbar, so the span is under
-        # 110 sqrt(nbar) = 440,000 levels however long the truncation.
         spec = coherent_coefficients(1.6e7, m)
         assert spec.coefficients.size < levels
         assert spec.coefficients[0] != 0.0 and spec.coefficients[-1] != 0.0
@@ -190,15 +201,28 @@ class TestCoherentCoefficients:
     @pytest.mark.parametrize("nbar, m", [(1.0, 2 ** 24 - 1), (5000.0, 12000),
                                          (1.6e7, 2 ** 24 - 1), (1e20, 4)])
     def test_lgamma_only_on_the_span(self, monkeypatch, nbar, m):
-        # The span's levels (plus the few whose amplitude rounds to zero only
-        # once normalized) and the two O(log M) bisections, whatever M is.
+        # The span's levels and the two O(log M) bisections, whatever M is.
         calls = []
         lgamma = math.lgamma
         monkeypatch.setattr(math, "lgamma", lambda x: calls.append(x) or lgamma(x))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             spec = coherent_coefficients(nbar, m)
-        assert len(calls) <= 1.01 * spec.coefficients.size + 2 * (m.bit_length() + 2)
+        assert len(calls) <= spec.coefficients.size + 2 * (m.bit_length() + 2)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(log_nbar=st.floats(-3.0, math.log10(2e5)))
+    def test_cut_changes_no_reported_quantity(self, log_nbar):
+        # At the CLI truncation, the window's mean, variance, first moment
+        # and visibility match those of every non-underflowing level.
+        nbar = 10.0 ** log_nbar
+        m = _coherent_truncation(nbar)
+        cut = coherent_coefficients(nbar, m)
+        uncut = AncillaSpec(m, coherent_amplitudes_full_range(nbar, m))
+        assert cut.mean == pytest.approx(uncut.mean, rel=1e-14, abs=0.0)
+        assert cut.variance == pytest.approx(uncut.variance, rel=1e-14, abs=0.0)
+        assert abs(cut.first_moment() - uncut.first_moment()) <= 1e-14
+        assert abs(visibility(cut, cut) - visibility(uncut, uncut)) <= 1e-14
 
 
 class TestAncillaSpec:
