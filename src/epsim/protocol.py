@@ -139,9 +139,15 @@ def coherent_coefficients(nbar: float, M: int) -> AncillaSpec:
     log space so large nbar stays finite, and only on the window [lo, hi]
     of levels within ``_LOG_WEIGHT_FLOOR`` of the peak (about
     nbar -+ 13.4 sqrt(nbar) once nbar passes about 1000, whatever M is),
-    whose dropped tail weighs at most 2^-106: the same lgamma values minus
-    the same maximum as over all of 0..M, normalized over the window, which
-    the returned spec stores.
+    whose dropped tail weighs at most 2^-106, normalized over the window,
+    which the returned spec stores.
+
+    The log weights follow from the Poisson ratio w_n / w_{n-1} = nbar / n.
+    Relative to the peak p = min(M, floor(nbar)), log w_n is the running sum
+    of -log(k / nbar) over k = p+1..n above the peak, and of log(k / nbar)
+    over k = n+1..p below it.  Each step carries about one rounding, where
+    n log nbar - lgamma(n + 1) loses about an ulp of lgamma(n + 1) to
+    cancellation at every level.
     """
     if not (math.isfinite(nbar) and nbar >= 0):
         raise ValueError(f"nbar must be finite and >= 0, got {nbar}")
@@ -153,14 +159,16 @@ def coherent_coefficients(nbar: float, M: int) -> AncillaSpec:
         )
     if nbar == 0.0:
         return AncillaSpec(M, [1.0])
-    # The factor e^{-nbar} is constant in n and cancels in the
-    # renormalization; kept in the log weights it would swamp the
-    # n-dependent terms once nbar passes about 1e17.
-    log_nbar = math.log(nbar)
-    lo, hi = _coherent_window(log_nbar, min(M, math.floor(nbar)), M)
-    log_w = np.arange(lo, hi + 1) * log_nbar - np.fromiter(
-        map(math.lgamma, range(lo + 1, hi + 2)), dtype=float, count=hi + 1 - lo)
-    log_w -= log_w.max()
+    peak = min(M, math.floor(nbar))
+    lo, hi = _coherent_window(math.log(nbar), peak, M)
+    # steps[k - lo - 1] = log(k / nbar) = log w_{k-1} - log w_k for k in
+    # lo+1..hi.  Not log1p((k - nbar) / nbar): at nbar = 1e20 the difference
+    # k - nbar rounds to -nbar and log1p gives -inf.
+    steps = np.log(np.arange(lo + 1, hi + 1) / nbar)
+    p = peak - lo
+    log_w = np.zeros(hi + 1 - lo)
+    log_w[:p] = np.cumsum(steps[:p][::-1])[::-1]
+    log_w[p + 1:] = -np.cumsum(steps[p:])
     amps = np.exp(0.5 * log_w)
     return AncillaSpec(M, amps / np.linalg.norm(amps), lo=lo)
 

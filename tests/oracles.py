@@ -5,6 +5,7 @@ sums, grid quadrature) so the library implementations are checked against
 something they do not share code with.
 """
 
+import decimal
 import functools
 import json
 import math
@@ -396,15 +397,43 @@ def coherent_amplitudes_full_range(nbar, M, floor=-math.inf):
     """Truncated coherent amplitudes with one lgamma call per level over all
     of 0..M.  Levels whose log weight lies below ``floor`` from the peak's
     are set to zero, and the rest normalized over their non-zero span.  With
-    ``floor=COHERENT_LOG_WEIGHT_FLOOR`` this is the reference that the
-    library's windowed computation must equal bit for bit; the default keeps
-    every level whose amplitude does not underflow."""
+    ``floor=COHERENT_LOG_WEIGHT_FLOOR`` it has the support of the library's
+    windowed computation, and its values match it within this route's own
+    rounding, about an ulp of n |log nbar| + lgamma(n + 1) in each log
+    weight; the default keeps every level whose amplitude does not
+    underflow."""
     log_w = _coherent_log_weights(nbar, M)
     amps = np.where(log_w >= floor, np.exp(0.5 * log_w), 0.0)
     kept = np.flatnonzero(amps)
     span = amps[kept[0]:kept[-1] + 1]
     amps[kept[0]:kept[-1] + 1] = span / np.linalg.norm(span)
     return amps
+
+
+def coherent_moments_decimal(nbar, lo, hi):
+    """Coherent amplitudes on the levels lo..hi, normalized over them, with
+    their mean, variance and first moment sum_n c_n c_{n+1}, all in 40-digit
+    decimal arithmetic and rounded to floats at the end.
+
+    The weights are w_n / w_lo = prod_{k=lo+1}^{n} nbar / k, the definition
+    nbar^n / n! with its common factor divided out: one decimal division and
+    one square root per level, no logarithm, so nothing is shared with the
+    library's float route, and over W + 1 levels each weight carries about
+    W 10^-40 relative rounding."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        x = decimal.Decimal(nbar)
+        weights = [decimal.Decimal(1)]
+        for k in range(lo + 1, hi + 1):
+            weights.append(weights[-1] * x / k)
+        total = sum(weights)
+        probs = [w / total for w in weights]
+        amps = [p.sqrt() for p in probs]
+        mean = sum((lo + i) * p for i, p in enumerate(probs))
+        variance = sum((lo + i - mean) ** 2 * p for i, p in enumerate(probs))
+        first = sum(a * b for a, b in zip(amps, amps[1:]))
+        return (np.array([float(a) for a in amps]), float(mean), float(variance),
+                float(first))
 
 
 def phase_difference_povm_oracle(state, mode_a, mode_b, varphi):

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from epsim import (
@@ -38,9 +38,9 @@ from epsim import (
 )
 from epsim.cli import _coherent_truncation
 from conftest import random_two_site_state, shared_double, shared_single
-from oracles import (COHERENT_LOG_WEIGHT_FLOOR, coherent_amplitudes_full_range, dense,
-                     equal_different_oracle, gate_final_state, gate_register_state, mixture,
-                     truncated_phase_state, two_mode_ancilla_state)
+from oracles import (COHERENT_LOG_WEIGHT_FLOOR, coherent_amplitudes_full_range,
+                     coherent_moments_decimal, dense, equal_different_oracle, gate_final_state,
+                     gate_register_state, mixture, truncated_phase_state, two_mode_ancilla_state)
 from strategies import ancilla_specs, binary_pair_inputs, random_ancillas, transfer_inputs
 
 
@@ -167,8 +167,19 @@ class TestCoherentCoefficients:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             spec = coherent_coefficients(nbar, m)
-        assert np.array_equal(dense(spec), coherent_amplitudes_full_range(
-            nbar, m, floor=COHERENT_LOG_WEIGHT_FLOOR))
+        oracle = coherent_amplitudes_full_range(nbar, m, floor=COHERENT_LOG_WEIGHT_FLOOR)
+        # The same support exactly.
+        amps = dense(spec)
+        assert np.array_equal(amps != 0, oracle != 0)
+        # The same values within the oracle's own rounding: each of its log
+        # weights n log nbar - lgamma(n + 1) carries about an ulp of its
+        # terms, at most 2^-53 (hi |log nbar| + lgamma(hi + 1)), which the
+        # amplitude halves.  The bound is 16 times that, fixed in advance.
+        hi = spec.lo + spec.coefficients.size - 1
+        scale = 1.0 + (hi * abs(math.log(nbar)) if nbar else 0.0) + math.lgamma(hi + 1)
+        kept = oracle != 0
+        assert np.all(np.abs(amps[kept] - oracle[kept])
+                      <= 2.0 ** -49 * scale * np.abs(oracle[kept]))
         # The levels the cut drops carry at most 2^-106 of the uncut weight.
         weights = np.abs(coherent_amplitudes_full_range(nbar, m)) ** 2
         dropped = weights[:spec.lo].sum() + weights[spec.lo + spec.coefficients.size:].sum()
@@ -201,28 +212,51 @@ class TestCoherentCoefficients:
     @pytest.mark.parametrize("nbar, m", [(1.0, 2 ** 24 - 1), (5000.0, 12000),
                                          (1.6e7, 2 ** 24 - 1), (1e20, 4)])
     def test_lgamma_only_on_the_span(self, monkeypatch, nbar, m):
-        # The span's levels and the two O(log M) bisections, whatever M is.
+        # lgamma only locates the span: the two O(log M) bisections for its
+        # edges, however many levels it holds.  The levels themselves come
+        # from the ratio recurrence.
         calls = []
         lgamma = math.lgamma
         monkeypatch.setattr(math, "lgamma", lambda x: calls.append(x) or lgamma(x))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            spec = coherent_coefficients(nbar, m)
-        assert len(calls) <= spec.coefficients.size + 2 * (m.bit_length() + 2)
+            coherent_coefficients(nbar, m)
+        assert len(calls) <= 2 * (m.bit_length() + 2)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(log_nbar=st.floats(-3.0, math.log10(2e5)))
     def test_cut_changes_no_reported_quantity(self, log_nbar):
-        # At the CLI truncation, the window's mean, variance, first moment
-        # and visibility match those of every non-underflowing level.
+        # At the CLI truncation, the cut window's mean, variance, first
+        # moment and visibility match those of every non-underflowing level.
+        # Both sides share the oracle's lgamma values, so only the cut
+        # differs; the library route's accuracy is the next test's.
         nbar = 10.0 ** log_nbar
         m = _coherent_truncation(nbar)
-        cut = coherent_coefficients(nbar, m)
+        cut = AncillaSpec(m, coherent_amplitudes_full_range(
+            nbar, m, floor=COHERENT_LOG_WEIGHT_FLOOR))
         uncut = AncillaSpec(m, coherent_amplitudes_full_range(nbar, m))
         assert cut.mean == pytest.approx(uncut.mean, rel=1e-14, abs=0.0)
         assert cut.variance == pytest.approx(uncut.variance, rel=1e-14, abs=0.0)
         assert abs(cut.first_moment() - uncut.first_moment()) <= 1e-14
         assert abs(visibility(cut, cut) - visibility(uncut, uncut)) <= 1e-14
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(log_nbar=st.floats(-3.0, math.log10(2e5)))
+    @example(log_nbar=math.log10(2e5))
+    def test_matches_decimal_reference(self, log_nbar):
+        # At the CLI truncation, against 40-digit decimal arithmetic over the
+        # same window of W + 1 levels.  Each log weight is a sum of up to W
+        # rounded steps, so the amplitudes get a bound linear in W; the
+        # moments are fixed at 1e-14.
+        nbar = 10.0 ** log_nbar
+        spec = coherent_coefficients(nbar, _coherent_truncation(nbar))
+        w = spec.coefficients.size - 1
+        amps, mean, variance, first = coherent_moments_decimal(nbar, spec.lo, spec.lo + w)
+        assert np.all(np.abs(spec.coefficients - amps) <= (w + 4) * 2.0 ** -50 * amps)
+        assert spec.mean == pytest.approx(mean, rel=1e-14, abs=0.0)
+        assert spec.variance == pytest.approx(variance, rel=1e-14, abs=0.0)
+        assert abs(spec.first_moment() - first) <= 1e-14
+        assert abs(visibility(spec, spec) - first ** 2) <= 1e-14
 
 
 class TestAncillaSpec:
