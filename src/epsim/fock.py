@@ -140,12 +140,16 @@ class PureState:
             label = tuple(int(x) for x in label)
             layout.check_label(label)
             amp = complex(amp)
-            if abs(amp) >= AMP_DROP_TOL:
+            # Written so that NaN is kept (every comparison with it is false)
+            # and then rejected with the norm below, not silently dropped.
+            if not abs(amp) < AMP_DROP_TOL:
                 amps[label] = amps.get(label, 0.0 + 0.0j) + amp
-        amps = {l: a for l, a in amps.items() if abs(a) >= AMP_DROP_TOL}
+        amps = {l: a for l, a in amps.items() if not abs(a) < AMP_DROP_TOL}
         if not amps:
             raise StateValidationError("state has no amplitude above the drop threshold")
         norm = math.sqrt(sum(abs(a) ** 2 for a in amps.values()))
+        if not math.isfinite(norm):
+            raise StateValidationError(f"state norm {norm}: an amplitude is not finite")
         if normalize:
             amps = {l: a / norm for l, a in amps.items()}
         elif abs(norm - 1.0) > NORM_TOL:
@@ -190,7 +194,10 @@ class DensityOperator:
     the dense representation in that basis.  ``check_trace=False`` relaxes
     only the unit-trace requirement (used by the deliberately unnormalized
     phase-grid reconstruction, and by the reference phase shift, which keeps
-    its input's trace); hermiticity and positivity always hold.
+    its input's trace); finiteness, hermiticity and positivity always hold.
+    ``with_matrix`` puts another matrix on an operator's already-checked
+    layout and basis, running every matrix check again but none of the
+    basis checks.
     """
 
     def __init__(self, layout: ModeLayout, basis: list[tuple[int, ...]],
@@ -202,24 +209,24 @@ class DensityOperator:
             raise StateValidationError("basis labels must be in lexicographic order")
         if len(set(basis)) != len(basis):
             raise StateValidationError("duplicate basis labels")
-        matrix = np.asarray(matrix, dtype=complex)
-        if matrix.shape != (len(basis), len(basis)):
-            raise StateValidationError(
-                f"matrix shape {matrix.shape} does not match basis size {len(basis)}"
-            )
-        herm_err = np.max(np.abs(matrix - matrix.conj().T)) if len(basis) else 0.0
-        if herm_err > HERM_TOL:
-            raise StateValidationError(f"matrix not Hermitian: max deviation {herm_err}")
-        evals = np.linalg.eigvalsh((matrix + matrix.conj().T) / 2.0)
-        if evals.size and evals.min() < -PSD_TOL:
-            raise StateValidationError(f"matrix not PSD: min eigenvalue {evals.min()}")
-        tr = float(np.real(np.trace(matrix)))
-        if check_trace and abs(tr - 1.0) > NORM_TOL:
-            raise StateValidationError(f"trace {tr} deviates from 1 beyond {NORM_TOL}")
         self.layout = layout
         self.basis = basis
-        self.matrix = matrix
+        self.matrix = _checked_matrix(matrix, len(basis), check_trace)
         self._index = {label: i for i, label in enumerate(basis)}
+
+    def with_matrix(self, matrix: np.ndarray, check_trace: bool = True) -> "DensityOperator":
+        """Operator with ``matrix`` on this one's layout and basis.
+
+        Accepts or rejects exactly as ``DensityOperator(self.layout,
+        self.basis, matrix, check_trace)`` does; the result gets its own copy
+        of the basis list.
+        """
+        out = object.__new__(DensityOperator)
+        out.layout = self.layout
+        out.basis = list(self.basis)
+        out.matrix = _checked_matrix(matrix, len(self.basis), check_trace)
+        out._index = self._index
+        return out
 
     def trace(self) -> float:
         return float(np.real(np.trace(self.matrix)))
@@ -232,6 +239,29 @@ class DensityOperator:
 
     def __repr__(self):
         return f"DensityOperator(dim={len(self.basis)} over {self.layout.ids()})"
+
+
+def _checked_matrix(matrix, size: int, check_trace: bool) -> np.ndarray:
+    """``matrix`` as a complex array, once it is size x size, finite,
+    Hermitian, PSD and (with ``check_trace``) of unit trace."""
+    matrix = np.asarray(matrix, dtype=complex)
+    if matrix.shape != (size, size):
+        raise StateValidationError(
+            f"matrix shape {matrix.shape} does not match basis size {size}"
+        )
+    # Every comparison with NaN is false, so the checks below would pass it.
+    if not np.isfinite(matrix).all():
+        raise StateValidationError("matrix has non-finite entries")
+    herm_err = np.abs(matrix - matrix.conj().T).max() if size else 0.0
+    if herm_err > HERM_TOL:
+        raise StateValidationError(f"matrix not Hermitian: max deviation {herm_err}")
+    evals = np.linalg.eigvalsh((matrix + matrix.conj().T) / 2.0)
+    if evals.size and evals.min() < -PSD_TOL:
+        raise StateValidationError(f"matrix not PSD: min eigenvalue {evals.min()}")
+    tr = float(matrix.trace().real)
+    if check_trace and abs(tr - 1.0) > NORM_TOL:
+        raise StateValidationError(f"trace {tr} deviates from 1 beyond {NORM_TOL}")
+    return matrix
 
 
 def _split(labels, row_key, col_key):

@@ -26,13 +26,14 @@ one it rebuilds coherence between terms that differ by k particles moved
 between the sites (Bartlett, Rudolph & Spekkens, RMP 79, 555 (2007)).  The
 measured register matrix is therefore a trigonometric polynomial in the
 angle, T(phi) = sum_k e^{-i phi k} Q_k with |k| <= D - 1, whose Fourier
-coefficients Q_k are formed once per state from integer-key groups.  An
-angle then costs one length-D ramp and one contraction, O(D R^2) for R
-register labels, with D <= N + 1 on the protocol's final state of N
-particles.  ``resolution_kernel`` is no longer called here; it is the
-reference the tests check the visibility's first moment against.  The
-per-lag moment sums and the per-term dict grouping are the test oracles in
-``tests/oracles.py``.
+coefficients Q_k are formed from integer-key groups on the first angle
+measured on a state, and kept, with its register basis checked once, for
+as long as the state lives.  An angle then costs one length-D ramp, one
+contraction, O(D R^2) for R register labels, and the matrix checks of its
+output, with D <= N + 1 on the protocol's final state of N particles.
+``resolution_kernel`` is no longer called here; it is the reference the
+tests check the visibility's first moment against.  The per-lag moment sums
+and the per-term dict grouping are the test oracles in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,6 +85,9 @@ class PhaseDistribution:
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", values)
+        # Every comparison with NaN is false, so the checks below would pass it.
+        if not np.isfinite(values).all():
+            raise StateValidationError("density has non-finite values")
         if values.min() < -1e-12:
             raise StateValidationError(f"negative density value {values.min()}")
         total = TWO_PI / len(values) * float(values.sum())
@@ -199,19 +204,28 @@ def register_pair_layout() -> ModeLayout:
     ))
 
 
+@functools.cache
+def _register_pair() -> DensityOperator:
+    """Maximally mixed state on the fixed basis of every post-measurement
+    register state, built and checked on first use, not at import: its
+    ``eigvalsh`` would load LAPACK into every process that imports epsim."""
+    return DensityOperator(register_pair_layout(), [(0, 0), (0, 1), (1, 0), (1, 1)],
+                           np.eye(4) / 4)
+
+
 def post_measurement_register_state(c: complex) -> DensityOperator:
     """Two-register state (|10><10| + C |10><01| + h.c. + |01><01|) / 2."""
     c = complex(c)
     if abs(c) > 1.0 + 1e-10:
         raise StateValidationError(f"|C| = {abs(c)} exceeds 1")
-    basis = [(0, 0), (0, 1), (1, 0), (1, 1)]
+    pair = _register_pair()
     mat = np.zeros((4, 4), dtype=complex)
-    i01, i10 = basis.index((0, 1)), basis.index((1, 0))
+    i01, i10 = pair.index((0, 1)), pair.index((1, 0))
     mat[i10, i10] = 0.5
     mat[i01, i01] = 0.5
     mat[i10, i01] = c / 2.0
     mat[i01, i10] = np.conj(c) / 2.0
-    return DensityOperator(register_pair_layout(), basis, mat)
+    return pair.with_matrix(mat)
 
 
 # Mixed-radix keys are re-ranked before they could pass this bound, so no
@@ -242,12 +256,26 @@ class _PovmPlan:
     with Q_{-k} = Q_k^H."""
 
     coeffs: np.ndarray        # Q_0 / 2, Q_1, ..., Q_{D-1}, each R x R
-    basis: list[tuple[int, ...]]
-    reg_layout: ModeLayout
+    template: DensityOperator  # maximally mixed, on the checked register basis
 
 
-@functools.lru_cache(maxsize=1)
+# Plans by state, then by reference pair; an entry goes when its state does.
+_PLANS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def _povm_plan(state: PureState, mode_a: str, mode_b: str) -> _PovmPlan:
+    """The plan of ``state`` on the reference pair (mode_a, mode_b), built on
+    first use and kept for as long as ``state`` lives.  PureState compares by
+    identity and its amplitudes are read-only, so a kept plan cannot go
+    stale; a build that raises keeps nothing."""
+    plans = _PLANS.get(state, {})
+    if (mode_a, mode_b) not in plans:
+        plans[mode_a, mode_b] = _build_povm_plan(state, mode_a, mode_b)
+        _PLANS[state] = plans
+    return plans[mode_a, mode_b]
+
+
+def _build_povm_plan(state: PureState, mode_a: str, mode_b: str) -> _PovmPlan:
     """Fourier coefficients of ``state``'s register matrix under the POVM on
     the reference pair (mode_a, mode_b).
 
@@ -258,8 +286,8 @@ def _povm_plan(state: PureState, mode_a: str, mode_b: str) -> _PovmPlan:
     angle phi is v_g = e^{-i phi min_g n_B} sum_d e^{-i phi d} B_g[:, d],
     whose common phase cancels in v_g v_g^H, so
     Q_k = (1/2pi) sum_g sum_{d - d' = k} B_g[:, d] B_g[:, d']^H.
-    PureState compares by identity and its amplitudes are read-only, so the
-    cached plan cannot go stale; the cache keeps only the latest state.
+    The register basis is checked here, once, by building the maximally
+    mixed operator on it that every angle's output copies.
     """
     layout = state.layout
     ia, ib = layout.index(mode_a), layout.index(mode_b)
@@ -295,7 +323,8 @@ def _povm_plan(state: PureState, mode_a: str, mode_b: str) -> _PovmPlan:
     coeffs /= TWO_PI
     coeffs.setflags(write=False)
     basis = [tuple(row) for row in labels[np.ix_(first, reg_idx)].tolist()]
-    return _PovmPlan(coeffs, basis, layout.sublayout(reg_idx))
+    template = DensityOperator(layout.sublayout(reg_idx), basis, np.eye(R) / R)
+    return _PovmPlan(coeffs, template)
 
 
 def apply_phase_difference_povm(state: PureState, mode_a: str, mode_b: str,
@@ -306,27 +335,31 @@ def apply_phase_difference_povm(state: PureState, mode_a: str, mode_b: str,
     (1/2pi) e^{i(n_b - m_b) varphi} delta_{n_a + n_b, m_a + m_b}, then traces
     out every field mode.  Returns the outcome probability density at
     ``varphi`` (densities integrate to 1 over a full turn) and the
-    conditional register state.
+    conditional register state; an angle whose density is not positive has
+    no conditional state and raises ``StateValidationError``.
 
     The register matrix is a trigonometric polynomial in the angle,
     T(varphi) = sum_k e^{-i varphi k} Q_k, where k counts the particles the
     measurement moves between the sites and Q_{-k} = Q_k^H.  The
-    coefficients do not depend on ``varphi``: ``_povm_plan`` forms them once
-    per state and reuses them for every angle measured on it.  An angle then
-    costs one length-D ramp and one contraction with the D coefficient
-    matrices, O(D R^2) for R register labels.  On a ``transfer_final_state``
-    output the sink pins the difference between the site-B reference
-    occupation and the site-B register number inside each group, so D <= N + 1
-    for N input particles.
+    coefficients do not depend on ``varphi``: ``_povm_plan`` forms them on
+    the first angle measured on a state and keeps them, with the checked
+    register basis, for as long as the state lives.  An angle then costs one
+    length-D ramp, one contraction with the D coefficient matrices, O(D R^2)
+    for R register labels, and the matrix checks of ``with_matrix``.  On a
+    ``transfer_final_state`` output the sink pins the difference between the
+    site-B reference occupation and the site-B register number inside each
+    group, so D <= N + 1 for N input particles.
     """
     plan = _povm_plan(state, mode_a, mode_b)
     D, R = plan.coeffs.shape[:2]
     ramp = np.exp(-1j * varphi * np.arange(D))
     half = (ramp @ plan.coeffs.reshape(D, R * R)).reshape(R, R)
     mat = half + half.conj().T
-    density = float(np.real(np.trace(mat)))
-    post = DensityOperator(plan.reg_layout, plan.basis, mat / density)
-    return density, post
+    density = float(mat.trace().real)
+    if not density > 0.0:
+        raise StateValidationError(
+            f"outcome density {density} at angle {varphi} is not positive")
+    return density, plan.template.with_matrix(mat / density)
 
 
 def binary_entropy(p: float) -> float:

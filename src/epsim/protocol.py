@@ -498,4 +498,4 @@ def reference_phase_shift(rho: DensityOperator, theta: float, phi: float) -> Den
     phases = np.array([np.exp(1j * (theta * a + phi * b)) for a, b in zip(n_a, n_b)])
     mat = (phases[:, None] * rho.matrix) * np.conj(phases)[None, :]
     # The conjugation leaves the diagonal, and so the trace, as it was.
-    return DensityOperator(layout, rho.basis, mat, check_trace=False)
+    return rho.with_matrix(mat, check_trace=False)

@@ -220,3 +220,64 @@ class TestDensityOperatorInvariants:
     def test_state_norm_enforced(self):
         with pytest.raises(StateValidationError):
             PureState(one_mode(), {(1,): 0.5})
+
+    def test_rejects_nan_matrix(self):
+        with pytest.raises(StateValidationError, match="non-finite"):
+            DensityOperator(one_mode(), [(0,), (1,)], np.full((2, 2), np.nan))
+
+    def test_nan_amplitude_rejected(self):
+        layout = layout_of(ModeDescriptor("a", "A", "field", 1),
+                           ModeDescriptor("b", "B", "field", 1))
+        with pytest.raises(StateValidationError, match="not finite"):
+            PureState(layout, {(1, 0): 1.0, (0, 1): float("nan")})
+
+    def test_inf_amplitude_rejected_when_normalizing(self):
+        layout = layout_of(ModeDescriptor("a", "A", "field", 1),
+                           ModeDescriptor("b", "B", "field", 1))
+        with pytest.raises(StateValidationError, match="not finite"):
+            PureState(layout, {(1, 0): 1.0, (0, 1): float("inf")}, normalize=True)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(kind=st.sampled_from(["state", "non_hermitian", "indefinite", "off_trace",
+                                 "wrong_shape", "nan"]),
+           entries=st.lists(st.floats(-1.0, 1.0), min_size=18, max_size=18),
+           scale=st.floats(0.1, 3.0), at=st.integers(0, 8))
+    def test_with_matrix_checks_as_constructor(self, kind, entries, scale, at):
+        rho = diag_operator([0.5, 0.3, 0.2])
+        a = np.reshape(entries[:9], (3, 3)) + 1j * np.reshape(entries[9:], (3, 3))
+        psd = a @ a.conj().T + 0.1 * np.eye(3)
+        matrix = psd / np.trace(psd).real
+        if kind == "non_hermitian":
+            matrix[0, 1] += 0.1
+        elif kind == "indefinite":
+            matrix = (a + a.conj().T) / 2
+            matrix[0, 0] -= 2.0
+        elif kind == "off_trace":
+            matrix = matrix * scale
+        elif kind == "wrong_shape":
+            matrix = np.eye(4)[: 3 + at % 2] / 3
+        elif kind == "nan":
+            matrix.flat[at] = np.nan
+
+        def outcome(build):
+            try:
+                return build()
+            except StateValidationError as exc:
+                return str(exc)
+
+        for check_trace in (False, True):
+            got = outcome(lambda: rho.with_matrix(matrix, check_trace))
+            want = outcome(lambda: DensityOperator(rho.layout, rho.basis, matrix, check_trace))
+            if isinstance(want, str):
+                assert got == want
+            else:
+                assert got.layout == want.layout and got.basis == want.basis
+                assert np.array_equal(got.matrix, want.matrix)
+                assert [got.index(label) for label in rho.basis] == [0, 1, 2]
+
+    def test_with_matrix_copies_the_basis(self):
+        rho = diag_operator([0.5, 0.5])
+        out = rho.with_matrix(np.eye(2) / 2)
+        assert out.basis == rho.basis and out.basis is not rho.basis
+        out.basis.append((2,))
+        assert rho.basis == [(0,), (1,)]

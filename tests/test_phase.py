@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -10,6 +12,8 @@ from epsim import (
     DensityOperator,
     GridError,
     LayoutError,
+    ModeDescriptor,
+    PhaseDistribution,
     ProtocolConfig,
     PureState,
     StateValidationError,
@@ -21,11 +25,13 @@ from epsim import (
     ef_large_visibility,
     ef_upper_bound,
     entanglement_of_formation_x,
+    layout_of,
     post_measurement_register_state,
     transfer_final_state,
     two_qubit_concurrence,
     visibility,
 )
+import epsim.phase as phase
 from epsim.phase import _povm_plan, _row_keys, register_pair_layout
 from epsim.protocol import _register_terms
 from epsim.statefile import load_state
@@ -76,6 +82,10 @@ class TestCanonicalPhaseDistribution:
         spec = coherent_coefficients(9.0, 40)
         with pytest.raises(Exception):
             canonical_phase_distribution(spec, 50)
+
+    def test_nan_density_rejected(self):
+        with pytest.raises(StateValidationError, match="non-finite"):
+            PhaseDistribution(np.full(8, np.nan), 1)
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(spec=random_ancillas(64), power_of_two=st.booleans(),
@@ -329,6 +339,64 @@ class TestPhaseDifferencePovm:
             assert density == pytest.approx(density_ref, abs=1e-12)
             np.testing.assert_allclose(post.matrix, post_ref.matrix, rtol=0.0, atol=1e-12)
 
+    def test_interleaved_states_build_each_plan_once(self, monkeypatch):
+        build, builds = phase._build_povm_plan, []
+
+        def spy(state, mode_a, mode_b):
+            builds.append(state)
+            return build(state, mode_a, mode_b)
+
+        monkeypatch.setattr(phase, "_build_povm_plan", spy)
+        finals = [transfer_final_state(ProtocolConfig(shared_single(), spec, spec))
+                  for spec in (coherent_coefficients(1.0, 11), AncillaSpec.uniform(3))]
+        for varphi in (0.3, 1.9, 4.2, 5.5):
+            for final in finals:
+                apply_phase_difference_povm(final, "ref_A", "ref_B", varphi)
+        assert len(builds) == 2
+        assert builds[0] is finals[0] and builds[1] is finals[1]
+
+    def test_plan_released_with_its_state(self):
+        final = transfer_final_state(
+            ProtocolConfig(shared_single(), AncillaSpec.uniform(3), AncillaSpec.uniform(3)))
+        apply_phase_difference_povm(final, "ref_A", "ref_B", 0.7)
+        state_ref = weakref.ref(final)
+        plan_ref = weakref.ref(_povm_plan(final, "ref_A", "ref_B"))
+        del final
+        gc.collect()
+        assert state_ref() is None
+        assert plan_ref() is None
+
+    def test_layout_error_stores_nothing(self):
+        final = transfer_final_state(
+            ProtocolConfig(shared_single(), AncillaSpec.uniform(3), AncillaSpec.uniform(3)))
+        with pytest.raises(LayoutError):
+            apply_phase_difference_povm(final, "ref_B", "ref_A", 0.0)
+        assert final not in phase._PLANS
+        apply_phase_difference_povm(final, "ref_A", "ref_B", 0.0)
+        with pytest.raises(LayoutError):
+            apply_phase_difference_povm(final, "ref_A", "nope", 0.0)
+        assert list(phase._PLANS[final]) == [("ref_A", "ref_B")]
+
+    def test_outputs_share_no_basis_list(self, protocol_run):
+        _, final = protocol_run
+        posts = [apply_phase_difference_povm(final, "ref_A", "ref_B", varphi)[1]
+                 for varphi in (0.4, 2.2)]
+        template = _povm_plan(final, "ref_A", "ref_B").template
+        assert posts[0].basis == posts[1].basis == template.basis
+        assert posts[0].basis is not posts[1].basis
+        assert all(post.basis is not template.basis for post in posts)
+        posts[0].basis.append((9,) * len(posts[0].layout))
+        assert posts[1].basis == template.basis
+
+    def test_zero_density_angle_rejected(self):
+        layout = layout_of(ModeDescriptor("ref_A", "A", "field", 1),
+                           ModeDescriptor("ref_B", "B", "field", 1),
+                           ModeDescriptor("reg", "A", "register", 1))
+        s = 1.0 / math.sqrt(2.0)
+        state = PureState(layout, {(0, 1, 1): s, (1, 0, 1): s})
+        with pytest.raises(StateValidationError, match="angle 3.14159"):
+            apply_phase_difference_povm(state, "ref_A", "ref_B", math.pi)
+
     def test_wrong_reference_modes_rejected(self, protocol_run):
         _, final = protocol_run
         with pytest.raises(LayoutError):
@@ -362,7 +430,7 @@ class TestPhaseDifferencePovm:
         config = ProtocolConfig(state, ancilla_a, ancilla_b)
         plan = _povm_plan(transfer_final_state(config), "ref_A", "ref_B")
         _, basis, amps, n_a, n_b = _register_terms(config)
-        assert plan.basis == basis
+        assert plan.template.basis == basis
         D, N = plan.coeffs.shape[0], config.total_particles
         assert D - 1 <= N
 
