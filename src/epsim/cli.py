@@ -345,11 +345,26 @@ def _coherent_pair_check(nbar_pair: list[float], space: PhaseOperatorSpace):
     raise StateFileError(f"--nbar {nbar_max:g} needs a truncation above {MAX_BOUNDS_S}")
 
 
+@functools.cache
+def _bounds_rng() -> np.random.RandomState:
+    """The legacy Mersenne Twister of ``bounds``, built on first use.
+
+    Per-process shared state, reseeded at the start of every run:
+    ``seed(n)`` redoes the legacy seeding and drops the cached Gaussian, so
+    the draws are exactly those of a fresh ``RandomState(n)``, without
+    building the 624-word state through ``SeedSequence`` each time.  Not
+    thread-safe, like ``main``, whose ``warnings.catch_warnings`` swaps the
+    process-wide filters.
+    """
+    return np.random.RandomState()
+
+
 def cmd_bounds(args) -> _Run:
     space = PhaseOperatorSpace(args.s)
     if args.nbar:
         s_pair, pair_rep = _coherent_pair_check(args.nbar.values, space)
-    rng = np.random.RandomState(args.seed)
+    rng = _bounds_rng()
+    rng.seed(args.seed)
     # Each report is folded in as it comes out; none is kept.
     summary: dict[str, dict] = {}
     violations = 0

@@ -136,18 +136,35 @@ class PureState:
     def __init__(self, layout: ModeLayout, amplitudes: dict[tuple[int, ...], complex],
                  normalize: bool = False):
         amps = {}
-        for label, amp in amplitudes.items():
-            label = tuple(int(x) for x in label)
-            layout.check_label(label)
-            amp = complex(amp)
-            # Written so that NaN is kept (every comparison with it is false)
-            # and then rejected with the norm below, not silently dropped.
-            if not abs(amp) < AMP_DROP_TOL:
-                amps[label] = amps.get(label, 0.0 + 0.0j) + amp
-        amps = {l: a for l, a in amps.items() if not abs(a) < AMP_DROP_TOL}
+        try:
+            for label, amp in amplitudes.items():
+                label = tuple(int(x) for x in label)
+                layout.check_label(label)
+                amp = complex(amp)
+                # Written so that NaN is kept (every comparison with it is
+                # false) and then rejected with the norm below, not silently
+                # dropped.
+                if not abs(amp) < AMP_DROP_TOL:
+                    amps[label] = amps.get(label, 0.0 + 0.0j) + amp
+            amps = {l: a for l, a in amps.items() if not abs(a) < AMP_DROP_TOL}
+        except OverflowError:
+            # abs() raises for finite parts whose modulus passes the largest
+            # float, and for NaN parts when a failed float operation before
+            # it left errno set (CPython's complex abs reads errno).
+            raise StateValidationError(
+                "an amplitude is not finite or its modulus passes the largest float") from None
         if not amps:
             raise StateValidationError("state has no amplitude above the drop threshold")
-        norm = math.sqrt(sum(abs(a) ** 2 for a in amps.values()))
+        try:
+            norm = math.sqrt(sum(abs(a) ** 2 for a in amps.values()))
+        except OverflowError:
+            norm = math.inf
+        # A square passed the largest float: take the norm through the
+        # largest modulus.  Finite amplitudes only: abs() of a NaN right
+        # after that overflow raises (see above).
+        if norm == math.inf and np.isfinite(list(amps.values())).all():
+            top = max(map(abs, amps.values()))
+            norm = top * math.sqrt(sum(abs(a / top) ** 2 for a in amps.values()))
         if not math.isfinite(norm):
             raise StateValidationError(f"state norm {norm}: an amplitude is not finite")
         if normalize:
@@ -252,15 +269,22 @@ def _checked_matrix(matrix, size: int, check_trace: bool) -> np.ndarray:
     # Every comparison with NaN is false, so the checks below would pass it.
     if not np.isfinite(matrix).all():
         raise StateValidationError("matrix has non-finite entries")
-    herm_err = np.abs(matrix - matrix.conj().T).max() if size else 0.0
+    # Halved first, so that entries near the largest float cannot overflow
+    # the difference or the sum below: halving is exact but for subnormal
+    # entries, and the factor 2 comes back in Python floats, which reach inf
+    # without a warning.
+    half = matrix / 2.0
+    half_adj = half.conj().T
+    herm_err = 2.0 * float(np.abs(half - half_adj).max()) if size else 0.0
     if herm_err > HERM_TOL:
         raise StateValidationError(f"matrix not Hermitian: max deviation {herm_err}")
-    evals = np.linalg.eigvalsh((matrix + matrix.conj().T) / 2.0)
+    evals = np.linalg.eigvalsh(half + half_adj)
     if evals.size and evals.min() < -PSD_TOL:
         raise StateValidationError(f"matrix not PSD: min eigenvalue {evals.min()}")
-    tr = float(matrix.trace().real)
-    if check_trace and abs(tr - 1.0) > NORM_TOL:
-        raise StateValidationError(f"trace {tr} deviates from 1 beyond {NORM_TOL}")
+    if check_trace:
+        tr = 2.0 * float(half.trace().real)
+        if abs(tr - 1.0) > NORM_TOL:
+            raise StateValidationError(f"trace {tr} deviates from 1 beyond {NORM_TOL}")
     return matrix
 
 

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from epsim import DensityOperator, ModeDescriptor, ModeLayout
-from epsim.cli import build_parser, main
+from epsim.cli import _bounds_rng, build_parser, main
 from epsim.statefile import (StateFileError, format_float, load_state, parse_state,
                              state_to_dict)
 from epsim.uncertainty import pair_layout
@@ -483,6 +483,30 @@ class TestBoundsCommand:
             tried = list(range(start + 1, results["coherent_pair"]["s"] + 2))
         assert sizes == tried + [int(s) + 1] * 10
 
+    def test_reruns_in_one_process_write_the_same_file(self, capsys, tmp_path):
+        # The per-process generator is reseeded for every run: seed A, then
+        # seed B at another --s with --nbar, then seed A again.
+        outs = [tmp_path / f"run{k}.json" for k in range(3)]
+        argvs = [["--seed", "7", "--s", "64"],
+                 ["--seed", "3", "--s", "32", "--nbar", "5,40"],
+                 ["--seed", "7", "--s", "64"]]
+        for out, argv in zip(outs, argvs):
+            assert main(["bounds", "--seeds", "3", *argv, "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert outs[0].read_bytes() == outs[2].read_bytes()
+        assert outs[0].read_bytes() != outs[1].read_bytes()
+
+    def test_generator_built_once_per_process(self, capsys, monkeypatch):
+        built = []
+        real = np.random.RandomState
+        monkeypatch.setattr(np.random, "RandomState",
+                            lambda *args: built.append(args) or real(*args))
+        _bounds_rng.cache_clear()
+        for seed in range(5):
+            assert main(["bounds", "--seeds", "2", "--s", "16", "--seed", str(seed)]) == 0
+        capsys.readouterr()
+        assert len(built) == 1                  # by the first run, then reseeded
+
     def test_small_s_exit_2(self, capsys):
         assert main(["bounds", "--seeds", "1", "--s", "8"]) == 2
 
@@ -832,3 +856,14 @@ class TestStateFileRoundTrip:
         with pytest.warns(UserWarning, match=r"^renormalizing state file \(norm 0\.99"):
             state = load_state(str(path))
         assert np.linalg.norm(list(state.amplitudes.values())) == pytest.approx(1.0, abs=1e-12)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), prior=st.integers(0, 9), w=st.integers(16, 2048))
+@example(seed=2 ** 32 - 1, prior=1, w=16)
+def test_reseeded_generator_draws_as_a_fresh_one(seed, prior, w):
+    # An odd number of earlier draws leaves a cached Gaussian; seed() drops it.
+    rng = _bounds_rng()
+    rng.randn(prior)
+    rng.seed(seed)
+    assert rng.randn(4, w + 1).tobytes() == np.random.RandomState(seed).randn(4, w + 1).tobytes()

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -236,6 +238,44 @@ class TestDensityOperatorInvariants:
                            ModeDescriptor("b", "B", "field", 1))
         with pytest.raises(StateValidationError, match="not finite"):
             PureState(layout, {(1, 0): 1.0, (0, 1): float("inf")}, normalize=True)
+
+    def test_square_past_largest_float_normalized(self):
+        # |1e200|^2 passes the largest float; the norm goes through 1e200.
+        layout = layout_of(ModeDescriptor("a", "A", "field", 1),
+                           ModeDescriptor("b", "B", "field", 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            state = PureState(layout, {(1, 0): 1e200, (0, 1): 1.0}, normalize=True)
+            with pytest.raises(StateValidationError, match="deviates from 1"):
+                PureState(layout, {(1, 0): 1e200, (0, 1): 1.0})
+        assert dict(state.amplitudes) == {(1, 0): 1.0, (0, 1): 1e-200}
+
+    @pytest.mark.parametrize("amps, reason", [
+        ({(1, 0): complex(1.5e308, 1.5e308), (0, 1): 1.0}, "passes the largest float"),
+        ({(1, 0): float("nan"), (0, 1): 1e200}, "not finite"),
+        ({(1, 0): float("inf"), (0, 1): 1e200}, "not finite"),
+    ])
+    def test_overflowing_amplitude_rejected(self, amps, reason):
+        layout = layout_of(ModeDescriptor("a", "A", "field", 1),
+                           ModeDescriptor("b", "B", "field", 1))
+        with pytest.raises(StateValidationError, match=reason):
+            PureState(layout, amps, normalize=True)
+
+    @pytest.mark.parametrize("matrix, reason", [
+        ([[0.5, 1e308], [-1e308, 0.5]], "not Hermitian: max deviation inf"),
+        # Hermitian with eigenvalues 0.5 +- 1e308: its Hermitian part
+        # overflowed to inf entries, whose NaN eigenvalues passed the PSD check.
+        ([[0.5, 1e308], [1e308, 0.5]], "not PSD"),
+    ])
+    def test_entries_near_largest_float_rejected_quietly(self, matrix, reason):
+        rho = diag_operator([0.5, 0.5])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for check_trace in (True, False):
+                with pytest.raises(StateValidationError, match=reason):
+                    DensityOperator(rho.layout, rho.basis, matrix, check_trace)
+                with pytest.raises(StateValidationError, match=reason):
+                    rho.with_matrix(matrix, check_trace)
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(kind=st.sampled_from(["state", "non_hermitian", "indefinite", "off_trace",
