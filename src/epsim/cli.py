@@ -491,7 +491,10 @@ def main(argv: list[str] | None = None) -> int:
         if args.out:
             text = run.out
             if text is None:
-                text = (dump_json(run.results) if run.bare
+                # A JSON string holds no raw newline, so every "\n  " is a
+                # line break plus the depth-1 indent, and dropping that
+                # indent gives the depth-0 text.
+                text = (results.replace("\n  ", "\n") if run.bare
                         else dump_members({"results": results})) + "\n"
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 import types
 from dataclasses import dataclass
 
@@ -282,7 +283,9 @@ def _checked_matrix(matrix, size: int, check_trace: bool) -> np.ndarray:
     if evals.size and evals.min() < -PSD_TOL:
         raise StateValidationError(f"matrix not PSD: min eigenvalue {evals.min()}")
     if check_trace:
-        tr = 2.0 * float(half.trace().real)
+        # Summed in Python floats, like the factor 2 above: a diagonal whose
+        # sum passes the largest float gives an infinite trace, rejected below.
+        tr = 2.0 * sum(half.diagonal().real.tolist())
         if abs(tr - 1.0) > NORM_TOL:
             raise StateValidationError(f"trace {tr} deviates from 1 beyond {NORM_TOL}")
     return matrix
@@ -361,11 +364,21 @@ def partial_trace(state: PureState, keep: set[str] | list[str]) -> DensityOperat
 
 
 def von_neumann_entropy(rho: DensityOperator) -> float:
-    """S(rho) = -sum_i lam_i log2 lam_i in bits, by ``_entropy_bits``."""
+    """S(rho) = -sum_i lam_i log2 lam_i in bits, by ``_entropy_bits``.
+
+    An operator built with ``check_trace=False`` may have eigenvalues whose
+    terms, up to 1024 lam each, would overflow that sum; it raises
+    ``StateValidationError``.
+    """
     herm_err = np.max(np.abs(rho.matrix - rho.matrix.conj().T))
     if herm_err > HERM_TOL:
         raise StateValidationError(f"operator not Hermitian: deviation {herm_err}")
-    return float(_entropy_bits(np.linalg.eigvalsh(rho.matrix)))
+    evals = np.linalg.eigvalsh(rho.matrix)
+    # Python floats reach inf without a warning.
+    if evals.size and float(evals[-1]) * 1024.0 * evals.size > sys.float_info.max:
+        raise StateValidationError(
+            f"eigenvalue {evals[-1]} too large for a finite entropy sum")
+    return float(_entropy_bits(evals))
 
 
 def entropy_of_entanglement(state: PureState) -> float:

@@ -16,9 +16,13 @@ measurement's resolution kernel, so no kernel is formed.  Each reference
 enters through the non-zero span its ``AncillaSpec`` stores: a coherent
 reference of large mean nbar stores about 23.4 sqrt(nbar) amplitudes at the
 truncation nbar + 10 sqrt(nbar), and about 26.8 sqrt(nbar) however long its
-truncation.  ``visibility`` has one path: both routes run on every call, and
-a reference whose grid would pass ``QUADRATURE_GRID_CAP`` raises
-``GridError`` rather than skip the quadrature.
+truncation.  A density of that span, of width W, has Fourier orders up to
+W, and a grid of K points sums order k exactly for k <= K - W - 1: every
+moment needs K >= 2W + 3 (``canonical_phase_distribution``), the first
+moment, all ``visibility`` reads, only K >= W + 2.  ``visibility`` has one
+path: both routes run on every call, and a reference whose grid would pass
+``QUADRATURE_GRID_CAP`` raises ``GridError`` rather than skip the
+quadrature.
 
 The phase-difference POVM never couples terms outside one reference-phase
 invariant subspace (fixed spectator occupations and pair total), and inside
@@ -60,9 +64,11 @@ LN2 = math.log(2.0)
 TWO_PI = 2.0 * math.pi
 
 # Largest quadrature grid visibility() forms for one reference; a larger one
-# raises GridError.  The largest reference the CLI accepts has a span of
-# W = 95,800 and takes a 2^18 grid, so only library callers reach the cap.
-QUADRATURE_GRID_CAP = 1 << 20
+# raises GridError.  Grids of W + 2 points or more are exact, so spans up to
+# W = 2^19 - 2 = 524,286 pass.  The largest reference the CLI accepts has a
+# span of W = 95,800 and takes a 2^17 grid, so only library callers reach
+# the cap.
+QUADRATURE_GRID_CAP = 1 << 19
 
 
 class CrossCheckError(ArithmeticError):
@@ -73,10 +79,12 @@ class CrossCheckError(ArithmeticError):
 class PhaseDistribution:
     """Density over [0, 2pi) sampled on a uniform grid.
 
-    ``degree`` is the highest Fourier order of the density, W = hi - lo for
-    a canonical distribution of the stored span c_lo..c_hi: on a grid of at
-    least 2 degree + 3 points its circular moments are exact sums over the
-    grid.
+    ``degree`` is the highest order whose circular moment the grid sums
+    exactly, and every lower order is exact too.  A canonical density of the
+    stored span c_lo..c_hi has Fourier orders up to W = hi - lo, and its
+    K-point grid sums order k exactly for k <= K - W - 1, so its degree is
+    min(W, K - W - 1): W on the grids of at least 2W + 3 points that
+    ``canonical_phase_distribution`` takes.
     """
 
     values: np.ndarray
@@ -104,8 +112,8 @@ class PhaseDistribution:
         integral(P(u) e^{iku} du); negative moments follow by conjugation.
         For a canonical distribution of amplitudes c this equals
         sum_n conj(c_n) c_{n+k}.  Taken on first use from one real FFT of
-        the grid values, the circular autocorrelation of c (free of
-        wrap-around on a grid of K >= 2 degree + 3 points)."""
+        the grid values, the circular autocorrelation of c, free of
+        wrap-around up to order ``degree``."""
         K = self.grid_size
         return np.conj(np.fft.rfft(self.values)[: self.degree + 1]) * (TWO_PI / K)
 
@@ -129,6 +137,14 @@ def _unit_circle(K: int) -> np.ndarray:
     return table
 
 
+def _canonical_density(spec: AncillaSpec, K: int) -> PhaseDistribution:
+    """|fft(c, K)|^2 / 2pi of the stored span c on K > W points, with the
+    degree that grid sums exactly."""
+    width = spec.coefficients.size - 1
+    power = np.abs(np.fft.fft(spec.coefficients, n=K)) ** 2
+    return PhaseDistribution(power / TWO_PI, min(width, K - width - 1))
+
+
 def canonical_phase_distribution(spec: AncillaSpec, K: int) -> PhaseDistribution:
     """P(theta) = |sum_n c_n e^{-i n theta}|^2 / 2pi on a K-point grid, from
     one FFT of the stored span c_lo..c_hi (starting at lo only multiplies the
@@ -137,8 +153,7 @@ def canonical_phase_distribution(spec: AncillaSpec, K: int) -> PhaseDistribution
     degree = spec.coefficients.size - 1
     if K < 2 * degree + 3:
         raise GridError(f"grid size {K} below exactness bound {2 * degree + 3}")
-    power = np.abs(np.fft.fft(spec.coefficients, n=K)) ** 2
-    return PhaseDistribution(power / TWO_PI, degree)
+    return _canonical_density(spec, K)
 
 
 def resolution_kernel(pa: PhaseDistribution, pb: PhaseDistribution,
@@ -170,23 +185,25 @@ def visibility(spec_a: AncillaSpec, spec_b: AncillaSpec, varphi: float = 0.0) ->
     phase density.  This is the resolution kernel's first moment by the
     convolution theorem, so no kernel is formed.  Closed route:
     e^{i varphi} conj(m_A) m_B with m_Z = sum_n conj(c_n) c_{n+1} from the
-    amplitudes.  Both run on every call and must agree to 1e-9 (each grid
-    integrates its band-limited density exactly); the quadrature value is
-    returned.  Each density is taken over the reference's stored span of
-    W_Z + 1 levels on its own grid, the smallest power of two
-    >= max(2 W_Z + 3, 257).  A grid past ``QUADRATURE_GRID_CAP`` raises
+    amplitudes.  Both run on every call and must agree to 1e-9; the
+    quadrature value is returned.  Each density is taken over the
+    reference's stored span of W_Z + 1 levels on its own grid, the smallest
+    power of two K_Z >= max(W_Z + 2, 257).  That grid sums the first moment
+    exactly: q_Z = sum over n - m = 1 (mod K_Z) of c_n conj(c_m), and a
+    difference n - m of the span lies in [-W_Z, W_Z], which holds no other
+    member of that class (the nearest is 1 - K_Z); at K_Z = W_Z + 1 the
+    pair (lo, hi) aliases in.  A grid past ``QUADRATURE_GRID_CAP`` raises
     ``GridError``; a disagreement, or |C| above 1 + 1e-10 (impossible for
     unit-norm references), raises ``CrossCheckError``.
     """
     shift = np.exp(1j * varphi)
     closed = shift * np.conj(spec_a.first_moment()) * spec_b.first_moment()
-    # A power of two is the fastest FFT length; any K >= 2W + 3 is exact.
-    grids = [1 << (max(2 * spec.coefficients.size + 1, 257) - 1).bit_length()
+    # A power of two is the fastest FFT length; any K >= W + 2 is exact.
+    grids = [1 << (max(spec.coefficients.size + 1, 257) - 1).bit_length()
              for spec in (spec_a, spec_b)]
     if max(grids) > QUADRATURE_GRID_CAP:
         raise GridError(f"visibility grid {max(grids)} exceeds {QUADRATURE_GRID_CAP}")
-    pa, pb = (canonical_phase_distribution(spec, K)
-              for spec, K in zip((spec_a, spec_b), grids))
+    pa, pb = (_canonical_density(spec, K) for spec, K in zip((spec_a, spec_b), grids))
     quad = complex(shift * np.conj(pa.grid_moment(1)) * pb.grid_moment(1))
     if abs(quad - closed) > 1e-9:
         raise CrossCheckError(
@@ -385,11 +402,19 @@ def entanglement_of_formation_x(c: complex) -> float:
 
 
 def ef_large_visibility(c: complex) -> float:
-    """First-order expansion of the formation entanglement around |C| = 1:
-    1 - (1 - |C|^2) / ln 2.  This is the quantity capped by
-    ``ef_upper_bound``; use it for near-unit visibilities only."""
+    """1 - (1 - |C|^2) / ln 2, the quantity ``ef_upper_bound`` caps: the
+    ``ef`` column of ``sweep`` and what criterion 8 compares with the cap.
+    Its deficit is twice that of the first-order expansion of the formation
+    entanglement around |C| = 1, which is
+    ``entanglement_of_formation_x(c)`` ~ 1 - (1 - |C|^2) / (2 ln 2), so near
+    |C| = 1 it lies below that entanglement."""
     x = abs(complex(c))
     return 1.0 - (1.0 - x * x) / LN2
+
+
+# sigma_y x sigma_y, which is real: the anti-diagonal (-1, 1, 1, -1).
+_SIGMA_YY = np.fliplr(np.diag([-1.0, 1.0, 1.0, -1.0]))
+_SIGMA_YY.setflags(write=False)
 
 
 def two_qubit_concurrence(rho: DensityOperator) -> float:
@@ -406,9 +431,7 @@ def two_qubit_concurrence(rho: DensityOperator) -> float:
     if evals.min() < -1e-10:
         raise StateValidationError(f"operator not PSD: min eigenvalue {evals.min()}")
     sqrt_rho = (vecs * np.sqrt(np.clip(evals, 0.0, None))) @ vecs.conj().T
-    sy = np.array([[0.0, -1.0j], [1.0j, 0.0]])
-    yy = np.real(np.kron(sy, sy))
-    lams = np.linalg.svd(sqrt_rho @ yy @ sqrt_rho.conj(), compute_uv=False)
+    lams = np.linalg.svd(sqrt_rho @ _SIGMA_YY @ sqrt_rho.conj(), compute_uv=False)
     return float(max(0.0, lams[0] - lams[1] - lams[2] - lams[3]))
 
 
@@ -430,8 +453,11 @@ def coherent_visibility_model(ntr: float) -> float:
 
 
 def ef_upper_bound(var_tr: float) -> float:
-    """Number-phase uncertainty cap on recoverable formation entanglement:
-    1 - 1/(4 var_tr ln 2), valid for transported-number variance >> 1."""
+    """Number-phase uncertainty cap 1 - 1/(4 var_tr ln 2), valid for
+    transported-number variance >> 1.  It caps ``ef_large_visibility``,
+    1 - (1 - |C|^2) / ln 2, and not ``entanglement_of_formation_x``, whose
+    first-order deficit (1 - |C|^2) / (2 ln 2) is half as large: for coherent
+    references the formation entanglement can exceed it."""
     if var_tr <= 0.0:
         raise ValueError("variance must be positive")
     return 1.0 - 1.0 / (4.0 * var_tr * LN2)

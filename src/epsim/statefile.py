@@ -53,15 +53,18 @@ class StateFileError(ValueError):
 
 
 def _require(cond: bool, message: str) -> None:
+    """Raise ``StateFileError(message)`` unless ``cond``; a message that
+    formats a value is built at its failing check instead, so valid input
+    pays for no repr."""
     if not cond:
         raise StateFileError(message)
 
 
 def _integer(value, what: str) -> int:
     """A JSON integer, or a float with no fractional part, as an int."""
-    _require(isinstance(value, int) and not isinstance(value, bool)
-             or isinstance(value, float) and value.is_integer(),
-             f"{what} must be an integer, got {value!r}")
+    if not (isinstance(value, int) and not isinstance(value, bool)
+            or isinstance(value, float) and value.is_integer()):
+        raise StateFileError(f"{what} must be an integer, got {value!r}")
     return int(value)
 
 
@@ -76,10 +79,11 @@ def parse_state(data: dict) -> PureState:
     for entry in data["modes"]:
         _require(isinstance(entry, dict), "mode entries must be objects")
         for key in ("id", "site", "kind", "capacity"):
-            _require(key in entry, f"mode entry missing {key!r}")
+            if key not in entry:
+                raise StateFileError(f"mode entry missing {key!r}")
         for key in ("id", "site", "kind"):
-            _require(isinstance(entry[key], str),
-                     f"mode {key} must be a string, got {entry[key]!r}")
+            if not isinstance(entry[key], str):
+                raise StateFileError(f"mode {key} must be a string, got {entry[key]!r}")
         capacity = _integer(entry["capacity"], "capacity")
         try:
             modes.append(ModeDescriptor(entry["id"], entry["site"], entry["kind"], capacity))
@@ -112,8 +116,8 @@ def parse_state(data: dict) -> PureState:
     except OverflowError:
         # Some |a|^2 passes the largest float, so the norm is as good as infinite.
         norm = math.inf
-    _require(abs(norm - 1.0) <= NORM_FILE_TOL,
-             f"amplitudes have norm {norm}; expected 1 within {NORM_FILE_TOL}")
+    if not abs(norm - 1.0) <= NORM_FILE_TOL:
+        raise StateFileError(f"amplitudes have norm {norm}; expected 1 within {NORM_FILE_TOL}")
     if norm != 1.0:
         warnings.warn(f"renormalizing state file (norm {norm})", stacklevel=2)
     try:

@@ -305,7 +305,7 @@ class TestMeasureCommand:
         assert err.startswith("error: visibility routes disagree") and "\n" not in err
 
     def test_cross_check_runs_at_large_transport(self, capsys, monkeypatch):
-        # Grids of 2^16 and 2^17 points over the references' stored spans,
+        # Grids of 2^15 and 2^16 points over the references' stored spans,
         # where the full truncations (2M + 3 > 2^20) used to skip the check.
         self._rotate_transported_moment(monkeypatch)
         assert main(["measure", "--ntr", "1e6", "--local-scale", "1.5"]) == 5
@@ -351,6 +351,20 @@ class TestSweepCommand:
         run_cli(capsys, "sweep", "--ntr-list", "25,50", "--format", "csv",
                 "--out", str(out2))
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_json_out_renders_results_once(self, capsys, tmp_path, monkeypatch):
+        # The --out file is the report's results block with its indent
+        # dropped, so the results are rendered once.
+        import epsim.cli as cli_module
+
+        rendered = []
+        real = cli_module.dump_json
+        monkeypatch.setattr(cli_module, "dump_json",
+                            lambda data, depth=0: rendered.append(data) or real(data, depth))
+        out = tmp_path / "sweep.json"
+        assert main(["sweep", "--ntr-list", "25,50", "--format", "json",
+                     "--out", str(out)]) == 0
+        assert sum(isinstance(data, dict) and "rows" in data for data in rendered) == 1
 
     def test_empty_list_exit_2(self, capsys):
         assert main(["sweep", "--ntr-list", ""]) == 2

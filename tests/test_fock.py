@@ -277,6 +277,26 @@ class TestDensityOperatorInvariants:
                 with pytest.raises(StateValidationError, match=reason):
                     rho.with_matrix(matrix, check_trace)
 
+    def test_trace_past_largest_float_rejected_quietly(self):
+        # PSD, with a halved diagonal whose sum passes the largest float.
+        rho = diag_operator([0.5, 0.3, 0.2])
+        matrix = np.diag([1.7e308] * 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(StateValidationError, match="trace inf deviates"):
+                DensityOperator(rho.layout, rho.basis, matrix)
+            with pytest.raises(StateValidationError, match="trace inf deviates"):
+                rho.with_matrix(matrix)
+
+    def test_entropy_past_largest_float_raises(self):
+        # Accepted without the trace check, but -sum lam log2 lam overflows.
+        rho = diag_operator([0.5, 0.3, 0.2])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            unnormalized = rho.with_matrix(np.diag([1.7e308] * 3), check_trace=False)
+            with pytest.raises(StateValidationError, match="finite entropy"):
+                von_neumann_entropy(unnormalized)
+
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(kind=st.sampled_from(["state", "non_hermitian", "indefinite", "off_trace",
                                  "wrong_shape", "nan"]),

@@ -4,7 +4,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from epsim import (
@@ -131,6 +131,24 @@ class TestResolutionKernel:
 
 
 class TestVisibility:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(spec=ancilla_specs(64))
+    @example(spec=coherent_coefficients(5000.0, 12000))
+    def test_smallest_exact_grid_is_width_plus_two(self, spec):
+        # visibility() reads only the first moment.  On W + 2 points its grid
+        # sum is exact; on W + 1 the pair (lo, hi) aliases in, n - m = -W
+        # being 1 mod W + 1.
+        c = spec.coefficients
+        width = c.size - 1
+        assume(width >= 1)
+        exact = phase._canonical_density(spec, width + 2)
+        assert exact.degree == 1
+        assert exact.grid_moment(1) == pytest.approx(spec.first_moment(), abs=1e-12)
+        aliased = phase._canonical_density(spec, width + 1)
+        assert aliased.degree == 0
+        assert aliased.grid_moment(1) - spec.first_moment() == pytest.approx(
+            c[0] * np.conj(c[-1]), abs=1e-12)
+
     def test_number_state_kills_visibility(self):
         number = AncillaSpec(9, [1.0], lo=4)
         coherent = coherent_coefficients(2.0, 20)
@@ -215,7 +233,7 @@ class TestVisibility:
             shared_grid_visibility(spec_a, spec_b, varphi, bound), abs=1e-12)
 
     def test_grid_past_cap_raises(self):
-        # W = 2^19 needs 2W + 3 > 2^20 grid points; the quadrature is never
+        # W = 2^19 needs W + 2 > 2^19 grid points; the quadrature is never
         # skipped, so the call fails instead of returning the closed value.
         with pytest.raises(GridError):
             visibility(AncillaSpec.uniform(2 ** 19), coherent_coefficients(2.0, 20))

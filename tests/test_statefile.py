@@ -1,5 +1,7 @@
-"""``statefile.dump_json`` against the standard library route it replaces."""
+"""``statefile.dump_json`` against the standard library route it replaces,
+and the text of the state-file parse errors."""
 
+import json
 import math
 
 import numpy as np
@@ -7,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epsim.statefile import dump_json, dump_members
+from epsim.statefile import StateFileError, dump_json, dump_members, parse_state
 from oracles import dump_json_oracle
 
 # Signed zeros, the non-finite values, the smallest subnormal and the largest
@@ -83,3 +85,34 @@ def test_kinds_no_report_holds_raise(data):
     dump_json_oracle(data)
     with pytest.raises(TypeError):
         dump_json(data)
+
+
+VALID_DOCUMENT = {
+    "modes": [{"id": "a", "site": "A", "kind": "field", "capacity": 1},
+              {"id": "b", "site": "B", "kind": "field", "capacity": 1}],
+    "terms": [{"occ": [1, 0], "amp": [0.6, 0.0]}, {"occ": [0, 1], "amp": [0.8, 0.0]}],
+}
+
+
+@pytest.mark.parametrize("where, key, value, message", [
+    ("term", "occ", ["x", 0], "occupation must be an integer, got 'x'"),
+    ("term", "occ", [True, 0], "occupation must be an integer, got True"),
+    ("mode", "capacity", 1.7, "capacity must be an integer, got 1.7"),
+    ("mode", "id", None, "mode id must be a string, got None"),
+    ("mode", "kind", 5, "mode kind must be a string, got 5"),
+    ("mode", "site", ..., "mode entry missing 'site'"),
+    ("term", "amp", [1.2, 0.0], "amplitudes have norm 1.4422205101855958; expected 1 "
+                                "within 1e-06"),
+], ids=["occ-string", "occ-bool", "capacity-fraction", "id-null", "kind-number",
+        "site-missing", "norm"])
+def test_parse_error_messages(where, key, value, message):
+    # Each message is built only when its check fails; its text is fixed.
+    data = json.loads(json.dumps(VALID_DOCUMENT))
+    target = {"mode": data["modes"][0], "term": data["terms"][0]}[where]
+    if value is ...:
+        del target[key]
+    else:
+        target[key] = value
+    with pytest.raises(StateFileError) as exc:
+        parse_state(data)
+    assert str(exc.value) == message
