@@ -28,6 +28,9 @@ does not, so identical inputs give byte-identical files; --seed is one of
 the inputs of bounds and the only seed any subcommand takes).  Both carry
 the same results text, rendered once.
 ``--format csv`` (sweep only) writes that file as CSV.
+An argv that starts with a subcommand name is parsed in one pass by that
+subcommand's own parser, with the namespace and usage errors the top-level
+parser gives it.
 """
 
 from __future__ import annotations
@@ -415,14 +418,19 @@ def cmd_bounds(args) -> _Run:
 
 class _Parser(argparse.ArgumentParser):
     """Usage errors raise instead of printing usage and exiting, so they take
-    main's one-line exit-2 path."""
+    main's one-line exit-2 path.  ``subcommands`` maps each subcommand name
+    to its parser (empty on a subcommand's own parser)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.subcommands: dict[str, _Parser] = {}
 
     def error(self, message):
         raise StateFileError(f"{self.prog}: {message}")
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> _Parser:
     """The argument parser; parsing leaves it unchanged, so it is built once."""
     parser = _Parser(prog="epsim", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -432,6 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=summary)
         p.add_argument("--out", default=None, help="write a deterministic result file")
         p.set_defaults(func=func)
+        parser.subcommands[name] = p
         return p
 
     p_ep = add("ep", cmd_ep, "particle entanglement of a state file")
@@ -474,11 +483,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse_args(argv: list[str] | None = None) -> argparse.Namespace:
+    """The namespace ``build_parser().parse_args(argv)`` returns, or its
+    usage error, in one pass when ``argv`` starts with a subcommand name.
+
+    Such an argv is parsed by that subcommand's own parser with ``command``
+    preset, as the top-level parser hands it on; arguments left over go to
+    the top-level ``error``, which words them as the top-level route does.
+    Every other argv (none, ``-h``, an unknown name) takes the top-level route.
+    """
+    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    sub = parser.subcommands.get(argv[0]) if argv else None
+    if sub is None:
+        return parser.parse_args(argv)
+    args, extras = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
+
+
 def main(argv: list[str] | None = None) -> int:
     """Parse, run one subcommand, write ``--out`` and print the report: a
     ``warning:`` line per warning, an exit code and ``error:`` line per failure."""
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse_args(argv)
         started = time.perf_counter()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", UserWarning)

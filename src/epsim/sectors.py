@@ -146,9 +146,14 @@ def _register_sector_blocks(rho: DensityOperator, keys):
         raise LayoutError("no register modes at site 'A'")
     sectors = list(_sectors(keys, rho.matrix.diagonal().real.tolist()))
     size = max((len(rows) for _, _, rows in sectors), default=0)
-    stack = np.zeros((len(sectors), size, size), dtype=complex)
-    for g, (_, _, rows) in enumerate(sectors):
-        stack[g, :len(rows), :len(rows)] = rho.matrix[np.ix_(rows, rows)]
+    # One gather builds the stack: a short block's rows are padded with
+    # index dim, the all-zero last row and column of the bordered matrix.
+    dim = len(rho.basis)
+    index = np.array([rows + [dim] * (size - len(rows)) for _, _, rows in sectors],
+                     dtype=np.intp).reshape(len(sectors), size)
+    bordered = np.zeros((dim + 1, dim + 1), dtype=complex)
+    bordered[:dim, :dim] = rho.matrix
+    stack = bordered[index[:, :, None], index[:, None, :]]
     evals, evecs = np.linalg.eigh(stack)
     top = evals[:, -1].tolist()
     for (key, weight, _), value in zip(sectors, top):

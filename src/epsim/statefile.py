@@ -15,10 +15,13 @@ Files whose norm deviates from 1 by at most 1e-6 are renormalized with a
 
 Results are written by ``dump_json``, one pass over the result tree that
 rounds every float to 12 significant digits as it writes it, so identical
-runs produce byte-identical output.  It renders the kinds a report holds,
-by exact type: float, int, bool, None, str, complex (as [real, imaginary]),
-list, and dict with str or int keys; anything else, a subclass, tuple or
-numpy scalar included, raises ``TypeError``.  Its text is the text of the
+runs produce byte-identical output.  A float is written from its 12-digit
+text, which is already the repr of the rounded float outside a few
+notations and ranges (see ``_float_text``), so the bytes are those of
+rounding through ``float`` and taking the repr.  It renders the kinds a
+report holds, by exact type: float, int, bool, None, str, complex (as
+[real, imaginary]), list, and dict with str or int keys; anything else, a
+subclass, tuple or numpy scalar included, raises ``TypeError``.  Its text is the text of the
 standard library route ``json.dumps(rounded, indent=2, sort_keys=True)``,
 which the test suite keeps as its oracle.
 """
@@ -183,12 +186,37 @@ def _key_text(key) -> str:
     raise TypeError(f"keys must be str or int, not {kind.__name__}")
 
 
+def _float_text(x: float) -> str:
+    """JSON text of ``x`` rounded to ``SIG_DIGITS`` significant digits:
+    ``_float_repr(float(format(x, _ROUND_FORMAT)))``, mostly without the
+    round trip.
+
+    A decimal of at most 15 significant digits in the normal range is the
+    shortest repr of its double (DBL_DIG = 15), so the rounded text is
+    that repr, up to a ``.0`` that repr adds to integer texts, wherever
+    both pick the same notation.  Four kinds of text take the round trip:
+    NaN and infinities; three-digit exponents, which hold the subnormals
+    (``.12g`` writes 5e-324 as 4.94065645841e-324) and the other extreme
+    magnitudes; and exponents 12 to 15, which repr writes positionally.
+    """
+    text = format(x, _ROUND_FORMAT)
+    if "e" in text:
+        if text[-4] == "e" and not "+12" <= text[-3:] <= "+15":
+            return text
+    elif "." in text:
+        return text
+    elif "n" not in text:                   # not nan, inf or -inf
+        return text + ".0"
+    return _float_repr(float(text))
+
+
 def _render(obj, newline: str, out: list[str]) -> None:
     """Append the JSON text of ``obj`` to ``out``; ``newline`` is the line
-    break plus indent of the line ``obj`` starts on."""
+    break plus indent of the line ``obj`` starts on.  A float inside a list
+    or dict is written there, without a call of its own to ``_render``."""
     kind = type(obj)
     if kind is float:
-        out.append(_float_repr(float(format(obj, _ROUND_FORMAT))))
+        out.append(_float_text(obj))
     elif kind is list:
         if not obj:
             out.append("[]")
@@ -198,7 +226,10 @@ def _render(obj, newline: str, out: list[str]) -> None:
         start = len(out)
         for value in obj:
             out.append(separator)
-            _render(value, inner, out)
+            if type(value) is float:
+                out.append(_float_text(value))
+            else:
+                _render(value, inner, out)
         out[start] = "[" + inner
         out.append(newline + "]")
     elif kind is dict:
@@ -211,7 +242,11 @@ def _render(obj, newline: str, out: list[str]) -> None:
         for key in sorted(obj):
             out.append(separator)
             out.append(_key_text(key) + ": ")
-            _render(obj[key], inner, out)
+            value = obj[key]
+            if type(value) is float:
+                out.append(_float_text(value))
+            else:
+                _render(value, inner, out)
         out[start] = "{" + inner
         out.append(newline + "}")
     elif kind is str:
@@ -233,7 +268,8 @@ def dump_json(data, depth: int = 0) -> str:
     to ``SIG_DIGITS`` significant digits as it is written (dict keys are
     not rounded).
 
-    One pass over the tree; the text equals
+    One pass over the tree that writes each float from its 12-digit text
+    (``_float_text``); the text equals
     ``json.dumps(rounded, indent=2, sort_keys=True)`` of the rounded tree,
     with every line after the first indented ``depth`` more levels, so it
     can stand as a member of an enclosing object at that depth (see

@@ -255,6 +255,27 @@ def register_sector_oracle(rho):
     return out
 
 
+def register_block_stack_oracle(rho, keys):
+    """The zero-padded (G, size, size) stack of the register sector blocks
+    of ``rho`` whose rows are keyed by ``keys`` (None: no sector), one
+    ``np.ix_`` copy per sector, in increasing key; a sector is kept when its
+    diagonal weight reaches SECTOR_DROP_TOL."""
+    from epsim.sectors import SECTOR_DROP_TOL
+
+    groups = {}
+    for i, key in enumerate(keys):
+        if key is not None:
+            groups.setdefault(key, []).append(i)
+    diagonal = rho.matrix.diagonal().real
+    blocks = [rows for _, rows in sorted(groups.items())
+              if sum(diagonal[i] for i in rows) >= SECTOR_DROP_TOL]
+    size = max((len(rows) for rows in blocks), default=0)
+    stack = np.zeros((len(blocks), size, size), dtype=complex)
+    for g, rows in enumerate(blocks):
+        stack[g, :len(rows), :len(rows)] = rho.matrix[np.ix_(rows, rows)]
+    return stack
+
+
 def equal_different_oracle(rho):
     """(outcome_a, outcome_b, p, E) of each equal/different outcome of two
     binary registers per site, one outcome at a time: its rows projected

@@ -4,6 +4,7 @@ import io
 import itertools
 import json
 import math
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -14,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from epsim import DensityOperator, ModeDescriptor, ModeLayout
-from epsim.cli import _bounds_rng, build_parser, main
+from epsim.cli import _bounds_rng, _parse_args, build_parser, main
 from epsim.statefile import (StateFileError, format_float, load_state, parse_state,
                              state_to_dict)
 from epsim.uncertainty import pair_layout
@@ -81,6 +82,16 @@ class TestEpCommand:
             "terms": [{"occ": [1, 0], "amp": [0.5, 0.0]}],
         }))
         assert main(["ep", str(bad)]) == 2
+
+
+BAD_ANCILLA_OPTIONS = [
+    ["--M", "0"], ["--M", "-3"], ["--nbar", "-1"], ["--nbar", "nan"], ["--nbar", "inf"],
+    ["--nbar", "-inf"], ["--M", "1.5"],
+    # past MAX_COHERENT_LEVELS - 1, before the ancilla is allocated
+    ["--M", "16777216"], ["--M", "1000000000"],
+    # parsed as infinity
+    ["--nbar", "1e309"],
+]
 
 
 class TestTransferCommand:
@@ -170,15 +181,7 @@ class TestTransferCommand:
         err = captured.err.strip()
         assert err.startswith("error: --path quadrature needs fewer than") and "\n" not in err
 
-    @pytest.mark.parametrize("options", [["--M", "0"], ["--M", "-3"],
-                                         ["--nbar", "-1"], ["--nbar", "nan"],
-                                         ["--nbar", "inf"],
-                                         ["--nbar", "-inf"], ["--M", "1.5"],
-                                         # past MAX_COHERENT_LEVELS - 1, before
-                                         # the ancilla is allocated
-                                         ["--M", "16777216"], ["--M", "1000000000"],
-                                         # parsed as infinity
-                                         ["--nbar", "1e309"]])
+    @pytest.mark.parametrize("options", BAD_ANCILLA_OPTIONS)
     def test_bad_ancilla_options_exit_2(self, capsys, options):
         code = main(["transfer", data_path("shared_single.json"), *options])
         assert code == 2
@@ -327,6 +330,32 @@ class TestMeasureCommand:
         assert report["results"]["ef_formula"] == pytest.approx(1.0, abs=1e-5)
 
 
+BAD_REFERENCE_VALUES = [
+    ["measure", "--ntr", "nan"], ["measure", "--ntr", "inf"],
+    ["measure", "--local-scale", "-1"], ["measure", "--local-scale", "0"],
+    ["measure", "--local-scale", "nan"],
+    ["sweep", "--ntr-list", "5,nan"], ["sweep", "--ntr-list", "5,inf"],
+    ["sweep", "--ntr-list", "5,abc"],
+    ["sweep", "--ntr-list", "5", "--local-scale", "nan"],
+    ["sweep", "--ntr-list", "5", "--local-scale", "0"],
+    # finite but past MAX_COHERENT_LEVELS, rejected before any allocation
+    ["measure", "--ntr", "1e15"], ["measure", "--ntr", "1.7e7"],
+    ["measure", "--ntr", "1e6", "--local-scale", "5"],
+    ["measure", "--local-scale", "1e200"],
+    ["measure", "--grid", "100000000000"],
+    ["sweep", "--ntr-list", "5,1e15"],
+    ["sweep", "--ntr-list", "5,25", "--local-scale", "1e4"],
+]
+FORMAT_OFF_SWEEP = [
+    [*argv, "--format", "json"] for argv in (
+        ["ep", data_path("shared_single.json")],
+        ["transfer", data_path("shared_single.json")],
+        ["measure"],
+        ["bounds", "--seeds", "1", "--s", "16"],
+    )
+]
+
+
 class TestSweepCommand:
     def test_csv_contract(self, capsys, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -373,22 +402,7 @@ class TestSweepCommand:
         assert main(["sweep", "--ntr-list", "0.5,25"]) == 2
         assert main(["measure", "--ntr", "0.2"]) == 2
 
-    @pytest.mark.parametrize("argv", [
-        ["measure", "--ntr", "nan"], ["measure", "--ntr", "inf"],
-        ["measure", "--local-scale", "-1"], ["measure", "--local-scale", "0"],
-        ["measure", "--local-scale", "nan"],
-        ["sweep", "--ntr-list", "5,nan"], ["sweep", "--ntr-list", "5,inf"],
-        ["sweep", "--ntr-list", "5,abc"],
-        ["sweep", "--ntr-list", "5", "--local-scale", "nan"],
-        ["sweep", "--ntr-list", "5", "--local-scale", "0"],
-        # finite but past MAX_COHERENT_LEVELS, rejected before any allocation
-        ["measure", "--ntr", "1e15"], ["measure", "--ntr", "1.7e7"],
-        ["measure", "--ntr", "1e6", "--local-scale", "5"],
-        ["measure", "--local-scale", "1e200"],
-        ["measure", "--grid", "100000000000"],
-        ["sweep", "--ntr-list", "5,1e15"],
-        ["sweep", "--ntr-list", "5,25", "--local-scale", "1e4"],
-    ])
+    @pytest.mark.parametrize("argv", BAD_REFERENCE_VALUES)
     def test_bad_values_exit_2(self, capsys, argv):
         assert main(argv) == 2
         err = capsys.readouterr().err.strip()
@@ -405,14 +419,9 @@ class TestSweepCommand:
         with pytest.raises(StateFileError):
             _coherent_truncation(float(MAX_COHERENT_LEVELS))
 
-    @pytest.mark.parametrize("argv", [
-        ["ep", data_path("shared_single.json")],
-        ["transfer", data_path("shared_single.json")],
-        ["measure"],
-        ["bounds", "--seeds", "1", "--s", "16"],
-    ])
+    @pytest.mark.parametrize("argv", FORMAT_OFF_SWEEP)
     def test_format_only_on_sweep(self, capsys, argv):
-        assert main(argv + ["--format", "json"]) == 2
+        assert main(argv) == 2
         err = capsys.readouterr().err.strip()
         assert err.startswith("error:") and "\n" not in err
 
@@ -429,6 +438,19 @@ class TestSweepCommand:
         assert main(["sweep", "--ntr-list", "25"]) == 5
         err = capsys.readouterr().err.strip()
         assert err.startswith("error:") and "\n" not in err
+
+
+BAD_BOUNDS_OPTIONS = [
+    ["--seeds", "0"], ["--seeds", "-1"],
+    ["--nbar", "25"], ["--nbar", "25,250,2500"], ["--nbar", "25,x"],
+    ["--nbar", "25,-1"], ["--nbar", "nan,250"], ["--nbar", "25,inf"],
+    ["--nbar", ""],
+    # finite but past MAX_BOUNDS_S, rejected before any allocation
+    ["--s", "2049"], ["--s", "100000"],
+    ["--nbar", "1e15,1"], ["--nbar", "1,2000"], ["--nbar", "1.7e308,1"],
+    # outside the RandomState seed range, rejected before any draw
+    ["--seed", "-1"], ["--seed", "4294967296"],
+]
 
 
 class TestBoundsCommand:
@@ -524,17 +546,7 @@ class TestBoundsCommand:
     def test_small_s_exit_2(self, capsys):
         assert main(["bounds", "--seeds", "1", "--s", "8"]) == 2
 
-    @pytest.mark.parametrize("options", [
-        ["--seeds", "0"], ["--seeds", "-1"],
-        ["--nbar", "25"], ["--nbar", "25,250,2500"], ["--nbar", "25,x"],
-        ["--nbar", "25,-1"], ["--nbar", "nan,250"], ["--nbar", "25,inf"],
-        ["--nbar", ""],
-        # finite but past MAX_BOUNDS_S, rejected before any allocation
-        ["--s", "2049"], ["--s", "100000"],
-        ["--nbar", "1e15,1"], ["--nbar", "1,2000"], ["--nbar", "1.7e308,1"],
-        # outside the RandomState seed range, rejected before any draw
-        ["--seed", "-1"], ["--seed", "4294967296"],
-    ])
+    @pytest.mark.parametrize("options", BAD_BOUNDS_OPTIONS)
     def test_bad_values_exit_2(self, capsys, options):
         assert main(["bounds", "--seeds", "1", "--s", "16", *options]) == 2
         err = capsys.readouterr().err.strip()
@@ -604,7 +616,7 @@ class TestBoundsCommand:
         assert report["results"]["trig_identity_max_residual"] == 0.25
 
 
-@pytest.mark.parametrize("argv", [
+USAGE_ERRORS = [
     [],
     ["frobnicate"],
     ["ep"],
@@ -612,8 +624,12 @@ class TestBoundsCommand:
     ["ep", data_path("shared_single.json"), "--seed", "3"],
     ["measure", "--grid", "64"],
     ["transfer", data_path("shared_single.json"), "--path", "quadrature", "--grid", "30"],
-], ids=["no-subcommand", "unknown-subcommand", "ep-no-statefile", "transfer-M-abc",
-        "ep-seed", "measure-grid", "transfer-grid"])
+]
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS, ids=[
+    "no-subcommand", "unknown-subcommand", "ep-no-statefile", "transfer-M-abc", "ep-seed",
+    "measure-grid", "transfer-grid"])
 def test_usage_error_exit_2(capsys, argv):
     assert main(argv) == 2
     captured = capsys.readouterr()
@@ -629,6 +645,87 @@ def test_help_exits_0(capsys):
     assert "Exit codes:" in capsys.readouterr().out
 
 
+# The other subcommand argvs of this module, with --out paths that are
+# parsed and not written.
+RUN_ARGVS = [
+    ["ep", data_path("shared_single.json")],
+    ["ep", data_path("vacuum.json")],
+    ["transfer", data_path("shared_single.json"), "--M", "16", "--out", "transfer.json"],
+    ["transfer", data_path("shared_single.json"), "--M", "4", "--nbar", "1"],
+    ["measure", "--ntr", "1e6", "--local-scale", "1.5"],
+    ["measure", "--ntr", "25", "--local-scale", "2", "--out", "measure.json"],
+    ["sweep", "--ntr-list", "25,50,100", "--format", "csv", "--out", "sweep.csv"],
+    ["sweep", "--ntr-list", "0.5,25"], ["sweep", "--ntr-list", ""],
+    ["measure", "--ntr", "0.2"],
+    ["bounds", "--seeds", "10", "--s", "32"],
+    ["bounds", "--seeds", "1", "--s", "2048"],
+    ["bounds", "--seeds", "1", "--s", "64", "--nbar", "5,40", "--seed", "7"],
+    ["bounds", "--seeds", "1", "--s", "8"],
+]
+# Routes through argparse beyond those: two extra positionals, help on
+# either side of the subcommand name, "--", abbreviated, "="-joined,
+# repeated and valueless options, a bad choice and a misspelt name.
+ARGPARSE_ROUTES = [
+    ["ep", "a.json", "b.json"],
+    ["--help"], ["ep", "--help"], ["-h", "ep"], ["bounds", "-h", "--s", "x"],
+    ["ep", "--", data_path("shared_single.json")], ["--", "ep", "a.json"],
+    ["ep", "a.json", "--"], ["ep", "--out"],
+    ["bounds", "--see", "5"], ["bounds", "--seeds=2", "--s=16"], ["sweep", "--ntr-l", "5"],
+    ["measure", "--ntr", "30", "--ntr", "40"], ["measure", "--ntr", "-5"],
+    ["measure", "ep"], ["ep", "measure"], ["transfer", "a.json", "--path", "grid"],
+    ["EP", "a.json"], ["ep", "-x", "a.json"], ["ep", "a.json", "-x", "--y=1"],
+]
+
+
+def parse_outcome(parse, argv):
+    """What parsing ``argv`` gives: the namespace's attributes, the exit
+    code and stdout of a help request, or the ``error:`` line (exit 2) of a
+    usage error."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        try:
+            return "namespace", vars(parse(argv))
+        except SystemExit as exc:
+            return "exit", exc.code, stdout.getvalue()
+        except StateFileError as exc:
+            return "error", f"error: {exc}"
+
+
+def test_one_pass_parse_equals_two_pass_route(monkeypatch):
+    # An argv that starts with a subcommand name is parsed by that
+    # subcommand's parser alone; every outcome is the top-level parser's.
+    argvs = [*USAGE_ERRORS, *OUT_ARGVS, *RENDERED_ARGVS, *RUN_ARGVS, *ARGPARSE_ROUTES,
+             *FORMAT_OFF_SWEEP, *BAD_REFERENCE_VALUES,
+             *(["transfer", data_path("shared_single.json"), *options]
+               for options in BAD_ANCILLA_OPTIONS),
+             *(["bounds", "--seeds", "1", "--s", "16", *options]
+               for options in BAD_BOUNDS_OPTIONS)]
+    kinds = set()
+    for argv in argvs:
+        expected = parse_outcome(build_parser().parse_args, argv)
+        assert parse_outcome(_parse_args, argv) == expected, argv
+        kinds.add(expected[0])
+    assert kinds == {"namespace", "exit", "error"}
+    # With no argv, both read sys.argv.
+    monkeypatch.setattr(sys, "argv", ["epsim", "ep", "a.json", "--seed", "3"])
+    assert parse_outcome(_parse_args, None) == parse_outcome(build_parser().parse_args, None)
+    monkeypatch.setattr(sys, "argv", ["epsim", "measure"])
+    assert parse_outcome(_parse_args, None) == parse_outcome(build_parser().parse_args, None)
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["ep", "a.json", "--seed", "3"], "error: epsim: unrecognized arguments: --seed 3"),
+    (["ep", "a.json", "b.json"], "error: epsim: unrecognized arguments: b.json"),
+    (["ep"], "error: epsim ep: the following arguments are required: statefile"),
+    (["bounds", "--s", "8"], "error: epsim bounds: argument --s: must be in [16, 2048], got 8"),
+    (["frobnicate"], "error: epsim: argument command: invalid choice: 'frobnicate' "
+                     "(choose from 'ep', 'transfer', 'measure', 'sweep', 'bounds')"),
+])
+def test_usage_error_lines(capsys, argv, line):
+    assert main(argv) == 2
+    assert capsys.readouterr().err == line + "\n"
+
+
 def test_no_option_leaks_between_calls(capsys):
     # The parser is built once per process; each call starts from the defaults.
     state = data_path("shared_single.json")
@@ -642,7 +739,7 @@ def test_no_option_leaks_between_calls(capsys):
     assert code == 0 and report["seed"] == 42
 
 
-@pytest.mark.parametrize("argv", [
+OUT_ARGVS = [
     ["ep", data_path("shared_double.json")],
     ["transfer", data_path("shared_double.json"), "--M", "8", "--path", "exact"],
     ["transfer", data_path("shared_double.json"), "--M", "8", "--path", "quadrature"],
@@ -650,8 +747,11 @@ def test_no_option_leaks_between_calls(capsys):
     ["sweep", "--ntr-list", "25,50", "--format", "json"],
     ["sweep", "--ntr-list", "25,50", "--format", "csv"],
     ["bounds", "--seeds", "3", "--s", "32", "--nbar", "5,40"],
-], ids=["ep", "transfer-exact", "transfer-quadrature", "measure", "sweep-json",
-        "sweep-csv", "bounds"])
+]
+
+
+@pytest.mark.parametrize("argv", OUT_ARGVS, ids=[
+    "ep", "transfer-exact", "transfer-quadrature", "measure", "sweep-json", "sweep-csv", "bounds"])
 def test_out_bytes_repeat(capsys, tmp_path, argv):
     out = tmp_path / "out"
     runs = []
@@ -662,7 +762,7 @@ def test_out_bytes_repeat(capsys, tmp_path, argv):
     assert runs[0] == runs[1]
 
 
-@pytest.mark.parametrize("argv", [
+RENDERED_ARGVS = [
     ["ep", data_path("shared_double.json")],
     ["transfer", data_path("shared_double.json"), "--M", "8"],
     ["transfer", data_path("shared_single.json"), "--M", "8", "--path", "quadrature"],
@@ -670,8 +770,11 @@ def test_out_bytes_repeat(capsys, tmp_path, argv):
     ["sweep", "--ntr-list", "25,50", "--format", "json"],
     ["sweep", "--ntr-list", "25,50", "--format", "csv"],
     ["bounds", "--seeds", "3", "--s", "32", "--nbar", "25,250"],
-], ids=["ep", "transfer-exact", "transfer-quadrature", "measure", "sweep-json",
-        "sweep-csv", "bounds"])
+]
+
+
+@pytest.mark.parametrize("argv", RENDERED_ARGVS, ids=[
+    "ep", "transfer-exact", "transfer-quadrature", "measure", "sweep-json", "sweep-csv", "bounds"])
 def test_rendering_equals_stdlib_route(capsys, tmp_path, argv):
     # The --out bytes are the standard library route's text of the same run,
     # and the report carries the results block of that text verbatim.

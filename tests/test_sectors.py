@@ -30,12 +30,16 @@ from epsim import (
     sector_decompose,
     tensor_product,
 )
+from epsim import protocol as protocol_module
+from epsim import sectors as sectors_module
 from epsim.cli import build_parser
 from epsim.fock import _schmidt_entropies
+from epsim.protocol import equal_different_measurement
 from epsim.sectors import SECTOR_DROP_TOL
 from epsim.statefile import load_state, state_to_dict
 from conftest import random_two_site_state, shared_double, shared_single
-from oracles import register_sector_oracle, schmidt_entropy_oracle, sector_table_oracle
+from oracles import (register_block_stack_oracle, register_sector_oracle, schmidt_entropy_oracle,
+                     sector_table_oracle)
 from strategies import transfer_inputs
 
 
@@ -314,6 +318,52 @@ class TestBatchedSectorEntropies:
             counts.update(svd=0, eigh=0)
             call()
             assert counts == expected
+
+
+@pytest.fixture
+def block_stacks(monkeypatch):
+    """[rho, keys, stack] of each ``_register_sector_blocks`` call made after
+    the fixture is set up: its arguments and the stack it hands to ``eigh``."""
+    calls = []
+    real_eigh, real_blocks = np.linalg.eigh, sectors_module._register_sector_blocks
+
+    def eigh(a, *args, **kwargs):
+        calls[-1].append(np.array(a))
+        return real_eigh(a, *args, **kwargs)
+
+    def blocks(rho, keys):
+        calls.append([rho, list(keys)])
+        return real_blocks(rho, calls[-1][1])
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    for module in (sectors_module, protocol_module):
+        monkeypatch.setattr(module, "_register_sector_blocks", blocks)
+    return calls
+
+
+@pytest.mark.parametrize("state, table, blocks", [
+    # Register sectors n = 2 and n = 3 of different sizes.
+    (mixed_shape_state(), register_sector_table, 2),
+    # One particle at site A only: the single sector n = 1.
+    (PureState(shared_single().layout, {(1, 0): 1.0}), register_sector_table, 1),
+    # The equal/different outcomes keyed by (outcome pair, n_A): blocks of
+    # sizes 2, 1 and 1.
+    (shared_double(), equal_different_measurement, 3),
+], ids=["unequal-blocks", "single-sector", "equal-different-keys"])
+def test_block_stack_equals_per_sector_copies(block_stacks, state, table, blocks):
+    # The stack is one gather from the bordered matrix; the oracle copies
+    # each sector's block into a zeroed stack.
+    rho = run_transfer(ProtocolConfig(state, AncillaSpec.uniform(4), AncillaSpec.uniform(4)))
+    table(rho)
+    [(called_on, keys, stack)] = block_stacks
+    assert called_on is rho
+    expected = register_block_stack_oracle(rho, keys)
+    assert stack.dtype == expected.dtype and stack.shape == expected.shape
+    assert np.array_equal(stack, expected)
+    assert len(stack) == blocks
+    if blocks > 1:
+        # Some block is shorter than the stack: its last diagonal entry is
+        # padding, so the padding is exercised.
+        assert np.any(stack[:, -1, -1] == 0)
 
 
 @pytest.mark.parametrize("amps,n,top,weight", [

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from epsim.statefile import StateFileError, dump_json, dump_members, parse_state
@@ -53,6 +53,33 @@ def test_dump_json_equals_stdlib_route(data):
     # At depth 1 the text stands as a member of an enclosing object.
     document = dump_members({"results": dump_json(data, depth=1)})
     assert document == dump_json_oracle({"results": data})
+
+
+# Where the 12-digit text and repr can part: the signed zeros, both sides of
+# each notation switch (1e-4, and 1e12 for the 12-digit text, 1e16 for repr),
+# and both ends of the normal range.
+EDGE_FLOATS = (0.0, -0.0, 1e-5, 1e-4, 999999999999.5, 1e12, 9.999999999995e15, 1e16,
+               5e-324, 2.2250738585072014e-308, 1.7976931348623157e308)
+
+
+def assert_float_text(x):
+    # A float at the top, in a list and in a dict: the three places
+    # dump_json writes one.
+    for data in (x, [x], {"x": x}):
+        assert dump_json(data) == dump_json_oracle(data)
+
+
+@pytest.mark.parametrize("x", EDGE_FLOATS + tuple(-x for x in EDGE_FLOATS[2:]))
+def test_edge_float_text_equals_stdlib_route(x):
+    assert_float_text(x)
+
+
+@settings(max_examples=2000, deadline=None, derandomize=True)
+@given(x=st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
+@example(math.nan)
+@example(-math.inf)
+def test_float_text_equals_stdlib_route(x):
+    assert_float_text(x)
 
 
 @pytest.mark.parametrize("data", [
