@@ -8,7 +8,9 @@ permutation and preserves exact sparsity.  A split pure state is one matrix
 Psi[kept label, other label]: its partial trace is Psi Psi^dagger, its
 entropy of entanglement that of Psi's squared singular values.  A table of
 such entropies (the sectors of one state) is one batched SVD of the matrices
-zero-padded into one stack.  All entropies are base-2 (bits / ebits).
+zero-padded into one stack, unless every matrix has a single row or a single
+column: such a Psi has one Schmidt coefficient, so the shape alone decides
+each entropy, +0.0, and no SVD runs.  All entropies are base-2 (bits / ebits).
 """
 
 from __future__ import annotations
@@ -313,6 +315,13 @@ def _entropy_bits(probs: np.ndarray) -> np.ndarray:
     return np.maximum(-(probs * np.log2(probs)).sum(axis=-1), 0.0) + 0.0
 
 
+def _check_both_sites(layout: ModeLayout) -> None:
+    """Raise ``LayoutError`` unless ``layout`` holds modes at both sites, as
+    a split at site A needs."""
+    if layout.sites() != {"A", "B"}:
+        raise LayoutError("entropy of entanglement needs both sites in the layout")
+
+
 def _schmidt_entropies(layout: ModeLayout, blocks) -> list[float]:
     """Entropy (bits) of the squared singular values of each block's Psi
     split at site A, for ``blocks`` of pure ``(labels, amps)`` pairs (any
@@ -320,10 +329,13 @@ def _schmidt_entropies(layout: ModeLayout, blocks) -> list[float]:
 
     The matrices are zero-padded into one ``(G, a, b)`` stack, filled by one
     assignment and decomposed by a single batched SVD; padding adds only zero
-    singular values.
+    singular values.  When every block has a single distinct site-A label or
+    a single distinct site-B label, each Psi is one row or one column, with
+    one Schmidt coefficient: every entropy is +0.0, exactly what the SVD
+    route gives for it, and no stack is built.  The shape is read per block,
+    not from the stack: one row beside one column pads to a 2 x 2 stack.
     """
-    if layout.sites() != {"A", "B"}:
-        raise LayoutError("entropy of entanglement needs both sites in the layout")
+    _check_both_sites(layout)
     keep_idx = layout.indices(site="A")
     # Both sites hold modes, so each getter takes at least one position.  The
     # keys of a single mode are bare occupations, which sort as their
@@ -333,13 +345,17 @@ def _schmidt_entropies(layout: ModeLayout, blocks) -> list[float]:
     where: tuple[list, list, list] = ([], [], [])
     values: list = []
     n_rows = n_cols = 0
+    one_coefficient = True
     for g, (labels, amps) in enumerate(blocks):
         basis, rows, cols, width = _split(labels, row_key, col_key)
+        one_coefficient = one_coefficient and (len(basis) == 1 or width == 1)
         where[0].extend([g] * len(rows))
         where[1].extend(rows)
         where[2].extend(cols)
         values.extend(amps)
         n_rows, n_cols = max(n_rows, len(basis)), max(n_cols, width)
+    if one_coefficient:
+        return [0.0] * len(blocks)
     stack = np.zeros((len(blocks), n_rows, n_cols), dtype=complex)
     stack[where] = values
     probs = np.linalg.svd(stack, compute_uv=False) ** 2

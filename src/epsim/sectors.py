@@ -9,9 +9,13 @@ site, which ``_local_numbers`` counts for every label; ``_sectors`` groups
 rows by their key in one pass, and each table of sector entropies comes from
 one batched SVD of the sectors' zero-padded amplitude matrices; a table of
 register sectors adds one batched ``eigh`` of its zero-padded sector blocks
-before it.  Register modes never count toward the local particle number: they
-model ordinary distinguishable qubits, which the superselection rule does not
-constrain.
+before it.  Where a block's shape decides the result, neither runs: a sector
+whose amplitude matrix is one row or one column (every sector, with one mode
+per site and a fixed total) is a product state of entropy +0.0, and a
+register table whose sectors are each one basis label has 1 x 1 blocks,
+each its own top eigenvalue and a product state.  Register modes never count
+toward the local particle number: they model ordinary distinguishable
+qubits, which the superselection rule does not constrain.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from .fock import (
     ModeLayout,
     PureState,
     StateValidationError,
+    _check_both_sites,
     _schmidt_entropies,
 )
 
@@ -104,8 +109,9 @@ def sector_decompose(state: PureState) -> SectorDecomposition:
 def particle_sector_table(state: PureState) -> list[dict]:
     """Rows ``{"n", "p", "entanglement"}``: each site-A sector's probability
     P_n and the entropy of entanglement E_n of its normalized state.  The
-    entropies come from one batched Schmidt decomposition; their scale does
-    not matter, so the sectors are not renormalized."""
+    entropies come from one batched Schmidt decomposition, or from none when
+    every sector is one row or one column; their scale does not matter, so
+    the sectors are not renormalized."""
     sectors = _site_a_sectors(state)
     entropies = _schmidt_entropies(state.layout,
                                    [(labels, amps) for _, _, labels, amps in sectors])
@@ -130,6 +136,17 @@ def register_sector_weights(rho: DensityOperator) -> dict[int, float]:
             _sectors(_register_numbers(rho), rho.matrix.diagonal().real.tolist())}
 
 
+def _check_pure(sectors, top) -> None:
+    """Raise ``StateValidationError`` for the first of the ``_sectors``
+    (key, weight, rows) triples whose block's top eigenvalue in ``top`` falls
+    below its weight by more than PURITY_TOL."""
+    for (key, weight, _), value in zip(sectors, top):
+        if value < weight * (1.0 - PURITY_TOL):
+            raise StateValidationError(
+                f"sector n={key} is not pure: top eigenvalue {value} of weight {weight}"
+            )
+
+
 def _register_sector_blocks(rho: DensityOperator, keys):
     """(key, weight, entropy of entanglement) for each sector that
     ``_sectors`` makes of the rows of ``rho`` keyed by ``keys`` and weighted
@@ -140,27 +157,31 @@ def _register_sector_blocks(rho: DensityOperator, keys):
     conditional measurements make it); its entropy is the Schmidt entropy of
     its top eigenvector.  The blocks are zero-padded into one stack and
     diagonalized by a single batched ``eigh``; padding adds only zero
-    eigenvalues, below the top one of a block with weight.
+    eigenvalues, below the top one of a block with weight.  When every sector
+    is one basis label, each block is 1 x 1: its top eigenvalue is its
+    diagonal entry (what ``eigh`` returns for it, the entry's real part), its
+    eigenvector one label, a product state of entropy +0.0, so the purity
+    check runs on the diagonal and no stack, ``eigh`` or SVD is needed.
     """
     if not rho.layout.indices(site="A", kind="register"):
         raise LayoutError("no register modes at site 'A'")
-    sectors = list(_sectors(keys, rho.matrix.diagonal().real.tolist()))
-    size = max((len(rows) for _, _, rows in sectors), default=0)
+    diagonal = rho.matrix.diagonal().real.tolist()
+    sectors = list(_sectors(keys, diagonal))
+    if all(len(rows) == 1 for _, _, rows in sectors):
+        _check_pure(sectors, [diagonal[rows[0]] for _, _, rows in sectors])
+        _check_both_sites(rho.layout)
+        return [(key, weight, 0.0) for key, weight, _ in sectors]
+    size = max(len(rows) for _, _, rows in sectors)
     # One gather builds the stack: a short block's rows are padded with
     # index dim, the all-zero last row and column of the bordered matrix.
     dim = len(rho.basis)
     index = np.array([rows + [dim] * (size - len(rows)) for _, _, rows in sectors],
-                     dtype=np.intp).reshape(len(sectors), size)
+                     dtype=np.intp)
     bordered = np.zeros((dim + 1, dim + 1), dtype=complex)
     bordered[:dim, :dim] = rho.matrix
     stack = bordered[index[:, :, None], index[:, None, :]]
     evals, evecs = np.linalg.eigh(stack)
-    top = evals[:, -1].tolist()
-    for (key, weight, _), value in zip(sectors, top):
-        if value < weight * (1.0 - PURITY_TOL):
-            raise StateValidationError(
-                f"sector n={key} is not pure: top eigenvalue {value} of weight {weight}"
-            )
+    _check_pure(sectors, evals[:, -1].tolist())
     entropies = _schmidt_entropies(
         rho.layout, [([rho.basis[i] for i in rows], evecs[g, :len(rows), -1])
                      for g, (_, _, rows) in enumerate(sectors)])
@@ -170,8 +191,9 @@ def _register_sector_blocks(rho: DensityOperator, keys):
 def register_sector_entanglement(rho: DensityOperator) -> float:
     """Entanglement of a register mixture whose blocks are sector-pure:
     the weight-averaged per-sector entropy of entanglement."""
-    return sum(weight * entropy
-               for _, weight, entropy in _register_sector_blocks(rho, _register_numbers(rho)))
+    return sum((weight * entropy
+                for _, weight, entropy in _register_sector_blocks(rho, _register_numbers(rho))),
+               0.0)
 
 
 def register_sector_table(rho: DensityOperator) -> list[dict]:

@@ -24,6 +24,7 @@ from epsim import (
     local_particle_number,
     particle_entanglement,
     particle_sector_table,
+    register_sector_entanglement,
     register_sector_table,
     register_sector_weights,
     run_transfer,
@@ -237,6 +238,35 @@ def mixed_shape_state():
     return PureState(layout, amps, normalize=True)
 
 
+def one_mode_per_site_state():
+    """Three particles on one mode per site (capacity 3), all four labels of
+    the fixed total: every site-A sector is a single label."""
+    layout = layout_of(ModeDescriptor("a", "A", "field", 3), ModeDescriptor("b", "B", "field", 3))
+    return PureState(layout, {(n, 3 - n): complex(1 + n, 2 - n) for n in range(4)},
+                     normalize=True)
+
+
+def two_modes_per_site_state():
+    """One particle on two capacity-1 modes per site, on all four modes."""
+    layout = ModeLayout(tuple(ModeDescriptor(f"{site}{k}", site.upper(), "field", 1)
+                              for site in "ab" for k in range(2)))
+    labels = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
+    return PureState(layout, {label: complex(1 + k, k - 1) for k, label in enumerate(labels)},
+                     normalize=True)
+
+
+def assert_rows_equal_where_zero(rows, oracle):
+    """``rows`` match the ``oracle`` rows, and every entropy the oracle's own
+    decomposition gives as 0.0 (each one-row or one-column block among them)
+    is +0.0 in ``rows`` too, bit for bit; the padded batched route and the
+    per-block one may differ in the last bits of a positive entropy."""
+    assert_rows_match(rows, oracle)
+    for row, expected in zip(rows, oracle):
+        if expected[2] == 0.0:
+            assert math.copysign(1.0, expected[2]) == 1.0
+            assert (row[2], math.copysign(1.0, row[2])) == (0.0, 1.0)
+
+
 def assert_rows_match(rows, oracle):
     assert [row[0] for row in rows] == [row[0] for row in oracle]
     for row, expected in zip(rows, oracle):
@@ -310,14 +340,44 @@ class TestBatchedSectorEntropies:
 
     def test_one_decomposition_per_table(self, decompositions):
         counts = decompositions
-        state = mixed_shape_state()
-        rho = run_transfer(ProtocolConfig(state, AncillaSpec.uniform(4), AncillaSpec.uniform(4)))
-        for call, expected in [(lambda: particle_sector_table(state), {"svd": 1, "eigh": 0}),
-                               (lambda: register_sector_table(rho), {"svd": 1, "eigh": 1}),
-                               (lambda: ep_results(state), {"svd": 2, "eigh": 0})]:
-            counts.update(svd=0, eigh=0)
-            call()
-            assert counts == expected
+        cases = [
+            # A 3x2 block beside a 1x1 one, and register blocks of sizes 6 and 1.
+            (mixed_shape_state(), {"svd": 1, "eigh": 0}, {"svd": 1, "eigh": 1},
+             {"svd": 2, "eigh": 0}),
+            # One mode per site and a fixed total: every sector is one label,
+            # so only ep's whole-state split reaches the SVD.
+            (shared_single(), {"svd": 0, "eigh": 0}, {"svd": 0, "eigh": 0},
+             {"svd": 1, "eigh": 0}),
+            (one_mode_per_site_state(), {"svd": 0, "eigh": 0}, {"svd": 0, "eigh": 0},
+             {"svd": 1, "eigh": 0}),
+            # One particle on two modes per site: the sector n = 1 is one
+            # column (site B empty) and n = 0 one row (site A empty); the
+            # register sector n = 1 is a 2x2 block whose top eigenvector is
+            # one column.
+            (two_modes_per_site_state(), {"svd": 0, "eigh": 0}, {"svd": 0, "eigh": 1},
+             {"svd": 1, "eigh": 0}),
+        ]
+        for state, particle, register, ep in cases:
+            rho = run_transfer(ProtocolConfig(state, AncillaSpec.uniform(4),
+                                              AncillaSpec.uniform(4)))
+            for call, expected in [(lambda: particle_sector_table(state), particle),
+                                   (lambda: register_sector_table(rho), register),
+                                   (lambda: ep_results(state), ep)]:
+                counts.update(svd=0, eigh=0)
+                call()
+                assert counts == expected
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(state=transfer_inputs(fixed_total=True), M=st.integers(1, 8))
+    def test_tables_equal_oracles_where_shape_decides(self, state, M):
+        rows = particle_sector_table(state)
+        oracle = sector_table_oracle(state)
+        assert [(r["n"], r["p"]) for r in rows] == [(n, p) for n, p, _ in oracle]
+        assert_rows_equal_where_zero([(r["n"], r["p"], r["entanglement"]) for r in rows], oracle)
+        rho = run_transfer(ProtocolConfig(state, AncillaSpec.uniform(M), AncillaSpec.uniform(M)))
+        assert_rows_equal_where_zero([(r["n"], r["weight"], r["entanglement"])
+                                      for r in register_sector_table(rho)],
+                                     register_sector_oracle(rho))
 
 
 @pytest.fixture
@@ -343,8 +403,9 @@ def block_stacks(monkeypatch):
 @pytest.mark.parametrize("state, table, blocks", [
     # Register sectors n = 2 and n = 3 of different sizes.
     (mixed_shape_state(), register_sector_table, 2),
-    # One particle at site A only: the single sector n = 1.
-    (PureState(shared_single().layout, {(1, 0): 1.0}), register_sector_table, 1),
+    # One particle at site A only: the single sector n = 1, one label, whose
+    # 1x1 block is its own top eigenvalue, so no stack reaches eigh.
+    (PureState(shared_single().layout, {(1, 0): 1.0}), register_sector_table, 0),
     # The equal/different outcomes keyed by (outcome pair, n_A): blocks of
     # sizes 2, 1 and 1.
     (shared_double(), equal_different_measurement, 3),
@@ -353,7 +414,14 @@ def test_block_stack_equals_per_sector_copies(block_stacks, state, table, blocks
     # The stack is one gather from the bordered matrix; the oracle copies
     # each sector's block into a zeroed stack.
     rho = run_transfer(ProtocolConfig(state, AncillaSpec.uniform(4), AncillaSpec.uniform(4)))
-    table(rho)
+    out = table(rho)
+    if not blocks:
+        [(called_on, _)] = block_stacks
+        assert called_on is rho
+        rows = [(row["n"], row["weight"], row["entanglement"]) for row in out]
+        assert rows == register_sector_oracle(rho)
+        assert math.copysign(1.0, rows[0][2]) == 1.0
+        return
     [(called_on, keys, stack)] = block_stacks
     assert called_on is rho
     expected = register_block_stack_oracle(rho, keys)
@@ -384,6 +452,22 @@ def test_mixed_register_sector_fails_purity_check(amps, n, top, weight):
     assert int(match[1]) == n
     assert float(match[2]) == pytest.approx(top, abs=1e-12)
     assert float(match[3]) == pytest.approx(weight, abs=1e-12)
+
+
+def test_operator_without_weighted_sector(decompositions):
+    # A zero operator (allowed with check_trace=False) has no sector whose
+    # weight reaches SECTOR_DROP_TOL: empty tables, and nothing to decompose.
+    layout = ModeLayout(tuple(ModeDescriptor(f"r{site}{k}", site.upper(), "register", 1)
+                              for site in "ab" for k in range(2)))
+    basis = list(itertools.product((0, 1), repeat=4))
+    rho = DensityOperator(layout, basis, np.zeros((16, 16)), check_trace=False)
+    decompositions.update(svd=0, eigh=0)
+    assert register_sector_weights(rho) == {}
+    assert register_sector_table(rho) == []
+    entanglement = register_sector_entanglement(rho)
+    assert (type(entanglement), entanglement, math.copysign(1.0, entanglement)) == (float, 0.0, 1.0)
+    assert equal_different_measurement(rho) == []
+    assert decompositions == {"svd": 0, "eigh": 0}
 
 
 @pytest.mark.parametrize("weight,kept", [(SECTOR_DROP_TOL, True),
