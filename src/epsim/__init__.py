@@ -18,8 +18,6 @@ from .fock import (
     von_neumann_entropy,
 )
 from .sectors import (
-    Sector,
-    SectorDecomposition,
     local_particle_number,
     particle_entanglement,
     particle_sector_table,

@@ -184,8 +184,9 @@ def cmd_ep(args) -> _Run:
 
 def cmd_transfer(args) -> _Run:
     state = load_state(args.statefile)
-    spec = (AncillaSpec.uniform(args.M) if args.nbar is None
-            else coherent_coefficients(args.nbar, args.M))
+    # No result reads the ancilla amplitudes, only M, so the default is the
+    # one-level reference of mean 0, whatever M is.
+    spec = coherent_coefficients(0.0 if args.nbar is None else args.nbar, args.M)
     config = ProtocolConfig(state, spec, spec)
     # Each site-A particle number must pair with one site-B number, or its
     # register sector is a mixture, whose entanglement is undefined.
@@ -453,7 +454,7 @@ def build_parser() -> _Parser:
                       default=32, help="ancilla truncation")
     p_tr.add_argument("--path", choices=("exact", "quadrature"), default="exact")
     p_tr.add_argument("--nbar", type=_NON_NEGATIVE, default=None,
-                      help="coherent ancilla mean (default: uniform amplitudes)")
+                      help="coherent ancilla mean (default: 0, a one-level ancilla)")
 
     p_me = add("measure", cmd_measure, "phase-difference measurement analysis")
     p_me.add_argument("--ntr", type=_AT_LEAST_ONE, default=100.0,

@@ -30,20 +30,20 @@ one it rebuilds coherence between terms that differ by k particles moved
 between the sites (Bartlett, Rudolph & Spekkens, RMP 79, 555 (2007)).  The
 measured register matrix is therefore a trigonometric polynomial in the
 angle, T(phi) = sum_k e^{-i phi k} Q_k with |k| <= D - 1, whose Fourier
-coefficients Q_k are formed from integer-key groups on the first angle
-measured on a state, and kept, with its register basis checked once, for
-as long as the state lives.  An angle then costs one length-D ramp, one
-contraction, O(D R^2) for R register labels, and the matrix checks of its
-output, with D <= N + 1 on the protocol's final state of N particles.
-``resolution_kernel`` is no longer called here; it is the reference the
-tests check the visibility's first moment against.  The per-lag moment sums
-and the per-term dict grouping are the test oracles in ``tests/oracles.py``.
+coefficients Q_k are formed from the groups numpy's row ``unique`` finds
+on the first angle measured on a state, and kept, with its register basis
+checked once, for as long as the state lives.  An angle then costs one
+length-D ramp, one contraction, O(D R^2) for R register labels, and the
+matrix checks of its output, with D <= N + 1 on the protocol's final state
+of N particles.  ``resolution_kernel`` is no longer called here; it is the
+reference the tests check the visibility's first moment against.  The
+per-lag moment sums and the per-term dict grouping are the test oracles in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import weakref
 from dataclasses import dataclass
@@ -245,27 +245,6 @@ def post_measurement_register_state(c: complex) -> DensityOperator:
     return pair.with_matrix(mat)
 
 
-# Mixed-radix keys are re-ranked before they could pass this bound, so no
-# int64 key overflows however many modes or how large their capacities are.
-_KEY_LIMIT = 1 << 62
-
-
-def _row_keys(rows: np.ndarray) -> np.ndarray:
-    """Integer key per row of a non-negative int array, in mixed radix with
-    each column's largest value plus one as its radix: equal rows get equal
-    keys and key order is lexicographic row order."""
-    key = np.zeros(len(rows), dtype=np.int64)
-    span = 1
-    for column in rows.T:
-        radix = int(column.max()) + 1
-        if span * radix > _KEY_LIMIT:
-            _, key = np.unique(key, return_inverse=True)
-            span = int(key.max()) + 1
-        key = key * radix + column
-        span *= radix
-    return key
-
-
 @dataclass(frozen=True)
 class _PovmPlan:
     """The phi-independent part of the phase-difference POVM on one state:
@@ -315,22 +294,21 @@ def _build_povm_plan(state: PureState, mode_a: str, mode_b: str) -> _PovmPlan:
         raise LayoutError("state carries no register modes")
     rest_idx = [i for i in range(len(layout)) if i not in (ia, ib) and i not in reg_idx]
 
-    count = len(state.amplitudes)
-    labels = np.fromiter(itertools.chain.from_iterable(state.amplitudes), dtype=np.int64,
-                         count=count * len(layout)).reshape(count, len(layout))
-    amps = np.fromiter(state.amplitudes.values(), dtype=complex, count=count)
+    labels = np.array(list(state.amplitudes), dtype=np.int64)
+    amps = np.array(list(state.amplitudes.values()), dtype=complex)
 
     # Groups fix the spectator field occupations and the total occupation of
-    # the pair; the POVM never couples terms of different groups.
+    # the pair; the POVM never couples terms of different groups.  Both
+    # inverses are raveled: their shape under ``axis`` changed in numpy 2.0.x.
     group_rows = np.column_stack([labels[:, rest_idx], labels[:, ia] + labels[:, ib]])
-    group_ids, group = np.unique(_row_keys(group_rows), return_inverse=True)
-    reg_ids, first, reg = np.unique(_row_keys(labels[:, reg_idx]),
-                                    return_index=True, return_inverse=True)
+    group_ids, group = np.unique(group_rows, axis=0, return_inverse=True)
+    reg_rows, reg = np.unique(labels[:, reg_idx], axis=0, return_inverse=True)
+    group, reg = group.ravel(), reg.ravel()
     n_b = labels[:, ib]
     lowest = np.full(len(group_ids), n_b.max())
     np.minimum.at(lowest, group, n_b)
     lag = n_b - lowest[group]
-    D, R = int(lag.max()) + 1, len(reg_ids)
+    D, R = int(lag.max()) + 1, len(reg_rows)
     blocks = np.zeros((len(group_ids), D, R), dtype=complex)
     blocks[group, lag, reg] = amps
     coeffs = np.empty((D, R, R), dtype=complex)
@@ -339,7 +317,7 @@ def _build_povm_plan(state: PureState, mode_a: str, mode_b: str) -> _PovmPlan:
     coeffs[0] /= 2.0
     coeffs /= TWO_PI
     coeffs.setflags(write=False)
-    basis = [tuple(row) for row in labels[np.ix_(first, reg_idx)].tolist()]
+    basis = [tuple(row) for row in reg_rows.tolist()]
     template = DensityOperator(layout.sublayout(reg_idx), basis, np.eye(R) / R)
     return _PovmPlan(coeffs, template)
 

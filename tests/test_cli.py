@@ -6,6 +6,7 @@ import json
 import math
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -219,6 +220,23 @@ class TestTransferCommand:
         assert out.exists()
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("warning: truncation M=4 below")
+
+    def test_default_ancilla_allocates_no_levels(self, capsys):
+        # No result reads the ancilla amplitudes, so without --nbar the
+        # ancilla is the one-level reference of mean 0, not 2^24 levels.
+        argv = ["transfer", data_path("shared_double.json"), "--M", "16777215"]
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+        assert peak < 16 * 2 ** 20
+        code, report = run_cli(capsys, *argv, "--nbar", "0")
+        assert code == 0
+        assert report["results"] == json.loads(captured.out)["results"]
 
     def test_mixed_total_exit_2(self, capsys, tmp_path):
         # Site-A number 0 pairs with site-B numbers 0 and 1, so the sector

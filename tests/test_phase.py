@@ -32,7 +32,7 @@ from epsim import (
     visibility,
 )
 import epsim.phase as phase
-from epsim.phase import _povm_plan, _row_keys, register_pair_layout
+from epsim.phase import _povm_plan, register_pair_layout
 from epsim.protocol import _register_terms
 from epsim.statefile import load_state
 from conftest import data_path, shared_double, shared_single
@@ -471,15 +471,31 @@ class TestPhaseDifferencePovm:
                                * mu(ancilla_b, k) / (2 * np.pi))
             np.testing.assert_allclose(q, want, rtol=0.0, atol=1e-12)
 
-    def test_row_keys_past_int64_range(self, rng):
-        # Column values near 2^40 push the mixed-radix span far past int64;
-        # the keys must still separate distinct rows in lexicographic order.
-        rows = rng.randint(0, 4, size=(200, 5)).astype(np.int64) << 38
-        keys = _row_keys(rows)
-        order = np.lexsort(rows.T[::-1])
-        assert np.all(np.diff(keys[order]) >= 0)
-        distinct = np.any(np.diff(rows[order], axis=0) != 0, axis=1)
-        assert np.array_equal(np.diff(keys[order]) > 0, distinct)
+    def test_povm_past_int64_key_range(self, rng):
+        # Register and spectator occupations near 2^38 on capacities 2^40: a
+        # mixed-radix key of the group rows (two spectators and the pair
+        # total) or of the register rows would pass 2^63 unless re-ranked.
+        big = 1 << 40
+        layout = layout_of(ModeDescriptor("ref_A", "A", "field", 2),
+                           ModeDescriptor("ref_B", "B", "field", 2),
+                           ModeDescriptor("spec_A", "A", "field", big),
+                           ModeDescriptor("spec_B", "B", "field", big),
+                           ModeDescriptor("reg_A", "A", "register", big),
+                           ModeDescriptor("reg_B", "B", "register", big))
+        refs = rng.randint(0, 3, size=(300, 2))
+        wide = rng.randint(0, 4, size=(300, 4)) << 38
+        labels = {tuple(row) for row in np.column_stack([refs, wide]).tolist()}
+        amps = rng.normal(size=len(labels)) + 1j * rng.normal(size=len(labels))
+        amps /= np.linalg.norm(amps)
+        state = PureState(layout, dict(zip(sorted(labels), amps)))
+        for varphi in (0.8, 4.1):
+            density, post = apply_phase_difference_povm(state, "ref_A", "ref_B", varphi)
+            density_ref, post_ref = phase_difference_povm_oracle(state, "ref_A", "ref_B",
+                                                                 varphi)
+            assert len(post.basis) == 16
+            assert post.basis == post_ref.basis
+            assert density == pytest.approx(density_ref, abs=1e-12)
+            np.testing.assert_allclose(post.matrix, post_ref.matrix, rtol=0.0, atol=1e-12)
 
     def test_povm_completeness_on_truncated_space(self):
         grid = 2 * np.pi * np.arange(21) / 21
