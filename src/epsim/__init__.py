@@ -29,7 +29,6 @@ from .sectors import (
 from .protocol import (
     AncillaSpec,
     GridError,
-    MeasurementOutcome,
     ProtocolConfig,
     coherent_coefficients,
     equal_different_measurement,
@@ -44,7 +43,6 @@ from .protocol import (
 from .phase import (
     PhaseDistribution,
     apply_phase_difference_povm,
-    binary_entropy,
     canonical_phase_distribution,
     coherent_visibility_model,
     concurrence_ef_oracle,

@@ -71,7 +71,6 @@ from .protocol import (
     run_transfer,
 )
 from .sectors import (
-    _local_numbers,
     particle_entanglement,
     particle_sector_table,
     register_sector_table,
@@ -190,10 +189,9 @@ def cmd_transfer(args) -> _Run:
     config = ProtocolConfig(state, spec, spec)
     # Each site-A particle number must pair with one site-B number, or its
     # register sector is a mixture, whose entanglement is undefined.
-    n_a, n_b = (_local_numbers(state.layout, state.amplitudes, site, "field")
-                for site in ("A", "B"))
+    _, _, _, n_a, n_b = config.register_terms
     site_b: dict[int, int] = {}
-    for a, b in sorted(set(zip(n_a, n_b))):
+    for a, b in sorted(set(zip(n_a.tolist(), n_b.tolist()))):
         if site_b.setdefault(a, b) != b:
             raise StateFileError("transfer needs one site-B particle number per site-A number "
                                  f"(a fixed total in each sector): site-A number {a} pairs "

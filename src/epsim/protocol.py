@@ -260,7 +260,10 @@ def hiding_operation(state: PureState, control: str, source: str, sink: str) -> 
 
 @dataclass(frozen=True)
 class ProtocolConfig:
-    """Inputs of one transfer run: shared-particle state and both ancillas."""
+    """Inputs of one transfer run: shared-particle state and both ancillas.
+    ``register_terms``, built once here, is the input relabelled onto the
+    registers: their layout, the sorted labels, and aligned read-only arrays
+    of the amplitudes and of each label's local numbers n_A, n_B."""
 
     input_state: PureState
     ancilla_a: AncillaSpec
@@ -274,17 +277,29 @@ class ProtocolConfig:
             raise LayoutError("transfer input must use field modes only")
         # transfer_final_state puts the input next to these modes in one
         # layout, so their ids must stay free.
+        register_modes = self.register_modes()
         protocol_ids = ({self.sink_id(s) for s in ("A", "B")}
                         | {self.ref_id(s) for s in ("A", "B")}
-                        | {m.id for m in self.register_modes()})
+                        | {m.id for m in register_modes})
         clash = protocol_ids & set(layout.ids())
         if clash:
             raise LayoutError(f"input mode ids {sorted(clash)} are reserved for the "
                               f"protocol's ancilla and register modes")
+        # Permuted labels stay distinct, so the sort never compares amplitudes.
+        positions = [i for site in ("A", "B") for i in layout.indices(site=site)]
+        basis, amps = zip(*sorted((tuple(label[p] for p in positions), amp)
+                                  for label, amp in self.input_state.amplitudes.items()))
+        reg_layout = ModeLayout(tuple(register_modes))
+        numbers = (_local_numbers(reg_layout, basis, site, "register") for site in ("A", "B"))
+        arrays = (np.array(amps, dtype=complex), *map(np.array, numbers))
+        for array in arrays:
+            array.setflags(write=False)
+        object.__setattr__(self, "register_terms", (reg_layout, list(basis), *arrays))
 
     @property
     def total_particles(self) -> int:
-        return max(sum(label) for label in self.input_state.amplitudes)
+        _, _, _, n_a, n_b = self.register_terms
+        return int((n_a + n_b).max())
 
     def sink_id(self, site: str) -> str:
         return f"sink_{site}"
@@ -309,25 +324,6 @@ class ProtocolConfig:
         return out
 
 
-def _register_terms(config: ProtocolConfig):
-    """Input terms relabelled onto the register modes, in register-label order.
-
-    Returns the register layout, the sorted register labels, and aligned
-    arrays of the input amplitudes and of the local particle numbers n_A, n_B
-    of each register label.
-    """
-    layout = config.input_state.layout
-    positions = [layout.index(f.id) for site in ("A", "B") for f in config.field_modes(site)]
-    terms = sorted(((tuple(label[p] for p in positions), amp)
-                    for label, amp in config.input_state.amplitudes.items()),
-                   key=lambda t: t[0])
-    basis, amps = zip(*terms)
-    reg_layout = ModeLayout(tuple(config.register_modes()))
-    n_a, n_b = (np.array(_local_numbers(reg_layout, basis, site, "register"))
-                for site in ("A", "B"))
-    return reg_layout, list(basis), np.array(amps, dtype=complex), n_a, n_b
-
-
 def transfer_final_state(config: ProtocolConfig) -> PureState:
     """Full pure state after both sites ran CNOT-then-hide on every field mode.
 
@@ -338,7 +334,7 @@ def transfer_final_state(config: ProtocolConfig) -> PureState:
     phase-difference POVM.  Built in closed form (see the module
     docstring): one term per reference pair (m_A, m_B) and input term.
     """
-    reg_layout, basis, amps, n_a, n_b = _register_terms(config)
+    reg_layout, basis, amps, n_a, n_b = config.register_terms
     site_modes = []
     for site, spec in (("A", config.ancilla_a), ("B", config.ancilla_b)):
         site_modes += [ModeDescriptor(config.sink_id(site), site, "field",
@@ -364,11 +360,11 @@ def run_transfer(config: ProtocolConfig) -> DensityOperator:
     local-number sectors.
 
     Entry (r, r') is amp_r conj(amp_r') when both labels carry the same
-    (n_A, n_B) and zero otherwise, over the register modes in
-    ``config.register_modes()`` order.  See the module docstring for why this
-    equals tracing the field modes out of ``transfer_final_state(config)``.
+    (n_A, n_B) and zero otherwise, over the labels of ``config.register_terms``
+    in ``config.register_modes()`` order.  See the module docstring for why
+    this equals tracing the field modes out of ``transfer_final_state(config)``.
     """
-    reg_layout, basis, amps, n_a, n_b = _register_terms(config)
+    reg_layout, basis, amps, n_a, n_b = config.register_terms
     same_sector = (n_a[:, None] == n_a[None, :]) & (n_b[:, None] == n_b[None, :])
     mat = np.where(same_sector, np.outer(amps, amps.conj()), 0.0)
     return DensityOperator(reg_layout, basis, mat)
@@ -434,7 +430,7 @@ def phase_grid_register_state(config: ProtocolConfig, K: int) -> DensityOperator
     if K < K_min:
         raise GridError(f"grid size {K} below the exactness bound {K_min}")
 
-    reg_layout, basis, amps, n_a, n_b = _register_terms(config)
+    reg_layout, basis, amps, n_a, n_b = config.register_terms
     kernel = _grid_sink_kernel(n_a, M_a, K) * _grid_sink_kernel(n_b, M_b, K)
     mat = np.outer(amps, amps.conj()) * kernel
     return DensityOperator(reg_layout, basis, mat, check_trace=False)

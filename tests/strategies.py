@@ -48,10 +48,11 @@ def ancilla_specs(draw, max_m=12):
 
 
 @st.composite
-def transfer_inputs(draw, max_particles=3, fixed_total=None):
+def transfer_inputs(draw, max_particles=3, fixed_total=None, shuffled=False):
     """Random two-site state: 1 to max_particles particles, 1-2 modes per
     site, either a fixed total particle number or any total up to the
-    maximum (drawn, unless ``fixed_total`` picks one)."""
+    maximum (drawn, unless ``fixed_total`` picks one).  The site-A modes come
+    first, unless ``shuffled`` draws a permutation of the mode order."""
     particles = draw(st.integers(1, max_particles))
     fixed = draw(st.booleans()) if fixed_total is None else fixed_total
     modes = []
@@ -65,6 +66,10 @@ def transfer_inputs(draw, max_particles=3, fixed_total=None):
     support = draw(st.lists(st.sampled_from(labels), min_size=1,
                             max_size=len(labels), unique=True))
     amps = {label: draw(AMPLITUDES) for label in support}
+    if shuffled:
+        order = draw(st.permutations(range(len(modes))))
+        modes = [modes[i] for i in order]
+        amps = {tuple(label[i] for i in order): amp for label, amp in amps.items()}
     return PureState(ModeLayout(tuple(modes)), amps, normalize=True)
 
 

@@ -15,7 +15,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from epsim import DensityOperator, ModeDescriptor, ModeLayout
+import epsim.cli
+import epsim.protocol
+from epsim import AncillaSpec, DensityOperator, ModeDescriptor, ModeLayout, ProtocolConfig
 from epsim.cli import _bounds_rng, _parse_args, build_parser, main
 from epsim.statefile import (StateFileError, format_float, load_state, parse_state,
                              state_to_dict)
@@ -118,6 +120,50 @@ class TestTransferCommand:
         assert outcomes[("equal", "equal")]["probability"] == pytest.approx(0.5, abs=1e-10)
         assert outcomes[("different", "different")]["entanglement"] == pytest.approx(
             1.0, abs=1e-10)
+
+    def test_site_b_first_input(self, capsys, tmp_path):
+        # shared_double with its modes listed b1, a1, b2, a2: the registers
+        # still come out site A first, and transfer keeps ep's sectors.
+        source = json.loads(Path(data_path("shared_double.json")).read_text())
+        order = [1, 0, 3, 2]
+        path = tmp_path / "b_first.json"
+        path.write_text(json.dumps({
+            "modes": [source["modes"][i] for i in order],
+            "terms": [{"occ": [t["occ"][i] for i in order], "amp": t["amp"]}
+                      for t in source["terms"]],
+        }))
+        code, ep = run_cli(capsys, "ep", str(path))
+        assert code == 0
+        code, report = run_cli(capsys, "transfer", str(path), "--M", "8")
+        assert code == 0
+        results = report["results"]
+        modes = results["register_state"]["modes"]
+        assert [m["site"] for m in modes] == ["A", "A", "B", "B"]
+        assert [m["id"] for m in modes] == ["reg_a1", "reg_a2", "reg_b1", "reg_b2"]
+        assert results["transfer_entanglement"] == pytest.approx(
+            results["input_particle_entanglement"], abs=1e-12)
+        assert results["sector_weights"] == {
+            str(row["n"]): row["p"] for row in ep["results"]["sectors"]}
+
+    def test_input_relabelled_once(self, capsys, monkeypatch):
+        # ProtocolConfig relabels the input onto the registers once, counting
+        # n_A and n_B, and every route and the CLI read that record.
+        calls = []
+        local_numbers = epsim.protocol._local_numbers
+
+        def counted(*args):
+            calls.append(args[2:])
+            return local_numbers(*args)
+
+        monkeypatch.setattr(epsim.protocol, "_local_numbers", counted)
+        path = data_path("shared_double.json")
+        assert main(["transfer", path, "--M", "8", "--path", "quadrature"]) == 0
+        capsys.readouterr()
+        assert calls == [("A", "register"), ("B", "register")]
+        assert not hasattr(epsim.cli, "_local_numbers")
+        spec = AncillaSpec(8, [1.0])
+        _, _, *arrays = ProtocolConfig(load_state(path), spec, spec).register_terms
+        assert len(arrays) == 3 and not any(a.flags.writeable for a in arrays)
 
     def test_quadrature_distance(self, capsys):
         code, report = run_cli(capsys, "transfer", data_path("shared_single.json"),

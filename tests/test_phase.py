@@ -33,7 +33,6 @@ from epsim import (
 )
 import epsim.phase as phase
 from epsim.phase import _povm_plan, register_pair_layout
-from epsim.protocol import _register_terms
 from epsim.statefile import load_state
 from conftest import data_path, shared_double, shared_single
 from oracles import (
@@ -447,7 +446,7 @@ class TestPhaseDifferencePovm:
         # the pair (r, r') sits in Q_k at k = n_B,r - n_B,r' = -Delta only.
         config = ProtocolConfig(state, ancilla_a, ancilla_b)
         plan = _povm_plan(transfer_final_state(config), "ref_A", "ref_B")
-        _, basis, amps, n_a, n_b = _register_terms(config)
+        _, basis, amps, n_a, n_b = config.register_terms
         assert plan.template.basis == basis
         D, N = plan.coeffs.shape[0], config.total_particles
         assert D - 1 <= N

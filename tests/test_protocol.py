@@ -587,6 +587,29 @@ class TestPhaseGridRegisterState:
         assert labels == rho_grid.basis
         np.testing.assert_allclose(rho_grid.matrix, mat, rtol=0.0, atol=1e-12)
 
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(state=transfer_inputs(shuffled=True), ancilla_a=random_ancillas(3),
+           ancilla_b=random_ancillas(3))
+    def test_site_interleaved_inputs_match_oracles(self, state, ancilla_a, ancilla_b):
+        # Modes in any site order: the registers still list site A first, and
+        # both routes equal their independent oracles.
+        from oracles import phase_grid_oracle
+
+        config = ProtocolConfig(state, ancilla_a, ancilla_b)
+        rho = run_transfer(config)
+        sites = [m.site for m in rho.layout.modes]
+        assert sites == sorted(sites)
+        if len({sum(label) for label in state.amplitudes}) == 1:
+            # With one total, each n_A sector of the input is one (n_A, n_B).
+            oracle = mixture_from_sectors(state, config)
+            assert oracle.basis == rho.basis
+            np.testing.assert_allclose(rho.matrix, oracle.matrix, rtol=0.0, atol=1e-12)
+        K = 2 * max(ancilla_a.M, ancilla_b.M) + 3
+        rho_grid = phase_grid_register_state(config, K)
+        labels, mat = phase_grid_oracle(config, K)
+        assert labels == rho_grid.basis
+        np.testing.assert_allclose(rho_grid.matrix, mat, rtol=0.0, atol=1e-12)
+
     @pytest.mark.parametrize("m", [1, 2])
     @pytest.mark.parametrize("particles", [5, 7, 11])
     def test_aliased_sectors_match_pointwise_oracle(self, particles, m):
