@@ -50,7 +50,6 @@ from .phase import (
     ef_upper_bound,
     entanglement_of_formation_x,
     post_measurement_register_state,
-    two_qubit_concurrence,
     visibility,
 )
 from .uncertainty import (

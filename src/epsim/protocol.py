@@ -42,6 +42,7 @@ test oracle for it and for ``run_transfer``.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import warnings
@@ -185,20 +186,13 @@ def _coherent_window(log_nbar: float, peak: int, M: int) -> tuple[int, int]:
     def within(n: int) -> bool:
         return n * log_nbar - math.lgamma(n + 1) - top >= _LOG_WEIGHT_FLOOR
 
-    def edge(inside: int, outside: int) -> int:
-        """The last n from ``inside`` towards ``outside`` that is within."""
-        if within(outside):
-            return outside
-        while abs(outside - inside) > 1:
-            mid = (inside + outside) // 2
-            if within(mid):
-                inside = mid
-            else:
-                outside = mid
-        return inside
-
     top = peak * log_nbar - math.lgamma(peak + 1)
-    return edge(peak, 0), edge(peak, M)
+    # within is False then True on 0..peak, and True then False on peak..M,
+    # which M..peak lists as False then True.  An end of [0, M] inside the
+    # window, as M is at the CLI's truncation, is its edge with one call.
+    lo = 0 if within(0) else bisect.bisect_left(range(peak + 1), True, key=within)
+    hi = M if within(M) else M - bisect.bisect_left(range(M, peak - 1, -1), True, key=within)
+    return lo, hi
 
 
 def occupation_cnot(state: PureState, control: str, target: str) -> PureState:
@@ -262,8 +256,9 @@ def hiding_operation(state: PureState, control: str, source: str, sink: str) -> 
 class ProtocolConfig:
     """Inputs of one transfer run: shared-particle state and both ancillas.
     ``register_terms``, built once here, is the input relabelled onto the
-    registers: their layout, the sorted labels, and aligned read-only arrays
-    of the amplitudes and of each label's local numbers n_A, n_B."""
+    register modes, site A first: their layout, the sorted labels, and
+    aligned read-only arrays of the amplitudes and of each label's local
+    numbers n_A, n_B."""
 
     input_state: PureState
     ancilla_a: AncillaSpec
@@ -275,21 +270,23 @@ class ProtocolConfig:
             raise LayoutError("transfer input must involve both sites")
         if any(m.kind != "field" for m in layout.modes):
             raise LayoutError("transfer input must use field modes only")
+        # The register at position r copies the field mode at positions[r].
+        positions = [i for site in ("A", "B") for i in layout.indices(site=site)]
+        reg_layout = ModeLayout(tuple(
+            ModeDescriptor(self.register_id(m.id), m.site, "register", m.capacity)
+            for m in (layout.modes[p] for p in positions)))
         # transfer_final_state puts the input next to these modes in one
         # layout, so their ids must stay free.
-        register_modes = self.register_modes()
         protocol_ids = ({self.sink_id(s) for s in ("A", "B")}
                         | {self.ref_id(s) for s in ("A", "B")}
-                        | {m.id for m in register_modes})
+                        | set(reg_layout.ids()))
         clash = protocol_ids & set(layout.ids())
         if clash:
             raise LayoutError(f"input mode ids {sorted(clash)} are reserved for the "
                               f"protocol's ancilla and register modes")
         # Permuted labels stay distinct, so the sort never compares amplitudes.
-        positions = [i for site in ("A", "B") for i in layout.indices(site=site)]
         basis, amps = zip(*sorted((tuple(label[p] for p in positions), amp)
                                   for label, amp in self.input_state.amplitudes.items()))
-        reg_layout = ModeLayout(tuple(register_modes))
         numbers = (_local_numbers(reg_layout, basis, site, "register") for site in ("A", "B"))
         arrays = (np.array(amps, dtype=complex), *map(np.array, numbers))
         for array in arrays:
@@ -309,19 +306,6 @@ class ProtocolConfig:
 
     def register_id(self, field_id: str) -> str:
         return f"reg_{field_id}"
-
-    def field_modes(self, site: str) -> list[ModeDescriptor]:
-        layout = self.input_state.layout
-        return [layout.modes[i] for i in layout.indices(site=site, kind="field")]
-
-    def register_modes(self) -> list[ModeDescriptor]:
-        """Register modes in output order: all of site A, then all of site B."""
-        out = []
-        for site in ("A", "B"):
-            for f in self.field_modes(site):
-                out.append(ModeDescriptor(self.register_id(f.id), site, "register",
-                                          f.capacity))
-        return out
 
 
 def transfer_final_state(config: ProtocolConfig) -> PureState:
@@ -360,8 +344,8 @@ def run_transfer(config: ProtocolConfig) -> DensityOperator:
     local-number sectors.
 
     Entry (r, r') is amp_r conj(amp_r') when both labels carry the same
-    (n_A, n_B) and zero otherwise, over the labels of ``config.register_terms``
-    in ``config.register_modes()`` order.  See the module docstring for why
+    (n_A, n_B) and zero otherwise, over the labels of the register basis
+    in ``config.register_terms`` order.  See the module docstring for why
     this equals tracing the field modes out of ``transfer_final_state(config)``.
     """
     reg_layout, basis, amps, n_a, n_b = config.register_terms

@@ -74,6 +74,17 @@ def overlap_integral_quadrature(k, spec, theta, grid=None):
     return total / K
 
 
+def register_order(config):
+    """The transfer's field modes in register order, and one register mode
+    per field mode, stated here, not read from the library: site A's modes
+    first, each site's in input layout order (a stable sort by site)."""
+    from epsim.fock import ModeDescriptor
+
+    fields = sorted(config.input_state.layout.modes, key=lambda m: m.site)
+    return fields, [ModeDescriptor(config.register_id(f.id), f.site, "register", f.capacity)
+                    for f in fields]
+
+
 def phase_grid_oracle(config, K):
     """Register matrix of the phase-ensemble route, rebuilt point by point.
 
@@ -91,8 +102,7 @@ def phase_grid_oracle(config, K):
     from epsim.sectors import local_particle_number
 
     layout = config.input_state.layout
-    field_order = [f.id for site in ("A", "B") for f in config.field_modes(site)]
-    positions = [layout.index(fid) for fid in field_order]
+    positions = [layout.index(f.id) for f in register_order(config)[0]]
     entries = []
     for label, amp in config.input_state.amplitudes.items():
         entries.append((tuple(label[p] for p in positions), amp,
@@ -346,16 +356,14 @@ def gate_final_state(config):
         ref = ModeDescriptor(config.ref_id(site), site, "field", spec.M)
         pieces.append(two_mode_ancilla_state(spec, sink, ref))
     pieces.append(config.input_state)
-    regs = config.register_modes()
+    fields, regs = register_order(config)
     pieces.append(PureState(ModeLayout(tuple(regs)), {(0,) * len(regs): 1.0}))
     state = reduce(tensor_product, pieces)
 
-    for site in ("A", "B"):
-        for f in config.field_modes(site):
-            reg = config.register_id(f.id)
-            state = occupation_cnot(state, control=f.id, target=reg)
-            state = hiding_operation(state, control=reg, source=f.id,
-                                     sink=config.sink_id(site))
+    for f, reg in zip(fields, regs):
+        state = occupation_cnot(state, control=f.id, target=reg.id)
+        state = hiding_operation(state, control=reg.id, source=f.id,
+                                 sink=config.sink_id(f.site))
     return state
 
 
@@ -364,7 +372,7 @@ def gate_register_state(config):
     gate_final_state, the brute-force reference for run_transfer's sector
     dephasing (independent of the closed-form transfer_final_state)."""
     return partial_trace_oracle(gate_final_state(config),
-                                [m.id for m in config.register_modes()])
+                                [m.id for m in register_order(config)[1]])
 
 
 def povm_identity_residual(dim_a, dim_b, varphi_grid):

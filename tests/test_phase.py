@@ -28,11 +28,10 @@ from epsim import (
     layout_of,
     post_measurement_register_state,
     transfer_final_state,
-    two_qubit_concurrence,
     visibility,
 )
 import epsim.phase as phase
-from epsim.phase import _povm_plan, register_pair_layout
+from epsim.phase import _povm_plan, register_pair_layout, two_qubit_concurrence
 from epsim.statefile import load_state
 from conftest import data_path, shared_double, shared_single
 from oracles import (

@@ -40,7 +40,8 @@ from epsim.cli import _coherent_truncation
 from conftest import random_two_site_state, shared_double, shared_single
 from oracles import (COHERENT_LOG_WEIGHT_FLOOR, coherent_amplitudes_full_range,
                      coherent_moments_decimal, dense, equal_different_oracle, gate_final_state,
-                     gate_register_state, mixture, truncated_phase_state, two_mode_ancilla_state)
+                     gate_register_state, mixture, register_order, truncated_phase_state,
+                     two_mode_ancilla_state)
 from strategies import ancilla_specs, binary_pair_inputs, random_ancillas, transfer_inputs
 
 
@@ -77,11 +78,9 @@ def expected_double_register_mixture():
 def mixture_from_sectors(state, config):
     """Independent route to the register output: map each local-number
     sector of the input onto register labels and mix with its weight."""
-    layout = state.layout
-    reg_modes = config.register_modes()
+    fields, reg_modes = register_order(config)
     reg_layout = ModeLayout(tuple(reg_modes))
-    field_order = [f.id for site in ("A", "B") for f in config.field_modes(site)]
-    positions = [layout.index(fid) for fid in field_order]
+    positions = [state.layout.index(f.id) for f in fields]
     ensemble = []
     for sector in sector_decompose(state).sectors:
         amps = {tuple(label[p] for p in positions): amp

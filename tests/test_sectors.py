@@ -3,6 +3,7 @@ import json
 import math
 import re
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -276,12 +277,20 @@ def assert_rows_match(rows, oracle):
 
 def ep_results(state):
     """Unrounded results of ``epsim ep`` on ``state`` written to a file, and
-    the state as the file reloads it."""
-    with tempfile.TemporaryDirectory() as work:
+    the state as the file reloads it.  Written at full precision, the state
+    reloads at norm 1 within a few ulp, which may warn that it is
+    renormalized; any other warning fails."""
+    with tempfile.TemporaryDirectory() as work, warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         path = Path(work, "state.json")
         path.write_text(json.dumps(state_to_dict(state)))
         args = build_parser().parse_args(["ep", str(path)])
-        return args.func(args).results, load_state(str(path))
+        results, loaded = args.func(args).results, load_state(str(path))
+    for w in caught:
+        norm = re.fullmatch(r"renormalizing state file \(norm (.+)\)", str(w.message))
+        assert w.category is UserWarning and norm, str(w.message)
+        assert abs(float(norm[1]) - 1.0) <= 4 * math.ulp(1.0), str(w.message)
+    return results, loaded
 
 
 class TestBatchedSectorEntropies:

@@ -10,13 +10,10 @@ running Python and numpy versions, which decide the comparison rule.
 
 import json
 import os
-import sys
 import tempfile
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent))
-
-from test_golden import CASES, GOLDEN_DIR, VERSIONS_FILE, prepare, record, versions  # noqa: E402
+from test_golden import CASES, GOLDEN_DIR, VERSIONS_FILE, prepare, record, versions
 
 
 def main() -> None:
