@@ -4,7 +4,13 @@ density operators, entropies and distances.
 States live on an ordered ``ModeLayout``; a basis label is a tuple of
 occupations aligned with the layout.  Amplitudes are stored sparsely
 (label -> complex) because every protocol map in this package is a basis
-permutation and preserves exact sparsity.  A split pure state is one matrix
+permutation and preserves exact sparsity.  ``PureState`` has two
+constructors that store the same mapping: ``PureState(layout, amplitudes)``
+checks a mapping term by term, the cheaper route for the few terms a state
+file holds; ``PureState.from_arrays`` checks a label array and an amplitude
+array in whole-array passes, the route for generated states of thousands of
+terms (``tensor_product`` here, the protocol's final state, the uncertainty
+module's pair states).  A split pure state is one matrix
 Psi[kept label, other label]: its partial trace is Psi Psi^dagger, its
 entropy of entanglement that of Psi's squared singular values.  A table of
 such entropies (the sectors of one state) is one batched SVD of the matrices
@@ -15,6 +21,7 @@ each entropy, +0.0, and no SVD runs.  All entropies are base-2 (bits / ebits).
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import sys
@@ -46,6 +53,10 @@ class CapacityError(ValueError):
 
 class StateValidationError(ValueError):
     """A state or operator violates its structural invariants."""
+
+
+_MODULUS_OVERFLOW = "an amplitude is not finite or its modulus passes the largest float"
+_NO_AMPLITUDE = "state has no amplitude above the drop threshold"
 
 
 @dataclass(frozen=True)
@@ -131,6 +142,15 @@ def layout_of(*modes: ModeDescriptor) -> ModeLayout:
 class PureState:
     """Normalized sparse amplitude assignment over occupation labels.
 
+    Two constructors build it.  ``PureState(layout, amplitudes)`` takes a
+    mapping label -> amplitude and checks it term by term: the route for the
+    few-term states that state files and callers write out.
+    ``PureState.from_arrays(layout, labels, amps)`` takes a (T, L) integer
+    label array and T amplitudes and checks them in whole-array passes: the
+    route for the large states that ``transfer_final_state``,
+    ``tensor_product`` and ``pair_state`` generate.  Both apply the same rules
+    with the same exceptions and store the same mapping.
+
     ``amplitudes`` is a read-only mapping: a state never changes after
     construction, so work planned on it (the phase-difference POVM's
     grouping) stays valid for as long as the object lives.
@@ -154,10 +174,9 @@ class PureState:
             # abs() raises for finite parts whose modulus passes the largest
             # float, and for NaN parts when a failed float operation before
             # it left errno set (CPython's complex abs reads errno).
-            raise StateValidationError(
-                "an amplitude is not finite or its modulus passes the largest float") from None
+            raise StateValidationError(_MODULUS_OVERFLOW) from None
         if not amps:
-            raise StateValidationError("state has no amplitude above the drop threshold")
+            raise StateValidationError(_NO_AMPLITUDE)
         try:
             norm = math.sqrt(sum(abs(a) ** 2 for a in amps.values()))
         except OverflowError:
@@ -166,16 +185,95 @@ class PureState:
         # largest modulus.  Finite amplitudes only: abs() of a NaN right
         # after that overflow raises (see above).
         if norm == math.inf and np.isfinite(list(amps.values())).all():
-            top = max(map(abs, amps.values()))
-            norm = top * math.sqrt(sum(abs(a / top) ** 2 for a in amps.values()))
-        if not math.isfinite(norm):
-            raise StateValidationError(f"state norm {norm}: an amplitude is not finite")
+            norm = _norm_through_top(list(amps.values()))
+        _check_norm(norm, normalize)
         if normalize:
             amps = {l: a / norm for l, a in amps.items()}
-        elif abs(norm - 1.0) > NORM_TOL:
-            raise StateValidationError(f"state norm {norm} deviates from 1 beyond {NORM_TOL}")
         self.layout = layout
         self.amplitudes = types.MappingProxyType(amps)
+
+    @classmethod
+    def from_arrays(cls, layout: ModeLayout, labels, amps,
+                    normalize: bool = False) -> "PureState":
+        """The state the mapping constructor builds from the terms
+        (labels[t], amps[t]), a repeated row counting as a repeated key.
+
+        ``labels`` is a (T, L) integer array and ``amps`` T amplitudes.  The
+        checks run over whole arrays, and the first term in input order that
+        the mapping constructor would reject raises the same exception with
+        the same message: a label of the wrong width, an occupation outside
+        [0, capacity], a finite amplitude whose modulus passes the largest
+        float.  Amplitudes below ``AMP_DROP_TOL`` are dropped before and
+        after repeated rows are summed in input order; labels keep the order
+        of their first kept appearance.  Moduli come from ``np.hypot`` and
+        squares from ``math.pow``, which round as Python's ``abs`` and ``**``
+        do, and the squares are summed in order as Python floats, so the norm
+        and every stored amplitude match the mapping constructor's bits.
+        """
+        labels = np.asarray(labels)
+        amps = np.asarray(amps, dtype=complex)
+        if amps.ndim != 1 or labels.ndim != 2 or labels.shape[0] != amps.size:
+            raise StateValidationError(
+                f"labels of shape {labels.shape} do not pair with amplitudes of shape "
+                f"{amps.shape}: expected (T, L) and (T,)")
+        if not amps.size:
+            raise StateValidationError(_NO_AMPLITUDE)
+        if labels.dtype.kind not in "iu":
+            raise StateValidationError(f"labels must be integers, got dtype {labels.dtype}")
+        if labels.shape[1] != len(layout):
+            layout.check_label(tuple(labels[0].tolist()))  # raises the width error
+        capacities = [m.capacity for m in layout.modes]
+        outside = ((labels < 0) | (labels > np.array(capacities))).any(axis=1)
+        moduli = _moduli(amps)
+        rejected = outside | _modulus_overflow(amps, moduli)
+        if rejected.any():
+            t = int(rejected.argmax())
+            if outside[t]:
+                layout.check_label(tuple(labels[t].tolist()))  # raises the capacity error
+            raise StateValidationError(_MODULUS_OVERFLOW)
+        # Written so that NaN is kept, as in the mapping constructor.
+        kept = ~(moduli < AMP_DROP_TOL)
+        labels, amps = labels[kept].astype(np.int64, copy=False), amps[kept]
+        groups = _row_groups(labels, capacities)
+        if groups is None:
+            # The mapping constructor adds each amplitude to 0j, which turns
+            # a -0.0 part into +0.0.
+            amps = amps + 0.0
+        else:
+            first, group = groups
+            summed = np.zeros(first.size, dtype=complex)
+            # ufunc.at adds unbuffered, in index order: each sum runs in
+            # input order from 0j, as the mapping constructor's does, and
+            # reaches inf or NaN as quietly as Python's complex addition.
+            with np.errstate(over="ignore", invalid="ignore"):
+                np.add.at(summed, group, amps)
+            moduli = _moduli(summed)
+            if _modulus_overflow(summed, moduli).any():
+                raise StateValidationError(_MODULUS_OVERFLOW)
+            kept = ~(moduli < AMP_DROP_TOL)
+            labels, amps, moduli = labels[first][kept], summed[kept], moduli[kept]
+        if not amps.size:
+            raise StateValidationError(_NO_AMPLITUDE)
+        try:
+            norm = math.sqrt(sum(map(math.pow, moduli.tolist(), itertools.repeat(2.0))))
+        except OverflowError:
+            norm = math.inf
+        if norm == math.inf and np.isfinite(amps).all():
+            norm = _norm_through_top(amps.tolist())
+        _check_norm(norm, normalize)
+        if normalize:
+            # Python's complex / float is (re + im * 0.0) / norm and
+            # (im - re * 0.0) / norm; no stored part is -0.0, so those are
+            # the parts over norm.  numpy's complex division multiplies by
+            # a reciprocal instead.
+            out = np.empty_like(amps)
+            out.real, out.imag = amps.real / norm, amps.imag / norm
+            amps = out
+        state = object.__new__(cls)
+        state.layout = layout
+        state.amplitudes = types.MappingProxyType(
+            dict(zip(map(tuple, labels.tolist()), amps.tolist())))
+        return state
 
     def map_labels(self, fn) -> "PureState":
         """Apply an injective label map ``fn(label) -> label`` (basis permutation)."""
@@ -194,17 +292,89 @@ class PureState:
 
 
 def tensor_product(a: PureState, b: PureState) -> PureState:
-    """Product state on the concatenated layout; mode ids must be disjoint."""
+    """Product state on the concatenated layout; mode ids must be disjoint.
+    Terms run over a's labels, then b's, each amplitude the product aa * ab
+    as Python's complex multiplication rounds it."""
     shared = set(a.layout.ids()) & set(b.layout.ids())
     if shared:
         raise LayoutError(f"tensor product with shared mode ids {sorted(shared)}")
     layout = ModeLayout(a.layout.modes + b.layout.modes)
-    amps = {
-        la + lb: aa * ab
-        for la, aa in a.amplitudes.items()
-        for lb, ab in b.amplitudes.items()
-    }
-    return PureState(layout, amps)
+    (la, va), (lb, vb) = map(_term_arrays, (a, b))
+    labels = np.concatenate([np.repeat(la, len(lb), axis=0), np.tile(lb, (len(la), 1))],
+                            axis=1)
+    return PureState.from_arrays(layout, labels, _complex_product(va[:, None], vb).ravel())
+
+
+def _term_arrays(state: PureState) -> tuple[np.ndarray, np.ndarray]:
+    """A state's labels as a (T, L) integer array and its amplitudes, in
+    storage order."""
+    amps = state.amplitudes
+    labels = np.array(list(amps), dtype=np.int64).reshape(len(amps), len(state.layout))
+    return labels, np.array(list(amps.values()), dtype=complex)
+
+
+def _complex_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a * b, broadcast, with the rounding of Python's complex product: each
+    part from separately rounded float products and one sum.  numpy's
+    complex multiply may fuse them and differ in the last bit."""
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+def _moduli(amps: np.ndarray) -> np.ndarray:
+    """|a| of each amplitude by ``hypot``, the bits of Python's ``abs``
+    (numpy's complex ``abs`` rounds differently); inf where it overflows."""
+    with np.errstate(over="ignore"):
+        return np.hypot(amps.real, amps.imag)
+
+
+def _modulus_overflow(amps: np.ndarray, moduli: np.ndarray) -> np.ndarray:
+    """Where ``abs()`` raises: finite parts whose modulus passes the largest
+    float."""
+    return np.isfinite(amps) & np.isinf(moduli)
+
+
+def _row_groups(labels: np.ndarray, capacities: list[int]):
+    """None when the rows of ``labels`` are distinct.  Otherwise the row of
+    each distinct label's first appearance, in order, and each row's index
+    into that list.
+
+    Rows within the capacities are read as mixed-radix integers when those
+    fit in int64, so one sort of T keys finds repeats; otherwise numpy's row
+    ``unique`` numbers them.
+    """
+    radices = [c + 1 for c in capacities]
+    if math.prod(radices) <= np.iinfo(np.int64).max:
+        weights = [math.prod(radices[i + 1:]) for i in range(len(radices))]
+        keys = labels @ np.array(weights, dtype=np.int64)
+    else:
+        keys = np.unique(labels, axis=0, return_inverse=True)[1].ravel()
+    ordered = np.sort(keys)
+    if (ordered[1:] != ordered[:-1]).all():
+        return None
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return first[order], rank[inverse.ravel()]
+
+
+def _norm_through_top(values: list[complex]) -> float:
+    """Norm of finite amplitudes whose sum of squares passes the largest
+    float, taken through the largest modulus."""
+    top = max(map(abs, values))
+    return top * math.sqrt(sum(abs(a / top) ** 2 for a in values))
+
+
+def _check_norm(norm: float, normalize: bool) -> None:
+    """Reject a state norm that is not finite, or (without ``normalize``)
+    that is off 1 by more than ``NORM_TOL``."""
+    if not math.isfinite(norm):
+        raise StateValidationError(f"state norm {norm}: an amplitude is not finite")
+    if not normalize and abs(norm - 1.0) > NORM_TOL:
+        raise StateValidationError(f"state norm {norm} deviates from 1 beyond {NORM_TOL}")
 
 
 class DensityOperator:

@@ -123,7 +123,9 @@ class PhaseDistribution:
         cos_sin = _unit_circle(K)
         if k % K != 1:
             cos_sin = cos_sin[:, k * np.arange(K) % K]
-        re, im = cos_sin @ self.values
+        # numpy's own sum of products (einsum without optimize), not a BLAS
+        # product, whose bits follow the thread count at this length.
+        re, im = np.einsum("ij,j->i", cos_sin, self.values)
         return complex(re, im) * (TWO_PI / K)
 
 

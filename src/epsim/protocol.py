@@ -58,6 +58,7 @@ from .fock import (
     ModeLayout,
     PureState,
     StateValidationError,
+    _complex_product,
 )
 from .sectors import _local_numbers, _register_numbers, _register_sector_blocks
 
@@ -171,7 +172,9 @@ def coherent_coefficients(nbar: float, M: int) -> AncillaSpec:
     log_w[:p] = np.cumsum(steps[:p][::-1])[::-1]
     log_w[p + 1:] = -np.cumsum(steps[p:])
     amps = np.exp(0.5 * log_w)
-    return AncillaSpec(M, amps / np.linalg.norm(amps), lo=lo)
+    # numpy's own sum of products, not np.linalg.norm: BLAS splits a long
+    # dot product over its threads, and the bits would follow the thread count.
+    return AncillaSpec(M, amps / math.sqrt(float(np.einsum("i,i->", amps, amps))), lo=lo)
 
 
 def _coherent_window(log_nbar: float, peak: int, M: int) -> tuple[int, int]:
@@ -316,7 +319,10 @@ def transfer_final_state(config: ProtocolConfig) -> PureState:
     The input field modes are still present and empty; trace them out to get the
     register state, or keep the reference modes to feed the
     phase-difference POVM.  Built in closed form (see the module
-    docstring): one term per reference pair (m_A, m_B) and input term.
+    docstring): one term per reference pair (m_A, m_B) and input term, in
+    that nesting order, as one broadcast label array and amplitude array.
+    The amplitude c_A[m_A] c_B[m_B] amp_r is (c_A c_B) amp_r as Python's
+    complex products round it.
     """
     reg_layout, basis, amps, n_a, n_b = config.register_terms
     site_modes = []
@@ -326,17 +332,18 @@ def transfer_final_state(config: ProtocolConfig) -> PureState:
                        ModeDescriptor(config.ref_id(site), site, "field", spec.M)]
     layout = ModeLayout(tuple(site_modes) + config.input_state.layout.modes
                         + reg_layout.modes)
-    empty = (0,) * len(config.input_state.layout)
-    terms = list(zip(basis, amps.tolist(), n_a.tolist(), n_b.tolist()))
     spec_a, spec_b = config.ancilla_a, config.ancilla_b
-    final = {}
-    for m_a, c_a in zip(spec_a.levels.tolist(), spec_a.coefficients.tolist()):
-        for m_b, c_b in zip(spec_b.levels.tolist(), spec_b.coefficients.tolist()):
-            c = c_a * c_b
-            for r, amp, na, nb in terms:
-                final[(spec_a.M - m_a + na, m_a, spec_b.M - m_b + nb, m_b)
-                      + empty + r] = c * amp
-    return PureState(layout, final)
+    m_a, m_b = spec_a.levels[:, None, None], spec_b.levels[None, :, None]
+    # Axes (m_A, m_B, input term, mode); the input field columns stay 0.
+    labels = np.zeros((m_a.size, m_b.size, len(basis), len(layout)), dtype=np.int64)
+    labels[..., 0] = spec_a.M - m_a + n_a
+    labels[..., 1] = m_a
+    labels[..., 2] = spec_b.M - m_b + n_b
+    labels[..., 3] = m_b
+    labels[..., len(layout) - len(reg_layout):] = basis
+    refs = _complex_product(spec_a.coefficients[:, None], spec_b.coefficients)
+    final = _complex_product(refs[..., None], amps)
+    return PureState.from_arrays(layout, labels.reshape(-1, len(layout)), final.ravel())
 
 
 def run_transfer(config: ProtocolConfig) -> DensityOperator:

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -73,6 +74,152 @@ class TestPureStateImmutable:
             state.amplitudes[(1, 0)] = 0.0
         with pytest.raises(TypeError):
             del state.amplitudes[(1, 0)]
+
+
+# Special amplitude parts: signed zeros, non-finite parts, and parts past the
+# square root of the largest float.
+_PART_SPECIALS = (0.0, -0.0, math.nan, math.inf, -math.inf, 1.5e308, -1e200)
+
+
+@st.composite
+def _amplitudes(draw, previous):
+    """Mostly ordinary amplitudes; also ones below the drop threshold, ones
+    with a special part, ones whose modulus or square passes the largest
+    float, and the negation of ``previous`` (which a repeated row cancels)."""
+    def ordinary():
+        return draw(st.floats(0.05, 1.0)) * draw(st.sampled_from((1.0, -1.0)))
+
+    kind = draw(st.integers(0, 19))
+    if kind < 11:
+        return complex(ordinary(), ordinary())
+    if kind == 11:
+        parts = [-0.0, ordinary()]
+        return complex(*(parts if draw(st.booleans()) else parts[::-1]))
+    if kind < 14:
+        return complex(draw(st.floats(-2e-15, 2e-15)), draw(st.floats(-2e-15, 2e-15)))
+    if kind < 16:
+        parts = [draw(st.sampled_from(_PART_SPECIALS)), ordinary()]
+        return complex(*(parts if draw(st.booleans()) else parts[::-1]))
+    if kind == 16:
+        return complex(1.5e308, -1.5e308)
+    if kind == 17:
+        return 1e200 * complex(ordinary(), ordinary())
+    return -previous if previous is not None else 0j
+
+
+@st.composite
+def _state_terms(draw):
+    """(layout, labels as a (T, width) array, amps, normalize): terms that
+    either constructor takes.  Rows repeat; occupations and the width are
+    sometimes out of range for the layout."""
+    caps = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+    layout = layout_of(*(ModeDescriptor(f"m{i}", "AB"[i % 2], "field", cap)
+                         for i, cap in enumerate(caps)))
+    width = max(1, len(caps) + draw(st.sampled_from((0,) * 8 + (-1, 1))))
+    col_caps = (caps + [1])[:width] if width > len(caps) else caps[:width]
+
+    @st.composite
+    def rows(draw):
+        row = [draw(st.integers(0, cap)) for cap in col_caps]
+        if row and draw(st.integers(0, 9)) == 0:
+            col = draw(st.integers(0, len(row) - 1))
+            row[col] = draw(st.sampled_from((-2, -1, col_caps[col] + 1, col_caps[col] + 2)))
+        return tuple(row)
+
+    pool = draw(st.lists(rows(), min_size=1, max_size=4, unique=True))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=8))
+    labels = [pool[i] for i in picks]
+    amps: list = []
+    for _ in labels:
+        amps.append(draw(_amplitudes(amps[-1] if amps else None)))
+    scale = draw(st.sampled_from(("as drawn", "unit", "tiny")))
+    if scale == "tiny":
+        amps = [a * 1e-16 for a in amps]
+    elif scale == "unit":
+        with np.errstate(over="ignore", invalid="ignore"):
+            norm = float(np.sqrt(np.sum(np.abs(amps) ** 2)))
+        if 0.0 < norm < math.inf:
+            # Part by part: complex division would turn -0.0 parts into +0.0.
+            amps = [complex(a.real / norm, a.imag / norm) for a in amps]
+    return layout, np.array(labels, dtype=np.int64).reshape(len(labels), width), amps, \
+        draw(st.booleans())
+
+
+def _outcome(build):
+    """Each stored term as (label, hex real, hex imag), or the exception's
+    type and message."""
+    try:
+        state = build()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return [(label, amp.real.hex(), amp.imag.hex())
+            for label, amp in state.amplitudes.items()]
+
+
+class TestFromArrays:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(_state_terms())
+    def test_equals_mapping_constructor(self, terms):
+        """Both constructors accept the same terms and store the same keys in
+        the same order with the same amplitude bits, or raise the same
+        exception with the same message.  A repeated row is a mapping key
+        that coincides with an earlier one only after int(): its first
+        occupation moves by k/8 away from zero at the k-th repeat."""
+        layout, array_labels, amps, normalize = terms
+        seen: dict = {}
+        mapping = {}
+        for label, amp in zip(map(tuple, array_labels.tolist()), amps):
+            k = seen[label] = seen.get(label, -1) + 1
+            key = label
+            if k:
+                shift = k / 8 if label[0] >= 0 else -k / 8
+                key = (label[0] + shift,) + label[1:]
+            mapping[key] = amp
+        expected = _outcome(lambda: PureState(layout, mapping, normalize=normalize))
+        got = _outcome(lambda: PureState.from_arrays(layout, array_labels,
+                                                     np.array(amps, dtype=complex),
+                                                     normalize=normalize))
+        assert got == expected
+
+    def test_signed_zero_parts(self):
+        """The mapping constructor adds each amplitude to 0j, so a -0.0
+        part is stored as +0.0; distinct rows store the same."""
+        layout = one_mode()
+        amps = [complex(-0.0, 0.6), complex(0.8, -0.0)]
+        for normalize in (False, True):
+            expected = _outcome(lambda: PureState(layout, dict(zip([(0,), (1,)], amps)),
+                                                  normalize=normalize))
+            assert expected == [((0,), "0x0.0p+0", "0x1.3333333333333p-1"),
+                                ((1,), "0x1.999999999999ap-1", "0x0.0p+0")]
+            assert _outcome(lambda: PureState.from_arrays(layout, [[0], [1]], amps,
+                                                          normalize=normalize)) == expected
+
+    def test_squares_round_as_python_pow(self):
+        """The norm squares each modulus as Python's ``**`` does, through the
+        C library's pow, which for some x rounds x^2 apart from x * x; a
+        state of two terms x has a norm that shows it."""
+        x = np.random.default_rng(0).uniform(0.5, 2.0, 100_000).tolist()
+        apart = [v for v in x if math.sqrt(v ** 2 + v ** 2) != math.sqrt(v * v + v * v)]
+        if not apart:
+            pytest.skip("the C library's pow rounds x^2 as x * x for every drawn x")
+        layout = one_mode()
+        for amp in apart[:20]:
+            for normalize in (False, True):
+                expected = _outcome(lambda: PureState(layout, {(0,): amp, (1,): amp},
+                                                      normalize=normalize))
+                got = _outcome(lambda: PureState.from_arrays(layout, [[0], [1]], [amp, amp],
+                                                             normalize=normalize))
+                assert got == expected
+
+    def test_shapes(self):
+        with pytest.raises(StateValidationError, match="no amplitude"):
+            PureState(one_mode(), {})
+        with pytest.raises(StateValidationError, match="no amplitude"):
+            PureState.from_arrays(one_mode(), np.zeros((0, 1), dtype=int), [])
+        with pytest.raises(StateValidationError, match="do not pair"):
+            PureState.from_arrays(one_mode(), [[0], [1]], [1.0])
+        with pytest.raises(StateValidationError, match="integers"):
+            PureState.from_arrays(one_mode(), [[0.0]], [1.0])
 
 
 class TestPartialTrace:
