@@ -8,9 +8,8 @@ permutation and preserves exact sparsity.  ``PureState`` has two
 constructors that store the same mapping: ``PureState(layout, amplitudes)``
 checks a mapping term by term, the cheaper route for the few terms a state
 file holds; ``PureState.from_arrays`` checks a label array and an amplitude
-array in whole-array passes, the route for generated states of thousands of
-terms (``tensor_product`` here, the protocol's final state, the uncertainty
-module's pair states).  A split pure state is one matrix
+array in whole-array passes, the route for the protocol's final state,
+generated with thousands of terms.  A split pure state is one matrix
 Psi[kept label, other label]: its partial trace is Psi Psi^dagger, its
 entropy of entanglement that of Psi's squared singular values.  A table of
 such entropies (the sectors of one state) is one batched SVD of the matrices
@@ -147,9 +146,9 @@ class PureState:
     few-term states that state files and callers write out.
     ``PureState.from_arrays(layout, labels, amps)`` takes a (T, L) integer
     label array and T amplitudes and checks them in whole-array passes: the
-    route for the large states that ``transfer_final_state``,
-    ``tensor_product`` and ``pair_state`` generate.  Both apply the same rules
-    with the same exceptions and store the same mapping.
+    route for the large states that ``transfer_final_state`` generates.
+    Both apply the same rules with the same exceptions and store the same
+    mapping.
 
     ``amplitudes`` is a read-only mapping: a state never changes after
     construction, so work planned on it (the phase-difference POVM's
@@ -158,23 +157,7 @@ class PureState:
 
     def __init__(self, layout: ModeLayout, amplitudes: dict[tuple[int, ...], complex],
                  normalize: bool = False):
-        amps = {}
-        try:
-            for label, amp in amplitudes.items():
-                label = tuple(int(x) for x in label)
-                layout.check_label(label)
-                amp = complex(amp)
-                # Written so that NaN is kept (every comparison with it is
-                # false) and then rejected with the norm below, not silently
-                # dropped.
-                if not abs(amp) < AMP_DROP_TOL:
-                    amps[label] = amps.get(label, 0.0 + 0.0j) + amp
-            amps = {l: a for l, a in amps.items() if not abs(a) < AMP_DROP_TOL}
-        except OverflowError:
-            # abs() raises for finite parts whose modulus passes the largest
-            # float, and for NaN parts when a failed float operation before
-            # it left errno set (CPython's complex abs reads errno).
-            raise StateValidationError(_MODULUS_OVERFLOW) from None
+        amps = _summed_terms(layout, amplitudes.items())
         if not amps:
             raise StateValidationError(_NO_AMPLITUDE)
         try:
@@ -183,7 +166,7 @@ class PureState:
             norm = math.inf
         # A square passed the largest float: take the norm through the
         # largest modulus.  Finite amplitudes only: abs() of a NaN right
-        # after that overflow raises (see above).
+        # after that overflow raises (see ``_summed_terms``).
         if norm == math.inf and np.isfinite(list(amps.values())).all():
             norm = _norm_through_top(list(amps.values()))
         _check_norm(norm, normalize)
@@ -222,40 +205,29 @@ class PureState:
             raise StateValidationError(f"labels must be integers, got dtype {labels.dtype}")
         if labels.shape[1] != len(layout):
             layout.check_label(tuple(labels[0].tolist()))  # raises the width error
-        capacities = [m.capacity for m in layout.modes]
-        outside = ((labels < 0) | (labels > np.array(capacities))).any(axis=1)
+        capacities = np.array([m.capacity for m in layout.modes])
+        outside = ((labels < 0) | (labels > capacities)).any(axis=1)
         moduli = _moduli(amps)
-        rejected = outside | _modulus_overflow(amps, moduli)
+        # Where abs() raises: finite parts whose modulus passes the largest float.
+        rejected = outside | (np.isfinite(amps) & np.isinf(moduli))
         if rejected.any():
             t = int(rejected.argmax())
             if outside[t]:
                 layout.check_label(tuple(labels[t].tolist()))  # raises the capacity error
             raise StateValidationError(_MODULUS_OVERFLOW)
-        # Written so that NaN is kept, as in the mapping constructor.
+        # Written so that NaN is kept, as in the mapping constructor, which
+        # adds each amplitude to 0j and so turns a -0.0 part into +0.0.
         kept = ~(moduli < AMP_DROP_TOL)
-        labels, amps = labels[kept].astype(np.int64, copy=False), amps[kept]
-        groups = _row_groups(labels, capacities)
-        if groups is None:
-            # The mapping constructor adds each amplitude to 0j, which turns
-            # a -0.0 part into +0.0.
-            amps = amps + 0.0
-        else:
-            first, group = groups
-            summed = np.zeros(first.size, dtype=complex)
-            # ufunc.at adds unbuffered, in index order: each sum runs in
-            # input order from 0j, as the mapping constructor's does, and
-            # reaches inf or NaN as quietly as Python's complex addition.
-            with np.errstate(over="ignore", invalid="ignore"):
-                np.add.at(summed, group, amps)
-            moduli = _moduli(summed)
-            if _modulus_overflow(summed, moduli).any():
-                raise StateValidationError(_MODULUS_OVERFLOW)
-            kept = ~(moduli < AMP_DROP_TOL)
-            labels, amps, moduli = labels[first][kept], summed[kept], moduli[kept]
-        if not amps.size:
+        keys, amps = list(map(tuple, labels[kept].tolist())), amps[kept] + 0.0
+        terms = dict(zip(keys, amps.tolist()))
+        if len(terms) != len(keys):
+            # A repeated row: sum as the mapping constructor does.
+            terms = _summed_terms(layout, zip(keys, amps.tolist()))
+            amps = np.array(list(terms.values()), dtype=complex)
+        if not terms:
             raise StateValidationError(_NO_AMPLITUDE)
         try:
-            norm = math.sqrt(sum(map(math.pow, moduli.tolist(), itertools.repeat(2.0))))
+            norm = math.sqrt(sum(map(math.pow, _moduli(amps).tolist(), itertools.repeat(2.0))))
         except OverflowError:
             norm = math.inf
         if norm == math.inf and np.isfinite(amps).all():
@@ -268,11 +240,10 @@ class PureState:
             # a reciprocal instead.
             out = np.empty_like(amps)
             out.real, out.imag = amps.real / norm, amps.imag / norm
-            amps = out
+            terms = dict(zip(terms, out.tolist()))
         state = object.__new__(cls)
         state.layout = layout
-        state.amplitudes = types.MappingProxyType(
-            dict(zip(map(tuple, labels.tolist()), amps.tolist())))
+        state.amplitudes = types.MappingProxyType(terms)
         return state
 
     def map_labels(self, fn) -> "PureState":
@@ -292,35 +263,39 @@ class PureState:
 
 
 def tensor_product(a: PureState, b: PureState) -> PureState:
-    """Product state on the concatenated layout; mode ids must be disjoint.
-    Terms run over a's labels, then b's, each amplitude the product aa * ab
-    as Python's complex multiplication rounds it."""
+    """Product state on the concatenated layout; mode ids must be disjoint."""
     shared = set(a.layout.ids()) & set(b.layout.ids())
     if shared:
         raise LayoutError(f"tensor product with shared mode ids {sorted(shared)}")
     layout = ModeLayout(a.layout.modes + b.layout.modes)
-    (la, va), (lb, vb) = map(_term_arrays, (a, b))
-    labels = np.concatenate([np.repeat(la, len(lb), axis=0), np.tile(lb, (len(la), 1))],
-                            axis=1)
-    return PureState.from_arrays(layout, labels, _complex_product(va[:, None], vb).ravel())
+    amps = {
+        la + lb: aa * ab
+        for la, aa in a.amplitudes.items()
+        for lb, ab in b.amplitudes.items()
+    }
+    return PureState(layout, amps)
 
 
-def _term_arrays(state: PureState) -> tuple[np.ndarray, np.ndarray]:
-    """A state's labels as a (T, L) integer array and its amplitudes, in
-    storage order."""
-    amps = state.amplitudes
-    labels = np.array(list(amps), dtype=np.int64).reshape(len(amps), len(state.layout))
-    return labels, np.array(list(amps.values()), dtype=complex)
-
-
-def _complex_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a * b, broadcast, with the rounding of Python's complex product: each
-    part from separately rounded float products and one sum.  numpy's
-    complex multiply may fuse them and differ in the last bit."""
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
-    out.real = a.real * b.real - a.imag * b.imag
-    out.imag = a.real * b.imag + a.imag * b.real
-    return out
+def _summed_terms(layout: ModeLayout, terms) -> dict[tuple[int, ...], complex]:
+    """The stored mapping of (label, amplitude) pairs: each label checked,
+    amplitudes below ``AMP_DROP_TOL`` dropped before and after repeated
+    labels are summed in input order."""
+    amps = {}
+    try:
+        for label, amp in terms:
+            label = tuple(int(x) for x in label)
+            layout.check_label(label)
+            amp = complex(amp)
+            # Written so that NaN is kept (every comparison with it is
+            # false) and then rejected with the norm, not silently dropped.
+            if not abs(amp) < AMP_DROP_TOL:
+                amps[label] = amps.get(label, 0.0 + 0.0j) + amp
+        return {l: a for l, a in amps.items() if not abs(a) < AMP_DROP_TOL}
+    except OverflowError:
+        # abs() raises for finite parts whose modulus passes the largest
+        # float, and for NaN parts when a failed float operation before
+        # it left errno set (CPython's complex abs reads errno).
+        raise StateValidationError(_MODULUS_OVERFLOW) from None
 
 
 def _moduli(amps: np.ndarray) -> np.ndarray:
@@ -328,37 +303,6 @@ def _moduli(amps: np.ndarray) -> np.ndarray:
     (numpy's complex ``abs`` rounds differently); inf where it overflows."""
     with np.errstate(over="ignore"):
         return np.hypot(amps.real, amps.imag)
-
-
-def _modulus_overflow(amps: np.ndarray, moduli: np.ndarray) -> np.ndarray:
-    """Where ``abs()`` raises: finite parts whose modulus passes the largest
-    float."""
-    return np.isfinite(amps) & np.isinf(moduli)
-
-
-def _row_groups(labels: np.ndarray, capacities: list[int]):
-    """None when the rows of ``labels`` are distinct.  Otherwise the row of
-    each distinct label's first appearance, in order, and each row's index
-    into that list.
-
-    Rows within the capacities are read as mixed-radix integers when those
-    fit in int64, so one sort of T keys finds repeats; otherwise numpy's row
-    ``unique`` numbers them.
-    """
-    radices = [c + 1 for c in capacities]
-    if math.prod(radices) <= np.iinfo(np.int64).max:
-        weights = [math.prod(radices[i + 1:]) for i in range(len(radices))]
-        keys = labels @ np.array(weights, dtype=np.int64)
-    else:
-        keys = np.unique(labels, axis=0, return_inverse=True)[1].ravel()
-    ordered = np.sort(keys)
-    if (ordered[1:] != ordered[:-1]).all():
-        return None
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    return first[order], rank[inverse.ravel()]
 
 
 def _norm_through_top(values: list[complex]) -> float:

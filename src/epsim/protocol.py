@@ -58,7 +58,6 @@ from .fock import (
     ModeLayout,
     PureState,
     StateValidationError,
-    _complex_product,
 )
 from .sectors import _local_numbers, _register_numbers, _register_sector_blocks
 
@@ -344,6 +343,16 @@ def transfer_final_state(config: ProtocolConfig) -> PureState:
     refs = _complex_product(spec_a.coefficients[:, None], spec_b.coefficients)
     final = _complex_product(refs[..., None], amps)
     return PureState.from_arrays(layout, labels.reshape(-1, len(layout)), final.ravel())
+
+
+def _complex_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a * b, broadcast, with the rounding of Python's complex product: each
+    part from separately rounded float products and one sum.  numpy's
+    complex multiply may fuse them and differ in the last bit."""
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
 
 
 def run_transfer(config: ProtocolConfig) -> DensityOperator:

@@ -19,6 +19,7 @@ matrix route and the dense phase-state constructions are the test oracles
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -234,9 +235,9 @@ def pair_layout(s: int) -> ModeLayout:
 def pair_state(a: np.ndarray, b: np.ndarray) -> PureState:
     """The product a (x) b as a sparse state on ``pair_layout(s)``."""
     ia, ib = np.flatnonzero(a), np.flatnonzero(b)
-    labels = np.stack([np.repeat(ia, ib.size), np.tile(ib, ia.size)], axis=1)
-    return PureState.from_arrays(pair_layout(a.size - 1), labels,
-                                 (a[ia, None] * b[ib]).ravel(), normalize=True)
+    amps = dict(zip(itertools.product(ia.tolist(), ib.tolist()),
+                    (a[ia, None] * b[ib]).ravel()))
+    return PureState(pair_layout(a.size - 1), amps, normalize=True)
 
 
 def coherent_pair_state(nbar_a: float, nbar_b: float,
