@@ -2,24 +2,27 @@
 density operators, entropies and distances.
 
 States live on an ordered ``ModeLayout``; a basis label is a tuple of
-occupations aligned with the layout.  Amplitudes are stored sparsely
+integer occupations aligned with the layout, checked by
+``ModeLayout.check_label`` alone.  Amplitudes are stored sparsely
 (label -> complex) because every protocol map in this package is a basis
 permutation and preserves exact sparsity.  ``PureState`` has two
-constructors that store the same mapping: ``PureState(layout, amplitudes)``
-checks a mapping term by term, the cheaper route for the few terms a state
-file holds; ``PureState.from_arrays`` checks a label array and an amplitude
-array in whole-array passes, the route for the protocol's final state,
-generated with thousands of terms.  A split pure state is one matrix
-Psi[kept label, other label]: its partial trace is Psi Psi^dagger, its
-entropy of entanglement that of Psi's squared singular values.  A table of
-such entropies (the sectors of one state) is one batched SVD of the matrices
-zero-padded into one stack, unless every matrix has a single row or a single
-column: such a Psi has one Schmidt coefficient, so the shape alone decides
-each entropy, +0.0, and no SVD runs.  All entropies are base-2 (bits / ebits).
+constructors that store the same mapping and never sum two terms:
+``PureState(layout, amplitudes)`` checks a mapping term by term, the cheaper
+route for the few terms a state file holds; ``PureState.from_arrays`` checks
+a label array and an amplitude array in whole-array passes, the route for
+the protocol's final state, generated with thousands of terms.  A split
+pure state is one matrix Psi[kept label, other label]: its partial trace is
+Psi Psi^dagger, its entropy of entanglement that of Psi's squared singular
+values.  A table of such entropies (the sectors of one state) is one batched
+SVD of the matrices zero-padded into one stack, unless every matrix has a
+single row or a single column: such a Psi has one Schmidt coefficient, so
+the shape alone decides each entropy, +0.0, and no SVD runs.  All entropies
+are base-2 (bits / ebits).
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 import operator
@@ -122,16 +125,27 @@ class ModeLayout:
     def sublayout(self, keep: list[int]) -> "ModeLayout":
         return ModeLayout(tuple(self.modes[i] for i in keep))
 
-    def check_label(self, label: tuple[int, ...]) -> None:
+    def check_label(self, label) -> tuple[int, ...]:
+        """``label`` as a tuple of ints, once it holds one integer per mode
+        (by ``operator.index``: no float passes) within [0, capacity].  Each
+        error names the label and the mode."""
         if len(label) != len(self.modes):
             raise StateValidationError(
-                f"label length {len(label)} != layout size {len(self.modes)}"
-            )
+                f"label {label} has {len(label)} occupations for the "
+                f"{len(self.modes)} modes {self.ids()}")
+        out = []
         for occ, m in zip(label, self.modes):
-            if occ < 0 or occ > m.capacity:
+            try:
+                n = operator.index(occ)
+            except TypeError:
+                raise StateValidationError(
+                    f"label {label}: occupation {occ!r} of mode {m.id!r} is not an integer"
+                ) from None
+            if n < 0 or n > m.capacity:
                 raise CapacityError(
-                    f"occupation {occ} outside [0, {m.capacity}] for mode {m.id!r}"
-                )
+                    f"label {label}: occupation {n} of mode {m.id!r} outside [0, {m.capacity}]")
+            out.append(n)
+        return tuple(out)
 
 
 def layout_of(*modes: ModeDescriptor) -> ModeLayout:
@@ -147,8 +161,8 @@ class PureState:
     ``PureState.from_arrays(layout, labels, amps)`` takes a (T, L) integer
     label array and T amplitudes and checks them in whole-array passes: the
     route for the large states that ``transfer_final_state`` generates.
-    Both apply the same rules with the same exceptions and store the same
-    mapping.
+    Both check labels by ``ModeLayout.check_label``, never sum two terms,
+    raise the same exceptions and store the same mapping.
 
     ``amplitudes`` is a read-only mapping: a state never changes after
     construction, so work planned on it (the phase-difference POVM's
@@ -157,7 +171,7 @@ class PureState:
 
     def __init__(self, layout: ModeLayout, amplitudes: dict[tuple[int, ...], complex],
                  normalize: bool = False):
-        amps = _summed_terms(layout, amplitudes.items())
+        amps = _checked_terms(layout, amplitudes.items())
         if not amps:
             raise StateValidationError(_NO_AMPLITUDE)
         try:
@@ -166,7 +180,7 @@ class PureState:
             norm = math.inf
         # A square passed the largest float: take the norm through the
         # largest modulus.  Finite amplitudes only: abs() of a NaN right
-        # after that overflow raises (see ``_summed_terms``).
+        # after that overflow raises (see ``_checked_terms``).
         if norm == math.inf and np.isfinite(list(amps.values())).all():
             norm = _norm_through_top(list(amps.values()))
         _check_norm(norm, normalize)
@@ -176,22 +190,22 @@ class PureState:
         self.amplitudes = types.MappingProxyType(amps)
 
     @classmethod
-    def from_arrays(cls, layout: ModeLayout, labels, amps,
-                    normalize: bool = False) -> "PureState":
+    def from_arrays(cls, layout: ModeLayout, labels, amps) -> "PureState":
         """The state the mapping constructor builds from the terms
-        (labels[t], amps[t]), a repeated row counting as a repeated key.
+        (labels[t], amps[t]), whose kept rows must be distinct.
 
         ``labels`` is a (T, L) integer array and ``amps`` T amplitudes.  The
         checks run over whole arrays, and the first term in input order that
         the mapping constructor would reject raises the same exception with
         the same message: a label of the wrong width, an occupation outside
         [0, capacity], a finite amplitude whose modulus passes the largest
-        float.  Amplitudes below ``AMP_DROP_TOL`` are dropped before and
-        after repeated rows are summed in input order; labels keep the order
-        of their first kept appearance.  Moduli come from ``np.hypot`` and
-        squares from ``math.pow``, which round as Python's ``abs`` and ``**``
-        do, and the squares are summed in order as Python floats, so the norm
-        and every stored amplitude match the mapping constructor's bits.
+        float.  Amplitudes below ``AMP_DROP_TOL`` are dropped, and then a
+        row repeated among the kept ones raises ``StateValidationError``; a
+        dropped copy stores nothing and is not compared.  Labels keep their
+        input order.  Moduli come from ``np.hypot`` and squares from
+        ``math.pow``, which round as Python's ``abs`` and ``**`` do, and the
+        squares are summed in order as Python floats, so the norm and every
+        stored amplitude match the mapping constructor's bits.
         """
         labels = np.asarray(labels)
         amps = np.asarray(amps, dtype=complex)
@@ -221,9 +235,8 @@ class PureState:
         keys, amps = list(map(tuple, labels[kept].tolist())), amps[kept] + 0.0
         terms = dict(zip(keys, amps.tolist()))
         if len(terms) != len(keys):
-            # A repeated row: sum as the mapping constructor does.
-            terms = _summed_terms(layout, zip(keys, amps.tolist()))
-            amps = np.array(list(terms.values()), dtype=complex)
+            repeated = next(key for key, n in collections.Counter(keys).items() if n > 1)
+            raise StateValidationError(f"label {repeated} repeats")
         if not terms:
             raise StateValidationError(_NO_AMPLITUDE)
         try:
@@ -232,15 +245,7 @@ class PureState:
             norm = math.inf
         if norm == math.inf and np.isfinite(amps).all():
             norm = _norm_through_top(amps.tolist())
-        _check_norm(norm, normalize)
-        if normalize:
-            # Python's complex / float is (re + im * 0.0) / norm and
-            # (im - re * 0.0) / norm; no stored part is -0.0, so those are
-            # the parts over norm.  numpy's complex division multiplies by
-            # a reciprocal instead.
-            out = np.empty_like(amps)
-            out.real, out.imag = amps.real / norm, amps.imag / norm
-            terms = dict(zip(terms, out.tolist()))
+        _check_norm(norm, False)
         state = object.__new__(cls)
         state.layout = layout
         state.amplitudes = types.MappingProxyType(terms)
@@ -276,21 +281,20 @@ def tensor_product(a: PureState, b: PureState) -> PureState:
     return PureState(layout, amps)
 
 
-def _summed_terms(layout: ModeLayout, terms) -> dict[tuple[int, ...], complex]:
-    """The stored mapping of (label, amplitude) pairs: each label checked,
-    amplitudes below ``AMP_DROP_TOL`` dropped before and after repeated
-    labels are summed in input order."""
+def _checked_terms(layout: ModeLayout, terms) -> dict[tuple[int, ...], complex]:
+    """The stored mapping of a mapping's (label, amplitude) pairs: labels
+    checked, amplitudes below ``AMP_DROP_TOL`` dropped, and each kept one
+    added to 0j, which turns a -0.0 part into +0.0."""
     amps = {}
     try:
         for label, amp in terms:
-            label = tuple(int(x) for x in label)
-            layout.check_label(label)
+            label = layout.check_label(label)
             amp = complex(amp)
             # Written so that NaN is kept (every comparison with it is
             # false) and then rejected with the norm, not silently dropped.
             if not abs(amp) < AMP_DROP_TOL:
-                amps[label] = amps.get(label, 0.0 + 0.0j) + amp
-        return {l: a for l, a in amps.items() if not abs(a) < AMP_DROP_TOL}
+                amps[label] = 0j + amp
+        return amps
     except OverflowError:
         # abs() raises for finite parts whose modulus passes the largest
         # float, and for NaN parts when a failed float operation before
@@ -336,9 +340,7 @@ class DensityOperator:
 
     def __init__(self, layout: ModeLayout, basis: list[tuple[int, ...]],
                  matrix: np.ndarray, check_trace: bool = True):
-        basis = [tuple(int(x) for x in label) for label in basis]
-        for label in basis:
-            layout.check_label(label)
+        basis = [layout.check_label(label) for label in basis]
         if sorted(basis) != basis:
             raise StateValidationError("basis labels must be in lexicographic order")
         if len(set(basis)) != len(basis):

@@ -60,8 +60,7 @@ def _sectors(keys, weights):
 
 def local_particle_number(layout: ModeLayout, label: tuple[int, ...], site: str) -> int:
     """Particles in the field modes at ``site`` (register modes excluded)."""
-    layout.check_label(label)
-    return _local_numbers(layout, [label], site, "field")[0]
+    return _local_numbers(layout, [layout.check_label(label)], site, "field")[0]
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,9 @@ Schema::
 Mode ids, sites and kinds are strings, capacities and occupations are
 integers (a float with no fractional part is accepted) and amplitudes are
 [real, imaginary] pairs of finite numbers; anything else is a parse error.
-Files whose norm deviates from 1 by at most 1e-6 are renormalized with a
-``UserWarning``; larger deviations are parse errors.
+Repeated occupations are summed.  Files whose norm deviates from 1 by at
+most 1e-6 are renormalized with a ``UserWarning``; larger deviations are
+parse errors.  The labels are checked after the norm, by ``PureState``.
 
 Results are written by ``dump_json``, one pass over the result tree that
 rounds every float to 12 significant digits as it writes it, so identical
@@ -108,10 +109,6 @@ def parse_state(data: dict) -> PureState:
                  and all(isinstance(x, (int, float)) and not isinstance(x, bool)
                          and abs(x) <= sys.float_info.max for x in amp),
                  "amplitudes must be [real, imaginary] pairs of finite numbers")
-        try:
-            layout.check_label(occ)
-        except (CapacityError, StateValidationError) as exc:
-            raise StateFileError(f"bad occupation {occ}: {exc}") from exc
         amps[occ] = amps.get(occ, 0.0) + complex(float(amp[0]), float(amp[1]))
 
     try:
@@ -121,12 +118,13 @@ def parse_state(data: dict) -> PureState:
         norm = math.inf
     if not abs(norm - 1.0) <= NORM_FILE_TOL:
         raise StateFileError(f"amplitudes have norm {norm}; expected 1 within {NORM_FILE_TOL}")
+    try:
+        state = PureState(layout, amps, normalize=True)
+    except (CapacityError, StateValidationError) as exc:
+        raise StateFileError(str(exc)) from exc
     if norm != 1.0:
         warnings.warn(f"renormalizing state file (norm {norm})", stacklevel=2)
-    try:
-        return PureState(layout, amps, normalize=True)
-    except StateValidationError as exc:
-        raise StateFileError(str(exc)) from exc
+    return state
 
 
 def load_state(path: str) -> PureState:

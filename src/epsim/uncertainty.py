@@ -96,9 +96,9 @@ class UncertaintyReport:
 
 
 class _Sums(NamedTuple):
-    """What the moments need from a state: x_k = <E_A^k E_B^{dagger k}>
-    (k = 1, 2), the number marginals pa, pb, their means <N_A>, <N_B> and
-    <N_A N_B>."""
+    """What the moments need from a product state: x_k =
+    <E_A^k E_B^{dagger k}> (k = 1, 2), the number marginals pa, pb and their
+    means <N_A>, <N_B>."""
 
     x1: complex
     x2: complex
@@ -106,7 +106,6 @@ class _Sums(NamedTuple):
     pb: np.ndarray
     mean_a: float
     mean_b: float
-    mean_ab: float
 
 
 def _shift_overlap(v: np.ndarray, k: int) -> complex:
@@ -120,15 +119,14 @@ def _sums(a: np.ndarray, b: np.ndarray) -> _Sums:
     """Reduce the factors of Psi = a (x) b in O(d).
 
     The shift expectations factor, x_k = <a|E^k|a> conj(<b|E^k|b>), the
-    marginals are |a|^2 ||b||^2 and |b|^2 ||a||^2, and
-    <N_A N_B> = <N_A><N_B>.
+    marginals are |a|^2 ||b||^2 and |b|^2 ||a||^2.
     """
     wa, wb = np.abs(a) ** 2, np.abs(b) ** 2
     pa, pb = wa * wb.sum(), wb * wa.sum()
     x1, x2 = (_shift_overlap(a, k) * np.conj(_shift_overlap(b, k)) for k in (1, 2))
     n_a, n_b = np.arange(a.size, dtype=float), np.arange(b.size, dtype=float)
     mean_a, mean_b = float(n_a @ pa), float(n_b @ pb)
-    return _Sums(complex(x1), complex(x2), pa, pb, mean_a, mean_b, mean_a * mean_b)
+    return _Sums(complex(x1), complex(x2), pa, pb, mean_a, mean_b)
 
 
 def _moments(sums: _Sums, space: PhaseOperatorSpace) -> UncertaintyReport:
@@ -145,8 +143,8 @@ def _moments(sums: _Sums, space: PhaseOperatorSpace) -> UncertaintyReport:
     mean_n_a, mean_n_b = sums.mean_a, sums.mean_b
     var_n_a = float(space.number_sq @ sums.pa) - mean_n_a ** 2
     var_n_b = float(space.number_sq @ sums.pb) - mean_n_b ** 2
-    cov = sums.mean_ab - mean_n_a * mean_n_b
-    var_n_diff = var_n_a + var_n_b - 2.0 * cov
+    # N_A and N_B are independent in a product state: Cov(N_A, N_B) = 0.
+    var_n_diff = var_n_a + var_n_b
     return UncertaintyReport(var_n_a, var_n_b, var_n_diff, cos_mean, sin_mean,
                              var_cos, var_sin, visibility_sq, trig_identity_residual)
 

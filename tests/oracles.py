@@ -534,8 +534,7 @@ def matrix_sums(psi):
     x1, x2 = (np.vdot(psi, np.roll(psi, (-k, k), axis=(0, 1))) for k in (1, 2))
     n_a, n_b = (np.arange(size, dtype=float) for size in psi.shape)
     pa, pb = prob.sum(axis=1), prob.sum(axis=0)
-    return _Sums(complex(x1), complex(x2), pa, pb, float(n_a @ pa), float(n_b @ pb),
-                 float(n_a @ prob @ n_b))
+    return _Sums(complex(x1), complex(x2), pa, pb, float(n_a @ pa), float(n_b @ pb))
 
 
 def random_uncorrelated_pair_oracle(space, rng):

@@ -990,10 +990,14 @@ VALID_STATE = {
     ("top", "modes", 5), ("top", "terms", 5),
     # non-integral numbers are not truncated to an integer
     ("term", "occ", [1.5, 0]), ("mode", "capacity", 1.7),
+    # occupations past the capacity or below 0, and labels of the wrong width
+    ("term", "occ", [2, 0]), ("term", "occ", [-1, 0]), ("term", "occ", [1, 0, 0]),
+    ("term", "occ", [1]),
     # mode ids, sites and kinds must be JSON strings
     ("mode", "id", None), ("mode", "id", 5), ("mode", "site", 1), ("mode", "kind", None),
 ], ids=["occ-string", "occ-null", "occ-number", "amp-string", "amp-null", "amp-past-float",
         "modes-number", "terms-number", "occ-fraction", "capacity-fraction",
+        "occ-past-capacity", "occ-negative", "occ-too-wide", "occ-too-narrow",
         "id-null", "id-number", "site-number", "kind-null"])
 def test_malformed_state_file_exit_2(capsys, tmp_path, command, where, key, value):
     data = json.loads(json.dumps(VALID_STATE))
@@ -1006,6 +1010,8 @@ def test_malformed_state_file_exit_2(capsys, tmp_path, command, where, key, valu
     assert captured.out == ""
     err = captured.err.strip()
     assert err.startswith("error:") and "\n" not in err
+    if key == "occ" and isinstance(value, list) and all(type(x) is int for x in value):
+        assert str(tuple(value)) in err
 
 
 class TestStateFileRoundTrip:

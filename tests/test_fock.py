@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epsim import (
+    CapacityError,
     DensityOperator,
     LayoutError,
     ModeDescriptor,
@@ -82,14 +83,14 @@ _PART_SPECIALS = (0.0, -0.0, math.nan, math.inf, -math.inf, 1.5e308, -1e200)
 
 
 @st.composite
-def _amplitudes(draw, previous):
+def _amplitudes(draw):
     """Mostly ordinary amplitudes; also ones below the drop threshold, ones
-    with a special part, ones whose modulus or square passes the largest
-    float, and the negation of ``previous`` (which a repeated row cancels)."""
+    with a special part, and ones whose modulus or square passes the largest
+    float."""
     def ordinary():
         return draw(st.floats(0.05, 1.0)) * draw(st.sampled_from((1.0, -1.0)))
 
-    kind = draw(st.integers(0, 19))
+    kind = draw(st.integers(0, 18))
     if kind < 11:
         return complex(ordinary(), ordinary())
     if kind == 11:
@@ -102,16 +103,14 @@ def _amplitudes(draw, previous):
         return complex(*(parts if draw(st.booleans()) else parts[::-1]))
     if kind == 16:
         return complex(1.5e308, -1.5e308)
-    if kind == 17:
-        return 1e200 * complex(ordinary(), ordinary())
-    return -previous if previous is not None else 0j
+    return 1e200 * complex(ordinary(), ordinary())
 
 
 @st.composite
 def _state_terms(draw):
-    """(layout, labels as a (T, width) array, amps, normalize): terms that
-    either constructor takes.  Rows repeat; occupations and the width are
-    sometimes out of range for the layout."""
+    """(layout, labels as a (T, width) array of distinct rows, amps): terms
+    that either constructor takes.  Occupations and the width are sometimes
+    out of range for the layout."""
     caps = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
     layout = layout_of(*(ModeDescriptor(f"m{i}", "AB"[i % 2], "field", cap)
                          for i, cap in enumerate(caps)))
@@ -126,12 +125,8 @@ def _state_terms(draw):
             row[col] = draw(st.sampled_from((-2, -1, col_caps[col] + 1, col_caps[col] + 2)))
         return tuple(row)
 
-    pool = draw(st.lists(rows(), min_size=1, max_size=4, unique=True))
-    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=8))
-    labels = [pool[i] for i in picks]
-    amps: list = []
-    for _ in labels:
-        amps.append(draw(_amplitudes(amps[-1] if amps else None)))
+    labels = draw(st.lists(rows(), min_size=1, max_size=6, unique=True))
+    amps = [draw(_amplitudes()) for _ in labels]
     scale = draw(st.sampled_from(("as drawn", "unit", "tiny")))
     if scale == "tiny":
         amps = [a * 1e-16 for a in amps]
@@ -141,8 +136,7 @@ def _state_terms(draw):
         if 0.0 < norm < math.inf:
             # Part by part: complex division would turn -0.0 parts into +0.0.
             amps = [complex(a.real / norm, a.imag / norm) for a in amps]
-    return layout, np.array(labels, dtype=np.int64).reshape(len(labels), width), amps, \
-        draw(st.booleans())
+    return layout, np.array(labels, dtype=np.int64).reshape(len(labels), width), amps
 
 
 def _outcome(build):
@@ -160,39 +154,28 @@ class TestFromArrays:
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(_state_terms())
     def test_equals_mapping_constructor(self, terms):
-        """Both constructors accept the same terms and store the same keys in
-        the same order with the same amplitude bits, or raise the same
-        exception with the same message.  A repeated row is a mapping key
-        that coincides with an earlier one only after int(): its first
-        occupation moves by k/8 away from zero at the k-th repeat."""
-        layout, array_labels, amps, normalize = terms
-        seen: dict = {}
-        mapping = {}
-        for label, amp in zip(map(tuple, array_labels.tolist()), amps):
-            k = seen[label] = seen.get(label, -1) + 1
-            key = label
-            if k:
-                shift = k / 8 if label[0] >= 0 else -k / 8
-                key = (label[0] + shift,) + label[1:]
-            mapping[key] = amp
-        expected = _outcome(lambda: PureState(layout, mapping, normalize=normalize))
+        """Both constructors accept the same distinct terms and store the
+        same keys in the same order with the same amplitude bits, or raise
+        the same exception with the same message."""
+        layout, array_labels, amps = terms
+        mapping = dict(zip(map(tuple, array_labels.tolist()), amps))
+        expected = _outcome(lambda: PureState(layout, mapping))
         got = _outcome(lambda: PureState.from_arrays(layout, array_labels,
-                                                     np.array(amps, dtype=complex),
-                                                     normalize=normalize))
+                                                     np.array(amps, dtype=complex)))
         assert got == expected
 
     def test_signed_zero_parts(self):
         """The mapping constructor adds each amplitude to 0j, so a -0.0
-        part is stored as +0.0; distinct rows store the same."""
+        part is stored as +0.0, with or without ``normalize``; the array
+        constructor stores the same."""
         layout = one_mode()
         amps = [complex(-0.0, 0.6), complex(0.8, -0.0)]
+        stored = [((0,), "0x0.0p+0", "0x1.3333333333333p-1"),
+                  ((1,), "0x1.999999999999ap-1", "0x0.0p+0")]
         for normalize in (False, True):
-            expected = _outcome(lambda: PureState(layout, dict(zip([(0,), (1,)], amps)),
-                                                  normalize=normalize))
-            assert expected == [((0,), "0x0.0p+0", "0x1.3333333333333p-1"),
-                                ((1,), "0x1.999999999999ap-1", "0x0.0p+0")]
-            assert _outcome(lambda: PureState.from_arrays(layout, [[0], [1]], amps,
-                                                          normalize=normalize)) == expected
+            assert _outcome(lambda: PureState(layout, dict(zip([(0,), (1,)], amps)),
+                                              normalize=normalize)) == stored
+        assert _outcome(lambda: PureState.from_arrays(layout, [[0], [1]], amps)) == stored
 
     def test_squares_round_as_python_pow(self):
         """The norm squares each modulus as Python's ``**`` does, through the
@@ -204,12 +187,23 @@ class TestFromArrays:
             pytest.skip("the C library's pow rounds x^2 as x * x for every drawn x")
         layout = one_mode()
         for amp in apart[:20]:
-            for normalize in (False, True):
-                expected = _outcome(lambda: PureState(layout, {(0,): amp, (1,): amp},
-                                                      normalize=normalize))
-                got = _outcome(lambda: PureState.from_arrays(layout, [[0], [1]], [amp, amp],
-                                                             normalize=normalize))
-                assert got == expected
+            expected = _outcome(lambda: PureState(layout, {(0,): amp, (1,): amp}))
+            got = _outcome(lambda: PureState.from_arrays(layout, [[0], [1]], [amp, amp]))
+            assert got == expected
+
+    def test_repeated_row_rejected(self):
+        """Two kept terms on one label are a caller error, not a sum: the
+        repeated row raises and names the label.  A copy below the drop
+        threshold stores nothing, so the state is the mapping's."""
+        layout = layout_of(ModeDescriptor("a", "A", "field", 1),
+                           ModeDescriptor("b", "B", "field", 1))
+        rows = [[1, 0], [0, 1], [0, 1]]
+        for amps in ([0.6, 0.8, 0.0 + 0.3j], [0.6, 0.4, 0.4], [0.0, 0.8, 0.6]):
+            with pytest.raises(StateValidationError, match=r"^label \(0, 1\) repeats$"):
+                PureState.from_arrays(layout, rows, amps)
+        expected = _outcome(lambda: PureState(layout, {(1, 0): 0.6, (0, 1): 0.8}))
+        for amps in ([0.6, 0.8, 1e-16], [0.6, 1e-16, 0.8]):
+            assert _outcome(lambda: PureState.from_arrays(layout, rows, amps)) == expected
 
     def test_shapes(self):
         with pytest.raises(StateValidationError, match="no amplitude"):
@@ -220,6 +214,42 @@ class TestFromArrays:
             PureState.from_arrays(one_mode(), [[0], [1]], [1.0])
         with pytest.raises(StateValidationError, match="integers"):
             PureState.from_arrays(one_mode(), [[0.0]], [1.0])
+
+
+class TestCheckLabel:
+    LAYOUT = layout_of(ModeDescriptor("a", "A", "field", 1),
+                       ModeDescriptor("b", "B", "field", 2))
+
+    def test_returns_int_tuple(self):
+        label = self.LAYOUT.check_label([np.int64(1), True])
+        assert label == (1, 1) and all(type(n) is int for n in label)
+
+    @pytest.mark.parametrize("label, error, message", [
+        ((0.5, 1), StateValidationError,
+         "label (0.5, 1): occupation 0.5 of mode 'a' is not an integer"),
+        ((1, 1.0), StateValidationError,
+         "label (1, 1.0): occupation 1.0 of mode 'b' is not an integer"),
+        ((2, 0), CapacityError, "label (2, 0): occupation 2 of mode 'a' outside [0, 1]"),
+        ((0, -1), CapacityError, "label (0, -1): occupation -1 of mode 'b' outside [0, 2]"),
+        ((1,), StateValidationError, "label (1,) has 1 occupations for the 2 modes ('a', 'b')"),
+    ])
+    def test_errors_name_label_and_mode(self, label, error, message):
+        with pytest.raises(error) as info:
+            self.LAYOUT.check_label(label)
+        assert type(info.value) is error and str(info.value) == message
+
+    @pytest.mark.parametrize("labels", [
+        [(0.5, 1), (1.9, 0)],    # int() would store (0, 1) and (1, 0)
+        [(1, 0), (1.0, 0.4)],    # int() would merge both into (1, 0)
+        [(1.0, 0), (0, 1)],      # an integral float is no integer either
+    ])
+    def test_non_integral_occupations_rejected(self, labels):
+        layout = layout_of(ModeDescriptor("a", "A", "field", 1),
+                           ModeDescriptor("b", "B", "field", 1))
+        with pytest.raises(StateValidationError, match="is not an integer"):
+            PureState(layout, dict(zip(labels, [0.6, 0.8])))
+        with pytest.raises(StateValidationError, match="is not an integer"):
+            DensityOperator(layout, sorted(labels), np.diag([0.6, 0.4]))
 
 
 class TestPartialTrace:
