@@ -10,14 +10,15 @@ constructors that store the same mapping and never sum two terms:
 ``PureState(layout, amplitudes)`` checks a mapping term by term, the cheaper
 route for the few terms a state file holds; ``PureState.from_arrays`` checks
 a label array and an amplitude array in whole-array passes, the route for
-the protocol's final state, generated with thousands of terms.  A split
-pure state is one matrix Psi[kept label, other label]: its partial trace is
-Psi Psi^dagger, its entropy of entanglement that of Psi's squared singular
-values.  A table of such entropies (the sectors of one state) is one batched
-SVD of the matrices zero-padded into one stack, unless every matrix has a
-single row or a single column: such a Psi has one Schmidt coefficient, so
-the shape alone decides each entropy, +0.0, and no SVD runs.  All entropies
-are base-2 (bits / ebits).
+the protocol's final state, generated with thousands of terms.  Both, and
+``parse_state``, take a norm from ``_norm``, the one sum of squared moduli.
+A split pure state is one matrix Psi[kept label, other label]: its partial
+trace is Psi Psi^dagger, its entropy of entanglement that of Psi's squared
+singular values.  A table of such entropies (the sectors of one state) is
+one batched SVD of the matrices zero-padded into one stack, unless every
+matrix has a single row or a single column: such a Psi has one Schmidt
+coefficient, so the shape alone decides each entropy, +0.0, and no SVD
+runs.  All entropies are base-2 (bits / ebits).
 """
 
 from __future__ import annotations
@@ -162,7 +163,7 @@ class PureState:
     label array and T amplitudes and checks them in whole-array passes: the
     route for the large states that ``transfer_final_state`` generates.
     Both check labels by ``ModeLayout.check_label``, never sum two terms,
-    raise the same exceptions and store the same mapping.
+    end in ``_store``, raise the same exceptions and store the same mapping.
 
     ``amplitudes`` is a read-only mapping: a state never changes after
     construction, so work planned on it (the phase-difference POVM's
@@ -171,23 +172,7 @@ class PureState:
 
     def __init__(self, layout: ModeLayout, amplitudes: dict[tuple[int, ...], complex],
                  normalize: bool = False):
-        amps = _checked_terms(layout, amplitudes.items())
-        if not amps:
-            raise StateValidationError(_NO_AMPLITUDE)
-        try:
-            norm = math.sqrt(sum(abs(a) ** 2 for a in amps.values()))
-        except OverflowError:
-            norm = math.inf
-        # A square passed the largest float: take the norm through the
-        # largest modulus.  Finite amplitudes only: abs() of a NaN right
-        # after that overflow raises (see ``_checked_terms``).
-        if norm == math.inf and np.isfinite(list(amps.values())).all():
-            norm = _norm_through_top(list(amps.values()))
-        _check_norm(norm, normalize)
-        if normalize:
-            amps = {l: a / norm for l, a in amps.items()}
-        self.layout = layout
-        self.amplitudes = types.MappingProxyType(amps)
+        _store(self, layout, *_checked_terms(layout, amplitudes.items()), normalize)
 
     @classmethod
     def from_arrays(cls, layout: ModeLayout, labels, amps) -> "PureState":
@@ -202,10 +187,9 @@ class PureState:
         float.  Amplitudes below ``AMP_DROP_TOL`` are dropped, and then a
         row repeated among the kept ones raises ``StateValidationError``; a
         dropped copy stores nothing and is not compared.  Labels keep their
-        input order.  Moduli come from ``np.hypot`` and squares from
-        ``math.pow``, which round as Python's ``abs`` and ``**`` do, and the
-        squares are summed in order as Python floats, so the norm and every
-        stored amplitude match the mapping constructor's bits.
+        input order.  Moduli come from ``np.hypot``, which rounds as
+        Python's ``abs`` does, and go to the same ``_norm``, so the norm and
+        every stored amplitude match the mapping constructor's bits.
         """
         labels = np.asarray(labels)
         amps = np.asarray(amps, dtype=complex)
@@ -237,19 +221,7 @@ class PureState:
         if len(terms) != len(keys):
             repeated = next(key for key, n in collections.Counter(keys).items() if n > 1)
             raise StateValidationError(f"label {repeated} repeats")
-        if not terms:
-            raise StateValidationError(_NO_AMPLITUDE)
-        try:
-            norm = math.sqrt(sum(map(math.pow, _moduli(amps).tolist(), itertools.repeat(2.0))))
-        except OverflowError:
-            norm = math.inf
-        if norm == math.inf and np.isfinite(amps).all():
-            norm = _norm_through_top(amps.tolist())
-        _check_norm(norm, False)
-        state = object.__new__(cls)
-        state.layout = layout
-        state.amplitudes = types.MappingProxyType(terms)
-        return state
+        return _store(object.__new__(cls), layout, terms, moduli[kept].tolist(), False)
 
     def map_labels(self, fn) -> "PureState":
         """Apply an injective label map ``fn(label) -> label`` (basis permutation)."""
@@ -281,20 +253,24 @@ def tensor_product(a: PureState, b: PureState) -> PureState:
     return PureState(layout, amps)
 
 
-def _checked_terms(layout: ModeLayout, terms) -> dict[tuple[int, ...], complex]:
-    """The stored mapping of a mapping's (label, amplitude) pairs: labels
-    checked, amplitudes below ``AMP_DROP_TOL`` dropped, and each kept one
-    added to 0j, which turns a -0.0 part into +0.0."""
-    amps = {}
+def _checked_terms(layout: ModeLayout, terms) -> tuple[dict, list[float]]:
+    """The stored mapping of (label, amplitude) pairs, and its moduli:
+    labels checked, amplitudes below ``AMP_DROP_TOL`` dropped, a repeated
+    kept label rejected, each kept one added to 0j (-0.0 parts become +0.0)."""
+    amps, moduli = {}, []
     try:
         for label, amp in terms:
             label = layout.check_label(label)
             amp = complex(amp)
+            modulus = abs(amp)
             # Written so that NaN is kept (every comparison with it is
             # false) and then rejected with the norm, not silently dropped.
-            if not abs(amp) < AMP_DROP_TOL:
+            if not modulus < AMP_DROP_TOL:
+                if label in amps:
+                    raise StateValidationError(f"label {label} repeats")
                 amps[label] = 0j + amp
-        return amps
+                moduli.append(modulus)
+        return amps, moduli
     except OverflowError:
         # abs() raises for finite parts whose modulus passes the largest
         # float, and for NaN parts when a failed float operation before
@@ -309,20 +285,35 @@ def _moduli(amps: np.ndarray) -> np.ndarray:
         return np.hypot(amps.real, amps.imag)
 
 
-def _norm_through_top(values: list[complex]) -> float:
-    """Norm of finite amplitudes whose sum of squares passes the largest
-    float, taken through the largest modulus."""
-    top = max(map(abs, values))
-    return top * math.sqrt(sum(abs(a / top) ** 2 for a in values))
+def _norm(moduli: list[float]) -> float:
+    """sqrt of the sum of ``moduli`` squared by ``math.pow`` (which rounds
+    as Python's ``**``) in order, or through the largest modulus where that
+    sum passes the largest float; not finite where a modulus is not."""
+    try:
+        total = sum(map(math.pow, moduli, itertools.repeat(2.0)))
+    except OverflowError:
+        total = math.inf
+    if total == math.inf and all(map(math.isfinite, moduli)):
+        top = max(moduli)
+        return top * math.sqrt(sum(math.pow(m / top, 2.0) for m in moduli))
+    return math.sqrt(total)
 
 
-def _check_norm(norm: float, normalize: bool) -> None:
-    """Reject a state norm that is not finite, or (without ``normalize``)
-    that is off 1 by more than ``NORM_TOL``."""
+def _store(state, layout: ModeLayout, terms: dict, moduli: list, normalize: bool) -> PureState:
+    """``state`` holding ``terms`` on ``layout``, whose norm (``_norm`` of
+    ``moduli``) is finite and within ``NORM_TOL`` of 1 or divided out."""
+    if not terms:
+        raise StateValidationError(_NO_AMPLITUDE)
+    norm = _norm(moduli)
     if not math.isfinite(norm):
         raise StateValidationError(f"state norm {norm}: an amplitude is not finite")
-    if not normalize and abs(norm - 1.0) > NORM_TOL:
+    if normalize:
+        terms = {l: a / norm for l, a in terms.items()}
+    elif abs(norm - 1.0) > NORM_TOL:
         raise StateValidationError(f"state norm {norm} deviates from 1 beyond {NORM_TOL}")
+    state.layout = layout
+    state.amplitudes = types.MappingProxyType(terms)
+    return state
 
 
 class DensityOperator:

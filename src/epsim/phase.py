@@ -51,6 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import (
+    NORM_TOL,
     DensityOperator,
     LayoutError,
     ModeDescriptor,
@@ -99,7 +100,7 @@ class PhaseDistribution:
         if values.min() < -1e-12:
             raise StateValidationError(f"negative density value {values.min()}")
         total = TWO_PI / len(values) * float(values.sum())
-        if abs(total - 1.0) > 1e-10:
+        if abs(total - 1.0) > NORM_TOL:
             raise StateValidationError(f"density integrates to {total}, not 1")
 
     @property
@@ -196,8 +197,11 @@ def visibility(spec_a: AncillaSpec, spec_b: AncillaSpec, varphi: float = 0.0) ->
     member of that class (the nearest is 1 - K_Z); at K_Z = W_Z + 1 the
     pair (lo, hi) aliases in.  A grid past ``QUADRATURE_GRID_CAP`` raises
     ``GridError``; a disagreement, or |C| above 1 + 1e-10 (impossible for
-    unit-norm references), raises ``CrossCheckError``.
+    unit-norm references), raises ``CrossCheckError``; an angle that is
+    not finite, ``ValueError``.
     """
+    if not math.isfinite(varphi):
+        raise ValueError(f"angle {varphi} is not finite")
     shift = np.exp(1j * varphi)
     closed = shift * np.conj(spec_a.first_moment()) * spec_b.first_moment()
     # A power of two is the fastest FFT length; any K >= W + 2 is exact.
@@ -207,11 +211,11 @@ def visibility(spec_a: AncillaSpec, spec_b: AncillaSpec, varphi: float = 0.0) ->
         raise GridError(f"visibility grid {max(grids)} exceeds {QUADRATURE_GRID_CAP}")
     pa, pb = (_canonical_density(spec, K) for spec, K in zip((spec_a, spec_b), grids))
     quad = complex(shift * np.conj(pa.grid_moment(1)) * pb.grid_moment(1))
-    if abs(quad - closed) > 1e-9:
+    if not abs(quad - closed) <= 1e-9:
         raise CrossCheckError(
             f"visibility routes disagree: quadrature {quad} vs closed {closed}"
         )
-    if abs(quad) > 1.0 + 1e-10:
+    if not abs(quad) <= 1.0 + 1e-10:
         raise CrossCheckError(f"visibility |C| = {abs(quad)} exceeds 1")
     return quad
 
@@ -235,7 +239,7 @@ def _register_pair() -> DensityOperator:
 def post_measurement_register_state(c: complex) -> DensityOperator:
     """Two-register state (|10><10| + C |10><01| + h.c. + |01><01|) / 2."""
     c = complex(c)
-    if abs(c) > 1.0 + 1e-10:
+    if not abs(c) <= 1.0 + 1e-10:
         raise StateValidationError(f"|C| = {abs(c)} exceeds 1")
     pair = _register_pair()
     mat = np.zeros((4, 4), dtype=complex)
@@ -361,7 +365,7 @@ def apply_phase_difference_povm(state: PureState, mode_a: str, mode_b: str,
 
 def binary_entropy(p: float) -> float:
     """-p log2 p - (1-p) log2 (1-p) with 0 log 0 = 0."""
-    if p < 0.0 or p > 1.0:
+    if not 0.0 <= p <= 1.0:
         raise ValueError(f"probability {p} outside [0, 1]")
     total = 0.0
     for q in (p, 1.0 - p):
@@ -374,7 +378,7 @@ def entanglement_of_formation_x(c: complex) -> float:
     """Entanglement of formation (bits) of the post-measurement register
     state with visibility ``c``: h(p) with p = (1 + sqrt(1 - |C|^2)) / 2."""
     x = abs(complex(c))
-    if x > 1.0 + 1e-10:
+    if not x <= 1.0 + 1e-10:
         raise ValueError(f"|C| = {x} exceeds 1")
     x = min(x, 1.0)
     p = 0.5 * (1.0 + math.sqrt(max(0.0, 1.0 - x * x)))
@@ -427,7 +431,7 @@ def coherent_visibility_model(ntr: float) -> float:
     """|C|^2 for a transported coherent reference against a much larger
     local one, modeling both phase profiles as periodic Gaussians:
     e^{-1/(4 ntr)} with ntr the mean transported particle number."""
-    if ntr <= 0.0:
+    if not ntr > 0.0:
         raise ValueError("ntr must be positive")
     return math.exp(-1.0 / (4.0 * ntr))
 
@@ -438,7 +442,7 @@ def ef_upper_bound(var_tr: float) -> float:
     1 - (1 - |C|^2) / ln 2, and not ``entanglement_of_formation_x``, whose
     first-order deficit (1 - |C|^2) / (2 ln 2) is half as large: for coherent
     references the formation entanglement can exceed it."""
-    if var_tr <= 0.0:
+    if not var_tr > 0.0:
         raise ValueError("variance must be positive")
     return 1.0 - 1.0 / (4.0 * var_tr * LN2)
 

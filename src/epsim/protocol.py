@@ -51,6 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import (
+    NORM_TOL,
     CapacityError,
     DensityOperator,
     LayoutError,
@@ -82,7 +83,7 @@ class AncillaSpec:
         if not np.all(np.isfinite(coeffs)):
             raise StateValidationError("ancilla coefficients must be finite")
         norm = float(np.linalg.norm(coeffs))
-        if abs(norm - 1.0) > 1e-10:
+        if abs(norm - 1.0) > NORM_TOL:
             raise StateValidationError(f"ancilla coefficients have norm {norm}, not 1")
         nonzero = coeffs != 0
         first, stop = int(nonzero.argmax()), coeffs.size - int(nonzero[::-1].argmax())

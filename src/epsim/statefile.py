@@ -10,9 +10,10 @@ Schema::
 Mode ids, sites and kinds are strings, capacities and occupations are
 integers (a float with no fractional part is accepted) and amplitudes are
 [real, imaginary] pairs of finite numbers; anything else is a parse error.
-Repeated occupations are summed.  Files whose norm deviates from 1 by at
-most 1e-6 are renormalized with a ``UserWarning``; larger deviations are
-parse errors.  The labels are checked after the norm, by ``PureState``.
+Repeated occupations are summed.  Files whose norm (``fock._norm``, infinite
+only where a modulus passes the largest float) deviates from 1 by at most
+1e-6 are renormalized with a ``UserWarning``; larger deviations are parse
+errors.  The labels are checked after the norm, by ``PureState``.
 
 Results are written by ``dump_json``, one pass over the result tree that
 rounds every float to 12 significant digits as it writes it, so identical
@@ -45,6 +46,7 @@ from .fock import (
     ModeLayout,
     PureState,
     StateValidationError,
+    _norm,
 )
 
 NORM_FILE_TOL = 1e-6
@@ -112,9 +114,9 @@ def parse_state(data: dict) -> PureState:
         amps[occ] = amps.get(occ, 0.0) + complex(float(amp[0]), float(amp[1]))
 
     try:
-        norm = float(np.sqrt(sum(abs(a) ** 2 for a in amps.values()))) if amps else 0.0
+        norm = _norm([abs(a) for a in amps.values()])
     except OverflowError:
-        # Some |a|^2 passes the largest float, so the norm is as good as infinite.
+        # abs() raises where a modulus passes the largest float.
         norm = math.inf
     if not abs(norm - 1.0) <= NORM_FILE_TOL:
         raise StateFileError(f"amplitudes have norm {norm}; expected 1 within {NORM_FILE_TOL}")

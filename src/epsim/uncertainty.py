@@ -26,7 +26,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fock import LayoutError, ModeDescriptor, ModeLayout, PureState
+from .fock import (NORM_TOL, LayoutError, ModeDescriptor, ModeLayout, PureState,
+                   StateValidationError)
 from .protocol import coherent_coefficients
 
 PHYSICAL_TAIL_TOL = 1e-10
@@ -161,8 +162,8 @@ def _checked_moments(state, space: PhaseOperatorSpace) -> UncertaintyReport:
         raise LayoutError(f"state factors must be vectors of {space.dim} levels")
     sums = _sums(a, b)
     norm = math.sqrt(float(sums.pa.sum()))
-    if abs(norm - 1.0) > 1e-10:
-        raise ValueError(f"state norm {norm} deviates from 1")
+    if not abs(norm - 1.0) <= NORM_TOL:
+        raise StateValidationError(f"state norm {norm} deviates from 1")
     cutoff = int(math.floor(space.s - math.sqrt(space.s)))
     tail_a = float(sums.pa[cutoff + 1:].sum())
     tail_b = float(sums.pb[cutoff + 1:].sum())

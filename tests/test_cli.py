@@ -987,6 +987,8 @@ VALID_STATE = {
     ("term", "occ", ["x", 0]), ("term", "occ", None), ("term", "occ", 5),
     ("term", "amp", ["a", 0.0]), ("term", "amp", [None, 0.0]),
     ("term", "amp", [10 ** 400, 0.0]),
+    # a finite modulus whose square passes the largest float: the norm is named
+    ("term", "amp", [1e200, 0.0]),
     ("top", "modes", 5), ("top", "terms", 5),
     # non-integral numbers are not truncated to an integer
     ("term", "occ", [1.5, 0]), ("mode", "capacity", 1.7),
@@ -996,8 +998,8 @@ VALID_STATE = {
     # mode ids, sites and kinds must be JSON strings
     ("mode", "id", None), ("mode", "id", 5), ("mode", "site", 1), ("mode", "kind", None),
 ], ids=["occ-string", "occ-null", "occ-number", "amp-string", "amp-null", "amp-past-float",
-        "modes-number", "terms-number", "occ-fraction", "capacity-fraction",
-        "occ-past-capacity", "occ-negative", "occ-too-wide", "occ-too-narrow",
+        "amp-square-past-float", "modes-number", "terms-number", "occ-fraction",
+        "capacity-fraction", "occ-past-capacity", "occ-negative", "occ-too-wide", "occ-too-narrow",
         "id-null", "id-number", "site-number", "kind-null"])
 def test_malformed_state_file_exit_2(capsys, tmp_path, command, where, key, value):
     data = json.loads(json.dumps(VALID_STATE))
@@ -1012,6 +1014,8 @@ def test_malformed_state_file_exit_2(capsys, tmp_path, command, where, key, valu
     assert err.startswith("error:") and "\n" not in err
     if key == "occ" and isinstance(value, list) and all(type(x) is int for x in value):
         assert str(tuple(value)) in err
+    if value == [1e200, 0.0]:
+        assert "norm 1e+200;" in err
 
 
 class TestStateFileRoundTrip:

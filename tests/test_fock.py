@@ -20,6 +20,7 @@ from epsim import (
     trace_distance,
     von_neumann_entropy,
 )
+from epsim.fock import _norm
 from conftest import random_two_site_state, shared_single
 from oracles import partial_trace_oracle
 from strategies import transfer_inputs
@@ -216,6 +217,44 @@ class TestFromArrays:
             PureState.from_arrays(one_mode(), [[0.0]], [1.0])
 
 
+class TestNorm:
+    """``_norm``, the one sum of squared moduli, against independent routes."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(st.floats(0.0, 1e150), max_size=20))
+    def test_equals_python_sum_of_squares(self, moduli):
+        assert _norm(moduli).hex() == math.sqrt(sum(m ** 2 for m in moduli)).hex()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(st.floats(1e154, 1e308), min_size=1, max_size=3))
+    def test_squares_past_largest_float_equal_hypot(self, moduli):
+        """Up to three moduli of at most 1e308 have a finite norm, though
+        their squares do not."""
+        expected = math.hypot(*moduli)
+        assert abs(_norm(moduli) - expected) <= 1e-15 * expected
+
+    @pytest.mark.parametrize("moduli", [
+        [math.nan], [math.inf], [1.0, math.nan], [math.nan, 1e200], [1e200, math.nan],
+        [math.inf, 1e200], [1e200, math.inf], [math.nan, math.inf],
+    ])
+    def test_non_finite_modulus_gives_non_finite_norm(self, moduli):
+        assert not math.isfinite(_norm(moduli))
+
+    def test_empty_is_zero(self):
+        assert _norm([]) == 0.0
+
+
+class _Occupation:
+    """An occupation that indexes as ``n`` but equals no int, so two labels
+    that hold it and ``n`` are distinct mapping keys."""
+
+    def __init__(self, n):
+        self.n = n
+
+    def __index__(self):
+        return self.n
+
+
 class TestCheckLabel:
     LAYOUT = layout_of(ModeDescriptor("a", "A", "field", 1),
                        ModeDescriptor("b", "B", "field", 2))
@@ -237,6 +276,18 @@ class TestCheckLabel:
         with pytest.raises(error) as info:
             self.LAYOUT.check_label(label)
         assert type(info.value) is error and str(info.value) == message
+
+    def test_repeated_label_rejected(self):
+        """Two mapping keys that check as one label are two kept terms on
+        it: they raise, as a repeated row does in ``from_arrays``, rather
+        than store one amplitude under the norm of both.  A copy below the
+        drop threshold stores nothing."""
+        layout = layout_of(ModeDescriptor("a", "A", "field", 1),
+                           ModeDescriptor("b", "B", "field", 1))
+        with pytest.raises(StateValidationError, match=r"^label \(1, 0\) repeats$"):
+            PureState(layout, {(1, 0): 0.6, (_Occupation(1), 0): 0.8})
+        state = PureState(layout, {(1, 0): 1.0, (_Occupation(1), 0): 1e-16})
+        assert dict(state.amplitudes) == {(1, 0): 1.0}
 
     @pytest.mark.parametrize("labels", [
         [(0.5, 1), (1.9, 0)],    # int() would store (0, 1) and (1, 0)

@@ -31,7 +31,7 @@ from epsim import (
     visibility,
 )
 import epsim.phase as phase
-from epsim.phase import _povm_plan, register_pair_layout, two_qubit_concurrence
+from epsim.phase import _povm_plan, binary_entropy, register_pair_layout, two_qubit_concurrence
 from epsim.statefile import load_state
 from conftest import data_path, shared_double, shared_single
 from oracles import (
@@ -588,3 +588,26 @@ class TestEfUpperBound:
             spec_tr, spec_local = coherent_pair_specs(ntr)
             c = visibility(spec_tr, spec_local)
             assert ef_large_visibility(c) <= ef_upper_bound(ntr) + 1e-6
+
+
+_UNIFORM = AncillaSpec.uniform(4)
+
+
+@pytest.mark.parametrize("check, value, error, message", [
+    (entanglement_of_formation_x, complex(math.nan, 0.0), ValueError, "exceeds 1"),
+    (entanglement_of_formation_x, complex(math.inf, 0.0), ValueError, "exceeds 1"),
+    (binary_entropy, math.nan, ValueError, "outside"),
+    (binary_entropy, math.inf, ValueError, "outside"),
+    (lambda varphi: visibility(_UNIFORM, _UNIFORM, varphi), math.nan, ValueError, "not finite"),
+    (lambda varphi: visibility(_UNIFORM, _UNIFORM, varphi), math.inf, ValueError, "not finite"),
+    (ef_upper_bound, math.nan, ValueError, "positive"),
+    (coherent_visibility_model, math.nan, ValueError, "positive"),
+    (post_measurement_register_state, complex(math.nan, 0.0), StateValidationError, "exceeds 1"),
+    (post_measurement_register_state, complex(math.inf, 0.0), StateValidationError, "exceeds 1"),
+], ids=["ef-nan", "ef-inf", "entropy-nan", "entropy-inf", "visibility-nan", "visibility-inf",
+        "ef-bound-nan", "visibility-model-nan", "register-state-nan", "register-state-inf"])
+def test_non_finite_scalar_rejected(check, value, error, message):
+    """Each scalar check is written so that NaN fails it: every comparison
+    with NaN is false, so ``x > bound`` would let it through."""
+    with pytest.raises(error, match=message):
+        check(value)

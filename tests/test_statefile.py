@@ -130,8 +130,11 @@ VALID_DOCUMENT = {
     ("mode", "site", ..., "mode entry missing 'site'"),
     ("term", "amp", [1.2, 0.0], "amplitudes have norm 1.4422205101855958; expected 1 "
                                 "within 1e-06"),
+    # A square past the largest float leaves the norm finite; a modulus past it does not.
+    ("term", "amp", [1e200, 0.0], "amplitudes have norm 1e+200; expected 1 within 1e-06"),
+    ("term", "amp", [1.5e308, 1.5e308], "amplitudes have norm inf; expected 1 within 1e-06"),
 ], ids=["occ-string", "occ-bool", "capacity-fraction", "id-null", "kind-number",
-        "site-missing", "norm"])
+        "site-missing", "norm", "norm-square-past-float", "norm-modulus-past-float"])
 def test_parse_error_messages(where, key, value, message):
     # Each message is built only when its check fails; its text is fixed.
     data = json.loads(json.dumps(VALID_DOCUMENT))

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import epsim.uncertainty
 from epsim import (
     LayoutError,
+    StateValidationError,
     PhaseOperatorSpace,
     PhysicalityError,
     coherent_coefficients,
@@ -370,3 +371,14 @@ def _vector(s, n=0):
 def test_non_factor_input_rejected(check, s, state):
     with pytest.raises(LayoutError):
         check(state, PhaseOperatorSpace(s))
+
+
+@pytest.mark.parametrize("check", [robertson_checks, visibility_bound_check])
+def test_nan_factor_rejected(check):
+    """A NaN entry makes the norm NaN, which fails the norm check instead of
+    reaching the moments."""
+    space = PhaseOperatorSpace(32)
+    a, b = number_pair_state(2, 7, 32)
+    a[3] = math.nan
+    with pytest.raises(StateValidationError, match="state norm nan"):
+        check((a, b), space)
