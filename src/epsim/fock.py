@@ -5,13 +5,13 @@ States live on an ordered ``ModeLayout``; a basis label is a tuple of
 integer occupations aligned with the layout, checked by
 ``ModeLayout.check_label`` alone.  Amplitudes are stored sparsely
 (label -> complex) because every protocol map in this package is a basis
-permutation and preserves exact sparsity.  ``PureState`` has two
-constructors that store the same mapping and never sum two terms:
-``PureState(layout, amplitudes)`` checks a mapping term by term, the cheaper
-route for the few terms a state file holds; ``PureState.from_arrays`` checks
-a label array and an amplitude array in whole-array passes, the route for
-the protocol's final state, generated with thousands of terms.  Both, and
-``parse_state``, take a norm from ``_norm``, the one sum of squared moduli.
+permutation and preserves exact sparsity.  ``PureState(layout, amplitudes)``
+is the one public constructor: it checks a mapping term by term and never
+sums two terms.  The protocol's final state, thousands of rows built valid
+by construction, is stored from arrays through the private tail
+``PureState._from_rows``, which keeps only the steps that decide what is
+stored.  Both, and ``parse_state``, take a norm from ``_norm``, the one sum
+of squared moduli.
 A split pure state is one matrix Psi[kept label, other label]: its partial
 trace is Psi Psi^dagger, its entropy of entanglement that of Psi's squared
 singular values.  A table of such entropies (the sectors of one state) is
@@ -23,7 +23,6 @@ runs.  All entropies are base-2 (bits / ebits).
 
 from __future__ import annotations
 
-import collections
 import itertools
 import math
 import operator
@@ -156,14 +155,12 @@ def layout_of(*modes: ModeDescriptor) -> ModeLayout:
 class PureState:
     """Normalized sparse amplitude assignment over occupation labels.
 
-    Two constructors build it.  ``PureState(layout, amplitudes)`` takes a
-    mapping label -> amplitude and checks it term by term: the route for the
-    few-term states that state files and callers write out.
-    ``PureState.from_arrays(layout, labels, amps)`` takes a (T, L) integer
-    label array and T amplitudes and checks them in whole-array passes: the
-    route for the large states that ``transfer_final_state`` generates.
-    Both check labels by ``ModeLayout.check_label``, never sum two terms,
-    end in ``_store``, raise the same exceptions and store the same mapping.
+    ``PureState(layout, amplitudes)`` takes a mapping label -> amplitude and
+    checks it term by term: each label by ``ModeLayout.check_label``, each
+    modulus, and a repeated label; it never sums two terms.  The private
+    ``_from_rows`` stores the rows ``transfer_final_state`` builds, already
+    valid, with the same drop, norm and amplitude bits; both end in
+    ``_store``.
 
     ``amplitudes`` is a read-only mapping: a state never changes after
     construction, so work planned on it (the phase-difference POVM's
@@ -175,52 +172,22 @@ class PureState:
         _store(self, layout, *_checked_terms(layout, amplitudes.items()), normalize)
 
     @classmethod
-    def from_arrays(cls, layout: ModeLayout, labels, amps) -> "PureState":
+    def _from_rows(cls, layout: ModeLayout, labels: np.ndarray, amps: np.ndarray) -> "PureState":
         """The state the mapping constructor builds from the terms
-        (labels[t], amps[t]), whose kept rows must be distinct.
-
-        ``labels`` is a (T, L) integer array and ``amps`` T amplitudes.  The
-        checks run over whole arrays, and the first term in input order that
-        the mapping constructor would reject raises the same exception with
-        the same message: a label of the wrong width, an occupation outside
-        [0, capacity], a finite amplitude whose modulus passes the largest
-        float.  Amplitudes below ``AMP_DROP_TOL`` are dropped, and then a
-        row repeated among the kept ones raises ``StateValidationError``; a
-        dropped copy stores nothing and is not compared.  Labels keep their
-        input order.  Moduli come from ``np.hypot``, which rounds as
-        Python's ``abs`` does, and go to the same ``_norm``, so the norm and
-        every stored amplitude match the mapping constructor's bits.
+        (labels[t], amps[t]), for rows that are already valid: ``labels`` a
+        (T, L) integer array of distinct labels of ``layout``, ``amps`` T
+        complex amplitudes of modulus at most 1.  ``transfer_final_state``
+        builds such rows by construction, so none of that is checked again.
+        Moduli come from ``np.hypot``, which rounds as Python's ``abs``
+        does, so the drop, the norm and every stored bit match the mapping
+        constructor's; labels keep their input order.
         """
-        labels = np.asarray(labels)
-        amps = np.asarray(amps, dtype=complex)
-        if amps.ndim != 1 or labels.ndim != 2 or labels.shape[0] != amps.size:
-            raise StateValidationError(
-                f"labels of shape {labels.shape} do not pair with amplitudes of shape "
-                f"{amps.shape}: expected (T, L) and (T,)")
-        if not amps.size:
-            raise StateValidationError(_NO_AMPLITUDE)
-        if labels.dtype.kind not in "iu":
-            raise StateValidationError(f"labels must be integers, got dtype {labels.dtype}")
-        if labels.shape[1] != len(layout):
-            layout.check_label(tuple(labels[0].tolist()))  # raises the width error
-        capacities = np.array([m.capacity for m in layout.modes])
-        outside = ((labels < 0) | (labels > capacities)).any(axis=1)
-        moduli = _moduli(amps)
-        # Where abs() raises: finite parts whose modulus passes the largest float.
-        rejected = outside | (np.isfinite(amps) & np.isinf(moduli))
-        if rejected.any():
-            t = int(rejected.argmax())
-            if outside[t]:
-                layout.check_label(tuple(labels[t].tolist()))  # raises the capacity error
-            raise StateValidationError(_MODULUS_OVERFLOW)
-        # Written so that NaN is kept, as in the mapping constructor, which
-        # adds each amplitude to 0j and so turns a -0.0 part into +0.0.
+        moduli = np.hypot(amps.real, amps.imag)
+        # Written so that NaN is kept and then rejected by ``_store``, as in
+        # the mapping constructor, which adds each amplitude to 0j and so
+        # turns a -0.0 part into +0.0.
         kept = ~(moduli < AMP_DROP_TOL)
-        keys, amps = list(map(tuple, labels[kept].tolist())), amps[kept] + 0.0
-        terms = dict(zip(keys, amps.tolist()))
-        if len(terms) != len(keys):
-            repeated = next(key for key, n in collections.Counter(keys).items() if n > 1)
-            raise StateValidationError(f"label {repeated} repeats")
+        terms = dict(zip(map(tuple, labels[kept].tolist()), (amps[kept] + 0.0).tolist()))
         return _store(object.__new__(cls), layout, terms, moduli[kept].tolist(), False)
 
     def map_labels(self, fn) -> "PureState":
@@ -276,13 +243,6 @@ def _checked_terms(layout: ModeLayout, terms) -> tuple[dict, list[float]]:
         # float, and for NaN parts when a failed float operation before
         # it left errno set (CPython's complex abs reads errno).
         raise StateValidationError(_MODULUS_OVERFLOW) from None
-
-
-def _moduli(amps: np.ndarray) -> np.ndarray:
-    """|a| of each amplitude by ``hypot``, the bits of Python's ``abs``
-    (numpy's complex ``abs`` rounds differently); inf where it overflows."""
-    with np.errstate(over="ignore"):
-        return np.hypot(amps.real, amps.imag)
 
 
 def _norm(moduli: list[float]) -> float:

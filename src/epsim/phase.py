@@ -59,7 +59,7 @@ from .fock import (
     PureState,
     StateValidationError,
 )
-from .protocol import AncillaSpec, GridError
+from .protocol import AncillaSpec, GridError, _check_angles
 
 LN2 = math.log(2.0)
 TWO_PI = 2.0 * math.pi
@@ -170,7 +170,9 @@ def resolution_kernel(pa: PhaseDistribution, pb: PhaseDistribution,
     grid values alone.  ``visibility`` does not form it: it needs only the
     kernel's first moment, e^{-i varphi} q_A conj(q_B) from the two
     densities' grid sums.  The kernel is the test oracle for that shortcut.
+    An angle that is not finite raises ``ValueError``.
     """
+    _check_angles(varphi)
     if pa.grid_size != pb.grid_size:
         raise GridError(f"grid mismatch: {pa.grid_size} vs {pb.grid_size}")
     K = pa.grid_size
@@ -200,8 +202,7 @@ def visibility(spec_a: AncillaSpec, spec_b: AncillaSpec, varphi: float = 0.0) ->
     unit-norm references), raises ``CrossCheckError``; an angle that is
     not finite, ``ValueError``.
     """
-    if not math.isfinite(varphi):
-        raise ValueError(f"angle {varphi} is not finite")
+    _check_angles(varphi)
     shift = np.exp(1j * varphi)
     closed = shift * np.conj(spec_a.first_moment()) * spec_b.first_moment()
     # A power of two is the fastest FFT length; any K >= W + 2 is exact.
@@ -337,7 +338,8 @@ def apply_phase_difference_povm(state: PureState, mode_a: str, mode_b: str,
     out every field mode.  Returns the outcome probability density at
     ``varphi`` (densities integrate to 1 over a full turn) and the
     conditional register state; an angle whose density is not positive has
-    no conditional state and raises ``StateValidationError``.
+    no conditional state and raises ``StateValidationError``; an angle that
+    is not finite raises ``ValueError``.
 
     The register matrix is a trigonometric polynomial in the angle,
     T(varphi) = sum_k e^{-i varphi k} Q_k, where k counts the particles the
@@ -351,6 +353,7 @@ def apply_phase_difference_povm(state: PureState, mode_a: str, mode_b: str,
     site-B reference occupation and the site-B register number inside each
     group, so D <= N + 1 for N input particles.
     """
+    _check_angles(varphi)
     plan = _povm_plan(state, mode_a, mode_b)
     D, R = plan.coeffs.shape[:2]
     ramp = np.exp(-1j * varphi * np.arange(D))

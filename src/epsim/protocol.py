@@ -35,7 +35,9 @@ O(1/(M+1)), which is the quantity the grid diagnostic exposes.
 phase-difference POVM needs, by the same fact: the field modes end empty,
 so the branch with reference occupations (m_A, m_B) and register label r is
 |M_A - m_A + n_A, m_A, M_B - m_B + n_B, m_B, 0...0, r> with amplitude
-c_A[m_A] c_B[m_B] amp_r.  The gate-level simulation it replaces (ancillas
+c_A[m_A] c_B[m_B] amp_r.  Its rows are valid labels by construction, so
+they are stored through ``PureState``'s private array tail, which checks
+none of them again.  The gate-level simulation it replaces (ancillas
 tensored in, occupation CNOT and hiding gate on every field mode) is the
 test oracle for it and for ``run_transfer``.
 """
@@ -65,6 +67,13 @@ from .sectors import _local_numbers, _register_numbers, _register_sector_blocks
 
 class GridError(ValueError):
     """Phase grid too coarse for the requested truncation."""
+
+
+def _check_angles(*angles: float) -> None:
+    """Raise ``ValueError`` naming the first angle that is not finite."""
+    for angle in angles:
+        if not math.isfinite(angle):
+            raise ValueError(f"angle {angle} is not finite")
 
 
 class AncillaSpec:
@@ -323,6 +332,15 @@ def transfer_final_state(config: ProtocolConfig) -> PureState:
     that nesting order, as one broadcast label array and amplitude array.
     The amplitude c_A[m_A] c_B[m_B] amp_r is (c_A c_B) amp_r as Python's
     complex products round it.
+
+    Every row is a valid, distinct label, so ``PureState._from_rows``
+    stores the rows without checking them: the sink occupation
+    M - m + n_Z lies in [0, M + N] as m <= M and n_Z <= N; the reference
+    occupation m lies in the ancilla's [lo, hi], inside [0, M]; the input
+    field columns are 0; each register column is an input occupation, and
+    the register has its field mode's capacity; (m_A, m_B, r) are columns
+    of the label, so rows are distinct; and each amplitude is a product of
+    finite numbers of modulus at most 1.
     """
     reg_layout, basis, amps, n_a, n_b = config.register_terms
     site_modes = []
@@ -343,7 +361,7 @@ def transfer_final_state(config: ProtocolConfig) -> PureState:
     labels[..., len(layout) - len(reg_layout):] = basis
     refs = _complex_product(spec_a.coefficients[:, None], spec_b.coefficients)
     final = _complex_product(refs[..., None], amps)
-    return PureState.from_arrays(layout, labels.reshape(-1, len(layout)), final.ravel())
+    return PureState._from_rows(layout, labels.reshape(-1, len(layout)), final.ravel())
 
 
 def _complex_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -376,8 +394,10 @@ def mode_overlap_integral(k: int, spec: AncillaSpec, theta: float) -> complex:
     sum_{m=k}^{M} |c_m|^2 / (M+1) * e^{i k theta}.
 
     For k beyond the truncation the integral vanishes identically; a warning
-    flags the degenerate call.
+    flags the degenerate call.  An angle that is not finite raises
+    ``ValueError``.
     """
+    _check_angles(theta)
     if k < 0:
         raise ValueError("k must be a non-negative integer")
     if k > spec.M:
@@ -487,7 +507,9 @@ def equal_different_measurement(rho: DensityOperator) -> list[MeasurementOutcome
 
 def reference_phase_shift(rho: DensityOperator, theta: float, phi: float) -> DensityOperator:
     """Conjugate a register operator by local phase rotations
-    e^{i theta N_A} e^{i phi N_B} (N = register occupation at the site)."""
+    e^{i theta N_A} e^{i phi N_B} (N = register occupation at the site).
+    An angle that is not finite raises ``ValueError``."""
+    _check_angles(theta, phi)
     layout = rho.layout
     if any(m.kind != "register" for m in layout.modes):
         raise LayoutError("reference phase shift acts on register-only operators")

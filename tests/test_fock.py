@@ -78,143 +78,21 @@ class TestPureStateImmutable:
             del state.amplitudes[(1, 0)]
 
 
-# Special amplitude parts: signed zeros, non-finite parts, and parts past the
-# square root of the largest float.
-_PART_SPECIALS = (0.0, -0.0, math.nan, math.inf, -math.inf, 1.5e308, -1e200)
-
-
-@st.composite
-def _amplitudes(draw):
-    """Mostly ordinary amplitudes; also ones below the drop threshold, ones
-    with a special part, and ones whose modulus or square passes the largest
-    float."""
-    def ordinary():
-        return draw(st.floats(0.05, 1.0)) * draw(st.sampled_from((1.0, -1.0)))
-
-    kind = draw(st.integers(0, 18))
-    if kind < 11:
-        return complex(ordinary(), ordinary())
-    if kind == 11:
-        parts = [-0.0, ordinary()]
-        return complex(*(parts if draw(st.booleans()) else parts[::-1]))
-    if kind < 14:
-        return complex(draw(st.floats(-2e-15, 2e-15)), draw(st.floats(-2e-15, 2e-15)))
-    if kind < 16:
-        parts = [draw(st.sampled_from(_PART_SPECIALS)), ordinary()]
-        return complex(*(parts if draw(st.booleans()) else parts[::-1]))
-    if kind == 16:
-        return complex(1.5e308, -1.5e308)
-    return 1e200 * complex(ordinary(), ordinary())
-
-
-@st.composite
-def _state_terms(draw):
-    """(layout, labels as a (T, width) array of distinct rows, amps): terms
-    that either constructor takes.  Occupations and the width are sometimes
-    out of range for the layout."""
-    caps = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
-    layout = layout_of(*(ModeDescriptor(f"m{i}", "AB"[i % 2], "field", cap)
-                         for i, cap in enumerate(caps)))
-    width = max(1, len(caps) + draw(st.sampled_from((0,) * 8 + (-1, 1))))
-    col_caps = (caps + [1])[:width] if width > len(caps) else caps[:width]
-
-    @st.composite
-    def rows(draw):
-        row = [draw(st.integers(0, cap)) for cap in col_caps]
-        if row and draw(st.integers(0, 9)) == 0:
-            col = draw(st.integers(0, len(row) - 1))
-            row[col] = draw(st.sampled_from((-2, -1, col_caps[col] + 1, col_caps[col] + 2)))
-        return tuple(row)
-
-    labels = draw(st.lists(rows(), min_size=1, max_size=6, unique=True))
-    amps = [draw(_amplitudes()) for _ in labels]
-    scale = draw(st.sampled_from(("as drawn", "unit", "tiny")))
-    if scale == "tiny":
-        amps = [a * 1e-16 for a in amps]
-    elif scale == "unit":
-        with np.errstate(over="ignore", invalid="ignore"):
-            norm = float(np.sqrt(np.sum(np.abs(amps) ** 2)))
-        if 0.0 < norm < math.inf:
-            # Part by part: complex division would turn -0.0 parts into +0.0.
-            amps = [complex(a.real / norm, a.imag / norm) for a in amps]
-    return layout, np.array(labels, dtype=np.int64).reshape(len(labels), width), amps
-
-
-def _outcome(build):
-    """Each stored term as (label, hex real, hex imag), or the exception's
-    type and message."""
-    try:
-        state = build()
-    except Exception as exc:
-        return type(exc), str(exc)
-    return [(label, amp.real.hex(), amp.imag.hex())
-            for label, amp in state.amplitudes.items()]
-
-
-class TestFromArrays:
-    @settings(max_examples=400, deadline=None, derandomize=True)
-    @given(_state_terms())
-    def test_equals_mapping_constructor(self, terms):
-        """Both constructors accept the same distinct terms and store the
-        same keys in the same order with the same amplitude bits, or raise
-        the same exception with the same message."""
-        layout, array_labels, amps = terms
-        mapping = dict(zip(map(tuple, array_labels.tolist()), amps))
-        expected = _outcome(lambda: PureState(layout, mapping))
-        got = _outcome(lambda: PureState.from_arrays(layout, array_labels,
-                                                     np.array(amps, dtype=complex)))
-        assert got == expected
-
+class TestMappingConstructor:
     def test_signed_zero_parts(self):
-        """The mapping constructor adds each amplitude to 0j, so a -0.0
-        part is stored as +0.0, with or without ``normalize``; the array
-        constructor stores the same."""
-        layout = one_mode()
-        amps = [complex(-0.0, 0.6), complex(0.8, -0.0)]
+        """Each kept amplitude is added to 0j, so a -0.0 part is stored as
+        +0.0, with or without ``normalize``."""
+        amps = {(0,): complex(-0.0, 0.6), (1,): complex(0.8, -0.0)}
         stored = [((0,), "0x0.0p+0", "0x1.3333333333333p-1"),
                   ((1,), "0x1.999999999999ap-1", "0x0.0p+0")]
         for normalize in (False, True):
-            assert _outcome(lambda: PureState(layout, dict(zip([(0,), (1,)], amps)),
-                                              normalize=normalize)) == stored
-        assert _outcome(lambda: PureState.from_arrays(layout, [[0], [1]], amps)) == stored
+            state = PureState(one_mode(), amps, normalize=normalize)
+            assert [(label, amp.real.hex(), amp.imag.hex())
+                    for label, amp in state.amplitudes.items()] == stored
 
-    def test_squares_round_as_python_pow(self):
-        """The norm squares each modulus as Python's ``**`` does, through the
-        C library's pow, which for some x rounds x^2 apart from x * x; a
-        state of two terms x has a norm that shows it."""
-        x = np.random.default_rng(0).uniform(0.5, 2.0, 100_000).tolist()
-        apart = [v for v in x if math.sqrt(v ** 2 + v ** 2) != math.sqrt(v * v + v * v)]
-        if not apart:
-            pytest.skip("the C library's pow rounds x^2 as x * x for every drawn x")
-        layout = one_mode()
-        for amp in apart[:20]:
-            expected = _outcome(lambda: PureState(layout, {(0,): amp, (1,): amp}))
-            got = _outcome(lambda: PureState.from_arrays(layout, [[0], [1]], [amp, amp]))
-            assert got == expected
-
-    def test_repeated_row_rejected(self):
-        """Two kept terms on one label are a caller error, not a sum: the
-        repeated row raises and names the label.  A copy below the drop
-        threshold stores nothing, so the state is the mapping's."""
-        layout = layout_of(ModeDescriptor("a", "A", "field", 1),
-                           ModeDescriptor("b", "B", "field", 1))
-        rows = [[1, 0], [0, 1], [0, 1]]
-        for amps in ([0.6, 0.8, 0.0 + 0.3j], [0.6, 0.4, 0.4], [0.0, 0.8, 0.6]):
-            with pytest.raises(StateValidationError, match=r"^label \(0, 1\) repeats$"):
-                PureState.from_arrays(layout, rows, amps)
-        expected = _outcome(lambda: PureState(layout, {(1, 0): 0.6, (0, 1): 0.8}))
-        for amps in ([0.6, 0.8, 1e-16], [0.6, 1e-16, 0.8]):
-            assert _outcome(lambda: PureState.from_arrays(layout, rows, amps)) == expected
-
-    def test_shapes(self):
+    def test_no_amplitude_rejected(self):
         with pytest.raises(StateValidationError, match="no amplitude"):
             PureState(one_mode(), {})
-        with pytest.raises(StateValidationError, match="no amplitude"):
-            PureState.from_arrays(one_mode(), np.zeros((0, 1), dtype=int), [])
-        with pytest.raises(StateValidationError, match="do not pair"):
-            PureState.from_arrays(one_mode(), [[0], [1]], [1.0])
-        with pytest.raises(StateValidationError, match="integers"):
-            PureState.from_arrays(one_mode(), [[0.0]], [1.0])
 
 
 class TestNorm:
@@ -279,9 +157,8 @@ class TestCheckLabel:
 
     def test_repeated_label_rejected(self):
         """Two mapping keys that check as one label are two kept terms on
-        it: they raise, as a repeated row does in ``from_arrays``, rather
-        than store one amplitude under the norm of both.  A copy below the
-        drop threshold stores nothing."""
+        it: they raise rather than store one amplitude under the norm of
+        both.  A copy below the drop threshold stores nothing."""
         layout = layout_of(ModeDescriptor("a", "A", "field", 1),
                            ModeDescriptor("b", "B", "field", 1))
         with pytest.raises(StateValidationError, match=r"^label \(1, 0\) repeats$"):

@@ -26,7 +26,10 @@ from epsim import (
     ef_upper_bound,
     entanglement_of_formation_x,
     layout_of,
+    mode_overlap_integral,
     post_measurement_register_state,
+    reference_phase_shift,
+    run_transfer,
     transfer_final_state,
     visibility,
 )
@@ -591,6 +594,18 @@ class TestEfUpperBound:
 
 
 _UNIFORM = AncillaSpec.uniform(4)
+_CONFIG = ProtocolConfig(shared_single(), _UNIFORM, _UNIFORM)
+_FINAL = transfer_final_state(_CONFIG)
+_REGISTERS = run_transfer(_CONFIG)
+_DENSITY = canonical_phase_distribution(_UNIFORM, 15)
+
+
+def _povm_at(varphi):
+    return apply_phase_difference_povm(_FINAL, "ref_A", "ref_B", varphi)
+
+
+def _kernel_at(varphi):
+    return phase.resolution_kernel(_DENSITY, _DENSITY, varphi)
 
 
 @pytest.mark.parametrize("check, value, error, message", [
@@ -604,10 +619,25 @@ _UNIFORM = AncillaSpec.uniform(4)
     (coherent_visibility_model, math.nan, ValueError, "positive"),
     (post_measurement_register_state, complex(math.nan, 0.0), StateValidationError, "exceeds 1"),
     (post_measurement_register_state, complex(math.inf, 0.0), StateValidationError, "exceeds 1"),
+    (_povm_at, math.nan, ValueError, "angle nan is not finite"),
+    (_povm_at, math.inf, ValueError, "angle inf is not finite"),
+    (_kernel_at, math.nan, ValueError, "angle nan is not finite"),
+    (_kernel_at, -math.inf, ValueError, "angle -inf is not finite"),
+    (lambda theta: mode_overlap_integral(1, _UNIFORM, theta), math.nan, ValueError,
+     "angle nan is not finite"),
+    (lambda theta: mode_overlap_integral(0, _UNIFORM, theta), math.inf, ValueError,
+     "angle inf is not finite"),
+    (lambda theta: reference_phase_shift(_REGISTERS, theta, 0.0), math.inf, ValueError,
+     "angle inf is not finite"),
+    (lambda phi: reference_phase_shift(_REGISTERS, 0.0, phi), math.nan, ValueError,
+     "angle nan is not finite"),
 ], ids=["ef-nan", "ef-inf", "entropy-nan", "entropy-inf", "visibility-nan", "visibility-inf",
-        "ef-bound-nan", "visibility-model-nan", "register-state-nan", "register-state-inf"])
+        "ef-bound-nan", "visibility-model-nan", "register-state-nan", "register-state-inf",
+        "povm-nan", "povm-inf", "kernel-nan", "kernel-inf", "overlap-nan", "overlap-inf",
+        "phase-shift-theta-inf", "phase-shift-phi-nan"])
 def test_non_finite_scalar_rejected(check, value, error, message):
     """Each scalar check is written so that NaN fails it: every comparison
-    with NaN is false, so ``x > bound`` would let it through."""
+    with NaN is false, so ``x > bound`` would let it through.  An angle must
+    be finite before any phase factor is formed from it."""
     with pytest.raises(error, match=message):
         check(value)

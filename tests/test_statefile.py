@@ -1,8 +1,10 @@
 """``statefile.dump_json`` against the standard library route it replaces,
-and the text of the state-file parse errors."""
+the text of the state-file parse errors, and the summing of repeated
+occupations."""
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -146,3 +148,20 @@ def test_parse_error_messages(where, key, value, message):
     with pytest.raises(StateFileError) as exc:
         parse_state(data)
     assert str(exc.value) == message
+
+
+def _two_mode_document(terms):
+    return dict(VALID_DOCUMENT, terms=[{"occ": occ, "amp": [amp, 0.0]} for occ, amp in terms])
+
+
+def test_repeated_occupations_summed():
+    """Terms on one occupation, written as ints or as integral floats, are
+    summed before the norm is checked: the listed terms alone have norm
+    0.906, their sums norm 1, so the file loads without renormalizing."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        state = parse_state(_two_mode_document([([1, 0], 0.3), ([1.0, 0], 0.3), ([0, 1], 0.8)]))
+        assert dict(state.amplitudes) == {(1, 0): 0.6, (0, 1): 0.8}
+        cancelled = parse_state(_two_mode_document([([1, 0], 0.5), ([0, 1], 1.0),
+                                                    ([1, 0], -0.5)]))
+        assert dict(cancelled.amplitudes) == {(0, 1): 1.0}
