@@ -266,7 +266,7 @@ def _coherent_references(ntr: float, local_scale: float) -> tuple[AncillaSpec, A
 def cmd_measure(args) -> _Run:
     transported, local = _coherent_references(args.ntr, args.local_scale)
     c = visibility(transported, local)
-    variance = transported.variance
+    mean, variance = transported.moments()
     results = {
         "c": c,
         "visibility_sq": abs(c) ** 2,
@@ -274,7 +274,7 @@ def cmd_measure(args) -> _Run:
         "ef_oracle": concurrence_ef_oracle(post_measurement_register_state(c)),
         "visibility_sq_model": coherent_visibility_model(args.ntr),
         "ef_bound": ef_upper_bound(variance),
-        "transported_mean": transported.mean,
+        "transported_mean": mean,
         "transported_variance": variance,
     }
     return _Run({"ntr": args.ntr, "local_scale": args.local_scale}, results)

@@ -86,6 +86,13 @@ class PhaseDistribution:
     K-point grid sums order k exactly for k <= K - W - 1, so its degree is
     min(W, K - W - 1): W on the grids of at least 2W + 3 points that
     ``canonical_phase_distribution`` takes.
+
+    Each check is one reduction over the values: their minimum, then their
+    integral.  A NaN or -inf fails the minimum, and a +inf beside values
+    that pass it fails the integral, so the accepted densities are the
+    finite ones; an ``isfinite`` pass runs only on a rejected density, so
+    that a non-finite value is named first whatever else fails.  The
+    minimum comes first, so +inf beside -inf is never summed.
     """
 
     values: np.ndarray
@@ -94,14 +101,19 @@ class PhaseDistribution:
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", values)
-        # Every comparison with NaN is false, so the checks below would pass it.
-        if not np.isfinite(values).all():
-            raise StateValidationError("density has non-finite values")
-        if values.min() < -1e-12:
-            raise StateValidationError(f"negative density value {values.min()}")
+        low = values.min()
+        # Every comparison with NaN is false, so NaN fails both tests.
+        if not low >= -1e-12:
+            self._reject_non_finite()
+            raise StateValidationError(f"negative density value {low}")
         total = TWO_PI / len(values) * float(values.sum())
-        if abs(total - 1.0) > NORM_TOL:
+        if not abs(total - 1.0) <= NORM_TOL:
+            self._reject_non_finite()
             raise StateValidationError(f"density integrates to {total}, not 1")
+
+    def _reject_non_finite(self) -> None:
+        if not np.isfinite(self.values).all():
+            raise StateValidationError("density has non-finite values")
 
     @property
     def grid_size(self) -> int:
@@ -242,14 +254,14 @@ def post_measurement_register_state(c: complex) -> DensityOperator:
     c = complex(c)
     if not abs(c) <= 1.0 + 1e-10:
         raise StateValidationError(f"|C| = {abs(c)} exceeds 1")
-    pair = _register_pair()
+    # Rows and columns (0, 0), (0, 1), (1, 0), (1, 1), as _register_pair
+    # lists them.
     mat = np.zeros((4, 4), dtype=complex)
-    i01, i10 = pair.index((0, 1)), pair.index((1, 0))
-    mat[i10, i10] = 0.5
-    mat[i01, i01] = 0.5
-    mat[i10, i01] = c / 2.0
-    mat[i01, i10] = np.conj(c) / 2.0
-    return pair.with_matrix(mat)
+    mat[2, 2] = 0.5
+    mat[1, 1] = 0.5
+    mat[2, 1] = c / 2.0
+    mat[1, 2] = np.conj(c) / 2.0
+    return _register_pair().with_matrix(mat)
 
 
 @dataclass(frozen=True)

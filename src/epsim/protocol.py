@@ -80,7 +80,12 @@ class AncillaSpec:
     """Unit-norm ancilla amplitudes on the levels 0..M, stored as their
     non-zero span: ``coefficients`` is c_lo..c_hi, from the first to the last
     non-zero amplitude.  The constructor takes amplitudes that start at level
-    ``lo`` and keeps a copy of that span only, not a zero-padded input."""
+    ``lo`` and keeps a copy of that span only, not a zero-padded input.
+
+    Each check is one reduction: sum_n |c_n|^2, one ``np.vdot``, gives the
+    norm and is finite exactly when every amplitude is finite and no square
+    overflows (an ``isfinite`` pass then tells the two apart for the
+    message), and one ``np.flatnonzero`` gives the span."""
 
     def __init__(self, M: int, coefficients, lo: int = 0):
         if M < 1:
@@ -89,13 +94,14 @@ class AncillaSpec:
         if coeffs.ndim != 1 or not 0 <= lo <= lo + coeffs.size - 1 <= M:
             raise ValueError(f"{coeffs.shape} coefficients from level {lo} do not fit "
                              f"in levels 0..{M}")
-        if not np.all(np.isfinite(coeffs)):
+        squares = np.vdot(coeffs, coeffs).real
+        if not math.isfinite(squares) and not np.isfinite(coeffs).all():
             raise StateValidationError("ancilla coefficients must be finite")
-        norm = float(np.linalg.norm(coeffs))
+        norm = math.sqrt(squares)
         if abs(norm - 1.0) > NORM_TOL:
             raise StateValidationError(f"ancilla coefficients have norm {norm}, not 1")
-        nonzero = coeffs != 0
-        first, stop = int(nonzero.argmax()), coeffs.size - int(nonzero[::-1].argmax())
+        nonzero = np.flatnonzero(coeffs)
+        first, stop = int(nonzero[0]), int(nonzero[-1]) + 1
         self.M = M
         self.lo = lo + first
         self.coefficients = coeffs if stop - first == coeffs.size else coeffs[first:stop].copy()
@@ -111,21 +117,27 @@ class AncillaSpec:
 
     @property
     def mean(self) -> float:
-        return float(np.sum(self.levels * np.abs(self.coefficients) ** 2))
+        return self.moments()[0]
 
     @property
     def variance(self) -> float:
-        """sum_n (n - mean)^2 |c_n|^2, taken about the mean: the raw second
-        moment minus the squared mean loses digits to cancellation as the
-        mean grows (0.28 of 1.6e7 at nbar = 1.6e7)."""
-        probs = np.abs(self.coefficients) ** 2
-        return float(np.sum((self.levels - self.mean) ** 2 * probs))
+        return self.moments()[1]
+
+    def moments(self) -> tuple[float, float]:
+        """(mean, variance) of the occupation, from one pass over the levels
+        and |c_n|^2.  The variance is sum_n (n - mean)^2 |c_n|^2, taken
+        about the mean: the raw second moment minus the squared mean loses
+        digits to cancellation as the mean grows (0.28 of 1.6e7 at
+        nbar = 1.6e7)."""
+        levels, probs = self.levels, np.abs(self.coefficients) ** 2
+        mean = float(np.sum(levels * probs))
+        return mean, float(np.sum((levels - mean) ** 2 * probs))
 
     def first_moment(self) -> complex:
         """sum_n conj(c_n) c_{n+1}; the mean phasor of the ancilla's phase
-        distribution."""
+        distribution, as one ``np.vdot``."""
         c = self.coefficients
-        return complex(np.sum(np.conj(c[:-1]) * c[1:]))
+        return complex(np.vdot(c[:-1], c[1:]))
 
     def __repr__(self):
         return f"AncillaSpec(M={self.M}, mean={self.mean:.3f})"

@@ -7,9 +7,11 @@ Schema::
       "terms": [{"occ": [1, 0], "amp": [0.7071067811865476, 0.0]}, ...]
     }
 
-Mode ids, sites and kinds are strings, capacities and occupations are
-integers (a float with no fractional part is accepted) and amplitudes are
-[real, imaginary] pairs of finite numbers; anything else is a parse error.
+A file is UTF-8 JSON: other bytes, or nesting past the parser's recursion
+limit, are parse errors.  Mode ids, sites and kinds are strings,
+capacities and occupations are integers (a float with no fractional part
+is accepted) and amplitudes are [real, imaginary] pairs of finite numbers;
+anything else is a parse error.
 Repeated occupations are summed.  Files whose norm (``fock._norm``, infinite
 only where a modulus passes the largest float) deviates from 1 by at most
 1e-6 are renormalized with a ``UserWarning``; larger deviations are parse
@@ -130,6 +132,9 @@ def parse_state(data: dict) -> PureState:
 
 
 def load_state(path: str) -> PureState:
+    """The state in the UTF-8 JSON file ``path``.  An unreadable file,
+    bytes that are not UTF-8, text that is not JSON or nests deeper than the
+    parser's recursion limit, and any schema fault raise ``StateFileError``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -137,6 +142,10 @@ def load_state(path: str) -> PureState:
         raise StateFileError(f"cannot read {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise StateFileError(f"invalid JSON in {path!r}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise StateFileError(f"{path!r} is not UTF-8 text: {exc}") from exc
+    except RecursionError as exc:
+        raise StateFileError(f"JSON in {path!r} nests too deeply to parse") from exc
     return parse_state(data)
 
 

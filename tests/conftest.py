@@ -29,6 +29,15 @@ def data_path(name: str) -> str:
     return os.path.join(DATA_DIR, name)
 
 
+def outcome(check, *args):
+    """("ok", value) of ``check(*args)``, or the type and message of the
+    exception it raised, warnings under an "error" filter included."""
+    try:
+        return "ok", check(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
 def two_mode_layout() -> ModeLayout:
     return layout_of(
         ModeDescriptor("a", "A", "field", 1),

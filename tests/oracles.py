@@ -402,6 +402,63 @@ def moment_list(spec):
     return np.array([np.sum(np.conj(c[: len(c) - k]) * c[k:]) for k in range(len(c))])
 
 
+def ancilla_check_oracle(M, coefficients, lo=0):
+    """The multi-pass checks ``AncillaSpec`` made before each became one
+    reduction: an ``isfinite`` pass, ``np.linalg.norm`` and two ``argmax``
+    passes for the span.  Returns (lo, stored span) of an accepted input; a
+    rejected one raises the exception and message the constructor raised."""
+    from epsim.fock import NORM_TOL, StateValidationError
+
+    if M < 1:
+        raise ValueError("ancilla truncation M must be >= 1")
+    coeffs = np.array(coefficients, dtype=complex)
+    if coeffs.ndim != 1 or not 0 <= lo <= lo + coeffs.size - 1 <= M:
+        raise ValueError(f"{coeffs.shape} coefficients from level {lo} do not fit "
+                         f"in levels 0..{M}")
+    if not np.all(np.isfinite(coeffs)):
+        raise StateValidationError("ancilla coefficients must be finite")
+    norm = float(np.linalg.norm(coeffs))
+    if abs(norm - 1.0) > NORM_TOL:
+        raise StateValidationError(f"ancilla coefficients have norm {norm}, not 1")
+    nonzero = coeffs != 0
+    first, stop = int(nonzero.argmax()), coeffs.size - int(nonzero[::-1].argmax())
+    return lo + first, coeffs[first:stop]
+
+
+def ancilla_moments_oracle(spec):
+    """(mean, variance) as the separate ``mean`` and ``variance``
+    properties took them, each rebuilding the levels and |c_n|^2."""
+    def levels():
+        return np.arange(spec.lo, spec.lo + spec.coefficients.size)
+
+    mean = float(np.sum(levels() * np.abs(spec.coefficients) ** 2))
+    probs = np.abs(spec.coefficients) ** 2
+    return mean, float(np.sum((levels() - mean) ** 2 * probs))
+
+
+def first_moment_oracle(spec):
+    """sum_n conj(c_n) c_{n+1} as an elementwise product and one sum."""
+    c = spec.coefficients
+    return complex(np.sum(np.conj(c[:-1]) * c[1:]))
+
+
+def phase_density_check_oracle(values):
+    """The checks ``PhaseDistribution`` made with a separate ``isfinite``
+    pass before its minimum and its integral: the values as floats, or the
+    exception and message the class raised."""
+    from epsim.fock import NORM_TOL, StateValidationError
+
+    values = np.asarray(values, dtype=float)
+    if not np.isfinite(values).all():
+        raise StateValidationError("density has non-finite values")
+    if values.min() < -1e-12:
+        raise StateValidationError(f"negative density value {values.min()}")
+    total = 2.0 * math.pi / len(values) * float(values.sum())
+    if abs(total - 1.0) > NORM_TOL:
+        raise StateValidationError(f"density integrates to {total}, not 1")
+    return values
+
+
 # The cut coherent_coefficients documents: a level whose log weight lies
 # more than 130 ln 2 below the peak's weighs under 2^-130 of the total, so at
 # most 2^24 dropped levels weigh at most 2^-106 together.

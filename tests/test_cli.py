@@ -950,6 +950,47 @@ def test_mutated_state_files_exit_cleanly(document):
             assert len(errors) == (1 if code else 0)
 
 
+RAW_DOCUMENTS = [Path(data_path(name)).read_bytes()
+                 for name in ("shared_single.json", "shared_double.json", "vacuum.json")]
+# Bytes that never occur in UTF-8: continuation bytes cannot start a
+# character, and 0xc0, 0xc1 and 0xf5-0xff are never valid.
+NON_UTF8_BYTES = (0x80, 0xbf, 0xc0, 0xc1, 0xf5, 0xfe, 0xff)
+
+
+@st.composite
+def damaged_files(draw):
+    """A ``tests/data`` file's bytes with a non-UTF-8 byte written over a
+    drawn offset, cut at a drawn offset, or behind a prefix of drawn
+    nesting depth (closed after the document or left open)."""
+    raw = draw(st.sampled_from(RAW_DOCUMENTS))
+    damage = draw(st.sampled_from(("byte", "cut", "nest")))
+    if damage == "byte":
+        at = draw(st.integers(0, len(raw) - 1))
+        return raw[:at] + bytes([draw(st.sampled_from(NON_UTF8_BYTES))]) + raw[at + 1:]
+    if damage == "cut":
+        return raw[:draw(st.integers(0, len(raw) - 1))]
+    depth = draw(st.sampled_from((1, 10, 900, 5000, 100_000)))
+    return b"[" * depth + raw + (b"]" * depth if draw(st.booleans()) else b"")
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@example(data=b"[" * 100_000 + b"]" * 100_000)
+@example(data=RAW_DOCUMENTS[0].replace(b'"a', b'"a\xff', 1))
+@given(data=damaged_files())
+def test_damaged_state_bytes_exit_cleanly(data):
+    # Damage below the JSON level: bytes that are not UTF-8, a cut file and
+    # deep nesting are parse errors (exit 2) with one error line, or, where
+    # the damage leaves a valid file, exit 0; never a traceback.
+    with tempfile.TemporaryDirectory() as work:
+        path, out = Path(work, "state.json"), str(Path(work, "out.json"))
+        path.write_bytes(data)
+        for argv in (["ep", str(path)], ["transfer", str(path), "--M", "4"],
+                     ["transfer", str(path), "--M", "4", "--path", "quadrature"]):
+            code, errors, _ = run_quietly(argv, out)
+            assert code in (0, 2)
+            assert len(errors) == (1 if code else 0)
+
+
 # Hostile option values, each run with a cheap valid partner option.
 OPTION_VALUES = ("nan", "inf", "-inf", "-1", "0", "5e-324", "1e9", "1e15", "1e308")
 OPTION_SLOTS = (

@@ -1,5 +1,6 @@
 import gc
 import math
+import warnings
 import weakref
 
 import numpy as np
@@ -36,9 +37,10 @@ from epsim import (
 import epsim.phase as phase
 from epsim.phase import _povm_plan, binary_entropy, register_pair_layout, two_qubit_concurrence
 from epsim.statefile import load_state
-from conftest import data_path, shared_double, shared_single
+from conftest import data_path, outcome, shared_double, shared_single
 from oracles import (
     moment_list,
+    phase_density_check_oracle,
     phase_difference_povm_oracle,
     povm_identity_residual,
     resolution_kernel,
@@ -67,6 +69,24 @@ def shared_grid_visibility(spec_a, spec_b, varphi, K):
     return np.exp(1j * varphi) * np.conj(pa.grid_moment(1)) * pb.grid_moment(1)
 
 
+# Values the one-pass density checks must reject, or accept, as the
+# multi-pass ones did: non-finite values, negatives below and above the
+# -1e-12 floor, a zero, and a huge value (two of them overflow the sum).
+DENSITY_SPECIALS = (math.nan, math.inf, -math.inf, -0.5, -1e-11, -1e-13, 0.0, 1e308)
+
+
+@st.composite
+def density_values(draw):
+    """A canonical density's grid values, unchanged or with one to three
+    values replaced by ``DENSITY_SPECIALS``."""
+    spec = draw(ancilla_specs())
+    K = 2 * spec.coefficients.size + 1 + draw(st.integers(0, 4))
+    values = canonical_phase_distribution(spec, K).values.copy()
+    for _ in range(draw(st.integers(0, 3))):
+        values[draw(st.integers(0, K - 1))] = draw(st.sampled_from(DENSITY_SPECIALS))
+    return values
+
+
 class TestCanonicalPhaseDistribution:
     def test_number_state_uniform(self):
         spec = AncillaSpec(6, [1.0], lo=3)
@@ -87,6 +107,26 @@ class TestCanonicalPhaseDistribution:
     def test_nan_density_rejected(self):
         with pytest.raises(StateValidationError, match="non-finite"):
             PhaseDistribution(np.full(8, np.nan), 1)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @example(values=np.array([math.inf, -math.inf, 0.1]))
+    @example(values=np.array([-1.0, math.inf, 0.1]))
+    @example(values=np.array([math.nan, -1.0, 0.1]))
+    @example(values=np.array([1e308, 1e308, 0.1]))
+    @example(values=np.full(4, 2.0 / math.pi))
+    @given(values=density_values())
+    def test_one_pass_checks_equal_multi_pass_oracle(self, values):
+        # Same acceptance, or same exception type and message, under an
+        # "error" warning filter: +inf beside -inf is never summed, and two
+        # 1e308 values overflow the integral in both (a RuntimeWarning).
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            expected = outcome(phase_density_check_oracle, values)
+            got = outcome(PhaseDistribution, values, 0)
+        if expected[0] == "ok":
+            assert got[0] == "ok" and got[1].values.tobytes() == values.tobytes()
+        else:
+            assert got == expected
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(spec=random_ancillas(64), power_of_two=st.booleans(),

@@ -37,9 +37,10 @@ from epsim import (
     visibility,
 )
 from epsim.cli import _coherent_truncation
-from conftest import random_two_site_state, shared_double, shared_single
-from oracles import (COHERENT_LOG_WEIGHT_FLOOR, coherent_amplitudes_full_range,
-                     coherent_moments_decimal, dense, equal_different_oracle, gate_final_state,
+from conftest import outcome, random_two_site_state, shared_double, shared_single
+from oracles import (COHERENT_LOG_WEIGHT_FLOOR, ancilla_check_oracle, ancilla_moments_oracle,
+                     coherent_amplitudes_full_range, coherent_moments_decimal, dense,
+                     equal_different_oracle, first_moment_oracle, gate_final_state,
                      gate_register_state, mixture, register_order, truncated_phase_state,
                      two_mode_ancilla_state)
 from strategies import ancilla_specs, binary_pair_inputs, random_ancillas, transfer_inputs
@@ -258,6 +259,29 @@ class TestCoherentCoefficients:
         assert abs(visibility(spec, spec) - first ** 2) <= 1e-14
 
 
+# Entries the one-pass check rejects as the multi-pass one did: non-finite
+# parts, and finite ones whose squares overflow.
+BAD_COEFFICIENTS = (math.nan, math.inf, -math.inf, complex(0.0, math.nan),
+                    complex(math.inf, -math.inf), complex(0.0, -math.inf), 1e200, -1e200j)
+
+
+@st.composite
+def ancilla_inputs(draw):
+    """(M, coefficients, lo): a drawn ancilla's amplitudes on all its levels
+    with zeros padded around them, kept unit-norm, zeroed, or with one to
+    three entries replaced by ``BAD_COEFFICIENTS``."""
+    full = np.pad(dense(draw(ancilla_specs())), (draw(st.integers(0, 3)),
+                                                 draw(st.integers(0, 3))))
+    kind = draw(st.sampled_from(("unit", "zero", "bad")))
+    if kind == "zero":
+        full[:] = 0.0
+    elif kind == "bad":
+        for _ in range(draw(st.integers(1, 3))):
+            full[draw(st.integers(0, full.size - 1))] = draw(st.sampled_from(BAD_COEFFICIENTS))
+    lo = draw(st.integers(0, 2))
+    return full.size - 1 + lo + draw(st.integers(0, 2)), full, lo
+
+
 class TestAncillaSpec:
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0.0, float("nan"))])
     def test_non_finite_coefficients_rejected(self, bad):
@@ -269,6 +293,42 @@ class TestAncillaSpec:
     def test_span_outside_levels_rejected(self, m, coeffs, lo):
         with pytest.raises(ValueError):
             AncillaSpec(m, coeffs, lo=lo)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @example(args=(2, [math.inf, -math.inf], 0))
+    @example(args=(2, [math.nan, 1.0], 0))
+    @example(args=(2, [1e200, 1e200], 0))
+    @example(args=(3, [0.0, 0.0, 0.0], 1))
+    @example(args=(5, [0.0, 0.0, 0.6, 0.8j, 0.0], 0))
+    @given(args=ancilla_inputs())
+    def test_one_pass_checks_equal_multi_pass_oracle(self, args):
+        # Same accepted span, or same exception type and message, with no
+        # warning from the one-pass checks.  The oracle's np.linalg.norm
+        # warns where a square overflows; its norm is inf all the same.
+        with np.errstate(over="ignore"):
+            expected = outcome(ancilla_check_oracle, *args)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            kind, spec = outcome(AncillaSpec, *args)
+            if kind != "ok":
+                assert (kind, spec) == expected
+                return
+            assert expected[0] == "ok"
+            lo, span = expected[1]
+            assert spec.lo == lo and spec.coefficients.tobytes() == span.tobytes()
+            # The moments from one pass are the separate properties' bits.
+            hexes = [x.hex() for x in ancilla_moments_oracle(spec)]
+            assert [x.hex() for x in spec.moments()] == hexes
+            assert [spec.mean.hex(), spec.variance.hex()] == hexes
+            assert abs(spec.first_moment() - first_moment_oracle(spec)) <= 1e-14
+
+    @pytest.mark.parametrize("nbar", [4.0, 50.0, 1e6, 1.6e7])
+    def test_coherent_moments_equal_separate_passes(self, nbar):
+        # The references measure reports, up to the largest it accepts.
+        spec = coherent_coefficients(nbar, _coherent_truncation(nbar))
+        mean, variance = spec.moments()
+        assert [mean.hex(), variance.hex()] == [x.hex() for x in ancilla_moments_oracle(spec)]
+        assert abs(spec.first_moment() - first_moment_oracle(spec)) <= 1e-14
 
     def test_number_state_is_one_level(self):
         spec = AncillaSpec(6, [1.0], lo=3)

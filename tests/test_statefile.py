@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from epsim.statefile import StateFileError, dump_json, dump_members, parse_state
+from epsim.statefile import StateFileError, dump_json, dump_members, load_state, parse_state
 from oracles import dump_json_oracle
 
 # Signed zeros, the non-finite values, the smallest subnormal and the largest
@@ -165,3 +165,20 @@ def test_repeated_occupations_summed():
         cancelled = parse_state(_two_mode_document([([1, 0], 0.5), ([0, 1], 1.0),
                                                     ([1, 0], -0.5)]))
         assert dict(cancelled.amplitudes) == {(0, 1): 1.0}
+
+
+@pytest.mark.parametrize("data, message", [
+    (b'{"modes": [], "terms": []\xff}',
+     "is not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 25: "
+     "invalid start byte"),
+    (b"[" * 100_000 + b"]" * 100_000, "nests too deeply to parse"),
+], ids=["not-utf8", "nesting-bomb"])
+def test_undecodable_files_are_parse_errors(tmp_path, data, message):
+    # Below the JSON level the reader raises StateFileError too: one line
+    # that names the file.
+    path = tmp_path / "state.json"
+    path.write_bytes(data)
+    with pytest.raises(StateFileError) as exc:
+        load_state(str(path))
+    text = str(exc.value)
+    assert repr(str(path)) in text and text.endswith(message) and "\n" not in text
