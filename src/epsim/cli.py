@@ -245,21 +245,15 @@ def _coherent_truncation(nbar: float) -> int:
     return max(1, math.ceil(top))
 
 
-def _reference_truncations(ntr: float, local_scale: float) -> tuple[int, float, int]:
-    """(M_tr, local mean, M_local) for a transported reference of mean ntr and
-    a local one whose amplitude is ``local_scale`` times larger."""
+def _coherent_references(ntr: float, local_scale: float) -> tuple[AncillaSpec, AncillaSpec]:
+    """A transported coherent reference of mean ntr and a local one whose
+    amplitude is ``local_scale`` times larger (mean occupation
+    local_scale^2 * ntr), each sized by ``_coherent_truncation``."""
     try:
         nbar_local = local_scale ** 2 * ntr
     except OverflowError:
         nbar_local = math.inf
-    return _coherent_truncation(ntr), nbar_local, _coherent_truncation(nbar_local)
-
-
-def _coherent_references(ntr: float, local_scale: float) -> tuple[AncillaSpec, AncillaSpec]:
-    """A transported coherent reference of mean ntr and a local one whose
-    amplitude is ``local_scale`` times larger (mean occupation
-    local_scale^2 * ntr)."""
-    m_tr, nbar_local, m_local = _reference_truncations(ntr, local_scale)
+    m_tr, m_local = _coherent_truncation(ntr), _coherent_truncation(nbar_local)
     return coherent_coefficients(ntr, m_tr), coherent_coefficients(nbar_local, m_local)
 
 
@@ -303,8 +297,6 @@ def sweep_csv(rows: list[dict]) -> str:
 
 def cmd_sweep(args) -> _Run:
     ntr_values = args.ntr_list.values
-    for value in ntr_values:
-        _reference_truncations(value, args.local_scale)
     rows = sweep_rows(ntr_values, args.local_scale)
     efs = [r["ef"] for r in rows]
     results = {"rows": rows, "monotone_ef": all(b > a for a, b in zip(efs, efs[1:]))}

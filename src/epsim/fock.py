@@ -282,11 +282,10 @@ class DensityOperator:
     ``basis`` lists occupation labels in lexicographic order; ``matrix`` is
     the dense representation in that basis.  ``check_trace=False`` relaxes
     only the unit-trace requirement (used by the deliberately unnormalized
-    phase-grid reconstruction, and by the reference phase shift, which keeps
-    its input's trace); finiteness, hermiticity and positivity always hold.
-    ``with_matrix`` puts another matrix on an operator's already-checked
-    layout and basis, running every matrix check again but none of the
-    basis checks.
+    phase-grid reconstruction); finiteness, hermiticity and positivity
+    always hold.  ``with_matrix`` puts another matrix on an operator's
+    already-checked layout and basis, running every matrix check again, the
+    unit trace included, but none of the basis checks.
     """
 
     def __init__(self, layout: ModeLayout, basis: list[tuple[int, ...]],
@@ -301,17 +300,17 @@ class DensityOperator:
         self.matrix = _checked_matrix(matrix, len(basis), check_trace)
         self._index = {label: i for i, label in enumerate(basis)}
 
-    def with_matrix(self, matrix: np.ndarray, check_trace: bool = True) -> "DensityOperator":
+    def with_matrix(self, matrix: np.ndarray) -> "DensityOperator":
         """Operator with ``matrix`` on this one's layout and basis.
 
         Accepts or rejects exactly as ``DensityOperator(self.layout,
-        self.basis, matrix, check_trace)`` does; the result gets its own copy
-        of the basis list.
+        self.basis, matrix)`` does; the result gets its own copy of the
+        basis list.
         """
         out = object.__new__(DensityOperator)
         out.layout = self.layout
         out.basis = list(self.basis)
-        out.matrix = _checked_matrix(matrix, len(self.basis), check_trace)
+        out.matrix = _checked_matrix(matrix, len(self.basis), check_trace=True)
         out._index = self._index
         return out
 

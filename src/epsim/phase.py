@@ -233,20 +233,15 @@ def visibility(spec_a: AncillaSpec, spec_b: AncillaSpec, varphi: float = 0.0) ->
     return quad
 
 
-def register_pair_layout() -> ModeLayout:
-    return ModeLayout((
-        ModeDescriptor("reg_a", "A", "register", 1),
-        ModeDescriptor("reg_b", "B", "register", 1),
-    ))
-
-
 @functools.cache
 def _register_pair() -> DensityOperator:
-    """Maximally mixed state on the fixed basis of every post-measurement
-    register state, built and checked on first use, not at import: its
-    ``eigvalsh`` would load LAPACK into every process that imports epsim."""
-    return DensityOperator(register_pair_layout(), [(0, 0), (0, 1), (1, 0), (1, 1)],
-                           np.eye(4) / 4)
+    """Maximally mixed state on the fixed layout (binary registers reg_a at
+    A, reg_b at B) and basis of every post-measurement register state, built
+    and checked on first use, not at import: its ``eigvalsh`` would load
+    LAPACK into every process that imports epsim."""
+    layout = ModeLayout((ModeDescriptor("reg_a", "A", "register", 1),
+                         ModeDescriptor("reg_b", "B", "register", 1)))
+    return DensityOperator(layout, [(0, 0), (0, 1), (1, 0), (1, 1)], np.eye(4) / 4)
 
 
 def post_measurement_register_state(c: complex) -> DensityOperator:

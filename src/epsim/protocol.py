@@ -520,7 +520,8 @@ def equal_different_measurement(rho: DensityOperator) -> list[MeasurementOutcome
 def reference_phase_shift(rho: DensityOperator, theta: float, phi: float) -> DensityOperator:
     """Conjugate a register operator by local phase rotations
     e^{i theta N_A} e^{i phi N_B} (N = register occupation at the site).
-    An angle that is not finite raises ``ValueError``."""
+    An angle that is not finite raises ``ValueError``; the result is checked
+    as ``with_matrix`` checks, so ``rho`` must have unit trace."""
     _check_angles(theta, phi)
     layout = rho.layout
     if any(m.kind != "register" for m in layout.modes):
@@ -528,5 +529,4 @@ def reference_phase_shift(rho: DensityOperator, theta: float, phi: float) -> Den
     n_a, n_b = (_local_numbers(layout, rho.basis, site, "register") for site in ("A", "B"))
     phases = np.array([np.exp(1j * (theta * a + phi * b)) for a, b in zip(n_a, n_b)])
     mat = (phases[:, None] * rho.matrix) * np.conj(phases)[None, :]
-    # The conjugation leaves the diagonal, and so the trace, as it was.
-    return rho.with_matrix(mat, check_trace=False)
+    return rho.with_matrix(mat)

@@ -224,19 +224,16 @@ def visibility_bound_check(state, space: PhaseOperatorSpace) -> UncertaintyRepor
     return visibility_caps(_checked_moments(state, space))
 
 
-def pair_layout(s: int) -> ModeLayout:
-    return ModeLayout((
-        ModeDescriptor("mode_a", "A", "field", s),
-        ModeDescriptor("mode_b", "B", "field", s),
-    ))
-
-
 def pair_state(a: np.ndarray, b: np.ndarray) -> PureState:
-    """The product a (x) b as a sparse state on ``pair_layout(s)``."""
+    """The product a (x) b as a sparse state on field modes mode_a at A and
+    mode_b at B, each of capacity s = a.size - 1."""
     ia, ib = np.flatnonzero(a), np.flatnonzero(b)
     amps = dict(zip(itertools.product(ia.tolist(), ib.tolist()),
                     (a[ia, None] * b[ib]).ravel()))
-    return PureState(pair_layout(a.size - 1), amps, normalize=True)
+    s = a.size - 1
+    layout = ModeLayout((ModeDescriptor("mode_a", "A", "field", s),
+                         ModeDescriptor("mode_b", "B", "field", s)))
+    return PureState(layout, amps, normalize=True)
 
 
 def coherent_pair_state(nbar_a: float, nbar_b: float,

@@ -21,7 +21,6 @@ from epsim import AncillaSpec, DensityOperator, ModeDescriptor, ModeLayout, Prot
 from epsim.cli import _bounds_rng, _parse_args, build_parser, main
 from epsim.statefile import (StateFileError, format_float, load_state, parse_state,
                              state_to_dict)
-from epsim.uncertainty import pair_layout
 from conftest import data_path
 from oracles import cli_out_oracle, dump_json_oracle
 from strategies import transfer_inputs
@@ -459,6 +458,16 @@ class TestSweepCommand:
                      "--out", str(out)]) == 0
         assert sum(isinstance(data, dict) and "rows" in data for data in rendered) == 1
 
+    def test_sweep_sizes_each_reference_once(self, capsys, monkeypatch):
+        # Two references (transported and local) per --ntr-list value, each
+        # truncation computed once.
+        calls = []
+        real = epsim.cli._coherent_truncation
+        monkeypatch.setattr(epsim.cli, "_coherent_truncation",
+                            lambda nbar: calls.append(nbar) or real(nbar))
+        assert main(["sweep", "--ntr-list", "4,8,16"]) == 0
+        assert len(calls) == 6
+
     def test_empty_list_exit_2(self, capsys):
         assert main(["sweep", "--ntr-list", ""]) == 2
 
@@ -473,11 +482,12 @@ class TestSweepCommand:
         assert err.startswith("error:") and "\n" not in err
 
     def test_coherent_level_limit(self):
-        from epsim.cli import MAX_COHERENT_LEVELS, _coherent_truncation, _reference_truncations
+        from epsim.cli import MAX_COHERENT_LEVELS, _coherent_references, _coherent_truncation
 
-        m_tr, nbar_local, m_local = _reference_truncations(1e6, 1.5)
-        assert (m_tr, nbar_local) == (1010000, 2.25e6)
-        assert m_local + 1 <= MAX_COHERENT_LEVELS
+        transported, local = _coherent_references(1e6, 1.5)
+        assert transported.M == 1010000
+        assert local.M == _coherent_truncation(2.25e6)
+        assert local.M + 1 <= MAX_COHERENT_LEVELS
         assert _coherent_truncation(MAX_COHERENT_LEVELS - 1.0 - 10.0 * math.sqrt(
             MAX_COHERENT_LEVELS)) <= MAX_COHERENT_LEVELS - 1
         with pytest.raises(StateFileError):
@@ -644,8 +654,8 @@ class TestBoundsCommand:
         (entry,) = report["results"]["violating_states"]
         assert set(entry) == {"modes", "terms"}
         assert entry["modes"] == [
-            {"id": m.id, "site": m.site, "kind": m.kind, "capacity": m.capacity}
-            for m in pair_layout(32).modes]
+            {"id": "mode_a", "site": "A", "kind": "field", "capacity": 32},
+            {"id": "mode_b", "site": "B", "kind": "field", "capacity": 32}]
         assert all(set(t) == {"occ", "amp"} and len(t["occ"]) == 2 for t in entry["terms"])
         norm_sq = sum(t["amp"][0] ** 2 + t["amp"][1] ** 2 for t in entry["terms"])
         assert norm_sq == pytest.approx(1.0, abs=1e-12)

@@ -63,6 +63,10 @@ CASES = {
                                 "--out", "out.json"],
     "sweep-json": ["sweep", "--ntr-list", "25,50,100,1000", "--out", "out.json"],
     "bounds": ["bounds", "--seeds", "10", "--s", "64", "--seed", "3", "--out", "out.json"],
+    # One sector with amplitudes -0.6 and -0.8i: the register state's --out
+    # holds two -0.0 parts, which the exact comparison keeps.
+    "transfer-signed_zero": ["transfer", "tests/golden/inputs/signed_zero.json", "--M", "2",
+                             "--out", "out.json"],
     # Exit 2: a usage error, a reserved mode id, a mixed total, and five
     # particles that alias on the 2M + 3 = 5 point grid.
     "usage-error": ["transfer", "tests/data/shared_single.json", "--M", "0"],

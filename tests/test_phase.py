@@ -35,7 +35,7 @@ from epsim import (
     visibility,
 )
 import epsim.phase as phase
-from epsim.phase import _povm_plan, binary_entropy, register_pair_layout, two_qubit_concurrence
+from epsim.phase import _povm_plan, binary_entropy, two_qubit_concurrence
 from epsim.statefile import load_state
 from conftest import data_path, outcome, shared_double, shared_single
 from oracles import (
@@ -570,7 +570,7 @@ class TestFormationEntanglement:
 
 class TestConcurrenceOracle:
     def test_bell_projector(self):
-        layout = register_pair_layout()
+        layout = post_measurement_register_state(0.0).layout
         bell = PureState(layout, {(1, 0): 2 ** -0.5, (0, 1): 2 ** -0.5})
         basis = [(0, 0), (0, 1), (1, 0), (1, 1)]
         vec = np.zeros(4, dtype=complex)
@@ -580,7 +580,7 @@ class TestConcurrenceOracle:
         assert concurrence_ef_oracle(rho) == pytest.approx(1.0, abs=1e-12)
 
     def test_maximally_mixed(self):
-        layout = register_pair_layout()
+        layout = post_measurement_register_state(0.0).layout
         basis = [(0, 0), (0, 1), (1, 0), (1, 1)]
         rho = DensityOperator(layout, basis, np.eye(4, dtype=complex) / 4)
         assert concurrence_ef_oracle(rho) == pytest.approx(0.0, abs=1e-12)
