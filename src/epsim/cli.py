@@ -261,13 +261,16 @@ def cmd_measure(args) -> _Run:
     transported, local = _coherent_references(args.ntr, args.local_scale)
     c = visibility(transported, local)
     mean, variance = transported.moments()
+    # The C2 relation caps the transported first moment, |m_tr|^2 <= 4V/(1 + 4V),
+    # and |C| = |m_tr||m_loc| <= |m_tr|; E_F grows with |C|, so this caps ef_formula.
+    cap = math.sqrt(4.0 * variance / (1.0 + 4.0 * variance))
     results = {
         "c": c,
         "visibility_sq": abs(c) ** 2,
         "ef_formula": entanglement_of_formation_x(c),
         "ef_oracle": concurrence_ef_oracle(post_measurement_register_state(c)),
         "visibility_sq_model": coherent_visibility_model(args.ntr),
-        "ef_bound": ef_upper_bound(variance),
+        "ef_bound": entanglement_of_formation_x(cap),
         "transported_mean": mean,
         "transported_variance": variance,
     }

@@ -115,14 +115,6 @@ class AncillaSpec:
         """Occupation of each stored amplitude, lo..hi."""
         return np.arange(self.lo, self.lo + self.coefficients.size)
 
-    @property
-    def mean(self) -> float:
-        return self.moments()[0]
-
-    @property
-    def variance(self) -> float:
-        return self.moments()[1]
-
     def moments(self) -> tuple[float, float]:
         """(mean, variance) of the occupation, from one pass over the levels
         and |c_n|^2.  The variance is sum_n (n - mean)^2 |c_n|^2, taken
@@ -140,7 +132,7 @@ class AncillaSpec:
         return complex(np.vdot(c[:-1], c[1:]))
 
     def __repr__(self):
-        return f"AncillaSpec(M={self.M}, mean={self.mean:.3f})"
+        return f"AncillaSpec(M={self.M}, mean={self.moments()[0]:.3f})"
 
 
 # Levels whose log weight lies more than this far below the peak's are
@@ -483,33 +475,29 @@ def equal_different_measurement(rho: DensityOperator) -> list[MeasurementOutcome
     Both parties compare their two registers; the joint state is projected
     onto the four (equal/different, equal/different) outcomes.  Returns the
     outcomes with probability at least 1e-12, each with its sector-projected
-    entanglement.  Registers differ exactly when their sum is 1, so each
-    outcome is a union of site-A register-number sectors: one decomposition
-    keyed by (outcome pair, n_A) gives every outcome's probability p (the
-    diagonal weight of its rows) and entanglement sum_n (w_n / p) E_n.
+    entanglement.  Two binary registers agree exactly when their site's
+    register number n is 0 or 2, so a site's outcome is its n modulo 2 and
+    each outcome is a union of site-A register-number sectors: one
+    decomposition keyed by (outcome pair, n_A) gives every outcome's
+    probability p (the diagonal weight of its rows) and entanglement
+    sum_n (w_n / p) E_n.
     """
     layout = rho.layout
     if any(m.kind != "register" or m.capacity != 1 for m in layout.modes):
         raise LayoutError("measurement needs binary register modes only")
-    pair_idx = {}
     for site in ("A", "B"):
-        idx = layout.indices(site=site, kind="register")
-        if len(idx) != 2:
-            raise LayoutError(f"site {site} must hold exactly two registers, got {len(idx)}")
-        pair_idx[site] = idx
-
-    def outcome_of(label, site):
-        i, j = pair_idx[site]
-        return "equal" if label[i] == label[j] else "different"
-
-    pairs = [(outcome_of(label, "A"), outcome_of(label, "B")) for label in rho.basis]
-    probability = dict.fromkeys(itertools.product(("equal", "different"), repeat=2), 0.0)
+        count = len(layout.indices(site=site))
+        if count != 2:
+            raise LayoutError(f"site {site} must hold exactly two registers, got {count}")
+    n_a = _register_numbers(rho)
+    kinds = ("equal", "different")
+    pairs = [(kinds[a % 2], kinds[b % 2]) for a, b in zip(n_a, _register_numbers(rho, "B"))]
+    probability = dict.fromkeys(itertools.product(kinds, repeat=2), 0.0)
     for pair, weight in zip(pairs, rho.matrix.diagonal().real.tolist()):
         probability[pair] += weight
     kept = {pair for pair, p in probability.items() if p >= 1e-12}
     # Rows of a skipped outcome join no sector.
-    keys = [(pair, n) if pair in kept else None
-            for pair, n in zip(pairs, _register_numbers(rho))]
+    keys = [(pair, n) if pair in kept else None for pair, n in zip(pairs, n_a)]
     entanglement = dict.fromkeys(kept, 0.0)
     for (pair, _), weight, entropy in _register_sector_blocks(rho, keys):
         entanglement[pair] += weight / probability[pair] * entropy

@@ -123,10 +123,10 @@ def particle_entanglement(state: PureState) -> float:
     return sum(row["p"] * row["entanglement"] for row in particle_sector_table(state))
 
 
-def _register_numbers(rho: DensityOperator) -> list[int]:
-    """Site-A register number of each basis label of ``rho`` (with no
-    register mode at A every label has number 0)."""
-    return _local_numbers(rho.layout, rho.basis, "A", "register")
+def _register_numbers(rho: DensityOperator, site: str = "A") -> list[int]:
+    """Register number at ``site`` of each basis label of ``rho`` (with no
+    register mode there every label has number 0)."""
+    return _local_numbers(rho.layout, rho.basis, site, "register")
 
 
 def register_sector_weights(rho: DensityOperator) -> dict[int, float]:

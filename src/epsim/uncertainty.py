@@ -81,16 +81,6 @@ class UncertaintyReport:
     trig_identity_residual: float
     checks: tuple[InequalityCheck, ...] = ()
 
-    def check(self, name: str) -> InequalityCheck:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
-    @property
-    def all_hold(self) -> bool:
-        return all(c.holds for c in self.checks)
-
     @property
     def min_slack(self) -> float:
         return min(c.slack for c in self.checks)

@@ -426,8 +426,8 @@ def ancilla_check_oracle(M, coefficients, lo=0):
 
 
 def ancilla_moments_oracle(spec):
-    """(mean, variance) as the separate ``mean`` and ``variance``
-    properties took them, each rebuilding the levels and |c_n|^2."""
+    """(mean, variance) in two separate passes, each rebuilding the levels
+    and |c_n|^2."""
     def levels():
         return np.arange(spec.lo, spec.lo + spec.coefficients.size)
 

@@ -393,6 +393,30 @@ class TestMeasureCommand:
         assert report["results"]["ef_formula"] == pytest.approx(1.0, abs=1e-5)
 
 
+@st.composite
+def coherent_references(draw):
+    """(ntr, local scale): ntr log-uniform in [1, 1.6e7] and a scale from
+    0.1 up to where the local mean scale^2 * ntr reaches 1.6e7."""
+    log_ntr = draw(st.floats(0.0, math.log10(1.6e7)))
+    top = 0.5 * (math.log10(1.6e7) - log_ntr)
+    return 10.0 ** log_ntr, 10.0 ** draw(st.floats(-1.0, top))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(refs=coherent_references())
+@example(refs=(25.0, 10.0))
+@example(refs=(1.6e7, 1.0))
+def test_measure_ef_bound_caps_ef_formula(refs):
+    # The slack covers E_F's rounding-level non-monotonicity in |C|.
+    ntr, scale = refs
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = main(["measure", "--ntr", repr(ntr), "--local-scale", repr(scale)])
+    assert code == 0
+    results = json.loads(stdout.getvalue())["results"]
+    assert results["ef_formula"] <= results["ef_bound"] + 1e-12
+
+
 BAD_REFERENCE_VALUES = [
     ["measure", "--ntr", "nan"], ["measure", "--ntr", "inf"],
     ["measure", "--local-scale", "-1"], ["measure", "--local-scale", "0"],
