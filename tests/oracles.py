@@ -594,6 +594,20 @@ def matrix_sums(psi):
     return _Sums(complex(x1), complex(x2), pa, pb, float(n_a @ pa), float(n_b @ pb))
 
 
+def stack_sums(rows):
+    """One-state ``matrix_sums`` records as the stack ``_sums`` returns:
+    each field's entries in one array, row by row."""
+    from epsim.uncertainty import _Sums
+
+    return _Sums(*(np.array(column) for column in zip(*rows)))
+
+
+def matrix_sums_per_row(a, b):
+    """``_sums`` of (k, s+1) factor stacks through ``matrix_sums`` on each
+    row's amplitude matrix ``np.outer(a[i], b[i])``."""
+    return stack_sums([matrix_sums(np.outer(x, y)) for x, y in zip(a, b)])
+
+
 def random_uncorrelated_pair_oracle(space, rng):
     """``random_uncorrelated_pair`` drawn with four ``randn(w + 1)`` calls,
     the real and imaginary parts of each factor in turn, each factor

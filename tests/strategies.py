@@ -133,3 +133,72 @@ def coherent_pairs(draw, max_s=256):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         return space, coherent_pair_state(*nbars, space)
+
+
+def frontier_factor(s, lam):
+    """The frontier vector of strength ``lam`` on 0..s: the top eigenvector
+    of the real tridiagonal H = (S + S^T)/2 - lam (n - n0)^2, n0 = s/2 and S
+    the lowering shift |n> -> |n-1> without wrap-around, signed so its
+    entries are non-negative.  It maximizes Re<E> - lam <(n - n0)^2>, so
+    over lam it traces the frontier of |<E>|^2 against Var N: the
+    minimum-uncertainty number-phase states (Jackiw, J. Math. Phys. 9, 339
+    (1968); Carruthers & Nieto, RMP 40, 411 (1968)).  Var N is close to
+    1/(2 sqrt(2 lam)) while that spread stays above one level."""
+    n = np.arange(s + 1.0)
+    h = np.diag(-lam * (n - s / 2) ** 2) + 0.5 * (np.eye(s + 1, k=1) + np.eye(s + 1, k=-1))
+    vec = np.linalg.eigh(h)[1][:, -1]
+    return (vec * np.sign(vec.sum())).astype(complex)
+
+
+def _log_uniform(draw, lo, hi):
+    return 10.0 ** draw(st.floats(np.log10(lo), np.log10(hi)))
+
+
+def _frontier_lam(draw, s):
+    """A strength whose frontier vector on 0..s keeps eight standard
+    deviations between n0 and the physicality cutoff s - sqrt(s), so its
+    tail is far below the physicality tolerance: strengths from 10, near
+    a number state, down to that of Var N = ((s/2 - sqrt(s))/8)^2, which
+    is 851 at s = 512."""
+    var_max = ((s / 2 - np.sqrt(s)) / 8.0) ** 2
+    return _log_uniform(draw, 1.0 / (8.0 * var_max ** 2), 10.0)
+
+
+def _rows(draw, row):
+    return [row() for _ in range(draw(st.integers(1, 3)))]
+
+
+@st.composite
+def frontier_pairs(draw, max_s=512):
+    """A truncation 16 <= s <= max_s and 1 to 3 rows ``(a, b)`` on it, each
+    factor a frontier vector of its own strength."""
+    space = PhaseOperatorSpace(draw(st.integers(16, max_s)))
+    return space, _rows(draw, lambda: tuple(frontier_factor(space.s, _frontier_lam(draw, space.s))
+                                            for _ in range(2)))
+
+
+@st.composite
+def frontier_coherent_pairs(draw, max_s=512):
+    """A truncation 64 <= s <= max_s and 1 to 3 rows on it, each a frontier
+    vector beside a coherent state of mean in [0, s/4] (physical from
+    s = 64 on), in either order."""
+    space = PhaseOperatorSpace(draw(st.integers(64, max_s)))
+
+    def row():
+        frontier = frontier_factor(space.s, _frontier_lam(draw, space.s))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            coherent, _ = coherent_pair_state(draw(st.floats(0.0, space.s / 4.0)), 0.0, space)
+        return (frontier, coherent) if draw(st.booleans()) else (coherent, frontier)
+
+    return space, _rows(draw, row)
+
+
+@st.composite
+def near_saturating_pairs(draw):
+    """1 to 3 frontier rows at s = 512 that come within a few 1e-3 of the
+    C2_A cap: Var N_A from about 3 to 12 and a partner of Var N_B from
+    about 320 to 790, whose |<E_B>|^2 is close to 1."""
+    space = PhaseOperatorSpace(512)
+    return space, _rows(draw, lambda: (frontier_factor(512, _log_uniform(draw, 8e-4, 1.2e-2)),
+                                       frontier_factor(512, _log_uniform(draw, 2e-7, 1.2e-6))))

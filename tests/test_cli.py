@@ -596,15 +596,17 @@ class TestBoundsCommand:
 
     @pytest.mark.parametrize("s, nbar", [("64", None), ("64", "5,40"), ("16", "1,2")])
     def test_one_moment_pass_per_state(self, capsys, monkeypatch, s, nbar):
-        # Each random state is reduced once: its caps come from the moments
-        # of its Robertson report.  The coherent pair costs one pass per
-        # truncation tried, from max(s, nbar + 12 sqrt(nbar)) up.
+        # Each random state is reduced once, as one row of its block: its
+        # caps come from the moments of its Robertson report.  The coherent
+        # pair costs one pass per truncation tried, from
+        # max(s, nbar + 12 sqrt(nbar)) up.  ``sizes`` holds the levels of
+        # each row reduced.
         import epsim.uncertainty
 
         sizes = []
         real = epsim.uncertainty._sums
         monkeypatch.setattr(epsim.uncertainty, "_sums",
-                            lambda a, b: sizes.append(a.size) or real(a, b))
+                            lambda a, b: sizes.extend([a.shape[-1]] * len(a)) or real(a, b))
         argv = ["bounds", "--seeds", "10", "--s", s] + (["--nbar", nbar] if nbar else [])
         code, report = run_cli(capsys, *argv)
         assert code == 0
@@ -650,6 +652,59 @@ class TestBoundsCommand:
         err = capsys.readouterr().err.strip()
         assert err.startswith("error:") and "\n" not in err
 
+    def test_unphysical_rows_redrawn_in_draw_order(self, capsys, monkeypatch):
+        # No CLI draw is unphysical: its support [0, s // 2] lies below
+        # floor(s - sqrt(s)) for every s >= 16.  So the tail check is
+        # doctored to reject draws 1, 5 and 8 of the stream; at s = 2048 a
+        # block holds 7 rows, so draw 8 is in the second block.  The run
+        # must draw, accept and fold the states of the one-at-a-time loop:
+        # the first 10 physical draws of the sequential stream, 13 draws in
+        # all.
+        import epsim.cli as cli_module
+        import epsim.uncertainty
+        from epsim.uncertainty import PhaseOperatorSpace, robertson_checks, visibility_caps
+        from oracles import random_uncorrelated_pair_oracle
+
+        s, seeds, seed, rejected = 2048, 10, 11, {1, 5, 8}
+        assert epsim.cli.BOUNDS_BLOCK_ENTRIES // (s + 1) == 7
+        real_checks, real_tails = cli_module.robertson_checks, epsim.uncertainty._tail_masses
+        drawn, accepted = [], []
+
+        def checks(state, space):
+            start = len(drawn)
+            drawn.extend(zip(*state))
+            reports = real_checks(state, space)
+            accepted.extend(start + row for row, r in enumerate(reports) if r is not None)
+            return reports
+
+        def tails(sums, space):
+            tail_a, tail_b = real_tails(sums, space)
+            start = len(drawn) - len(tail_a)
+            return [1.0 if start + row in rejected else t for row, t in enumerate(tail_a)], tail_b
+
+        monkeypatch.setattr(cli_module, "robertson_checks", checks)
+        monkeypatch.setattr(epsim.uncertainty, "_tail_masses", tails)
+        code, report = run_cli(capsys, "bounds", "--s", str(s), "--seeds", str(seeds),
+                               "--seed", str(seed))
+        assert code == 0
+        results = report["results"]
+        assert (results["states"], results["resampled"]) == (seeds, len(rejected))
+        space = PhaseOperatorSpace(s)
+        rng = np.random.RandomState(seed)
+        stream = [random_uncorrelated_pair_oracle(space, rng) for _ in range(seeds + 3)]
+        assert len(drawn) == len(stream)
+        for got, want in zip(drawn, stream):
+            assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+        assert accepted == [i for i in range(len(stream)) if i not in rejected]
+        # The summary is that of the accepted states checked one at a time.
+        min_slack = {}
+        for i in accepted:
+            rob = robertson_checks(stream[i], space)
+            for check in rob.checks + visibility_caps(rob).checks:
+                min_slack[check.name] = min(min_slack.get(check.name, math.inf), check.slack)
+        assert {name: entry["min_slack"] for name, entry in results["inequalities"].items()} \
+            == {name: float(format_float(v)) for name, v in min_slack.items()}
+
     def test_violation_exit_5(self, capsys, monkeypatch):
         # The inequalities are theorems for the generated states, so the
         # failure path is driven with a doctored report: first on a random
@@ -662,11 +717,15 @@ class TestBoundsCommand:
             real = getattr(cli_module, name)
 
             def doctored(state, space):
-                report = real(state, space)
+                # One report for a pair (the coherent pair), a list for a
+                # stack (a block of random states).
+                reports = real(state, space)
                 if space.s != s_bad:
-                    return report
-                bad = InequalityCheck(check, 0.0, 1.0)
-                return type(report)(**{**report.__dict__, "checks": (bad,)})
+                    return reports
+                bad = (InequalityCheck(check, 0.0, 1.0),)
+                if isinstance(reports, list):
+                    return [report._replace(checks=bad) for report in reports]
+                return reports._replace(checks=bad)
 
             patch.setattr(cli_module, name, doctored)
 
@@ -705,7 +764,7 @@ class TestBoundsCommand:
             report = real(state, space)
             if space.s != 440:
                 return report
-            return type(report)(**{**report.__dict__, "trig_identity_residual": -0.25})
+            return report._replace(trig_identity_residual=-0.25)
 
         monkeypatch.setattr(cli_module, "visibility_bound_check", doctored)
         code, report = run_cli(capsys, "bounds", "--seeds", "2", "--s", "32",

@@ -12,12 +12,15 @@ from epsim import (
     StateValidationError,
     PhaseOperatorSpace,
     PhysicalityError,
+    UncertaintyReport,
     coherent_coefficients,
     robertson_checks,
     visibility,
     visibility_bound_check,
 )
+from epsim.cli import BOUNDS_BLOCK_ENTRIES
 from epsim.uncertainty import (
+    SLACK_TOL,
     _moments,
     _sums,
     coherent_pair_state,
@@ -27,13 +30,22 @@ from epsim.uncertainty import (
 from oracles import (
     dense,
     matrix_sums,
+    matrix_sums_per_row,
     pegg_barnett_exponential,
     phase_angles,
     phase_difference_trig,
     phase_states,
     random_uncorrelated_pair_oracle,
+    stack_sums,
 )
-from strategies import amplitude_matrices, coherent_pairs, factor_pairs
+from strategies import (
+    amplitude_matrices,
+    coherent_pairs,
+    factor_pairs,
+    frontier_coherent_pairs,
+    frontier_pairs,
+    near_saturating_pairs,
+)
 
 
 def number_pair_state(na, nb, s):
@@ -41,6 +53,11 @@ def number_pair_state(na, nb, s):
     a, b = np.zeros(s + 1, dtype=complex), np.zeros(s + 1, dtype=complex)
     a[na] = b[nb] = 1.0
     return a, b
+
+
+def stack(pairs):
+    """Pairs ``(a, b)`` of one truncation as the factor stacks ``(A, B)``."""
+    return tuple(np.stack(factors) for factors in zip(*pairs))
 
 
 class TestPeggBarnettExponential:
@@ -139,20 +156,21 @@ class TestShiftRoute:
 
     @staticmethod
     def assert_dense_moments(sums, psi, product):
-        """The moments from ``sums`` (of psi or of its factors) against the
-        dense operators on psi: the phase moments to 1e-12, the number
+        """The moments from ``sums``, a one-row stack of psi or of its
+        factors, against the dense operators on psi: the phase moments to
+        1e-12, the number
         variances to 1e-12 (s+1)^2, the scale they carry.  ``_moments``
         takes Var(N_A - N_B) = Var(N_A) + Var(N_B), which holds for a
         ``product`` psi only, so only then is it checked."""
         s = psi.shape[0] - 1
         vec = psi.ravel()
         shift1, shift2, cos, sin, n_a_op, n_b_op = dense_pair_operators(s)
-        for shift, x in ((shift1, sums.x1), (shift2, sums.x2)):
+        for shift, (x,) in ((shift1, sums.x1), (shift2, sums.x2)):
             assert abs(x - np.vdot(vec, shift @ vec)) <= 1e-12
         cos_vec, sin_vec = cos @ vec, sin @ vec
         cos_mean = np.vdot(vec, cos_vec).real
         sin_mean = np.vdot(vec, sin_vec).real
-        m = _moments(sums, PhaseOperatorSpace(s))
+        (m,) = _moments(sums, PhaseOperatorSpace(s))
         assert m.cos_mean == pytest.approx(cos_mean, abs=1e-12)
         assert m.sin_mean == pytest.approx(sin_mean, abs=1e-12)
         assert m.var_cos == pytest.approx(
@@ -171,12 +189,13 @@ class TestShiftRoute:
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(psi=amplitude_matrices(max_s=40))
     def test_shift_moments_equal_dense_oracle(self, psi):
-        self.assert_dense_moments(matrix_sums(psi), psi, product=False)
+        self.assert_dense_moments(stack_sums([matrix_sums(psi)]), psi, product=False)
 
     @settings(max_examples=50, deadline=None, derandomize=True)
     @given(factors=factor_pairs(max_s=40))
     def test_factor_moments_equal_dense_oracle(self, factors):
-        self.assert_dense_moments(_sums(*factors), np.outer(*factors), product=True)
+        self.assert_dense_moments(_sums(*(f[None] for f in factors)), np.outer(*factors),
+                                  product=True)
 
 
 def _checked(check, state, space):
@@ -190,7 +209,9 @@ def _checked(check, state, space):
 class TestFactoredRoute:
     """Factors ``(a, b)`` against the amplitude-matrix oracle on
     ``np.outer(a, b)``, run through the same validation, moments and checks
-    by putting ``matrix_sums`` in place of the library's ``_sums``.
+    by putting ``matrix_sums``, applied to each row of a stack, in place of
+    the library's ``_sums``: on the pair alone and on a stack of the pair
+    and its swap ``(b, a)``.
 
     Values agree to 1e-12 relative to their natural scale: (s+1)^2 for the
     number variances and the Robertson left sides, which carry one, and 1
@@ -210,22 +231,24 @@ class TestFactoredRoute:
         def close(got, want, scale):
             return math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-12 * scale)
 
+        rows = stack([factors, factors[::-1]])
         for check in (robertson_checks, visibility_bound_check):
-            factored = _checked(check, factors, space)
-            with mock.patch.object(epsim.uncertainty, "_sums",
-                                   lambda a, b: matrix_sums(np.outer(a, b))):
-                dense = _checked(check, factors, space)
-            assert (factored is None) == (dense is None)
-            if factored is None:
-                continue
-            for field in self.FIELDS:
-                scale = number_scale if field.startswith("var_n") else 1.0
-                assert close(getattr(factored, field), getattr(dense, field), scale), field
-            assert [c.name for c in factored.checks] == [c.name for c in dense.checks]
-            lhs_scale = number_scale if check is robertson_checks else 1.0
-            for fc, dc in zip(factored.checks, dense.checks):
-                assert close(fc.lhs, dc.lhs, lhs_scale), fc.name
-                assert close(fc.rhs, dc.rhs, 1.0), fc.name
+            factored = [_checked(check, factors, space), *check(rows, space)]
+            with mock.patch.object(epsim.uncertainty, "_sums", matrix_sums_per_row):
+                dense = [_checked(check, factors, space), *check(rows, space)]
+            assert len(factored) == len(dense) == 3
+            for got, want in zip(factored, dense):
+                assert (got is None) == (want is None)
+                if got is None:
+                    continue
+                for field in self.FIELDS:
+                    scale = number_scale if field.startswith("var_n") else 1.0
+                    assert close(getattr(got, field), getattr(want, field), scale), field
+                assert [c.name for c in got.checks] == [c.name for c in want.checks]
+                lhs_scale = number_scale if check is robertson_checks else 1.0
+                for gc, wc in zip(got.checks, want.checks):
+                    assert close(gc.lhs, wc.lhs, lhs_scale), gc.name
+                    assert close(gc.rhs, wc.rhs, 1.0), gc.name
 
 
 class TestRobertsonChecks:
@@ -320,6 +343,11 @@ class TestVisibilityCaps:
         self.assert_caps_of_report_equal_check(state, space)
 
 
+def assert_same_bits(got, want):
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
+
+
 class TestRandomUncorrelatedPair:
     @settings(max_examples=50, deadline=None, derandomize=True)
     @given(s=st.integers(16, 2048), seed=st.integers(0, 2 ** 32 - 1))
@@ -332,8 +360,109 @@ class TestRandomUncorrelatedPair:
             got = random_uncorrelated_pair(space, rng)
             want = random_uncorrelated_pair_oracle(space, ref)
             for g, w in zip(got, want):
-                assert (g.dtype, g.shape) == (w.dtype, w.shape)
-                assert g.tobytes() == w.tobytes()
+                assert_same_bits(g, w)
+
+    @pytest.mark.parametrize("s", [16, 63, 2048])
+    @pytest.mark.parametrize("count", ["one", "three", "two bounds blocks"])
+    def test_block_equals_sequential_draws(self, s, count):
+        # Row i of a block is the i-th pair of the sequential oracle stream,
+        # and the block leaves the generator where the sequence does: a
+        # single draw after it still agrees.
+        space = PhaseOperatorSpace(s)
+        k = {"one": 1, "three": 3,
+             "two bounds blocks": BOUNDS_BLOCK_ENTRIES // space.dim + 1}[count]
+        rng, ref = np.random.RandomState(s), np.random.RandomState(s)
+        stacks = random_uncorrelated_pair(space, rng, k)
+        for got in stacks:
+            assert got.shape == (k, space.dim)
+        for row in range(k):
+            want = random_uncorrelated_pair_oracle(space, ref)
+            for got, w in zip(stacks, want):
+                assert_same_bits(got[row], w)
+        for got, w in zip(random_uncorrelated_pair(space, rng),
+                          random_uncorrelated_pair_oracle(space, ref)):
+            assert_same_bits(got, w)
+
+
+class TestStackedKernel:
+    """A stack is reduced in one pass, and each row's report equals the
+    report of that row alone, field for field: the random rows of
+    ``bounds``, a coherent pair, number states and an unphysical row, whose
+    entry is None where the row alone raises ``PhysicalityError``."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(s=st.integers(16, 512), seed=st.integers(0, 2 ** 32 - 1),
+           count=st.integers(1, 5), extra=st.permutations(range(4)))
+    def test_rows_equal_single_reports(self, s, seed, count, extra):
+        space = PhaseOperatorSpace(s)
+        a, b = random_uncorrelated_pair(space, np.random.RandomState(seed), count)
+        pairs = list(zip(a, b))
+        others = [coherent_pair_state(1.0, s / 16.0, space), number_pair_state(0, s // 2, s),
+                  number_pair_state(s, 0, s), number_pair_state(1, s, s)]
+        for index in extra[:seed % 5]:
+            pairs.insert(index % (len(pairs) + 1), others[index])
+        for check in (robertson_checks, visibility_bound_check):
+            reports = check(stack(pairs), space)
+            assert len(reports) == len(pairs)
+            for pair, report in zip(pairs, reports):
+                alone = _checked(check, pair, space)
+                assert report == alone
+                assert report is None or type(report) is UncertaintyReport
+
+    def test_bad_norm_row_rejects_the_stack(self):
+        space = PhaseOperatorSpace(32)
+        rows = [number_pair_state(2, 7, 32), number_pair_state(3, 3, 32)]
+        rows[1][0][3] = 2.0
+        with pytest.raises(StateValidationError, match="state norm"):
+            robertson_checks(stack(rows), space)
+
+
+def _check_rows(pairs_on_space, property_of_row):
+    """``property_of_row(rob, caps)`` on each row's Robertson and cap
+    reports, taken through each pair alone and through the stack of all."""
+    space, pairs = pairs_on_space
+    stacked_rob, stacked_caps = (check(stack(pairs), space)
+                                 for check in (robertson_checks, visibility_bound_check))
+    for pair, rob, caps in zip(pairs, stacked_rob, stacked_caps):
+        property_of_row(robertson_checks(pair, space), visibility_bound_check(pair, space))
+        property_of_row(rob, caps)
+
+
+def _every_check_holds(rob, caps):
+    for report in (rob, caps):
+        for check in report.checks:
+            assert check.slack >= SLACK_TOL, check
+    assert abs(rob.trig_identity_residual) <= 1e-9
+
+
+class TestFrontierStates:
+    """Inequality checks that can fail: the frontier family of
+    ``tests/strategies.py``, minimum-uncertainty number-phase states whose
+    |<E>|^2 lies close to the caps for their Var N.  Each property runs
+    through each pair alone and through a stack of the rows."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(pairs=frontier_pairs())
+    def test_frontier_pairs_hold(self, pairs):
+        _check_rows(pairs, _every_check_holds)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(pairs=frontier_coherent_pairs())
+    def test_frontier_coherent_pairs_hold(self, pairs):
+        _check_rows(pairs, _every_check_holds)
+
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(pairs=near_saturating_pairs())
+    def test_c2_cap_nearly_saturated(self, pairs):
+        # A cap of 3V/(1 + 3V) in place of 4V/(1 + 4V) fails this family:
+        # at Var N_A = 4.94 its C2_A slack is about -1.3e-2.
+        def nearly_saturated(rob, caps):
+            assert rob.var_n_a >= 3.0 and rob.var_n_b >= 300.0, rob
+            _every_check_holds(rob, caps)
+            (c2a,) = [c for c in caps.checks if c.name == "C2_A"]
+            assert c2a.slack < 5e-3, c2a
+
+        _check_rows(pairs, nearly_saturated)
 
 
 class TestCrossModuleVisibility:
@@ -365,9 +494,13 @@ def _vector(s, n=0):
     (32, [_vector(32), _vector(32)]),
     (32, (_vector(32)[:, None], _vector(32))),
     (32, (_vector(32), _vector(32)[None, :])),
-    (32, (np.outer(_vector(32), _vector(32)), np.outer(_vector(32), _vector(32)))),
+    (32, (np.outer(_vector(32), _vector(32)), _vector(32))),
+    (32, (np.zeros((2, 33)), np.zeros((3, 33)))),
+    (32, (np.zeros((1, 1, 33)), np.zeros((1, 1, 33)))),
+    (32, (np.zeros((2, 34)), np.zeros((2, 34)))),
 ], ids=["matrix-s1-entangled", "matrix-s1-product", "matrix-s32", "3-tuple",
-        "1-tuple", "list-pair", "column-factor", "row-factor", "matrix-factors"])
+        "1-tuple", "list-pair", "column-factor", "row-factor", "stack-and-vector",
+        "unequal-stacks", "3d-stacks", "stack-rows-off-s"])
 def test_non_factor_input_rejected(check, s, state):
     with pytest.raises(LayoutError):
         check(state, PhaseOperatorSpace(s))
