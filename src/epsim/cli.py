@@ -85,7 +85,6 @@ from .statefile import (
     state_to_dict,
 )
 from .uncertainty import (
-    SLACK_TOL,
     PhaseOperatorSpace,
     PhysicalityError,
     coherent_pair_state,
@@ -315,13 +314,12 @@ def cmd_sweep(args) -> _Run:
 
 def _fold_checks(summary: dict, report) -> int:
     """Fold one report's checks into the per-inequality summary; returns how
-    many of them fail (a slack below ``SLACK_TOL``, as ``holds`` reads it)."""
+    many of them fail."""
     failed = 0
-    for name, lhs, rhs in report.checks:
-        slack = lhs - rhs
-        entry = summary.setdefault(name, {"min_slack": math.inf, "violations": 0})
-        entry["min_slack"] = min(entry["min_slack"], slack)
-        if not slack >= SLACK_TOL:
+    for check in report.checks:
+        entry = summary.setdefault(check.name, {"min_slack": math.inf, "violations": 0})
+        entry["min_slack"] = min(entry["min_slack"], check.slack)
+        if not check.holds:
             entry["violations"] += 1
             failed += 1
     return failed
