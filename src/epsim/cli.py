@@ -308,8 +308,8 @@ def cmd_sweep(args) -> _Run:
     efs = [r["ef"] for r in rows]
     results = {"rows": rows, "monotone_ef": all(b > a for a, b in zip(efs, efs[1:]))}
     inputs = {"ntr_list": ntr_values, "local_scale": args.local_scale, "format": args.format}
-    return _Run(inputs, results, out=sweep_csv(rows) if args.format == "csv" else None,
-                bare=True)
+    csv = args.out and args.format == "csv"
+    return _Run(inputs, results, out=sweep_csv(rows) if csv else None, bare=True)
 
 
 def _fold_checks(summary: dict, report) -> int:

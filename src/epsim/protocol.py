@@ -371,7 +371,9 @@ def transfer_final_state(config: ProtocolConfig) -> PureState:
 def _complex_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a * b, broadcast, with the rounding of Python's complex product: each
     part from separately rounded float products and one sum.  numpy's
-    complex multiply may fuse them and differ in the last bit."""
+    complex multiply may fuse them and differ in the last bit.  The branch
+    amplitudes here and ``uncertainty._sums``'s u conj(v) (a conjugate is
+    exact) both use it."""
     out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
     out.real = a.real * b.real - a.imag * b.imag
     out.imag = a.real * b.imag + a.imag * b.real
@@ -514,7 +516,7 @@ def reference_phase_shift(rho: DensityOperator, theta: float, phi: float) -> Den
     layout = rho.layout
     if any(m.kind != "register" for m in layout.modes):
         raise LayoutError("reference phase shift acts on register-only operators")
-    n_a, n_b = (_local_numbers(layout, rho.basis, site, "register") for site in ("A", "B"))
+    n_a, n_b = (_register_numbers(rho, site) for site in ("A", "B"))
     phases = np.array([np.exp(1j * (theta * a + phi * b)) for a, b in zip(n_a, n_b)])
     mat = (phases[:, None] * rho.matrix) * np.conj(phases)[None, :]
     return rho.with_matrix(mat)

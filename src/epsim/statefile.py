@@ -172,18 +172,6 @@ def density_to_dict(rho: DensityOperator) -> dict:
     }
 
 
-def _float_repr(x: float) -> str:
-    """JSON text of a float as ``json`` writes it: its repr, or NaN,
-    Infinity or -Infinity."""
-    if x != x:
-        return "NaN"
-    if x == math.inf:
-        return "Infinity"
-    if x == -math.inf:
-        return "-Infinity"
-    return float.__repr__(x)
-
-
 def _key_text(key) -> str:
     """JSON text of a dict key: a str, or an int quoted as ``json`` quotes
     it."""
@@ -197,7 +185,7 @@ def _key_text(key) -> str:
 
 def _float_text(x: float) -> str:
     """JSON text of ``x`` rounded to ``SIG_DIGITS`` significant digits:
-    ``_float_repr(float(format(x, _ROUND_FORMAT)))``, mostly without the
+    ``json.dumps(float(format(x, _ROUND_FORMAT)))``, mostly without the
     round trip.
 
     A decimal of at most 15 significant digits in the normal range is the
@@ -216,7 +204,7 @@ def _float_text(x: float) -> str:
         return text
     elif "n" not in text:                   # not nan, inf or -inf
         return text + ".0"
-    return _float_repr(float(text))
+    return json.dumps(float(text))
 
 
 def _render(obj, newline: str, out: list[str]) -> None:

@@ -29,7 +29,7 @@ import numpy as np
 
 from .fock import (NORM_TOL, LayoutError, ModeDescriptor, ModeLayout, PureState,
                    StateValidationError)
-from .protocol import coherent_coefficients
+from .protocol import _complex_product, coherent_coefficients
 
 PHYSICAL_TAIL_TOL = 1e-10
 SLACK_TOL = -1e-9
@@ -47,8 +47,7 @@ class PhaseOperatorSpace:
             raise ValueError("truncation s must be >= 1")
         self.s = s
         self.dim = s + 1
-        self.number = np.arange(self.dim, dtype=float)
-        self.number_sq = self.number ** 2
+        self.number_sq = np.arange(self.dim, dtype=float) ** 2
 
 
 class InequalityCheck(NamedTuple):
@@ -105,15 +104,6 @@ def _shift_overlap(v: np.ndarray, k: int) -> np.ndarray:
     return np.vecdot(v[..., :-k], v[..., k:]) + np.vecdot(v[..., -k:], v[..., :k])
 
 
-def _times_conj(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """u conj(v) elementwise, in the four products and two sums of the
-    scalar product, which numpy's complex array loop may round otherwise."""
-    out = np.empty(u.shape, dtype=complex)
-    out.real = u.real * v.real + u.imag * v.imag
-    out.imag = u.imag * v.real - u.real * v.imag
-    return out
-
-
 def _sums(a: np.ndarray, b: np.ndarray) -> _Sums:
     """Reduce the (k, d) factor stacks of k states Psi = a (x) b along the
     last axis, O(d) per state, both factors in each call.
@@ -125,7 +115,7 @@ def _sums(a: np.ndarray, b: np.ndarray) -> _Sums:
     w = np.abs(ab) ** 2
     pa, pb = w * w.sum(axis=-1, keepdims=True)[::-1]
     overlaps = np.array([_shift_overlap(ab, k) for k in (1, 2)])   # [shift k, factor, row]
-    x1, x2 = _times_conj(overlaps[:, 0], overlaps[:, 1])
+    x1, x2 = _complex_product(overlaps[:, 0], overlaps[:, 1].conj())
     number = np.arange(a.shape[-1], dtype=float)
     return _Sums(x1, x2, pa, pb, np.vecdot(pa, number), np.vecdot(pb, number))
 

@@ -482,6 +482,14 @@ class TestSweepCommand:
                      "--out", str(out)]) == 0
         assert sum(isinstance(data, dict) and "rows" in data for data in rendered) == 1
 
+    def test_csv_built_only_for_out(self, capsys, monkeypatch):
+        # Without --out nothing reads the CSV text, so it is not built.
+        calls = []
+        real = epsim.cli.sweep_csv
+        monkeypatch.setattr(epsim.cli, "sweep_csv", lambda rows: calls.append(rows) or real(rows))
+        assert main(["sweep", "--ntr-list", "25,50", "--format", "csv"]) == 0
+        assert calls == []
+
     def test_sweep_sizes_each_reference_once(self, capsys, monkeypatch):
         # Two references (transported and local) per --ntr-list value, each
         # truncation computed once.

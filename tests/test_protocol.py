@@ -38,6 +38,7 @@ from epsim import (
     visibility,
 )
 from epsim.cli import _coherent_truncation
+from epsim.protocol import _complex_product
 from epsim.statefile import load_state
 from conftest import outcome, random_two_site_state, shared_double, shared_single
 from oracles import (COHERENT_LOG_WEIGHT_FLOOR, ancilla_check_oracle, ancilla_moments_oracle,
@@ -554,6 +555,38 @@ def stored_bits(state):
 
 
 _S = 2 ** -0.5
+
+# Signed zeros, the smallest subnormal, magnitudes near 1e+-150 (no product
+# of two of them overflows) and ordinary normals.
+_PRODUCT_PARTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.2345678901234567e150, -9.87654321e149,
+                     1.0000000000000002e-150, -3.3e-151]),
+    st.floats(-1e3, 1e3, allow_subnormal=False))
+
+
+@st.composite
+def complex_stacks(draw):
+    """Two equal-shape complex stacks with parts from ``_PRODUCT_PARTS``."""
+    shape = draw(st.tuples(st.integers(1, 3), st.integers(1, 4)))
+    size = 2 * shape[0] * shape[1]
+    u, v = (np.array(draw(st.lists(_PRODUCT_PARTS, min_size=size, max_size=size)))
+            .view(complex).reshape(shape) for _ in range(2))
+    return u, v
+
+
+class TestComplexProduct:
+    # The transfer's branch amplitudes and uncertainty's shift expectations
+    # both take their products from _complex_product, bit for bit
+    # CPython's complex product.
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(complex_stacks())
+    def test_equals_python_complex_product(self, stacks):
+        u, v = stacks
+        for w, factor in ((v, complex), (v.conj(), lambda z: complex(z).conjugate())):
+            expected = np.array([complex(a) * factor(b) for a, b in zip(u.ravel(), v.ravel())])
+            got = _complex_product(u, w)
+            assert got.shape == u.shape
+            np.testing.assert_array_equal(got.ravel().view(np.uint64), expected.view(np.uint64))
 
 
 class TestClosedRouteMatchesGateOracle:
