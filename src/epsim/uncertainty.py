@@ -14,7 +14,8 @@ the Robertson relations of cos D and sin D against the local and relative
 number operators bound the achievable squared fringe visibility
 |C|^2 = |<e^{i(phi_A - phi_B)}>|^2 by the number variances.  The checks
 take one pair ``(a, b)`` or a pair of (k, s+1) stacks of factors, k states
-reduced in one pass along the last axis; one pair is the k = 1 case.  The
+reduced in one pass along the last axis; one pair is the k = 1 case, and a
+stack is rejected as a whole at its first unphysical row, as a pair is.  The
 amplitude matrix route and the dense phase-state constructions are the
 test oracles (tests/oracles.py).
 """
@@ -147,23 +148,17 @@ def _tail_cutoff(space: PhaseOperatorSpace) -> int:
     return int(math.floor(space.s - math.sqrt(space.s)))
 
 
-def _tail_masses(sums: _Sums, space: PhaseOperatorSpace) -> tuple[list, list]:
-    """Each row's mass above occupation floor(s - sqrt(s)), in A and in B."""
-    cutoff = _tail_cutoff(space)
-    return (sums.pa[:, cutoff + 1:].sum(axis=-1).tolist(),
-            sums.pb[:, cutoff + 1:].sum(axis=-1).tolist())
-
-
-def _checked_moments(state, space: PhaseOperatorSpace) -> tuple[list, bool]:
-    """Moments of unit-norm states and whether ``state`` is one pair.
+def _per_state(check, state, space: PhaseOperatorSpace):
+    """``check`` of each state's moments: one report for a pair, a list with
+    one report per row for a stack.
 
     ``state`` is a tuple of two factors: 1-D vectors of s+1 levels (one
     pair) or (k, s+1) stacks of equal shape (k pairs, row by row); anything
     else is a ``LayoutError``.  Each row is validated on its marginals: a
     norm off 1 raises ``StateValidationError``, and a row with mass above
-    occupation s - sqrt(s) beyond PHYSICAL_TAIL_TOL in either mode is
-    unphysical.  An unphysical pair raises ``PhysicalityError``; in a stack
-    its row's entry is None.
+    occupation floor(s - sqrt(s)) beyond PHYSICAL_TAIL_TOL in either mode
+    is unphysical and raises ``PhysicalityError``, whose message names the
+    row of a stack.
     """
     if not (isinstance(state, tuple) and len(state) == 2):
         raise LayoutError("state must be a tuple of two factor vectors (a, b)")
@@ -177,21 +172,14 @@ def _checked_moments(state, space: PhaseOperatorSpace) -> tuple[list, bool]:
         norm = math.sqrt(norm_sq)
         if not abs(norm - 1.0) <= NORM_TOL:
             raise StateValidationError(f"state norm {norm} deviates from 1")
-    tails = _tail_masses(sums, space)
-    physical = [tail_a <= PHYSICAL_TAIL_TOL and tail_b <= PHYSICAL_TAIL_TOL
-                for tail_a, tail_b in zip(*tails)]
-    if single and not physical[0]:
-        (tail_a,), (tail_b,) = tails
-        raise PhysicalityError(f"tail mass above occupation {_tail_cutoff(space)}: "
-                               f"A={tail_a:.3e}, B={tail_b:.3e}")
-    return [m if ok else None for m, ok in zip(_moments(sums, space), physical)], single
-
-
-def _per_state(check, state, space: PhaseOperatorSpace):
-    """``check`` of each state's moments: one report for a pair, a list with
-    one entry per row (None for an unphysical row) for a stack."""
-    moments, single = _checked_moments(state, space)
-    reports = [None if m is None else check(m) for m in moments]
+    cutoff = _tail_cutoff(space)
+    tails = (p[:, cutoff + 1:].sum(axis=-1).tolist() for p in (sums.pa, sums.pb))
+    for row, (tail_a, tail_b) in enumerate(zip(*tails)):
+        if not (tail_a <= PHYSICAL_TAIL_TOL and tail_b <= PHYSICAL_TAIL_TOL):
+            raise PhysicalityError(("" if single else f"row {row}: ")
+                                   + f"tail mass above occupation {cutoff}: "
+                                   f"A={tail_a:.3e}, B={tail_b:.3e}")
+    reports = [check(m) for m in _moments(sums, space)]
     return reports[0] if single else reports
 
 
@@ -210,8 +198,7 @@ def _robertson(m: UncertaintyReport) -> UncertaintyReport:
 
 def robertson_checks(state, space: PhaseOperatorSpace):
     """Number-phase Robertson inequalities for a physical state ``(a, b)``,
-    or one report per row of a stack ``(A, B)`` (None for an unphysical
-    row).
+    or one report per row of a stack ``(A, B)`` of physical states.
 
     Difference-operator forms:
         Var(N_A - N_B) Var(cos D) >= <sin D>^2       (dcos)
@@ -246,7 +233,7 @@ def visibility_caps(moments: UncertaintyReport) -> UncertaintyReport:
 
 def visibility_bound_check(state, space: PhaseOperatorSpace):
     """The ``visibility_caps`` of a physical state ``(a, b)``, or of each
-    row of a stack as ``robertson_checks`` takes it."""
+    row of a stack of physical states."""
     return _per_state(visibility_caps, state, space)
 
 
@@ -278,9 +265,12 @@ def coherent_pair_state(nbar_a: float, nbar_b: float,
 def random_uncorrelated_pair(space: PhaseOperatorSpace, rng: np.random.RandomState,
                              count: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Factors of a random product state supported on [0, s // 2] in each
-    mode, a window that keeps the state comfortably physical; with a
-    ``count``, (count, s+1) stacks of that many states, row i the pair the
-    i-th of ``count`` calls without one would draw."""
+    mode; with a ``count``, (count, s+1) stacks of that many states, row i
+    the pair the i-th of ``count`` calls without one would draw.
+
+    For s >= 16 the window lies below the tail cutoff floor(s - sqrt(s)),
+    so every tail mass is a sum of exact zeros and a draw is always
+    physical."""
     w = space.s // 2
     # One draw of the rows that 4 count randn(w + 1) calls would give in
     # turn: Re a, Im a, Re b, Im b for each state.

@@ -18,11 +18,12 @@ from epsim import (
     visibility,
     visibility_bound_check,
 )
-from epsim.cli import BOUNDS_BLOCK_ENTRIES
+from epsim.cli import BOUNDS_BLOCK_ENTRIES, MAX_BOUNDS_S
 from epsim.uncertainty import (
     SLACK_TOL,
     _moments,
     _sums,
+    _tail_cutoff,
     coherent_pair_state,
     random_uncorrelated_pair,
     visibility_caps,
@@ -211,7 +212,9 @@ class TestFactoredRoute:
     ``np.outer(a, b)``, run through the same validation, moments and checks
     by putting ``matrix_sums``, applied to each row of a stack, in place of
     the library's ``_sums``: on the pair alone and on a stack of the pair
-    and its swap ``(b, a)``.
+    and its swap ``(b, a)``.  An unphysical pair is rejected by both routes,
+    and so is the stack, at its row 0: the tail test is symmetric in the
+    two modes.
 
     Values agree to 1e-12 relative to their natural scale: (s+1)^2 for the
     number variances and the Robertson left sides, which carry one, and 1
@@ -233,14 +236,22 @@ class TestFactoredRoute:
 
         rows = stack([factors, factors[::-1]])
         for check in (robertson_checks, visibility_bound_check):
-            factored = [_checked(check, factors, space), *check(rows, space)]
-            with mock.patch.object(epsim.uncertainty, "_sums", matrix_sums_per_row):
-                dense = [_checked(check, factors, space), *check(rows, space)]
+            routes = []
+            for sums in (_sums, matrix_sums_per_row):
+                with mock.patch.object(epsim.uncertainty, "_sums", sums):
+                    alone = _checked(check, factors, space)
+                    if alone is None:
+                        with pytest.raises(PhysicalityError, match="^row 0: tail mass"):
+                            check(rows, space)
+                        routes.append(None)
+                    else:
+                        routes.append([alone, *check(rows, space)])
+            factored, dense = routes
+            assert (factored is None) == (dense is None)
+            if factored is None:
+                continue
             assert len(factored) == len(dense) == 3
             for got, want in zip(factored, dense):
-                assert (got is None) == (want is None)
-                if got is None:
-                    continue
                 for field in self.FIELDS:
                     scale = number_scale if field.startswith("var_n") else 1.0
                     assert close(getattr(got, field), getattr(want, field), scale), field
@@ -284,11 +295,15 @@ class TestRobertsonChecks:
             report.var_n_a + report.var_n_b, abs=1e-10)
 
     def test_nonphysical_rejected(self):
+        # A pair's message names no row; a stack's names its first
+        # unphysical row (TestStackedKernel).
         s = 32
         space = PhaseOperatorSpace(s)
-        for state in (number_pair_state(s, 0, s), number_pair_state(0, s, s)):
-            with pytest.raises(PhysicalityError):
+        for state, tails in ((number_pair_state(s, 0, s), "A=1.000e+00, B=0.000e+00"),
+                             (number_pair_state(0, s, s), "A=0.000e+00, B=1.000e+00")):
+            with pytest.raises(PhysicalityError) as err:
                 robertson_checks(state, space)
+            assert str(err.value) == f"tail mass above occupation 26: {tails}"
 
 
 class TestVisibilityBoundCheck:
@@ -383,31 +398,66 @@ class TestRandomUncorrelatedPair:
                           random_uncorrelated_pair_oracle(space, ref)):
             assert_same_bits(got, w)
 
+    def test_draws_are_physical_at_every_bounds_s(self):
+        # bounds checks each draw once and never redraws one: at every --s
+        # the draw window [0, s // 2] lies below the tail cutoff, so each
+        # tail mass is a sum of exact zeros and a block of draws passes.
+        assert all(s // 2 < _tail_cutoff(PhaseOperatorSpace(s))
+                   for s in range(16, MAX_BOUNDS_S + 1))
+        for s in (16, MAX_BOUNDS_S):
+            space = PhaseOperatorSpace(s)
+            k = BOUNDS_BLOCK_ENTRIES // space.dim
+            stacks = random_uncorrelated_pair(space, np.random.RandomState(s), k)
+            for factor in stacks:
+                assert not factor[:, s // 2 + 1:].any()
+            assert len(robertson_checks(stacks, space)) == k
+
 
 class TestStackedKernel:
     """A stack is reduced in one pass, and each row's report equals the
     report of that row alone, field for field: the random rows of
-    ``bounds``, a coherent pair, number states and an unphysical row, whose
-    entry is None where the row alone raises ``PhysicalityError``."""
+    ``bounds``, a coherent pair and a number state.  A stack holding an
+    unphysical row raises ``PhysicalityError`` naming the first such row,
+    as that row alone raises it."""
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(s=st.integers(16, 512), seed=st.integers(0, 2 ** 32 - 1),
-           count=st.integers(1, 5), extra=st.permutations(range(4)))
+           count=st.integers(1, 5), extra=st.permutations(range(2)))
     def test_rows_equal_single_reports(self, s, seed, count, extra):
         space = PhaseOperatorSpace(s)
         a, b = random_uncorrelated_pair(space, np.random.RandomState(seed), count)
         pairs = list(zip(a, b))
-        others = [coherent_pair_state(1.0, s / 16.0, space), number_pair_state(0, s // 2, s),
-                  number_pair_state(s, 0, s), number_pair_state(1, s, s)]
-        for index in extra[:seed % 5]:
+        others = [coherent_pair_state(1.0, s / 16.0, space), number_pair_state(0, s // 2, s)]
+        for index in extra[:seed % 3]:
             pairs.insert(index % (len(pairs) + 1), others[index])
         for check in (robertson_checks, visibility_bound_check):
             reports = check(stack(pairs), space)
             assert len(reports) == len(pairs)
             for pair, report in zip(pairs, reports):
-                alone = _checked(check, pair, space)
-                assert report == alone
-                assert report is None or type(report) is UncertaintyReport
+                assert report == check(pair, space)
+                assert type(report) is UncertaintyReport
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(s=st.integers(16, 128), seed=st.integers(0, 2 ** 32 - 1),
+           count=st.integers(1, 5), bad=st.lists(st.integers(0, 5), min_size=1, max_size=2))
+    def test_unphysical_row_rejects_the_stack(self, s, seed, count, bad):
+        # In both the factored and the dense route the stack's message is
+        # the first unphysical row's own message, prefixed with its index.
+        space = PhaseOperatorSpace(s)
+        a, b = random_uncorrelated_pair(space, np.random.RandomState(seed), count)
+        pairs = list(zip(a, b))
+        for k, index in enumerate(bad):
+            pairs.insert(index % (len(pairs) + 1),
+                         number_pair_state(s, 0, s) if k else number_pair_state(1, s, s))
+        first = next(row for row, (x, y) in enumerate(pairs) if x[s] or y[s])
+        for sums in (_sums, matrix_sums_per_row):
+            with mock.patch.object(epsim.uncertainty, "_sums", sums):
+                for check in (robertson_checks, visibility_bound_check):
+                    with pytest.raises(PhysicalityError) as alone:
+                        check(pairs[first], space)
+                    with pytest.raises(PhysicalityError) as stacked:
+                        check(stack(pairs), space)
+                    assert str(stacked.value) == f"row {first}: {alone.value}"
 
     def test_bad_norm_row_rejects_the_stack(self):
         space = PhaseOperatorSpace(32)
