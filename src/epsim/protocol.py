@@ -167,9 +167,12 @@ def coherent_coefficients(nbar: float, M: int) -> AncillaSpec:
     if not (math.isfinite(nbar) and nbar >= 0):
         raise ValueError(f"nbar must be finite and >= 0, got {nbar}")
     if M < nbar + 10.0 * math.sqrt(nbar):
+        # One decimal, as the shortest repr of its double: 75.0 stays 75.0,
+        # and a threshold near the largest float prints as 1e+308, not as 309
+        # digits.
         warnings.warn(
             f"truncation M={M} below nbar + 10*sqrt(nbar) = "
-            f"{nbar + 10.0 * math.sqrt(nbar):.1f}; tail probability is clipped",
+            f"{round(nbar + 10.0 * math.sqrt(nbar), 1)!r}; tail probability is clipped",
             stacklevel=2,
         )
     if nbar == 0.0:
@@ -312,7 +315,8 @@ class ProtocolConfig:
     @property
     def total_particles(self) -> int:
         _, _, _, n_a, n_b = self.register_terms
-        return int((n_a + n_b).max())
+        # Summed as Python ints: an int64 sum wraps past 2^63 - 1.
+        return max(a + b for a, b in zip(n_a.tolist(), n_b.tolist()))
 
     def sink_id(self, site: str) -> str:
         return f"sink_{site}"
@@ -339,7 +343,9 @@ def transfer_final_state(config: ProtocolConfig) -> PureState:
 
     Every row is a valid, distinct label, so ``PureState._from_rows``
     stores the rows without checking them: the sink occupation
-    M - m + n_Z lies in [0, M + N] as m <= M and n_Z <= N; the reference
+    M - m + n_Z lies in [0, M + N] as m <= M and n_Z <= N, and M + N, so
+    every entry of the int64 label array, is at most 2^63 - 1, or
+    ``CapacityError`` is raised before anything is allocated; the reference
     occupation m lies in the ancilla's [lo, hi], inside [0, M]; the input
     field columns are 0; each register column is an input occupation, and
     the register has its field mode's capacity; (m_A, m_B, r) are columns
@@ -347,10 +353,14 @@ def transfer_final_state(config: ProtocolConfig) -> PureState:
     finite numbers of modulus at most 1.
     """
     reg_layout, basis, amps, n_a, n_b = config.register_terms
+    particles = config.total_particles
     site_modes = []
     for site, spec in (("A", config.ancilla_a), ("B", config.ancilla_b)):
+        if spec.M + particles > np.iinfo(np.int64).max:
+            raise CapacityError(f"sink {config.sink_id(site)!r} capacity M + N = "
+                                f"{spec.M} + {particles} passes the int64 labels' 2^63 - 1")
         site_modes += [ModeDescriptor(config.sink_id(site), site, "field",
-                                      spec.M + config.total_particles),
+                                      spec.M + particles),
                        ModeDescriptor(config.ref_id(site), site, "field", spec.M)]
     layout = ModeLayout(tuple(site_modes) + config.input_state.layout.modes
                         + reg_layout.modes)

@@ -266,6 +266,16 @@ class TestTransferCommand:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("warning: truncation M=4 below")
 
+    def test_huge_threshold_warning_stays_short(self, capsys):
+        # nbar + 10 sqrt(nbar) near the largest float prints as 1e+308, not
+        # as 309 digits.
+        code = main(["transfer", data_path("shared_double.json"), "--M", "3",
+                     "--nbar", "1e308"])
+        assert code == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("warning: truncation M=3 below")
+        assert len(lines[0].encode()) < 120
+
     def test_default_ancilla_allocates_no_levels(self, capsys):
         # No result reads the ancilla amplitudes, so without --nbar the
         # ancilla is the one-level reference of mean 0, not 2^24 levels.
@@ -302,6 +312,22 @@ class TestTransferCommand:
             assert err.startswith("error: transfer needs one site-B particle number per "
                                   "site-A number") and "\n" not in err
             assert "site-A number 0 pairs with site-B numbers" in err
+
+    def test_particle_total_past_int64_exit_2(self, capsys, tmp_path):
+        # One term on (2^62, 2^62): the total 2^63 wraps in int64 to -2^63,
+        # which would pass the grid guard.
+        n = 2 ** 62
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({
+            "modes": [{"id": "a", "site": "A", "kind": "field", "capacity": n},
+                      {"id": "b", "site": "B", "kind": "field", "capacity": n}],
+            "terms": [{"occ": [n, n], "amp": [1.0, 0.0]}],
+        }))
+        assert main(["transfer", str(path), "--M", "4", "--path", "quadrature"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: --path quadrature needs fewer than 2M + 3 = 11 "
+                                "particles, got 9223372036854775808\n")
 
     def test_warnings_print_before_the_error(self, capsys, tmp_path):
         # A renormalized mixed-total file: one warning line, then the error.
@@ -757,6 +783,19 @@ def test_help_exits_0(capsys):
     assert "Exit codes:" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv, line", [
+    (["-h", "ep"], "usage: epsim [-h] {ep,transfer,measure,sweep,bounds} ..."),
+    (["ep", "-h"], "usage: epsim ep [-h] [--out OUT] statefile"),
+])
+def test_help_names_its_parser(capsys, argv, line):
+    # Help before the subcommand name is the top-level parser's, after it
+    # the subcommand's.
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.splitlines()[0] == line
+
+
 # The other subcommand argvs of this module, with --out paths that are
 # parsed and not written.
 RUN_ARGVS = [
@@ -1077,7 +1116,7 @@ VALID_STATE = {
     ("term", "amp", ["a", 0.0]), ("term", "amp", [None, 0.0]),
     ("term", "amp", [10 ** 400, 0.0]),
     # a finite modulus whose square passes the largest float: the norm is named
-    ("term", "amp", [1e200, 0.0]),
+    ("term", "amp", [1e200, 0.0]), ("term", "amp", [1e308, 0.0]),
     ("top", "modes", 5), ("top", "terms", 5),
     # non-integral numbers are not truncated to an integer
     ("term", "occ", [1.5, 0]), ("mode", "capacity", 1.7),
@@ -1087,9 +1126,9 @@ VALID_STATE = {
     # mode ids, sites and kinds must be JSON strings
     ("mode", "id", None), ("mode", "id", 5), ("mode", "site", 1), ("mode", "kind", None),
 ], ids=["occ-string", "occ-null", "occ-number", "amp-string", "amp-null", "amp-past-float",
-        "amp-square-past-float", "modes-number", "terms-number", "occ-fraction",
-        "capacity-fraction", "occ-past-capacity", "occ-negative", "occ-too-wide", "occ-too-narrow",
-        "id-null", "id-number", "site-number", "kind-null"])
+        "amp-square-past-float", "amp-near-largest-float", "modes-number", "terms-number",
+        "occ-fraction", "capacity-fraction", "occ-past-capacity", "occ-negative", "occ-too-wide",
+        "occ-too-narrow", "id-null", "id-number", "site-number", "kind-null"])
 def test_malformed_state_file_exit_2(capsys, tmp_path, command, where, key, value):
     data = json.loads(json.dumps(VALID_STATE))
     target = {"top": data, "mode": data["modes"][0], "term": data["terms"][0]}[where]
@@ -1103,8 +1142,8 @@ def test_malformed_state_file_exit_2(capsys, tmp_path, command, where, key, valu
     assert err.startswith("error:") and "\n" not in err
     if key == "occ" and isinstance(value, list) and all(type(x) is int for x in value):
         assert str(tuple(value)) in err
-    if value == [1e200, 0.0]:
-        assert "norm 1e+200;" in err
+    if key == "amp" and value[0] in (1e200, 1e308):
+        assert f"norm {value[0]:g};" in err
 
 
 class TestStateFileRoundTrip:

@@ -19,6 +19,8 @@ import platform
 import re
 import shlex
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -61,8 +63,14 @@ CASES = {
                               "--out", "out.json"],
     "measure-ntr1e6-scale1.5": ["measure", "--ntr", "1e6", "--local-scale", "1.5",
                                 "--out", "out.json"],
+    # The largest accepted reference, stored as its kept span only.
+    "measure-ntr1.6e7-scale1": ["measure", "--ntr", "1.6e7", "--local-scale", "1",
+                                "--out", "out.json"],
     "sweep-json": ["sweep", "--ntr-list", "25,50,100,1000", "--out", "out.json"],
     "bounds": ["bounds", "--seeds", "10", "--s", "64", "--seed", "3", "--out", "out.json"],
+    # A coherent ancilla at the longest truncation, built on its window only.
+    "transfer-shared_double-M16777215-nbar1": ["transfer", "tests/data/shared_double.json",
+                                               "--M", "16777215", "--nbar", "1"],
     # One sector with amplitudes -0.6 and -0.8i: the register state's --out
     # holds two -0.0 parts, which the exact comparison keeps.
     "transfer-signed_zero": ["transfer", "tests/golden/inputs/signed_zero.json", "--M", "2",
@@ -93,17 +101,31 @@ def prepare(workdir: Path) -> None:
         shutil.copytree(REPO / rel, workdir / rel)
 
 
-def record(argv: list[str]) -> str:
+def in_process(argv: list[str]) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of one ``cli.main`` call."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(list(argv))
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+def fresh_process(argv: list[str]) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of ``python -m epsim`` with
+    ``PYTHONPATH=src``."""
+    done = subprocess.run([sys.executable, "-m", "epsim", *argv], capture_output=True,
+                          text=True, encoding="utf-8",
+                          env=dict(os.environ, PYTHONPATH=str(REPO / "src")))
+    return done.returncode, done.stdout, done.stderr
+
+
+def record(argv: list[str], run=in_process) -> str:
     """Run one command in the current directory and return its record."""
     out_path = argv[argv.index("--out") + 1] if "--out" in argv else None
     if out_path and os.path.isfile(out_path):
         os.remove(out_path)
-    stdout, stderr = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        code = main(list(argv))
+    code, stdout, stderr = run(argv)
     parts = [f"$ epsim {shlex.join(argv)}\n", f"exit: {code}\n",
-             "--- stderr\n", stderr.getvalue(),
-             "--- stdout\n", _WALL_TIME.sub("", stdout.getvalue())]
+             "--- stderr\n", stderr, "--- stdout\n", _WALL_TIME.sub("", stdout)]
     if out_path and os.path.isfile(out_path):
         with open(out_path, encoding="utf-8", newline="") as fh:
             parts += ["--- out\n", fh.read()]
@@ -148,6 +170,14 @@ def test_output_matches_corpus(name, workdir, monkeypatch):
     assert same_record(expected, actual, exact), (
         f"{name} differs from tests/golden/{name}.txt; if the change is intended, "
         f"rewrite the corpus with python tests/update_golden.py\n{actual}")
+
+
+@pytest.mark.parametrize("name", ["transfer-shared_single-clipped", "usage-error"])
+def test_module_entry_point_writes_the_record(name, workdir, monkeypatch):
+    # __main__.py in a fresh process: the exit code, the warning: or error:
+    # line, the report and the --out bytes of the in-process run.
+    monkeypatch.chdir(workdir)
+    assert record(CASES[name], fresh_process) == record(CASES[name])
 
 
 def test_corpus_holds_exactly_the_cases():

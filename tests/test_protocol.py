@@ -525,6 +525,19 @@ class TestRunTransfer:
         for label in final.amplitudes:
             assert all(label[i] == 0 for i in field_idx)
 
+    @pytest.mark.parametrize("n", [2 ** 63 - 5, 2 ** 64], ids=["wraps", "overflows"])
+    def test_sink_past_int64_rejected(self, n):
+        # The sink capacity M + N passes int64: at 2^63 - 5 the label array
+        # would wrap to negative sink occupations, at 2^64 its broadcast
+        # would raise OverflowError.
+        layout = layout_of(ModeDescriptor("a", "A", "field", n),
+                           ModeDescriptor("b", "B", "field", n))
+        state = PureState(layout, {(n, 0): 2 ** -0.5, (0, n): 2 ** -0.5})
+        with pytest.warns(UserWarning, match="clipped"):
+            spec = coherent_coefficients(2.0, 8)
+        with pytest.raises(CapacityError, match="int64"):
+            transfer_final_state(ProtocolConfig(state, spec, spec))
+
     def test_signed_zero_parts(self):
         # The golden corpus reads -0.0 and 0.0 as equal whenever the Python
         # or numpy version differs from the one it was written with, so this
